@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "hw/faults.h"
+#include "telemetry/text_format.h"
 #include "workloads/workloads.h"
 
 namespace poseidon::cluster {
@@ -16,17 +16,6 @@ namespace poseidon::cluster {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
 
 /// FNV-1a over the shape-defining fields of a trace: two traces with
 /// equal signatures price identically, which is what lets the router
@@ -100,73 +89,27 @@ std::vector<HostDeath>
 parse_host_chaos(const std::string &dsl)
 {
     std::vector<HostDeath> out;
-    std::size_t pos = 0;
-    while (pos <= dsl.size()) {
-        std::size_t semi = dsl.find(';', pos);
-        std::string clause =
-            trim(dsl.substr(pos, semi == std::string::npos
-                                     ? std::string::npos
-                                     : semi - pos));
-        pos = semi == std::string::npos ? dsl.size() + 1 : semi + 1;
-        if (clause.empty()) continue;
-        std::size_t open = clause.find('{');
-        std::size_t close = clause.rfind('}');
-        POSEIDON_REQUIRE_T(InvalidArgument,
-                           open != std::string::npos &&
-                               close != std::string::npos &&
-                               close > open &&
-                               trim(clause.substr(0, open)) ==
-                                   "HostDeath",
-                           "host-chaos clause \""
-                               << clause
-                               << "\" is not HostDeath{...}");
+    for (const telemetry::Clause &c :
+         telemetry::parse_clauses(dsl, "host-chaos")) {
+        POSEIDON_REQUIRE(c.kind == "HostDeath",
+                         c.where << " is not HostDeath{...}");
         HostDeath d;
         bool sawHost = false;
         bool sawCycle = false;
-        std::string body = clause.substr(open + 1, close - open - 1);
-        std::size_t bp = 0;
-        while (bp <= body.size()) {
-            std::size_t comma = body.find(',', bp);
-            std::string kv =
-                trim(body.substr(bp, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - bp));
-            bp = comma == std::string::npos ? body.size() + 1
-                                            : comma + 1;
-            if (kv.empty()) continue;
-            std::size_t eq = kv.find('=');
-            POSEIDON_REQUIRE_T(InvalidArgument,
-                               eq != std::string::npos,
-                               "host-chaos field \"" << kv
-                                                     << "\" has no =");
-            std::string key = trim(kv.substr(0, eq));
-            std::string val = trim(kv.substr(eq + 1));
-            char *end = nullptr;
-            double num = std::strtod(val.c_str(), &end);
-            POSEIDON_REQUIRE_T(InvalidArgument,
-                               end != nullptr && *end == '\0' &&
-                                   !val.empty(),
-                               "host-chaos value \""
-                                   << val << "\" is not a number");
+        for (const auto &[key, val] : c.fields) {
             if (key == "host") {
-                POSEIDON_REQUIRE_T(InvalidArgument,
-                                   num >= 0 &&
-                                       num == std::floor(num),
-                                   "host-chaos host index must be a "
-                                   "non-negative integer");
-                d.host = static_cast<std::size_t>(num);
+                d.host = telemetry::parse_integer<std::size_t>(val, c.where);
                 sawHost = true;
             } else if (key == "cycle") {
-                d.cycle = num;
+                d.cycle = telemetry::parse_number(val, c.where);
                 sawCycle = true;
             } else {
-                POSEIDON_THROW(InvalidArgument,
-                               "unknown host-chaos field \"" << key
-                                                             << "\"");
+                POSEIDON_THROW(InvalidArgument, c.where
+                               << ": unknown key \"" << key << "\"");
             }
         }
-        POSEIDON_REQUIRE_T(InvalidArgument, sawHost && sawCycle,
-                           "HostDeath needs host= and cycle=");
+        POSEIDON_REQUIRE(sawHost && sawCycle,
+                         c.where << ": HostDeath needs host= and cycle=");
         out.push_back(d);
     }
     return out;

@@ -132,9 +132,9 @@ struct HostDeath
     double cycle = 0.0;
 };
 
-/// Parse the host-chaos DSL: a ';'-separated list of
-/// "HostDeath{host=N, cycle=C}" clauses (whitespace-insensitive).
-/// Throws poseidon::InvalidArgument on a malformed clause.
+/// Parse the host-chaos DSL: "HostDeath{host=N, cycle=C}" clauses of
+/// the shared grammar (DESIGN.md §17), host an exact integer. Throws
+/// poseidon::InvalidArgument on a malformed clause.
 std::vector<HostDeath> parse_host_chaos(const std::string &dsl);
 
 /// Knobs of the two-level router.

@@ -1,10 +1,9 @@
 #include "cluster/journal.h"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "telemetry/text_format.h"
 
 namespace poseidon::cluster {
 
@@ -30,17 +29,11 @@ to_string(ClusterEventKind k)
 bool
 cluster_kind_from_string(const std::string &s, ClusterEventKind &out)
 {
-    static constexpr ClusterEventKind kAll[] = {
-        ClusterEventKind::Submitted,   ClusterEventKind::Rejected,
-        ClusterEventKind::ShedCluster, ClusterEventKind::Placed,
-        ClusterEventKind::KeyTransfer, ClusterEventKind::KeyEvicted,
-        ClusterEventKind::Rerouted,    ClusterEventKind::Resolved,
-        ClusterEventKind::HostDeath,   ClusterEventKind::ScaleUp,
-        ClusterEventKind::ScaleDown,
-    };
-    for (ClusterEventKind k : kAll) {
-        if (s == to_string(k)) {
-            out = k;
+    // Kinds are numbered 0..ScaleDown in declaration order.
+    constexpr auto kLast = static_cast<unsigned>(ClusterEventKind::ScaleDown);
+    for (unsigned i = 0; i <= kLast; ++i) {
+        if (s == to_string(static_cast<ClusterEventKind>(i))) {
+            out = static_cast<ClusterEventKind>(i);
             return true;
         }
     }
@@ -80,11 +73,11 @@ ClusterEvent::from_json(const telemetry::Json &j)
         cluster_kind_from_string(j.at("ev").as_string(), ev.kind),
         "unknown cluster event kind \"" << j.at("ev").as_string()
                                         << "\"");
-    ev.job = static_cast<ClusterJobId>(j.at("job").as_number());
+    ev.job = telemetry::json_int(j.at("job"), "job");
     ev.cycle = j.at("cycle").as_number();
     if (j.contains("tenant")) ev.tenant = j.at("tenant").as_string();
     if (j.contains("host")) {
-        ev.host = static_cast<std::size_t>(j.at("host").as_number());
+        ev.host = telemetry::json_int(j.at("host"), "host");
     }
     if (j.contains("value")) ev.value = j.at("value").as_number();
     if (j.contains("detail")) ev.detail = j.at("detail").as_string();
@@ -133,33 +126,27 @@ ClusterJournal::size() const
     return events_.size();
 }
 
+namespace {
+
+const telemetry::JsonlSchema kDocument{ClusterJournal::kSchemaName,
+                                       ClusterJournal::kSchemaVersion,
+                                       "cluster journal",
+                                       {"events"}};
+
+} // namespace
+
 std::string
 ClusterJournal::to_jsonl() const
 {
     using telemetry::Json;
     std::lock_guard<std::mutex> lk(mu_);
-    Json header = Json::object();
-    header.set("schema", Json(kSchemaName));
-    header.set("schema_version", Json(kSchemaVersion));
+    Json header = telemetry::jsonl_header(kDocument);
     header.set("clock_ghz", Json(clockGHz_));
     header.set("hosts", Json(static_cast<u64>(hosts_)));
     header.set("events", Json(static_cast<u64>(events_.size())));
-    std::string out = header.dump();
-    out += '\n';
-    for (const ClusterEvent &ev : events_) {
-        out += ev.to_json().dump();
-        out += '\n';
-    }
-    return out;
-}
-
-bool
-ClusterJournal::write_jsonl(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return false;
-    out << to_jsonl();
-    return static_cast<bool>(out);
+    telemetry::JsonlWriter out(header);
+    for (const ClusterEvent &ev : events_) out.line(ev.to_json());
+    return out.take();
 }
 
 ClusterJournal
@@ -167,56 +154,17 @@ ClusterJournal::parse_jsonl(const std::string &text)
 {
     using telemetry::Json;
     ClusterJournal jr;
-    std::istringstream in(text);
-    std::string line;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t declared = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty()) continue;
-        Json j = Json::parse(line); // throws ParseError with offset
-        if (!sawHeader) {
-            POSEIDON_REQUIRE_T(
-                ParseError,
-                j.is_object() && j.contains("schema") &&
-                    j.at("schema").as_string() == kSchemaName,
-                "cluster journal line 1 is not a " << kSchemaName
-                                                   << " header");
-            POSEIDON_REQUIRE_T(
-                ParseError,
-                j.contains("schema_version") &&
-                    j.at("schema_version").as_number() ==
-                        kSchemaVersion,
-                "unsupported cluster journal schema version");
-            jr.clockGHz_ = j.contains("clock_ghz")
-                               ? j.at("clock_ghz").as_number()
-                               : 0.0;
-            jr.hosts_ = j.contains("hosts")
-                            ? static_cast<std::size_t>(
-                                  j.at("hosts").as_number())
-                            : 0;
-            declared = j.contains("events")
-                           ? static_cast<std::size_t>(
-                                 j.at("events").as_number())
-                           : 0;
-            sawHeader = true;
-            continue;
-        }
-        try {
-            jr.events_.push_back(ClusterEvent::from_json(j));
-        } catch (const Error &e) {
-            POSEIDON_THROW(ParseError, "cluster journal line "
-                                           << lineNo << ": "
-                                           << e.message());
-        }
-    }
-    POSEIDON_REQUIRE_T(ParseError, sawHeader,
-                       "cluster journal text has no header line");
-    POSEIDON_REQUIRE_T(ParseError, jr.events_.size() == declared,
-                       "cluster journal header declares "
-                           << declared << " events but "
-                           << jr.events_.size() << " lines follow");
+    telemetry::read_jsonl(
+        text, kDocument,
+        [&jr](const Json &h) {
+            jr.clockGHz_ = h.at("clock_ghz").as_number();
+            jr.hosts_ = static_cast<std::size_t>(
+                telemetry::json_int(h.at("hosts"), "hosts"));
+        },
+        [&jr](const Json &line) -> std::size_t {
+            jr.events_.push_back(ClusterEvent::from_json(line));
+            return 0;
+        });
     return jr;
 }
 

@@ -19,18 +19,13 @@
  * submitted job set, so to_jsonl() of the same cluster run is
  * byte-identical at every POSEIDON_THREADS.
  *
- * **Serialized form** (one JSON object per line):
+ * **Serialized form**: a `poseidon-cluster-journal` JSONL document
+ * (telemetry/text_format.h, DESIGN.md §17) whose header carries
+ * clock_ghz, hosts and the event count; then one event per line:
  *
- *   {"schema":"poseidon-cluster-journal","schema_version":1,
- *    "clock_ghz":0.3,"hosts":8,"events":456}          <- header line
  *   {"ev":"Submitted","job":1,"cycle":0,"tenant":"alice"}
  *   {"ev":"Placed","job":1,"cycle":0,"host":3,"value":812345,
  *    "detail":"locality-hit"}
- *   ...
- *
- * Keys appear in a fixed order and numbers round-trip exactly
- * (telemetry/json.h), which is what makes byte-level determinism
- * checks meaningful.
  */
 
 #include <cstddef>
@@ -126,13 +121,8 @@ class ClusterJournal
     /// Header line + one compact JSON object per event.
     std::string to_jsonl() const;
 
-    /// Write to_jsonl() to `path`; false on I/O failure.
-    bool write_jsonl(const std::string &path) const;
-
-    /// Parse a journal back from its JSONL form. Throws
-    /// poseidon::ParseError on a malformed header, an unknown event
-    /// kind, or a line that is not a JSON object. to_jsonl() of the
-    /// result equals the input byte-for-byte.
+    /// Parse a journal back from its JSONL form (a line-numbered
+    /// ParseError on any malformed line); to_jsonl() round-trips.
     static ClusterJournal parse_jsonl(const std::string &text);
 
   private:

@@ -1,6 +1,5 @@
 #include "serve/chaos.h"
 
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include "common/check.h"
 #include "hw/faults.h"
 #include "serve/latency_breakdown.h"
+#include "telemetry/text_format.h"
 
 namespace poseidon::serve {
 
@@ -21,15 +21,6 @@ double
 unit_coin(u64 h)
 {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-std::string
-fmt(double v)
-{
-    if (v == kInf) return "inf";
-    std::ostringstream os;
-    os << v;
-    return os.str();
 }
 
 /// The synthetic per-job program of a chaos scenario: an HBM round
@@ -45,89 +36,6 @@ synthetic_trace(unsigned logElems)
     t.emit(isa::OpKind::MA, elems, 0, isa::BasicOp::Other);
     t.emit(isa::OpKind::HBM_WR, elems, 0, isa::BasicOp::Other);
     return t;
-}
-
-struct Clause
-{
-    std::string kind;
-    std::vector<std::pair<std::string, double>> kvs;
-    std::string text; // original, for error messages
-};
-
-double
-parse_number(const std::string &clause, const std::string &tok)
-{
-    if (tok == "inf") return kInf;
-    try {
-        std::size_t used = 0;
-        double v = std::stod(tok, &used);
-        POSEIDON_REQUIRE(used == tok.size(),
-                         "chaos DSL: malformed number \"" << tok
-                         << "\" in clause \"" << clause << "\"");
-        return v;
-    } catch (const std::invalid_argument &) {
-        POSEIDON_REQUIRE(false, "chaos DSL: malformed number \""
-                         << tok << "\" in clause \"" << clause
-                         << "\"");
-    } catch (const std::out_of_range &) {
-        POSEIDON_REQUIRE(false, "chaos DSL: number out of range \""
-                         << tok << "\" in clause \"" << clause
-                         << "\"");
-    }
-    return 0.0; // unreachable
-}
-
-std::string
-strip(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) {
-        ++b;
-    }
-    while (e > b &&
-           std::isspace(static_cast<unsigned char>(s[e - 1]))) {
-        --e;
-    }
-    return s.substr(b, e - b);
-}
-
-Clause
-parse_clause(const std::string &raw)
-{
-    Clause c;
-    c.text = raw;
-    std::size_t brace = raw.find('{');
-    if (brace == std::string::npos) {
-        // Standalone `key=value` clause (only `seed=` is known).
-        std::size_t eq = raw.find('=');
-        POSEIDON_REQUIRE(eq != std::string::npos,
-                         "chaos DSL: malformed clause \"" << raw
-                         << "\" (expected Kind{...} or seed=N)");
-        c.kind = strip(raw.substr(0, eq));
-        c.kvs.emplace_back(c.kind,
-                           parse_number(raw, strip(raw.substr(eq + 1))));
-        return c;
-    }
-    POSEIDON_REQUIRE(!raw.empty() && raw.back() == '}',
-                     "chaos DSL: missing closing brace in \"" << raw
-                     << "\"");
-    c.kind = strip(raw.substr(0, brace));
-    std::string body =
-        raw.substr(brace + 1, raw.size() - brace - 2);
-    std::istringstream in(body);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        item = strip(item);
-        if (item.empty()) continue;
-        std::size_t eq = item.find('=');
-        POSEIDON_REQUIRE(eq != std::string::npos,
-                         "chaos DSL: expected key=value, got \""
-                         << item << "\" in clause \"" << raw << "\"");
-        c.kvs.emplace_back(strip(item.substr(0, eq)),
-                           parse_number(raw,
-                                        strip(item.substr(eq + 1))));
-    }
-    return c;
 }
 
 /// Journal-vs-engine cross-check of one finished run: decompose the
@@ -195,26 +103,27 @@ ChaosSchedule::str() const
         if (i) os << "; ";
         os << to_string(e.kind) << "{";
         bool first = true;
-        auto kv = [&](const char *k, double v) {
+        auto kv = [&](const char *k, const std::string &v) {
             if (!first) os << ", ";
-            os << k << "=" << fmt(v);
+            os << k << "=" << v;
             first = false;
         };
+        using telemetry::format_number;
         if (e.card != ChaosEvent::kAllCards) {
-            kv("card", static_cast<double>(e.card));
+            kv("card", std::to_string(e.card));
         }
-        kv("start", e.startCycle);
-        if (e.endCycle != kInf) kv("end", e.endCycle);
+        kv("start", format_number(e.startCycle));
+        if (e.endCycle != kInf) kv("end", format_number(e.endCycle));
         switch (e.kind) {
           case ChaosEvent::Kind::FaultStorm:
-            kv("rate", e.rate);
+            kv("rate", format_number(e.rate));
             break;
           case ChaosEvent::Kind::HbmDegrade:
-            kv("retryShare", e.retryShare);
-            kv("stack", static_cast<double>(e.stack));
+            kv("retryShare", format_number(e.retryShare));
+            kv("stack", std::to_string(e.stack));
             break;
           case ChaosEvent::Kind::GrayCard:
-            kv("slowdown", e.slowdown);
+            kv("slowdown", format_number(e.slowdown));
             break;
           case ChaosEvent::Kind::CardDeath:
             break;
@@ -231,20 +140,17 @@ ChaosSchedule::str() const
 ChaosSchedule
 ChaosSchedule::parse(const std::string &dsl)
 {
+    using telemetry::parse_integer;
+    using telemetry::parse_number;
     ChaosSchedule sched;
-    std::string norm = dsl;
-    for (char &ch : norm) {
-        if (ch == '\n') ch = ';';
-    }
-    std::istringstream in(norm);
-    std::string rawClause;
-    while (std::getline(in, rawClause, ';')) {
-        rawClause = strip(rawClause);
-        if (rawClause.empty()) continue;
-        Clause c = parse_clause(rawClause);
-
-        if (c.kind == "seed") {
-            sched.seed = static_cast<u64>(c.kvs.front().second);
+    for (const telemetry::Clause &c :
+         telemetry::parse_clauses(dsl, "chaos DSL")) {
+        if (c.kind.empty()) {
+            const auto &[key, val] = c.fields.front();
+            POSEIDON_REQUIRE(key == "seed", c.where
+                             << ": unknown standalone key \"" << key
+                             << "\" (only seed=N)");
+            sched.seed = parse_integer<u64>(val, c.where);
             continue;
         }
 
@@ -258,53 +164,49 @@ ChaosSchedule::parse(const std::string &dsl)
         } else if (c.kind == "GrayCard") {
             e.kind = ChaosEvent::Kind::GrayCard;
         } else {
-            POSEIDON_REQUIRE(false, "chaos DSL: unknown event kind \""
-                             << c.kind << "\" in clause \"" << c.text
-                             << "\"");
+            POSEIDON_THROW(InvalidArgument, c.where
+                           << ": unknown event kind \"" << c.kind << "\"");
         }
 
         double duration = kInf;
-        for (const auto &[key, val] : c.kvs) {
+        for (const auto &[key, val] : c.fields) {
+            auto num = [&] { return parse_number(val, c.where); };
             if (key == "card") {
-                e.card = static_cast<std::size_t>(val);
+                e.card = parse_integer<std::size_t>(val, c.where);
+                POSEIDON_REQUIRE(e.card != ChaosEvent::kAllCards,
+                                 c.where << ": card index out of range");
             } else if (key == "cycle" || key == "start") {
-                e.startCycle = val;
+                e.startCycle = num();
             } else if (key == "end") {
-                e.endCycle = val;
+                e.endCycle = num();
             } else if (key == "duration") {
-                duration = val;
+                duration = num();
             } else if (key == "rate") {
-                e.rate = val;
+                e.rate = num();
             } else if (key == "retryShare") {
-                e.retryShare = val;
+                e.retryShare = num();
             } else if (key == "slowdown") {
-                e.slowdown = val;
+                e.slowdown = num();
             } else if (key == "stack") {
-                e.stack = static_cast<unsigned>(val);
+                e.stack = parse_integer<unsigned>(val, c.where);
             } else {
-                POSEIDON_REQUIRE(false, "chaos DSL: unknown key \""
-                                 << key << "\" in clause \"" << c.text
-                                 << "\"");
+                POSEIDON_THROW(InvalidArgument, c.where
+                               << ": unknown key \"" << key << "\"");
             }
         }
         if (duration != kInf) {
-            POSEIDON_REQUIRE(e.endCycle == kInf,
-                             "chaos DSL: give duration or end, not "
-                             "both, in clause \"" << c.text << "\"");
+            POSEIDON_REQUIRE(e.endCycle == kInf, c.where
+                             << ": give duration or end, not both");
             e.endCycle = e.startCycle + duration;
         }
         POSEIDON_REQUIRE(e.endCycle >= e.startCycle,
-                         "chaos DSL: end before start in clause \""
-                         << c.text << "\"");
+                         c.where << ": end before start");
         POSEIDON_REQUIRE(e.rate >= 0.0 && e.rate <= 1.0,
-                         "chaos DSL: rate must be in [0, 1] in "
-                         "clause \"" << c.text << "\"");
+                         c.where << ": rate must be in [0, 1]");
         POSEIDON_REQUIRE(e.slowdown >= 1.0,
-                         "chaos DSL: slowdown must be >= 1 in clause "
-                         "\"" << c.text << "\"");
+                         c.where << ": slowdown must be >= 1");
         POSEIDON_REQUIRE(e.retryShare >= 0.0,
-                         "chaos DSL: negative retryShare in clause \""
-                         << c.text << "\"");
+                         c.where << ": negative retryShare");
         sched.events.push_back(e);
     }
     return sched;
@@ -500,6 +402,8 @@ standard_scenarios()
     base.jobs = 96; // enough dispatches for windows to catch batches
     double horizon = run_scenario(base).horizonCycles;
 
+    // Window cycles go into the DSL text at the stream's default six
+    // significant digits: the scenario runs are pinned to that text.
     std::vector<Scenario> out;
 
     {
@@ -515,8 +419,8 @@ standard_scenarios()
         sc.health.minAttempts = 2;
         sc.health.cooldownCycles = 0.15 * horizon;
         std::ostringstream dsl;
-        dsl << "CardDeath{card=0, cycle=" << fmt(0.2 * horizon)
-            << ", duration=" << fmt(0.3 * horizon) << "}";
+        dsl << "CardDeath{card=0, cycle=" << 0.2 * horizon
+            << ", duration=" << 0.3 * horizon << "}";
         sc.schedule = ChaosSchedule::parse(dsl.str());
         // The acceptance alert: pages while card 0's breaker is OPEN
         // (2) or the card is dead (3); the fire cycle must land
@@ -536,7 +440,7 @@ standard_scenarios()
         sc.backoffBaseCycles = 0.05 * horizon;
         sc.health.minAttempts = 16; // storms are not a card's fault
         std::ostringstream dsl;
-        dsl << "FaultStorm{start=0, end=" << fmt(0.5 * horizon)
+        dsl << "FaultStorm{start=0, end=" << 0.5 * horizon
             << ", rate=0.2}";
         sc.schedule = ChaosSchedule::parse(dsl.str());
         out.push_back(std::move(sc));
@@ -555,10 +459,10 @@ standard_scenarios()
         sc.health.failureThreshold = 0.75;
         sc.health.cooldownCycles = 0.2 * horizon;
         std::ostringstream dsl;
-        dsl << "FaultStorm{start=0, end=" << fmt(0.4 * horizon)
+        dsl << "FaultStorm{start=0, end=" << 0.4 * horizon
             << ", rate=0.1}; CardDeath{card=1, cycle="
-            << fmt(0.1 * horizon) << ", duration="
-            << fmt(0.4 * horizon) << "}";
+            << 0.1 * horizon << ", duration="
+            << 0.4 * horizon << "}";
         sc.schedule = ChaosSchedule::parse(dsl.str());
         out.push_back(std::move(sc));
     }
@@ -575,7 +479,7 @@ standard_scenarios()
         sc.health.cooldownCycles = 0.1 * horizon;
         std::ostringstream dsl;
         dsl << "HbmDegrade{card=1, cycle=0, duration="
-            << fmt(0.5 * horizon) << ", retryShare=1.5, stack=0}";
+            << 0.5 * horizon << ", retryShare=1.5, stack=0}";
         sc.schedule = ChaosSchedule::parse(dsl.str());
         out.push_back(std::move(sc));
     }

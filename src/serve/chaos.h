@@ -80,6 +80,8 @@ struct ChaosEvent
     {
         return card == kAllCards || card == c;
     }
+
+    bool operator==(const ChaosEvent &) const = default;
 };
 
 /// Short stable name ("CardDeath", ...).
@@ -92,17 +94,17 @@ struct ChaosSchedule
     u64 seed = 0xC4A0517ULL;
 
     bool empty() const { return events.empty(); }
+    bool operator==(const ChaosSchedule &) const = default;
 
-    /// Render back to the DSL text form (parse round-trips).
+    /// Render back to the DSL text form; parse(str()) == *this.
     std::string str() const;
 
     /**
-     * Parse the DSL: `;`- or newline-separated `Kind{k=v, ...}`
-     * clauses. Keys: card, cycle (start), duration, start, end, rate,
-     * retryShare, slowdown, stack, plus a standalone `seed=<n>`
-     * clause. Numbers accept scientific notation (`2e6`). Throws
-     * poseidon::InvalidArgument on unknown kinds/keys or malformed
-     * values, naming the offending clause.
+     * Parse the DSL: `Kind{k=v, ...}` clauses of the shared grammar
+     * (DESIGN.md §17) plus a standalone `seed=<n>`. Keys: card, cycle
+     * (start), duration, start, end, rate, retryShare, slowdown,
+     * stack; card, stack and seed are exact integers. Throws
+     * poseidon::InvalidArgument naming the offending clause.
      */
     static ChaosSchedule parse(const std::string &dsl);
 };

@@ -1,10 +1,10 @@
 #include "serve/journal.h"
 
-#include <fstream>
-#include <sstream>
+#include <climits>
 #include <utility>
 
 #include "common/check.h"
+#include "telemetry/text_format.h"
 
 namespace poseidon::serve {
 
@@ -34,19 +34,12 @@ to_string(JournalEventKind k)
 bool
 journal_kind_from_string(const std::string &s, JournalEventKind &out)
 {
-    static constexpr JournalEventKind kAll[] = {
-        JournalEventKind::Submitted,        JournalEventKind::Admitted,
-        JournalEventKind::Enqueued,         JournalEventKind::BatchFormed,
-        JournalEventKind::Dispatched,       JournalEventKind::AttemptStart,
-        JournalEventKind::AttemptEnd,       JournalEventKind::FaultRetry,
-        JournalEventKind::BackoffScheduled, JournalEventKind::ProbeInteraction,
-        JournalEventKind::Completed,        JournalEventKind::Failed,
-        JournalEventKind::Expired,          JournalEventKind::Shed,
-        JournalEventKind::AlertTransition,
-    };
-    for (JournalEventKind k : kAll) {
-        if (s == to_string(k)) {
-            out = k;
+    // Kinds are numbered 0..AlertTransition in declaration order.
+    constexpr auto kLast = static_cast<unsigned>(
+        JournalEventKind::AlertTransition);
+    for (unsigned i = 0; i <= kLast; ++i) {
+        if (s == to_string(static_cast<JournalEventKind>(i))) {
+            out = static_cast<JournalEventKind>(i);
             return true;
         }
     }
@@ -82,6 +75,7 @@ JournalEvent::to_json() const
 JournalEvent
 JournalEvent::from_json(const telemetry::Json &j)
 {
+    using telemetry::json_int;
     POSEIDON_REQUIRE_T(ParseError, j.is_object(),
                        "journal event is not a JSON object");
     JournalEvent ev;
@@ -94,25 +88,20 @@ JournalEvent::from_json(const telemetry::Json &j)
         journal_kind_from_string(j.at("ev").as_string(), ev.kind),
         "unknown journal event kind \"" << j.at("ev").as_string()
                                         << "\"");
-    ev.job = static_cast<JobId>(j.at("job").as_number());
+    ev.job = json_int(j.at("job"), "job");
     ev.cycle = j.at("cycle").as_number();
     if (j.contains("tenant")) ev.tenant = j.at("tenant").as_string();
     if (j.contains("name")) ev.name = j.at("name").as_string();
     if (j.contains("prio")) {
-        ev.priority = static_cast<int>(j.at("prio").as_number());
+        ev.priority = static_cast<int>(
+            json_int(j.at("prio"), "prio", INT_MIN, INT_MAX));
     }
-    if (j.contains("card")) {
-        ev.card = static_cast<std::size_t>(j.at("card").as_number());
-    }
+    if (j.contains("card")) ev.card = json_int(j.at("card"), "card");
     if (j.contains("attempt")) {
-        ev.attempt = static_cast<u64>(j.at("attempt").as_number());
+        ev.attempt = json_int(j.at("attempt"), "attempt");
     }
-    if (j.contains("batch")) {
-        ev.batch = static_cast<u64>(j.at("batch").as_number());
-    }
-    if (j.contains("size")) {
-        ev.batchSize = static_cast<u64>(j.at("size").as_number());
-    }
+    if (j.contains("batch")) ev.batch = json_int(j.at("batch"), "batch");
+    if (j.contains("size")) ev.batchSize = json_int(j.at("size"), "size");
     if (j.contains("value")) ev.value = j.at("value").as_number();
     if (j.contains("failed")) ev.failed = j.at("failed").as_bool();
     if (j.contains("detail")) ev.detail = j.at("detail").as_string();
@@ -170,33 +159,27 @@ Journal::size() const
     return events_.size();
 }
 
+namespace {
+
+const telemetry::JsonlSchema kDocument{Journal::kSchemaName,
+                                       Journal::kSchemaVersion,
+                                       "journal",
+                                       {"events"}};
+
+} // namespace
+
 std::string
 Journal::to_jsonl() const
 {
     using telemetry::Json;
     std::lock_guard<std::mutex> lk(mu_);
-    Json header = Json::object();
-    header.set("schema", Json(kSchemaName));
-    header.set("schema_version", Json(kSchemaVersion));
+    Json header = telemetry::jsonl_header(kDocument);
     header.set("clock_ghz", Json(clockGHz_));
     header.set("cards", Json(static_cast<u64>(cards_)));
     header.set("events", Json(static_cast<u64>(events_.size())));
-    std::string out = header.dump();
-    out += '\n';
-    for (const JournalEvent &ev : events_) {
-        out += ev.to_json().dump();
-        out += '\n';
-    }
-    return out;
-}
-
-bool
-Journal::write_jsonl(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return false;
-    out << to_jsonl();
-    return static_cast<bool>(out);
+    telemetry::JsonlWriter out(header);
+    for (const JournalEvent &ev : events_) out.line(ev.to_json());
+    return out.take();
 }
 
 Journal
@@ -204,68 +187,24 @@ Journal::parse_jsonl(const std::string &text)
 {
     using telemetry::Json;
     Journal jr;
-    std::istringstream in(text);
-    std::string line;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t declared = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty()) continue;
-        Json j = Json::parse(line); // throws ParseError with offset
-        if (!sawHeader) {
-            POSEIDON_REQUIRE_T(
-                ParseError,
-                j.is_object() && j.contains("schema") &&
-                    j.at("schema").as_string() == kSchemaName,
-                "journal line 1 is not a " << kSchemaName
-                                           << " header");
-            POSEIDON_REQUIRE_T(
-                ParseError,
-                j.contains("schema_version") &&
-                    j.at("schema_version").as_number() ==
-                        kSchemaVersion,
-                "unsupported journal schema version");
-            jr.clockGHz_ = j.contains("clock_ghz")
-                               ? j.at("clock_ghz").as_number()
-                               : 0.0;
-            jr.cards_ = j.contains("cards")
-                            ? static_cast<std::size_t>(
-                                  j.at("cards").as_number())
-                            : 0;
-            declared = j.contains("events")
-                           ? static_cast<std::size_t>(
-                                 j.at("events").as_number())
-                           : 0;
-            sawHeader = true;
-            continue;
-        }
-        try {
-            jr.events_.push_back(JournalEvent::from_json(j));
-        } catch (const Error &e) {
-            POSEIDON_THROW(ParseError, "journal line "
-                                           << lineNo << ": "
-                                           << e.message());
-        }
-    }
-    POSEIDON_REQUIRE_T(ParseError, sawHeader,
-                       "journal text has no header line");
-    POSEIDON_REQUIRE_T(ParseError, jr.events_.size() == declared,
-                       "journal header declares "
-                           << declared << " events but "
-                           << jr.events_.size() << " lines follow");
+    telemetry::read_jsonl(
+        text, kDocument,
+        [&jr](const Json &h) {
+            jr.clockGHz_ = h.at("clock_ghz").as_number();
+            jr.cards_ = static_cast<std::size_t>(
+                telemetry::json_int(h.at("cards"), "cards"));
+        },
+        [&jr](const Json &line) -> std::size_t {
+            jr.events_.push_back(JournalEvent::from_json(line));
+            return 0;
+        });
     return jr;
 }
 
 Journal
 Journal::load_jsonl(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    POSEIDON_REQUIRE_T(ParseError, static_cast<bool>(in),
-                       "cannot open journal file \"" << path << "\"");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse_jsonl(buf.str());
+    return parse_jsonl(telemetry::read_text_file(path, "journal"));
 }
 
 } // namespace poseidon::serve

@@ -22,17 +22,12 @@
  * engine reports — and a per-phase waterfall the engine does not —
  * from the event stream alone.
  *
- * **Serialized form** (one JSON object per line):
+ * **Serialized form**: a `poseidon-journal` JSONL document
+ * (telemetry/text_format.h, DESIGN.md §17) whose header carries
+ * clock_ghz, cards and the event count; then one event per line:
  *
- *   {"schema":"poseidon-journal","schema_version":1,
- *    "clock_ghz":0.3,"cards":4,"events":123}        <- header line
  *   {"ev":"Submitted","job":1,"cycle":0,"tenant":"alice",...}
  *   {"ev":"AttemptEnd","job":1,"cycle":84210,"card":0,...}
- *   ...
- *
- * Keys appear in a fixed order and numbers round-trip exactly
- * (telemetry/json.h), which is what makes byte-level determinism
- * checks meaningful.
  */
 
 #include <cstddef>
@@ -141,12 +136,8 @@ class Journal
     /// Header line + one compact JSON object per event.
     std::string to_jsonl() const;
 
-    /// Write to_jsonl() to `path`; false on I/O failure.
-    bool write_jsonl(const std::string &path) const;
-
-    /// Parse a journal back from its JSONL form. Throws
-    /// poseidon::ParseError on a malformed header, an unknown event
-    /// kind, or a line that is not a JSON object.
+    /// Parse a journal back from its JSONL form; any malformed line
+    /// throws a line-numbered poseidon::ParseError.
     static Journal parse_jsonl(const std::string &text);
 
     /// Read + parse_jsonl a file (throws ParseError, also on I/O).

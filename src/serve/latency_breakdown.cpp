@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "telemetry/text_format.h"
 
 namespace poseidon::serve {
 
@@ -517,11 +517,11 @@ SloConfig::str() const
     for (const auto &[prio, target] : p99TargetCycles) {
         if (!out.empty()) out += ';';
         out += "prio" + std::to_string(prio) + "=" +
-               telemetry::Json(target).dump();
+               telemetry::format_number(target);
     }
     if (!out.empty()) out += ';';
-    out += "budget=" + telemetry::Json(budgetFraction).dump();
-    out += ";burn=" + telemetry::Json(alertBurnRate).dump();
+    out += "budget=" + telemetry::format_number(budgetFraction);
+    out += ";burn=" + telemetry::format_number(alertBurnRate);
     return out;
 }
 
@@ -529,51 +529,24 @@ SloConfig
 SloConfig::parse(const std::string &spec)
 {
     SloConfig cfg;
-    std::string token;
-    std::istringstream in(spec);
-    auto parse_double = [](const std::string &s,
-                           const std::string &what) {
-        char *end = nullptr;
-        double v = std::strtod(s.c_str(), &end);
-        POSEIDON_REQUIRE(end && *end == '\0' && !s.empty() &&
-                             std::isfinite(v),
-                         "SloConfig: malformed number \""
-                             << s << "\" for " << what);
-        return v;
-    };
-    while (std::getline(in, token, ';')) {
-        // Trim surrounding whitespace.
-        std::size_t b = token.find_first_not_of(" \t\n\r");
-        if (b == std::string::npos) continue;
-        std::size_t e = token.find_last_not_of(" \t\n\r");
-        token = token.substr(b, e - b + 1);
-        std::size_t eq = token.find('=');
-        POSEIDON_REQUIRE(eq != std::string::npos,
-                         "SloConfig: clause \""
-                             << token << "\" is not key=value");
-        std::string key = token.substr(0, eq);
-        std::string val = token.substr(eq + 1);
+    for (const telemetry::Clause &c :
+         telemetry::parse_clauses(spec, "SloConfig")) {
+        POSEIDON_REQUIRE(c.kind.empty(), c.where << " is not key=value");
+        const auto &[key, val] = c.fields.front();
+        double v = telemetry::parse_number(val, c.where);
+        POSEIDON_REQUIRE(std::isfinite(v), c.where << ": not finite");
         if (key == "budget") {
-            cfg.budgetFraction = parse_double(val, key);
-            POSEIDON_REQUIRE(cfg.budgetFraction > 0.0 &&
-                                 cfg.budgetFraction <= 1.0,
+            POSEIDON_REQUIRE(v > 0.0 && v <= 1.0,
                              "SloConfig: budget must be in (0, 1]");
+            cfg.budgetFraction = v;
         } else if (key == "burn") {
-            cfg.alertBurnRate = parse_double(val, key);
-            POSEIDON_REQUIRE(cfg.alertBurnRate > 0.0,
-                             "SloConfig: burn must be > 0");
+            POSEIDON_REQUIRE(v > 0.0, "SloConfig: burn must be > 0");
+            cfg.alertBurnRate = v;
         } else if (key.rfind("prio", 0) == 0) {
-            std::string ps = key.substr(4);
-            char *end = nullptr;
-            long prio = std::strtol(ps.c_str(), &end, 10);
-            POSEIDON_REQUIRE(end && *end == '\0' && !ps.empty(),
-                             "SloConfig: malformed priority in \""
-                                 << key << "\"");
-            double target = parse_double(val, key);
-            POSEIDON_REQUIRE(target > 0.0,
-                             "SloConfig: target for " << key
-                                 << " must be > 0 cycles");
-            cfg.p99TargetCycles[static_cast<int>(prio)] = target;
+            POSEIDON_REQUIRE(v > 0.0, "SloConfig: target for "
+                                          << key << " must be > 0 cycles");
+            int prio = telemetry::parse_integer<int>(key.substr(4), c.where);
+            cfg.p99TargetCycles[prio] = v;
         } else {
             POSEIDON_THROW(InvalidArgument,
                            "SloConfig: unknown key \"" << key

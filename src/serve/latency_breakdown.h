@@ -190,9 +190,10 @@ struct SloConfig
     std::string str() const;
 
     /**
-     * Parse a spec like "prio0=2.5e6;prio1=5e5;budget=0.01;burn=1.5":
-     * `prio<N>=<cycles>` clauses set targets, `budget=` / `burn=` set
-     * the knobs. Throws poseidon::InvalidArgument on malformed input.
+     * Parse a spec like "prio0=2.5e6;prio1=5e5;budget=0.01;burn=1.5"
+     * (`k=v` clauses, DESIGN.md §17): `prio<N>=<cycles>` sets a target,
+     * `budget=` / `burn=` set the knobs; values must be finite. Throws
+     * poseidon::InvalidArgument on malformed input.
      */
     static SloConfig parse(const std::string &spec);
 };

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "telemetry/json.h"
+#include "telemetry/text_format.h"
 
 namespace poseidon::telemetry {
 
@@ -58,27 +58,13 @@ AlertRule::condition(double value) const
 
 namespace {
 
-/// Canonical number text shared with the JSON dumps, so parse(str())
-/// round-trips bit-exactly.
-std::string
-num_str(double v)
-{
-    return Json(v).dump();
-}
-
+/// A finite number token of the rule `clause`.
 double
 parse_num(const std::string &tok, const std::string &clause)
 {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(tok, &used);
-    } catch (const std::exception&) {
-        used = 0;
-    }
-    POSEIDON_REQUIRE(used == tok.size() && std::isfinite(v),
-                     "alert rule \"" << clause << "\": \"" << tok
-                     << "\" is not a finite number");
+    double v = parse_number(tok, "alert rule \"" + clause + "\"");
+    POSEIDON_REQUIRE(std::isfinite(v), "alert rule \"" << clause
+                     << "\": \"" << tok << "\" is not finite");
     return v;
 }
 
@@ -101,15 +87,15 @@ AlertRule::str() const
     out += ' ';
     out += to_string(cmp);
     out += ' ';
-    out += num_str(threshold);
+    out += format_number(threshold);
     if (forCycles > 0.0) {
         out += " for ";
-        out += num_str(forCycles);
+        out += format_number(forCycles);
         out += " cycles";
     }
     if (holdCycles > 0.0) {
         out += " hold ";
-        out += num_str(holdCycles);
+        out += format_number(holdCycles);
         out += " cycles";
     }
     out += " => ";
@@ -132,10 +118,8 @@ AlertRules
 AlertRules::parse(const std::string &spec)
 {
     AlertRules out;
-    std::string clause;
-    auto flush = [&out](const std::string &text) {
+    for (const std::string &text : split_clauses(spec)) {
         std::vector<std::string> toks = tokenize(text);
-        if (toks.empty()) return; // blank clause (trailing ';')
         POSEIDON_REQUIRE(toks.size() >= 3,
                          "alert rule \"" << text
                          << "\": want <metric> <cmp> <threshold>");
@@ -203,16 +187,7 @@ AlertRules::parse(const std::string &spec)
             }
         }
         out.rules.push_back(std::move(r));
-    };
-    for (char c : spec) {
-        if (c == ';' || c == '\n') {
-            flush(clause);
-            clause.clear();
-        } else {
-            clause += c;
-        }
     }
-    flush(clause);
     return out;
 }
 

@@ -18,8 +18,9 @@
  * for that many simulated cycles before the rule fires (0 = fire on
  * first observation). `hold` suppresses flapping on the way down: the
  * condition must stay clear that long before the rule resolves; any
- * re-assertion resets the clear timer. Clauses are separated by ';'
- * or newlines; parse(str()) round-trips.
+ * re-assertion resets the clear timer. Rules are split and numbers
+ * read by the shared clause grammar (DESIGN.md §17); parse(str())
+ * round-trips.
  *
  * The AlertEngine is evaluated by the TSDB's single-threaded owner at
  * each sample tick, reads only latest-sample values, and stamps every
@@ -77,7 +78,7 @@ struct AlertRules
     /// "; "-joined clause list ("" when empty).
     std::string str() const;
 
-    /// Parse ';'/newline-separated clauses. Throws
+    /// Parse `;`/newline-separated rules. Throws
     /// poseidon::InvalidArgument on any malformed clause.
     static AlertRules parse(const std::string &spec);
 };

@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "telemetry/text_format.h"
 
 namespace poseidon::telemetry {
 
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+const JsonlSchema kDocument{Tsdb::kSchemaName,
+                            Tsdb::kSchemaVersion,
+                            "TSDB",
+                            {"series", "annotations"}};
 
 } // namespace
 
@@ -267,7 +271,9 @@ Tsdb::Tsdb(double cadenceCycles, std::size_t capacity)
     POSEIDON_REQUIRE(cadenceCycles_ >= 0.0 &&
                          std::isfinite(cadenceCycles_),
                      "Tsdb: negative or non-finite sample cadence");
-    POSEIDON_REQUIRE(capacity_ >= 2, "Tsdb: capacity must be >= 2");
+    POSEIDON_REQUIRE(capacity_ >= 2 && capacity_ <= kMaxCapacity,
+                     "Tsdb: capacity must be in [2, " << kMaxCapacity
+                     << "]");
 }
 
 Series&
@@ -350,16 +356,13 @@ Tsdb::find_histogram(const std::string &name) const
 std::string
 Tsdb::to_jsonl() const
 {
-    Json header = Json::object();
-    header.set("schema", Json(kSchemaName));
-    header.set("schema_version", Json(kSchemaVersion));
+    Json header = jsonl_header(kDocument);
     header.set("cadence_cycles", Json(cadenceCycles_));
     header.set("capacity", Json(static_cast<u64>(capacity_)));
     header.set("series", Json(static_cast<u64>(series_count())));
     header.set("annotations",
                Json(static_cast<u64>(annotations_.size())));
-    std::string out = header.dump();
-    out += '\n';
+    JsonlWriter out(header);
     for (const auto &s : series_) {
         Json j = Json::object();
         j.set("series", Json(s->name()));
@@ -374,8 +377,7 @@ Tsdb::to_jsonl() const
             samples.push_back(std::move(pair));
         }
         j.set("samples", std::move(samples));
-        out += j.dump();
-        out += '\n';
+        out.line(j);
     }
     for (const auto &h : histograms_) {
         Json j = Json::object();
@@ -397,161 +399,88 @@ Tsdb::to_jsonl() const
             samples.push_back(std::move(one));
         }
         j.set("samples", std::move(samples));
-        out += j.dump();
-        out += '\n';
+        out.line(j);
     }
-    for (const Annotation &a : annotations_) {
-        out += a.to_json().dump();
-        out += '\n';
-    }
-    return out;
-}
-
-bool
-Tsdb::write_jsonl(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return false;
-    out << to_jsonl();
-    return static_cast<bool>(out);
+    for (const Annotation &a : annotations_) out.line(a.to_json());
+    return out.take();
 }
 
 Tsdb
 Tsdb::parse_jsonl(const std::string &text)
 {
-    std::istringstream in(text);
-    std::string line;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t declaredSeries = 0;
-    std::size_t declaredAnnotations = 0;
     Tsdb db;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty()) continue;
-        Json j = Json::parse(line); // throws ParseError with offset
-        if (!sawHeader) {
-            POSEIDON_REQUIRE_T(
-                ParseError,
-                j.is_object() && j.contains("schema") &&
-                    j.at("schema").as_string() == kSchemaName,
-                "TSDB line 1 is not a " << kSchemaName << " header");
-            POSEIDON_REQUIRE_T(
-                ParseError,
-                j.contains("schema_version") &&
-                    j.at("schema_version").as_number() ==
-                        kSchemaVersion,
-                "unsupported TSDB schema version");
-            POSEIDON_REQUIRE_T(ParseError,
-                               j.contains("cadence_cycles") &&
-                                   j.contains("capacity") &&
-                                   j.contains("series") &&
-                                   j.contains("annotations"),
-                               "TSDB header misses "
-                               "cadence/capacity/series/annotations");
-            db.cadenceCycles_ = j.at("cadence_cycles").as_number();
-            db.capacity_ = static_cast<std::size_t>(
-                j.at("capacity").as_number());
-            POSEIDON_REQUIRE_T(ParseError, db.capacity_ >= 2,
-                               "TSDB header capacity < 2");
-            declaredSeries = static_cast<std::size_t>(
-                j.at("series").as_number());
-            declaredAnnotations = static_cast<std::size_t>(
-                j.at("annotations").as_number());
-            sawHeader = true;
-            continue;
+    auto header = [&db](const Json &h) {
+        db.cadenceCycles_ = h.at("cadence_cycles").as_number();
+        db.capacity_ = static_cast<std::size_t>(json_int(
+            h.at("capacity"), "capacity", 2, kMaxCapacity));
+    };
+    auto line = [&db](const Json &j) -> std::size_t {
+        POSEIDON_REQUIRE_T(ParseError, j.is_object(),
+                           "line is not a JSON object");
+        if (j.contains("annotation")) {
+            db.annotations_.push_back(Annotation::from_json(j));
+            return 1; // an "annotations" line
         }
-        try {
-            POSEIDON_REQUIRE_T(ParseError, j.is_object(),
-                               "line is not a JSON object");
-            if (j.contains("annotation")) {
-                db.annotations_.push_back(Annotation::from_json(j));
-                continue;
+        POSEIDON_REQUIRE_T(ParseError,
+                           j.contains("series") && j.contains("kind") &&
+                               j.contains("evicted") &&
+                               j.contains("samples"),
+                           "series line misses "
+                           "series/kind/evicted/samples");
+        const std::string &name = j.at("series").as_string();
+        const std::string &kind = j.at("kind").as_string();
+        u64 evicted = json_int(j.at("evicted"), "evicted");
+        const Json &samples = j.at("samples");
+        if (kind == "value") {
+            auto s = std::make_unique<Series>(name, db.capacity_);
+            for (std::size_t i = 0; i < samples.size(); ++i) {
+                const Json &pair = samples.at(i);
+                POSEIDON_REQUIRE_T(ParseError, pair.size() == 2,
+                                   "value sample is not a "
+                                   "[cycle, value] pair");
+                s->push(pair.at(std::size_t(0)).as_number(),
+                        pair.at(std::size_t(1)).as_number());
             }
-            POSEIDON_REQUIRE_T(ParseError,
-                               j.contains("series") &&
-                                   j.contains("kind") &&
-                                   j.contains("evicted") &&
-                                   j.contains("samples"),
-                               "series line misses "
-                               "series/kind/evicted/samples");
-            const std::string &name = j.at("series").as_string();
-            const std::string &kind = j.at("kind").as_string();
-            u64 evicted =
-                static_cast<u64>(j.at("evicted").as_number());
-            const Json &samples = j.at("samples");
-            if (kind == "value") {
-                auto s =
-                    std::make_unique<Series>(name, db.capacity_);
-                for (std::size_t i = 0; i < samples.size(); ++i) {
-                    const Json &pair = samples.at(i);
-                    POSEIDON_REQUIRE_T(ParseError, pair.size() == 2,
-                                       "value sample is not a "
-                                       "[cycle, value] pair");
-                    s->push(pair.at(std::size_t(0)).as_number(),
-                            pair.at(std::size_t(1)).as_number());
-                }
-                s->evicted_ = evicted;
-                db.series_.push_back(std::move(s));
-            } else if (kind == "histogram") {
-                std::vector<double> bounds;
-                const Json &jb = j.at("bounds");
-                for (std::size_t i = 0; i < jb.size(); ++i) {
-                    bounds.push_back(jb.at(i).as_number());
-                }
-                auto h = std::make_unique<HistogramSeries>(
-                    name, std::move(bounds), db.capacity_);
-                for (std::size_t i = 0; i < samples.size(); ++i) {
-                    const Json &one = samples.at(i);
-                    POSEIDON_REQUIRE_T(ParseError, one.size() == 3,
-                                       "histogram sample is not a "
-                                       "[cycle, buckets, sum] "
-                                       "triple");
-                    HistogramInterval iv;
-                    iv.cycle = one.at(std::size_t(0)).as_number();
-                    const Json &bk = one.at(std::size_t(1));
-                    for (std::size_t b = 0; b < bk.size(); ++b) {
-                        iv.buckets.push_back(static_cast<u64>(
-                            bk.at(b).as_number()));
-                    }
-                    iv.sum = one.at(std::size_t(2)).as_number();
-                    h->push_interval(std::move(iv));
-                }
-                h->evicted_ = evicted;
-                db.histograms_.push_back(std::move(h));
-            } else {
-                POSEIDON_THROW(ParseError, "unknown series kind \""
-                                               << kind << "\"");
+            s->evicted_ = evicted;
+            db.series_.push_back(std::move(s));
+        } else if (kind == "histogram") {
+            std::vector<double> bounds;
+            const Json &jb = j.at("bounds");
+            for (std::size_t i = 0; i < jb.size(); ++i) {
+                bounds.push_back(jb.at(i).as_number());
             }
-        } catch (const Error &e) {
-            POSEIDON_THROW(ParseError, "TSDB line " << lineNo << ": "
-                                                    << e.message());
+            auto h = std::make_unique<HistogramSeries>(
+                name, std::move(bounds), db.capacity_);
+            for (std::size_t i = 0; i < samples.size(); ++i) {
+                const Json &one = samples.at(i);
+                POSEIDON_REQUIRE_T(ParseError, one.size() == 3,
+                                   "histogram sample is not a "
+                                   "[cycle, buckets, sum] triple");
+                HistogramInterval iv;
+                iv.cycle = one.at(std::size_t(0)).as_number();
+                const Json &bk = one.at(std::size_t(1));
+                for (std::size_t b = 0; b < bk.size(); ++b) {
+                    iv.buckets.push_back(json_int(bk.at(b), "bucket"));
+                }
+                iv.sum = one.at(std::size_t(2)).as_number();
+                h->push_interval(std::move(iv));
+            }
+            h->evicted_ = evicted;
+            db.histograms_.push_back(std::move(h));
+        } else {
+            POSEIDON_THROW(ParseError,
+                           "unknown series kind \"" << kind << "\"");
         }
-    }
-    POSEIDON_REQUIRE_T(ParseError, sawHeader,
-                       "TSDB text has no header line");
-    POSEIDON_REQUIRE_T(ParseError,
-                       db.series_count() == declaredSeries,
-                       "TSDB header declares " << declaredSeries
-                       << " series but " << db.series_count()
-                       << " follow");
-    POSEIDON_REQUIRE_T(ParseError,
-                       db.annotations_.size() == declaredAnnotations,
-                       "TSDB header declares "
-                       << declaredAnnotations << " annotations but "
-                       << db.annotations_.size() << " follow");
+        return 0; // a "series" line
+    };
+    read_jsonl(text, kDocument, header, line);
     return db;
 }
 
 Tsdb
 Tsdb::load_jsonl(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    POSEIDON_REQUIRE_T(ParseError, static_cast<bool>(in),
-                       "cannot open TSDB file \"" << path << "\"");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse_jsonl(buf.str());
+    return parse_jsonl(read_text_file(path, "TSDB"));
 }
 
 } // namespace poseidon::telemetry

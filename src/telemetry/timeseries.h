@@ -31,11 +31,10 @@
  * can be folded back into one telemetry::Histogram (via
  * Histogram::merge) and queried for quantiles.
  *
- * **Serialized form** (one JSON object per line):
+ * **Serialized form**: a `poseidon-tsdb` JSONL document
+ * (telemetry/text_format.h, DESIGN.md §17) whose header carries
+ * cadence_cycles, capacity and the series/annotation counts:
  *
- *   {"schema":"poseidon-tsdb","schema_version":1,
- *    "cadence_cycles":5e5,"capacity":4096,
- *    "series":12,"annotations":3}                    <- header
  *   {"series":"serve.queue_depth","kind":"value","evicted":0,
  *    "samples":[[0,0],[500000,17], ...]}
  *   {"series":"serve.latency_cycles","kind":"histogram",
@@ -43,10 +42,6 @@
  *    "samples":[[500000,[0,2,1,...],123456.0], ...]}
  *   {"annotation":"alert","cycle":2e6,"name":"...","text":"firing",
  *    "value":3}
- *
- * Keys appear in a fixed order and numbers round-trip exactly
- * (telemetry/json.h), which is what makes the byte-level determinism
- * checks in test_timeseries meaningful.
  */
 
 #include <cstddef>
@@ -224,10 +219,13 @@ class Tsdb
   public:
     static constexpr int kSchemaVersion = 1;
     static constexpr const char *kSchemaName = "poseidon-tsdb";
+    /// Largest ring a series may hold; bounds what a dump header can
+    /// make parse_jsonl allocate per series.
+    static constexpr std::size_t kMaxCapacity = std::size_t(1) << 16;
 
     /// `cadenceCycles` is a documentation stamp for the dump header
-    /// (the owner drives the actual sampling); `capacity` bounds every
-    /// series ring created through this Tsdb.
+    /// (the owner drives the actual sampling); `capacity`, in
+    /// [2, kMaxCapacity], bounds every series ring of this Tsdb.
     explicit Tsdb(double cadenceCycles = 0.0,
                   std::size_t capacity = 4096);
 
@@ -282,9 +280,6 @@ class Tsdb
 
     /// Header line + one compact JSON object per series/annotation.
     std::string to_jsonl() const;
-
-    /// Write to_jsonl() to `path`; false on I/O failure.
-    bool write_jsonl(const std::string &path) const;
 
     /// Parse a dump back (throws poseidon::ParseError on a malformed
     /// header, series line or annotation). to_jsonl() of the result

@@ -67,6 +67,23 @@ TEST(Chaos, DslRoundTripsThroughStr)
     EXPECT_DOUBLE_EQ(b.events[0].endCycle, 7e6);
     EXPECT_DOUBLE_EQ(b.events[1].rate, 0.25);
     EXPECT_EQ(b.seed, 7u);
+    EXPECT_EQ(b, a);
+    // Canonical number text: 7+ significant digits and 64-bit seeds
+    // come back exactly, event for event.
+    for (const char *exact :
+         {"CardDeath{card=3, start=1234567, end=1234567.125}; "
+          "seed=12345678901234567891",
+          "FaultStorm{start=0.1, end=inf, rate=0.2}",
+          "HbmDegrade{card=0, cycle=1e300, stack=7, retryShare=0.3}; "
+          "GrayCard{slowdown=1.0000001}"}) {
+        SCOPED_TRACE(exact);
+        ChaosSchedule x = ChaosSchedule::parse(exact);
+        EXPECT_EQ(ChaosSchedule::parse(x.str()), x);
+    }
+    EXPECT_EQ(ChaosSchedule::parse("seed=12345678901234567891").seed,
+              12345678901234567891ULL);
+    EXPECT_EQ(ChaosSchedule::parse("CardDeath{start=1234567}").str(),
+              "CardDeath{start=1234567}");
     // Newlines are accepted as clause separators too.
     ChaosSchedule c = ChaosSchedule::parse(
         "GrayCard{card=1, slowdown=2}\nseed=9");
@@ -98,6 +115,18 @@ TEST(Chaos, DslRejectsMalformedInput)
         poseidon::InvalidArgument);
     EXPECT_THROW(ChaosSchedule::parse("GrayCard{slowdown=0.5}"),
                  poseidon::InvalidArgument);
+    // Integer fields are exact: no wrap to kAllCards, no NaN cast.
+    for (const char *bad :
+         {"CardDeath{card=-1}", "CardDeath{card=nan}",
+          "CardDeath{card=1e30}", "CardDeath{card=0.5}",
+          "CardDeath{card=18446744073709551615}",
+          "HbmDegrade{card=0, stack=-1}", "HbmDegrade{stack=4294967296}",
+          "seed=-1", "seed=nan", "seed=1e3",
+          "seed=18446744073709551616", "CardDeath{cycle=nan}",
+          "FaultStorm{rate=nan}"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(ChaosSchedule::parse(bad), poseidon::InvalidArgument);
+    }
 }
 
 TEST(Chaos, CardDeathCorruptsOnlyInWindowAndOnTarget)

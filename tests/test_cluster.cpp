@@ -300,6 +300,13 @@ TEST(Cluster, HostChaosParserRejectsGarbage)
                  InvalidArgument);
     EXPECT_THROW(cluster::parse_host_chaos("HostDeath{host=x, cycle=1}"),
                  InvalidArgument);
+    for (const char *bad :
+         {"HostDeath{host=0, cycle=nan}", "HostDeath{host=1e30, cycle=1}",
+          "HostDeath{host=-1, cycle=1}", "HostDeath{host=0, cycle=1, x=2}",
+          "HostDeath{host=0, cycle=1}junk"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(cluster::parse_host_chaos(bad), InvalidArgument);
+    }
     std::vector<cluster::HostDeath> d = cluster::parse_host_chaos(
         " HostDeath{host=2, cycle=5e6} ; HostDeath{host=0, cycle=1e6}");
     ASSERT_EQ(d.size(), 2u);
@@ -372,6 +379,32 @@ TEST(Cluster, JournalRoundTripsThroughJsonl)
     ClusterJournal back = ClusterJournal::parse_jsonl(text);
     EXPECT_EQ(back.to_jsonl(), text);
     EXPECT_EQ(back.size(), jr.size());
+}
+
+TEST(Cluster, JournalParseRejectsMalformedDocuments)
+{
+    const std::string header =
+        "{\"schema\":\"poseidon-cluster-journal\",\"schema_version\":1,"
+        "\"clock_ghz\":0.3,\"hosts\":2,\"events\":1}\n";
+    EXPECT_NO_THROW(ClusterJournal::parse_jsonl(
+        header + "{\"ev\":\"Submitted\",\"job\":1,\"cycle\":0}\n"));
+    for (const std::string &bad : {
+             std::string(""),
+             std::string("{\"schema\":5}\n"),
+             std::string("{\"schema\":\"poseidon-journal\","
+                         "\"schema_version\":1}\n"),
+             std::string("{\"schema\":\"poseidon-cluster-journal\","
+                         "\"schema_version\":\"1\",\"clock_ghz\":0.3,"
+                         "\"hosts\":2,\"events\":0}\n"),
+             header,
+             header + "{\"ev\":\"Meteor\",\"job\":1,\"cycle\":0}\n",
+             header + "{\"ev\":\"Placed\",\"job\":1,\"cycle\":0,"
+                      "\"host\":-1}\n",
+             header + "{\"ev\":\"Placed\",\"job\":1.5,\"cycle\":0}\n",
+         }) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(ClusterJournal::parse_jsonl(bad), ParseError);
+    }
 }
 
 // ------------------------------------- determinism across thread counts

@@ -171,6 +171,25 @@ TEST(Journal, ParseRejectsMalformedDocuments)
         poseidon::ParseError);
     EXPECT_THROW(Journal::load_jsonl("/no/such/journal.jsonl"),
                  poseidon::ParseError);
+    // Wrong-typed header fields and out-of-range integers are parse
+    // errors too, never a stray InvalidArgument or a wrapped cast.
+    for (const char *bad : {
+             "{\"schema\":5}\n",
+             "{\"schema\":\"poseidon-journal\",\"schema_version\":\"1\","
+             "\"clock_ghz\":0.3,\"cards\":1,\"events\":0}\n",
+             "{\"schema\":\"poseidon-journal\",\"schema_version\":1,"
+             "\"clock_ghz\":0.3,\"cards\":-1,\"events\":0}\n",
+             "{\"schema\":\"poseidon-journal\",\"schema_version\":1,"
+             "\"clock_ghz\":0.3,\"cards\":1,\"events\":1}\n"
+             "{\"ev\":\"Completed\",\"job\":1,\"cycle\":0,"
+             "\"card\":-1}\n",
+             "{\"schema\":\"poseidon-journal\",\"schema_version\":1,"
+             "\"clock_ghz\":0.3,\"cards\":1,\"events\":1}\n"
+             "{\"ev\":\"Completed\",\"job\":1e300,\"cycle\":0}\n",
+         }) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(Journal::parse_jsonl(bad), poseidon::ParseError);
+    }
 }
 
 TEST(Journal, EngineEmitsFullLifecycleForOneJob)
@@ -358,6 +377,13 @@ TEST(Slo, ConfigParsesAndRoundTrips)
     EXPECT_THROW(SloConfig::parse("prio0=-5"),
                  poseidon::InvalidArgument);
     EXPECT_THROW(SloConfig::parse("prio0=1e6;budget=0"),
+                 poseidon::InvalidArgument);
+    // Priorities are exact ints: no silent wrap, no exponent.
+    EXPECT_THROW(SloConfig::parse("prio99999999999=1e6"),
+                 poseidon::InvalidArgument);
+    EXPECT_THROW(SloConfig::parse("prio1e0=1e6"),
+                 poseidon::InvalidArgument);
+    EXPECT_THROW(SloConfig::parse("prio0=inf"),
                  poseidon::InvalidArgument);
     EXPECT_TRUE(SloConfig{}.empty());
 }

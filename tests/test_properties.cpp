@@ -15,14 +15,18 @@
 namespace poseidon {
 namespace {
 
+// gtest names each case by the bytes of its parameter, so the struct
+// must have no padding: every field is 64-bit and fully initialised.
 struct ParamCase
 {
-    unsigned logN;
+    std::size_t logN;
     std::size_t L;
-    unsigned scaleBits;
+    std::size_t scaleBits;
     std::size_t dnum; // 0 = digit per prime
     std::size_t K;
 };
+static_assert(sizeof(ParamCase) == 5 * sizeof(std::size_t),
+              "ParamCase must have no padding bytes");
 
 class RandomProgramTest : public ::testing::TestWithParam<ParamCase> {};
 
@@ -30,9 +34,9 @@ TEST_P(RandomProgramTest, TracksPlaintextMirror)
 {
     auto pc = GetParam();
     CkksParams p;
-    p.logN = pc.logN;
+    p.logN = static_cast<unsigned>(pc.logN);
     p.L = pc.L;
-    p.scaleBits = pc.scaleBits;
+    p.scaleBits = static_cast<unsigned>(pc.scaleBits);
     p.firstPrimeBits = 45;
     p.specialPrimeBits = 45;
     p.dnum = pc.dnum;

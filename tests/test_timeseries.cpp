@@ -181,6 +181,28 @@ TEST(Timeseries, ParseRejectsMalformedDumps)
             "{\"series\":\"x\",\"kind\":\"blob\",\"evicted\":0,"
             "\"samples\":[]}\n"),
         ParseError);
+    // Header fields of the wrong type or out of range: the capacity
+    // is bounded before any series ring is allocated.
+    auto header = [](const std::string &capacity) {
+        return "{\"schema\":\"poseidon-tsdb\",\"schema_version\":1,"
+               "\"cadence_cycles\":1,\"capacity\":" +
+               capacity + ",\"series\":1,\"annotations\":0}\n"
+               "{\"series\":\"x\",\"kind\":\"value\",\"evicted\":0,"
+               "\"samples\":[]}\n";
+    };
+    EXPECT_NO_THROW(Tsdb::parse_jsonl(header("8")));
+    for (const char *bad : {"1e15", "-3", "2.5", "\"8\"", "1"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(Tsdb::parse_jsonl(header(bad)), ParseError);
+    }
+    EXPECT_THROW(Tsdb::parse_jsonl("{\"schema\":5}\n"), ParseError);
+    EXPECT_THROW(
+        Tsdb::parse_jsonl(
+            "{\"schema\":\"poseidon-tsdb\",\"schema_version\":\"1\","
+            "\"cadence_cycles\":1,\"capacity\":8,\"series\":0,"
+            "\"annotations\":0}\n"),
+        ParseError);
+    EXPECT_THROW(Tsdb(0.0, Tsdb::kMaxCapacity + 1), InvalidArgument);
 }
 
 // ------------------------------------- determinism across thread counts

@@ -26,13 +26,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "telemetry/bench_diff.h"
 #include "telemetry/json.h"
+#include "telemetry/text_format.h"
 
 using poseidon::telemetry::BenchDiffOptions;
 using poseidon::telemetry::BenchDiffResult;
@@ -54,15 +53,8 @@ usage(const char *argv0)
 bool
 read_json(const std::string &path, Json *out, std::string *err)
 {
-    std::ifstream in(path);
-    if (!in) {
-        *err = "cannot open";
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
     try {
-        *out = Json::parse(ss.str());
+        *out = Json::parse(poseidon::telemetry::read_text_file(path, "BENCH"));
     } catch (const std::exception &e) {
         *err = e.what();
         return false;

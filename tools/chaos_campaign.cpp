@@ -23,12 +23,12 @@
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "serve/chaos.h"
+#include "telemetry/text_format.h"
 
 using namespace poseidon;
 using namespace poseidon::serve;
@@ -119,11 +119,7 @@ main(int argc, char **argv)
         print_report(r, json);
         if (!journalDir.empty()) {
             std::string path = journalDir + "/" + sc.name + ".jsonl";
-            std::ofstream f(path, std::ios::binary);
-            if (f) {
-                f << r.journalJsonl;
-            }
-            if (!f) {
+            if (!telemetry::write_text_file(path, r.journalJsonl)) {
                 std::cerr << "cannot write journal " << path << "\n";
                 allOk = false;
             }

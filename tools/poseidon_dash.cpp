@@ -24,13 +24,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "telemetry/text_format.h"
 #include "telemetry/timeseries.h"
 
 using namespace poseidon;
@@ -423,13 +423,10 @@ render(const std::string &inPath, const std::string &outPath,
     }
     os << "</div>\n</body></html>\n";
 
-    std::ofstream f(outPath, std::ios::binary);
-    if (!f) {
-        std::cerr << "poseidon_dash: cannot write " << outPath
-                  << "\n";
+    if (!telemetry::write_text_file(outPath, os.str())) {
+        std::cerr << "poseidon_dash: cannot write " << outPath << "\n";
         return 2;
     }
-    f << os.str();
     std::cout << "poseidon_dash: wrote " << outPath << " ("
               << db.series_count() << " series, "
               << db.annotations().size() << " annotations)\n";

@@ -21,18 +21,18 @@
  *
  * Journals come out of `chaos_campaign --journal DIR`, the
  * bench_serving JOURNAL_serving.jsonl artifact, or
- * ServingEngine::journal().write_jsonl(). Exit status: 0 on success,
+ * ServingEngine::journal().to_jsonl(). Exit status: 0 on success,
  * 1 when --slo finds an alerting priority class or --alerts finds a
  * rule that reached firing, 2 on usage/parse errors.
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "common/status.h"
 #include "serve/latency_breakdown.h"
+#include "telemetry/text_format.h"
 #include "telemetry/timeseries.h"
 
 using namespace poseidon;
@@ -176,14 +176,11 @@ main(int argc, char **argv)
             if (haveSlo) out.set("slo", slo.to_json());
             if (jsonOut == "-") {
                 std::cout << out.dump(2) << "\n";
-            } else {
-                std::ofstream f(jsonOut, std::ios::binary);
-                if (!f) {
-                    std::cerr << "poseidon_explain: cannot write "
-                              << jsonOut << "\n";
-                    return 2;
-                }
-                f << out.dump(2) << "\n";
+            } else if (!telemetry::write_text_file(
+                           jsonOut, out.dump(2) + "\n")) {
+                std::cerr << "poseidon_explain: cannot write " << jsonOut
+                          << "\n";
+                return 2;
             }
         }
 

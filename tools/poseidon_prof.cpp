@@ -19,7 +19,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "hw/profiler.h"
 #include "kernels/kernels.h"
 #include "hw/sim.h"
+#include "telemetry/text_format.h"
 #include "workloads/workloads.h"
 
 using namespace poseidon;
@@ -146,12 +146,11 @@ main(int argc, char **argv)
 
         if (!jsonPath.empty()) {
             std::string path = json_path_for(jsonPath, wl.name, multi);
-            std::ofstream out(path);
-            if (!out) {
+            if (!telemetry::write_text_file(
+                    path, rep.to_json().dump(2) + "\n")) {
                 std::fprintf(stderr, "cannot write %s\n", path.c_str());
                 return 1;
             }
-            out << rep.to_json().dump(2) << "\n";
             std::printf("[prof] wrote %s\n", path.c_str());
         }
     }
