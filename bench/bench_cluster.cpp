@@ -31,6 +31,7 @@
 #include "common/parallel.h"
 #include "common/table.h"
 #include "isa/compiler.h"
+#include "telemetry/text_format.h"
 
 using namespace poseidon;
 
@@ -226,6 +227,10 @@ write_artifact(const bench::Harness &h, const char *name,
 int
 main(int argc, char **argv)
 {
+    const char *kUsage =
+        "usage: bench_cluster [--smoke] [--hosts=N] "
+        "[--placement=locality|round-robin|random|least-loaded] "
+        "[--autoscale] [--no-json]\n";
     bool smoke = false;
     bool autoscale = false;
     std::size_t onlyHosts = 0;
@@ -238,7 +243,19 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--autoscale") == 0) {
             autoscale = true;
         } else if (std::strncmp(a, "--hosts=", 8) == 0) {
-            onlyHosts = static_cast<std::size_t>(std::atoi(a + 8));
+            try {
+                onlyHosts = telemetry::parse_integer<std::size_t>(
+                    a + 8, "--hosts");
+            } catch (const InvalidArgument &) {
+                onlyHosts = 0;
+            }
+            if (onlyHosts == 0) {
+                std::fprintf(stderr,
+                             "bench_cluster: --hosts wants a positive "
+                             "integer, got \"%s\"\n%s",
+                             a + 8, kUsage);
+                return 2;
+            }
         } else if (std::strncmp(a, "--placement=", 12) == 0) {
             if (!cluster::placement_from_string(a + 12,
                                                 onlyPlacement)) {

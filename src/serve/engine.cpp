@@ -627,18 +627,6 @@ ServingEngine::sample_tsdb(double cycle)
     std::vector<telemetry::AlertTransition> edges =
         alerts_.evaluate(cycle, tsdb_);
     for (const telemetry::AlertTransition &t : edges) {
-        const telemetry::AlertRule &rule = alerts_.rules().rules[t.rule];
-        if (journal_.enabled()) {
-            JournalEvent ev;
-            ev.kind = JournalEventKind::AlertTransition;
-            ev.cycle = cycle; // job = 0: fleet-level event
-            ev.name = rule.str();
-            ev.attempt = static_cast<u64>(t.rule) + 1; // 1-based rule
-            ev.detail = t.text();
-            if (!std::isnan(t.value)) ev.value = t.value;
-            ev.failed = t.to == telemetry::AlertState::Firing;
-            journal_.append(std::move(ev));
-        }
         if (cfg_.exportTelemetry) {
             telemetry::count("serve.alerts.transitions");
             if (t.to == telemetry::AlertState::Firing) {
@@ -1098,16 +1086,6 @@ ServingEngine::drain()
         if (cfg_.exportTelemetry && telemetry::enabled()) {
             br.export_metrics(telemetry::MetricsRegistry::global(),
                               breakdownExportedJobs_);
-            if (!cfg_.slo.empty()) {
-                SloReport slo = evaluate_slo(br, cfg_.slo);
-                slo.export_metrics(
-                    telemetry::MetricsRegistry::global());
-                if (slo.alerts > 0) {
-                    telemetry::count(
-                        "serve.slo.alert_events",
-                        static_cast<double>(slo.alerts));
-                }
-            }
         }
         export_job_flows(br);
         breakdownExportedJobs_ = br.jobs.size();

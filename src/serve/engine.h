@@ -130,10 +130,6 @@ struct ServeConfig
     /// published when exportTelemetry is also on.
     bool journal = true;
 
-    /// Declarative SLO (per-priority p99 targets + error budget);
-    /// empty = no SLO evaluation. Requires `journal`.
-    SloConfig slo;
-
     /// TSDB sampling cadence on the simulated clock: drain() records
     /// one sample of every serve.* series each time the fleet clock
     /// crosses the next cadence-aligned grid cycle. 0 = TSDB off.
@@ -146,8 +142,10 @@ struct ServeConfig
     std::size_t tsdbCapacity = 4096;
 
     /// Alert rules in the telemetry/alerts.h DSL ("" = none), e.g.
-    /// "serve.queue_depth > 256 for 5e6 cycles => page". Evaluated at
-    /// every TSDB sample tick; requires tsdbCadenceCycles > 0.
+    /// "serve.queue_depth > 256 for 5e6 cycles => page", or the
+    /// latency SLO "serve.latency_cycles:p99 > 2.5e6 => page".
+    /// Evaluated at every TSDB sample tick; requires
+    /// tsdbCadenceCycles > 0.
     std::string alertRules;
 };
 
@@ -296,7 +294,7 @@ class ServingEngine
 
     /// Record one TSDB sample of every serve.* series at simulated
     /// cycle `cycle`, then advance the alert state machines (their
-    /// transitions land in the journal, counters, and alertLog_).
+    /// transitions land in the TSDB, counters, and alertLog_).
     void sample_tsdb(double cycle);
 
     /// Export firing windows onto the Chrome trace's alert track

@@ -26,7 +26,6 @@ to_string(JournalEventKind k)
       case JournalEventKind::Failed: return "Failed";
       case JournalEventKind::Expired: return "Expired";
       case JournalEventKind::Shed: return "Shed";
-      case JournalEventKind::AlertTransition: return "AlertTransition";
     }
     return "?";
 }
@@ -34,9 +33,8 @@ to_string(JournalEventKind k)
 bool
 journal_kind_from_string(const std::string &s, JournalEventKind &out)
 {
-    // Kinds are numbered 0..AlertTransition in declaration order.
-    constexpr auto kLast = static_cast<unsigned>(
-        JournalEventKind::AlertTransition);
+    // Kinds are numbered 0..Shed in declaration order.
+    constexpr auto kLast = static_cast<unsigned>(JournalEventKind::Shed);
     for (unsigned i = 0; i <= kLast; ++i) {
         if (s == to_string(static_cast<JournalEventKind>(i))) {
             out = static_cast<JournalEventKind>(i);

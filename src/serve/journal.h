@@ -56,8 +56,6 @@ enum class JournalEventKind : unsigned {
     Failed,           ///< terminal: retries exhausted or skipped
     Expired,          ///< terminal: missed its dispatch deadline
     Shed,             ///< terminal: dropped by admission control
-    AlertTransition,  ///< alert rule changed state (job = 0; name =
-                      ///< rule text, detail = edge, value = metric)
 };
 
 /// Short stable name ("Submitted", "AttemptEnd", ...).

@@ -1,12 +1,10 @@
 #include "serve/latency_breakdown.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
-#include "telemetry/text_format.h"
 
 namespace poseidon::serve {
 
@@ -192,7 +190,6 @@ decompose(const Journal &journal)
           case JournalEventKind::FaultRetry:
           case JournalEventKind::BackoffScheduled:
           case JournalEventKind::ProbeInteraction:
-          case JournalEventKind::AlertTransition:
             break; // zero-width for the walk
           case JournalEventKind::Enqueued:
             // A retry requeue closes the backoff window that opened
@@ -508,119 +505,6 @@ BreakdownReport::export_metrics(telemetry::MetricsRegistry &reg,
                   to_string(static_cast<Phase>(p)))
             .set(share);
     }
-}
-
-std::string
-SloConfig::str() const
-{
-    std::string out;
-    for (const auto &[prio, target] : p99TargetCycles) {
-        if (!out.empty()) out += ';';
-        out += "prio" + std::to_string(prio) + "=" +
-               telemetry::format_number(target);
-    }
-    if (!out.empty()) out += ';';
-    out += "budget=" + telemetry::format_number(budgetFraction);
-    out += ";burn=" + telemetry::format_number(alertBurnRate);
-    return out;
-}
-
-SloConfig
-SloConfig::parse(const std::string &spec)
-{
-    SloConfig cfg;
-    for (const telemetry::Clause &c :
-         telemetry::parse_clauses(spec, "SloConfig")) {
-        POSEIDON_REQUIRE(c.kind.empty(), c.where << " is not key=value");
-        const auto &[key, val] = c.fields.front();
-        double v = telemetry::parse_number(val, c.where);
-        POSEIDON_REQUIRE(std::isfinite(v), c.where << ": not finite");
-        if (key == "budget") {
-            POSEIDON_REQUIRE(v > 0.0 && v <= 1.0,
-                             "SloConfig: budget must be in (0, 1]");
-            cfg.budgetFraction = v;
-        } else if (key == "burn") {
-            POSEIDON_REQUIRE(v > 0.0, "SloConfig: burn must be > 0");
-            cfg.alertBurnRate = v;
-        } else if (key.rfind("prio", 0) == 0) {
-            POSEIDON_REQUIRE(v > 0.0, "SloConfig: target for "
-                                          << key << " must be > 0 cycles");
-            int prio = telemetry::parse_integer<int>(key.substr(4), c.where);
-            cfg.p99TargetCycles[prio] = v;
-        } else {
-            POSEIDON_THROW(InvalidArgument,
-                           "SloConfig: unknown key \"" << key
-                               << "\" (want prio<N>, budget, burn)");
-        }
-    }
-    return cfg;
-}
-
-telemetry::Json
-SloReport::to_json() const
-{
-    using telemetry::Json;
-    Json j = Json::object();
-    j.set("budget_fraction", Json(budgetFraction));
-    j.set("alert_burn_rate", Json(alertBurnRate));
-    j.set("alerts", Json(alerts));
-    Json js = Json::array();
-    for (const SloStatus &s : statuses) {
-        Json one = Json::object();
-        one.set("prio", Json(s.priority));
-        one.set("target_cycles", Json(s.targetCycles));
-        one.set("jobs", Json(s.jobs));
-        one.set("violations", Json(s.violations));
-        one.set("violation_share", Json(s.violationShare));
-        one.set("burn_rate", Json(s.burnRate));
-        one.set("alerting", Json(s.alerting));
-        js.push_back(std::move(one));
-    }
-    j.set("statuses", std::move(js));
-    return j;
-}
-
-void
-SloReport::export_metrics(telemetry::MetricsRegistry &reg) const
-{
-    for (const SloStatus &s : statuses) {
-        std::string suffix = ".p" + std::to_string(s.priority);
-        reg.gauge("serve.slo.burn_rate" + suffix).set(s.burnRate);
-        reg.gauge("serve.slo.violations" + suffix)
-            .set(static_cast<double>(s.violations));
-        reg.gauge("serve.slo.alerting" + suffix)
-            .set(s.alerting ? 1.0 : 0.0);
-    }
-    reg.gauge("serve.slo.alerts").set(static_cast<double>(alerts));
-}
-
-SloReport
-evaluate_slo(const BreakdownReport &report, const SloConfig &cfg)
-{
-    SloReport out;
-    out.budgetFraction = cfg.budgetFraction;
-    out.alertBurnRate = cfg.alertBurnRate;
-    for (const auto &[prio, target] : cfg.p99TargetCycles) {
-        SloStatus s;
-        s.priority = prio;
-        s.targetCycles = target;
-        for (const JobBreakdown &jb : report.jobs) {
-            if (jb.priority != prio) continue;
-            ++s.jobs;
-            bool violated = jb.state != JobState::Completed ||
-                            jb.endToEndCycles > target;
-            if (violated) ++s.violations;
-        }
-        s.violationShare =
-            s.jobs > 0 ? static_cast<double>(s.violations) /
-                             static_cast<double>(s.jobs)
-                       : 0.0;
-        s.burnRate = s.violationShare / cfg.budgetFraction;
-        s.alerting = s.jobs > 0 && s.burnRate >= cfg.alertBurnRate;
-        if (s.alerting) ++out.alerts;
-        out.statuses.push_back(s);
-    }
-    return out;
 }
 
 } // namespace poseidon::serve

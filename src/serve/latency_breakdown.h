@@ -36,10 +36,9 @@
  * On top of the per-job waterfalls sit per-tenant / per-priority
  * aggregates (with p50/p99 of the engine-reported latency, computed
  * by the same telemetry::exact_quantile the engine uses — the journal
- * is a sufficient statistic for the engine's stats), metrics-registry
- * export, and declarative SLOs: per-priority p99 targets whose
- * violation share is turned into an SRE-style burn rate
- * (violationShare / errorBudget) with alert gauges.
+ * is a sufficient statistic for the engine's stats) and
+ * metrics-registry export. Latency SLOs are alert rules over the TSDB
+ * (telemetry/alerts.h), not part of this layer.
  */
 
 #include <array>
@@ -171,62 +170,6 @@ struct BreakdownReport
  * or an engine bug, not bad user input).
  */
 BreakdownReport decompose(const Journal &journal);
-
-/// Declarative SLO: per-priority p99 latency targets with an error
-/// budget, evaluated over a BreakdownReport.
-struct SloConfig
-{
-    /// End-to-end p99 target (simulated cycles) per priority class.
-    std::map<int, double> p99TargetCycles;
-    /// Tolerated violation share (the SRE error budget).
-    double budgetFraction = 0.01;
-    /// Alert when burnRate = violationShare / budgetFraction reaches
-    /// this factor.
-    double alertBurnRate = 1.0;
-
-    bool empty() const { return p99TargetCycles.empty(); }
-
-    /// Render to the parse() text form.
-    std::string str() const;
-
-    /**
-     * Parse a spec like "prio0=2.5e6;prio1=5e5;budget=0.01;burn=1.5"
-     * (`k=v` clauses, DESIGN.md §17): `prio<N>=<cycles>` sets a target,
-     * `budget=` / `burn=` set the knobs; values must be finite. Throws
-     * poseidon::InvalidArgument on malformed input.
-     */
-    static SloConfig parse(const std::string &spec);
-};
-
-/// Burn-rate verdict for one priority class.
-struct SloStatus
-{
-    int priority = 0;
-    double targetCycles = 0.0;
-    u64 jobs = 0;
-    u64 violations = 0; ///< non-Completed or end-to-end over target
-    double violationShare = 0.0;
-    double burnRate = 0.0;
-    bool alerting = false;
-};
-
-/// SLO evaluation over a whole report.
-struct SloReport
-{
-    double budgetFraction = 0.01;
-    double alertBurnRate = 1.0;
-    std::vector<SloStatus> statuses; ///< ascending priority
-    u64 alerts = 0;                  ///< statuses currently alerting
-
-    telemetry::Json to_json() const;
-
-    /// serve.slo.burn_rate.p<prio> / serve.slo.violations.p<prio> /
-    /// serve.slo.alerting.p<prio> gauges + a serve.slo.alerts gauge.
-    void export_metrics(telemetry::MetricsRegistry &reg) const;
-};
-
-SloReport evaluate_slo(const BreakdownReport &report,
-                       const SloConfig &cfg);
 
 } // namespace poseidon::serve
 

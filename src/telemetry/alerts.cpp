@@ -84,6 +84,7 @@ std::string
 AlertRule::str() const
 {
     std::string out = metric;
+    if (quantile > 0.0) out += ":p" + format_number(quantile);
     out += ' ';
     out += to_string(cmp);
     out += ' ';
@@ -125,6 +126,18 @@ AlertRules::parse(const std::string &spec)
                          << "\": want <metric> <cmp> <threshold>");
         AlertRule r;
         r.metric = toks[0];
+        std::size_t colon = r.metric.find(':');
+        if (colon != std::string::npos) {
+            POSEIDON_REQUIRE(colon > 0 &&
+                                 r.metric.compare(colon + 1, 1, "p") == 0,
+                             "alert rule \"" << text
+                             << "\": metric suffix must be :p<q>");
+            r.quantile = parse_num(r.metric.substr(colon + 2), text);
+            POSEIDON_REQUIRE(r.quantile > 0.0 && r.quantile < 100.0,
+                             "alert rule \"" << text
+                             << "\": percentile must be in (0, 100)");
+            r.metric.erase(colon);
+        }
         const std::string &cmp = toks[1];
         if (cmp == ">") {
             r.cmp = AlertCmp::GT;
@@ -242,7 +255,16 @@ AlertEngine::evaluate(double cycle, Tsdb &tsdb)
         const AlertRule &rule = rules_.rules[i];
         RuleState &st = states_[i];
         double value = std::numeric_limits<double>::quiet_NaN();
-        if (const Series *s = tsdb.find(rule.metric)) {
+        if (rule.quantile > 0.0) {
+            const HistogramSeries *h = tsdb.find_histogram(rule.metric);
+            if (h && !h->empty()) {
+                const HistogramInterval &iv = h->latest();
+                // NaN when the interval saw no observations.
+                value = Histogram::from_buckets(h->bounds(), iv.buckets,
+                                                iv.sum)
+                            .quantile(rule.quantile / 100.0);
+            }
+        } else if (const Series *s = tsdb.find(rule.metric)) {
             if (!s->empty()) value = s->latest().value;
         }
         bool cond = rule.condition(value);

@@ -10,27 +10,30 @@
  *
  *   serve.queue_depth > 256 for 5e6 cycles hold 2e6 cycles => page
  *
- *   <metric> <cmp> <threshold> [for <cycles>] [hold <cycles>]
- *                              [=> warn|page]
+ *   <metric>[:p<q>] <cmp> <threshold> [for <cycles>] [hold <cycles>]
+ *                                      [=> warn|page]
  *
  * `<cmp>` is one of > >= < <=. `for` is the classic
  * threshold-with-duration guard: the condition must hold continuously
  * for that many simulated cycles before the rule fires (0 = fire on
  * first observation). `hold` suppresses flapping on the way down: the
  * condition must stay clear that long before the rule resolves; any
- * re-assertion resets the clear timer. Rules are split and numbers
- * read by the shared clause grammar (DESIGN.md §17); parse(str())
- * round-trips.
+ * re-assertion resets the clear timer. A `:p<q>` suffix (0 < q < 100)
+ * makes the rule read the q-th percentile of the latest interval of
+ * a histogram series instead of a value series, so an SLO is a rule:
+ * `serve.latency_cycles:p99 > 2.5e6 for 1e6 cycles => page`. Rules
+ * are split and numbers read by the shared clause grammar (DESIGN.md
+ * §17); parse(str()) round-trips.
  *
  * The AlertEngine is evaluated by the TSDB's single-threaded owner at
- * each sample tick, reads only latest-sample values, and stamps every
+ * each sample tick, reads only latest samples, and stamps every
  * state change with the simulated cycle — so the full alert timeline
  * inherits the TSDB's byte-identical determinism contract
  * (timeseries.h). Each evaluate() pushes a per-rule state series
  * ("alert.r<i>.state", 0 = inactive, 1 = pending, 2 = firing) and an
- * "alert" annotation per transition into the Tsdb; the returned
- * transitions let the owner fan them out to its journal, trace, and
- * counters.
+ * "alert" annotation per transition into the Tsdb — the one
+ * serialized record of each edge; the returned transitions let the
+ * owner fan them out to its trace and counters.
  */
 
 #include <cstddef>
@@ -53,7 +56,10 @@ const char* to_string(AlertState s);
 /// One parsed alert clause (see file comment for the DSL).
 struct AlertRule
 {
-    std::string metric;              ///< TSDB value-series name
+    std::string metric;              ///< TSDB series name
+    /// Percentile in (0, 100) of histogram series `metric`; 0 = read
+    /// value series `metric`.
+    double quantile = 0.0;
     AlertCmp cmp = AlertCmp::GT;
     double threshold = 0.0;
     double forCycles = 0.0;          ///< must hold this long to fire
@@ -111,7 +117,9 @@ class AlertEngine
 
     /**
      * Evaluate every rule against the latest sample of its metric
-     * series in `tsdb` (absent or empty series = condition false),
+     * series in `tsdb` — for a `:p<q>` rule, the q-th percentile of
+     * the latest histogram interval (absent series or empty
+     * sample/interval = condition false),
      * advance the state machines to `cycle`, record per-rule state
      * series and per-transition annotations into `tsdb`, and return
      * the transitions in rule order. Cycles must not run backwards.

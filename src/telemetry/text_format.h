@@ -6,7 +6,7 @@
  * The one text layer behind every dump and every spec: the JSONL
  * document reader/writer of the journal, cluster journal and TSDB
  * dumps (failures are line-numbered ParseErrors), and the clause
- * grammar of the chaos, host-chaos, SLO and alert specs (failures are
+ * grammar of the chaos, host-chaos and alert specs (failures are
  * InvalidArgument naming the clause). Contract: DESIGN.md §17.
  */
 

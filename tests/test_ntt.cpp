@@ -116,8 +116,12 @@ TEST(Ntt, RejectsBadParameters)
 struct FusedCase
 {
     std::size_t n;
-    unsigned k;
+    std::size_t k;
 };
+// gtest names each case by its raw bytes: padding would leak
+// uninitialised memory into the test names.
+static_assert(sizeof(FusedCase) == 2 * sizeof(std::size_t),
+              "FusedCase must have no padding bytes");
 
 class FusedNttTest : public ::testing::TestWithParam<FusedCase> {};
 

@@ -1,16 +1,19 @@
 // Tests for the deterministic time-series plane: the ring-buffer TSDB
 // (eviction, windowed aggregators, histogram-interval quantiles, JSONL
 // round trips), byte-identical dumps across host thread counts on
-// every chaos scenario, the alert-rule DSL parse/str round trip, and
-// the pending -> firing -> resolved state machine with flap
-// suppression — including the end-to-end check that the card-death
-// chaos scenario fires and resolves a page whose cycles bracket the
-// fault-injection window.
+// every chaos scenario, the alert-rule DSL parse/str round trip
+// (quantile-of-histogram rules included), and the pending -> firing
+// -> resolved state machine with flap suppression — including latency
+// SLOs written as quantile rules (parse round trip, a page on a
+// hopeless target, its registry gauges and TSDB edges) and the
+// end-to-end check that the card-death chaos scenario fires and
+// resolves a page whose cycles bracket the fault-injection window.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -18,6 +21,7 @@
 #include "serve/chaos.h"
 #include "serve/engine.h"
 #include "telemetry/alerts.h"
+#include "telemetry/metrics.h"
 #include "telemetry/timeseries.h"
 
 namespace poseidon {
@@ -308,6 +312,23 @@ TEST(Alerts, DslParseStrRoundTrip)
     EXPECT_EQ(bare.rules[0].severity, AlertSeverity::Warn);
     EXPECT_TRUE(AlertRules::parse("").empty());
     EXPECT_TRUE(AlertRules::parse(" ; \n ").empty());
+
+    // A `:p<q>` suffix reads a percentile of a histogram series and
+    // prints back unchanged.
+    AlertRules q = AlertRules::parse(
+        "serve.latency_cycles:p99 > 2.5e6 for 1e6 cycles => page; "
+        "serve.latency_cycles:p99.9 >= 1e7 => warn");
+    ASSERT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.rules[0].metric, "serve.latency_cycles");
+    EXPECT_DOUBLE_EQ(q.rules[0].quantile, 99.0);
+    EXPECT_DOUBLE_EQ(q.rules[0].threshold, 2.5e6);
+    EXPECT_DOUBLE_EQ(q.rules[0].forCycles, 1e6);
+    EXPECT_EQ(q.rules[0].str(), "serve.latency_cycles:p99 > 2500000 "
+                                "for 1000000 cycles => page");
+    AlertRules qBack = AlertRules::parse(q.str());
+    EXPECT_EQ(qBack.str(), q.str());
+    EXPECT_EQ(qBack.rules[1].quantile, 99.9); // exact
+    EXPECT_DOUBLE_EQ(rules.rules[0].quantile, 0.0); // plain series
 }
 
 TEST(Alerts, DslRejectsMalformedClauses)
@@ -324,6 +345,13 @@ TEST(Alerts, DslRejectsMalformedClauses)
                  InvalidArgument);
     EXPECT_THROW(AlertRules::parse("serve.q > 5 bogus"),
                  InvalidArgument);
+    // Percentiles are open-interval (0, 100) numbers.
+    for (const char *bad : {"h:p0 > 1", "h:p100 > 1", "h:pnan > 1",
+                            "h:p > 1", "h:pabc > 1", "h:q99 > 1",
+                            ":p99 > 1", "h:p-5 > 1", "h:pinf > 1"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(AlertRules::parse(bad), InvalidArgument);
+    }
 }
 
 // ----------------------------------------------------- state machine
@@ -429,6 +457,175 @@ TEST(Alerts, MissingSeriesIsFalseCondition)
     EXPECT_EQ(eng.state(0), AlertState::Inactive);
 }
 
+TEST(Alerts, QuantileRuleReadsLatestHistogramInterval)
+{
+    // Bucket bounds 10/20/30: the p50 of {15, 25} interpolates to the
+    // top of the (10, 20] bucket.
+    AlertEngine eng(AlertRules::parse(
+        "lat:p50 > 18 => page; absent:p99 > 0; lat > 0"));
+    Tsdb db(100.0, 64);
+    Histogram cum({10.0, 20.0, 30.0});
+    cum.observe(15.0);
+    cum.observe(25.0);
+    db.record_histogram("lat", 0.0, cum);
+    std::vector<AlertTransition> t = eng.evaluate(0.0, db);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t[0].rule, 0u);
+    EXPECT_EQ(t[0].to, AlertState::Firing);
+    EXPECT_DOUBLE_EQ(t[0].value, 20.0);
+    // A missing histogram and a value-form read of a histogram name
+    // are both missing series.
+    EXPECT_EQ(eng.state(1), AlertState::Inactive);
+    EXPECT_EQ(eng.state(2), AlertState::Inactive);
+
+    // Only the latest interval counts: an empty one reads NaN (false)
+    // and resolves the page.
+    db.record_histogram("lat", 100.0, cum);
+    t = eng.evaluate(100.0, db);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t[0].from, AlertState::Firing);
+    EXPECT_TRUE(std::isnan(t[0].value));
+    EXPECT_EQ(db.annotations().back().name, "lat:p50 > 18 => page");
+}
+
+// ------------------------------------------- latency SLOs as rules
+
+TEST(Slo, ConfigParsesAndRoundTrips)
+{
+    // The SLO recipe: a p99-style latency target T with error budget B
+    // is `serve.latency_cycles:p<100(1-B)> > T`; the for/hold clauses
+    // are the burn window. Budgets 2% and 0.1% per priority class.
+    AlertRules slo = AlertRules::parse(
+        "serve.latency_cycles:p98 > 2.5e6 for 1.5e6 cycles => page; "
+        "serve.latency_cycles:p99.9 > 5e5 hold 1e6 cycles => warn");
+    ASSERT_EQ(slo.size(), 2u);
+    EXPECT_EQ(slo.rules[0].metric, "serve.latency_cycles");
+    EXPECT_DOUBLE_EQ(slo.rules[0].quantile, 98.0);
+    EXPECT_DOUBLE_EQ(slo.rules[0].threshold, 2.5e6);
+    EXPECT_DOUBLE_EQ(slo.rules[0].forCycles, 1.5e6);
+    EXPECT_EQ(slo.rules[0].severity, AlertSeverity::Page);
+    EXPECT_DOUBLE_EQ(slo.rules[1].quantile, 99.9);
+    EXPECT_DOUBLE_EQ(slo.rules[1].threshold, 5e5);
+    EXPECT_DOUBLE_EQ(slo.rules[1].holdCycles, 1e6);
+
+    AlertRules back = AlertRules::parse(slo.str());
+    ASSERT_EQ(back.size(), slo.size());
+    EXPECT_EQ(back.str(), slo.str());
+    for (std::size_t i = 0; i < slo.size(); ++i) {
+        EXPECT_EQ(back.rules[i].quantile, slo.rules[i].quantile);
+        EXPECT_EQ(back.rules[i].threshold, slo.rules[i].threshold);
+    }
+
+    // A zero budget (p100) or a full one (p0) is not an SLO.
+    EXPECT_THROW(AlertRules::parse("serve.latency_cycles:p100 > 1e6"),
+                 InvalidArgument);
+    EXPECT_THROW(AlertRules::parse("serve.latency_cycles:p0 > 1e6"),
+                 InvalidArgument);
+    // The target must be a number.
+    EXPECT_THROW(AlertRules::parse("serve.latency_cycles:p99 > nan"),
+                 InvalidArgument);
+}
+
+TEST(Slo, BurnRateAlertsOnDeadlineHeavyLoad)
+{
+    // The SLO recipe: a 1-cycle p99 target no job can meet pages on
+    // the sample that sees a completion and resolves on the next
+    // (empty) interval; a generous target on the same load stays
+    // quiet. A second job, arriving well after the first completes,
+    // opens those empty intervals. Identical at every thread count.
+    auto run = [] {
+        ServeConfig cfg;
+        cfg.exportTelemetry = false;
+        cfg.tsdbCadenceCycles = 1e4;
+        cfg.alertRules = "serve.latency_cycles:p99 > 1 => page; "
+                         "serve.latency_cycles:p99 > 1e12 => page";
+        ServingEngine eng(cfg);
+        for (double arrival : {0.0, 1e5}) {
+            serve::JobSpec spec;
+            spec.tenant = "a";
+            spec.name = "hopeless";
+            spec.arrivalCycle = arrival;
+            spec.trace.emit(isa::OpKind::HBM_RD, u64(1) << 16, 0,
+                            isa::BasicOp::Other);
+            spec.trace.emit(isa::OpKind::NTT, u64(1) << 16, 4096,
+                            isa::BasicOp::Other);
+            eng.submit(std::move(spec));
+        }
+        eng.drain();
+        return std::make_pair(eng.tsdb().to_jsonl(), eng.alert_log());
+    };
+    parallel::set_num_threads(1);
+    auto [serialDump, log] = run();
+    parallel::set_num_threads(4);
+    auto [threadedDump, threadedLog] = run();
+    parallel::set_num_threads(0); // restore the default
+    EXPECT_EQ(serialDump, threadedDump);
+    ASSERT_EQ(threadedLog.size(), log.size());
+
+    // fire (job 1) -> resolve (empty interval) -> fire (job 2).
+    ASSERT_EQ(log.size(), 3u);
+    for (const AlertTransition &t : log) {
+        EXPECT_EQ(t.rule, 0u) << "the 1e12 target must stay quiet";
+    }
+    EXPECT_EQ(log[0].to, AlertState::Firing);
+    EXPECT_GT(log[0].value, 1.0);
+    EXPECT_EQ(log[1].from, AlertState::Firing);
+    EXPECT_TRUE(std::isnan(log[1].value));
+    EXPECT_GT(log[1].cycle, log[0].cycle);
+    EXPECT_EQ(log[2].to, AlertState::Firing);
+    EXPECT_GT(log[2].cycle, 1e5);
+}
+
+TEST(Slo, EngineExportsBurnRateGauges)
+{
+    // One job against a hopeless 1-cycle target: the drain's last
+    // sample sees its completion and pages. The edge reaches the
+    // metrics registry and, serialized, the TSDB's state series and
+    // "alert" annotation; the generous target stays inactive.
+    if (!telemetry::enabled()) GTEST_SKIP() << "telemetry off";
+    telemetry::MetricsRegistry &reg =
+        telemetry::MetricsRegistry::global();
+    reg.reset();
+
+    ServeConfig cfg;
+    cfg.exportTelemetry = true;
+    cfg.tsdbCadenceCycles = 1e4;
+    cfg.alertRules = "serve.latency_cycles:p99 > 1 => page; "
+                     "serve.latency_cycles:p99 > 1e12 => page";
+    ServingEngine eng(cfg);
+    serve::JobSpec spec;
+    spec.tenant = "a";
+    spec.name = "hopeless";
+    spec.trace.emit(isa::OpKind::NTT, u64(1) << 16, 4096,
+                    isa::BasicOp::Other);
+    eng.submit(std::move(spec));
+    eng.drain();
+
+    EXPECT_DOUBLE_EQ(reg.gauge("serve.alerts.firing").value(), 1.0);
+    EXPECT_EQ(reg.counter_value("serve.alerts.fired"), 1.0);
+    EXPECT_EQ(reg.counter_value("serve.alerts.resolved"), 0.0);
+
+    const Series *paged =
+        eng.tsdb().find(AlertEngine::state_series_name(0));
+    const Series *quiet =
+        eng.tsdb().find(AlertEngine::state_series_name(1));
+    ASSERT_NE(paged, nullptr);
+    ASSERT_NE(quiet, nullptr);
+    EXPECT_EQ(paged->latest().value,
+              static_cast<double>(
+                  static_cast<unsigned>(AlertState::Firing)));
+    EXPECT_EQ(quiet->latest().value,
+              static_cast<double>(
+                  static_cast<unsigned>(AlertState::Inactive)));
+    std::size_t edges = 0;
+    for (const Annotation &a : eng.tsdb().annotations()) {
+        if (a.kind != "alert") continue;
+        ++edges;
+        EXPECT_EQ(a.name, "serve.latency_cycles:p99 > 1 => page");
+    }
+    EXPECT_EQ(edges, 1u);
+}
+
 // --------------------------------------------- end-to-end (chaos gate)
 
 TEST(Alerts, CardDeathScenarioFiresAndResolvesWithinFaultWindow)
@@ -468,17 +665,15 @@ TEST(Alerts, CardDeathScenarioFiresAndResolvesWithinFaultWindow)
     EXPECT_GE(resolvedAt, deathEnd);
     EXPECT_LT(firedAt, resolvedAt);
 
-    // The same transitions landed in the journal as job-0 events.
-    serve::Journal j = serve::Journal::parse_jsonl(rep.journalJsonl);
+    // The same transitions are serialized once, as the TSDB dump's
+    // "alert" annotations (value = the rule's new state).
+    Tsdb db = Tsdb::parse_jsonl(rep.tsdbJsonl);
     u64 fired = 0, resolved = 0;
-    for (const serve::JournalEvent &ev : j.events()) {
-        if (ev.kind != serve::JournalEventKind::AlertTransition) {
-            continue;
-        }
-        EXPECT_EQ(ev.job, 0u);
-        if (ev.failed) {
+    for (const Annotation &a : db.annotations()) {
+        if (a.kind != "alert") continue;
+        if (a.value == static_cast<double>(AlertState::Firing)) {
             ++fired;
-        } else if (ev.detail.rfind("firing", 0) == 0) {
+        } else if (a.text.rfind("firing", 0) == 0) {
             ++resolved;
         }
     }

@@ -42,7 +42,6 @@ HARNESS_RE = re.compile(r"Harness\s+\w+\s*\(\s*\"([^\"]+)\"")
 CONFIG_HEADERS = {
     "ServeConfig": "src/serve/engine.h",
     "HealthConfig": "src/serve/health.h",
-    "SloConfig": "src/serve/latency_breakdown.h",
     "ClusterConfig": "src/cluster/cluster.h",
     "AutoscaleConfig": "src/cluster/cluster.h",
     "ClusterStats": "src/cluster/cluster.h",

@@ -10,20 +10,17 @@
  *   poseidon_explain JOURNAL.jsonl             # summary + worst jobs
  *   poseidon_explain JOURNAL.jsonl --top N     # N worst waterfalls
  *   poseidon_explain JOURNAL.jsonl --job ID    # one specific job
- *   poseidon_explain JOURNAL.jsonl --slo SPEC  # SLO burn rates, e.g.
- *                                  --slo 'prio0=2.5e6;budget=0.01'
- *   poseidon_explain JOURNAL.jsonl --alerts    # alert-rule timeline
  *   poseidon_explain JOURNAL.jsonl --alerts --tsdb TSDB.jsonl
- *                                  # cross-check against the TSDB's
- *                                  # alert annotations
+ *                                  # alert-rule timeline, read from
+ *                                  # the TSDB's alert annotations
  *   poseidon_explain JOURNAL.jsonl --json FILE # full report as JSON
  *                                              # (FILE '-' = stdout)
  *
  * Journals come out of `chaos_campaign --journal DIR`, the
  * bench_serving JOURNAL_serving.jsonl artifact, or
- * ServingEngine::journal().to_jsonl(). Exit status: 0 on success,
- * 1 when --slo finds an alerting priority class or --alerts finds a
- * rule that reached firing, 2 on usage/parse errors.
+ * ServingEngine::journal().to_jsonl(); TSDB dumps from the same
+ * sources. Exit status: 0 on success, 1 when --alerts finds a rule
+ * that reached firing, 2 on usage/parse errors.
  */
 
 #include <cstring>
@@ -32,6 +29,7 @@
 
 #include "common/status.h"
 #include "serve/latency_breakdown.h"
+#include "telemetry/alerts.h"
 #include "telemetry/text_format.h"
 #include "telemetry/timeseries.h"
 
@@ -71,46 +69,23 @@ print_summary(const BreakdownReport &br)
     std::cout << "\n";
 }
 
-/**
- * Print the alert timeline recorded in the journal (the engine logs
- * one AlertTransition event per state-machine edge, job = 0). Returns
- * the number of edges that reached `firing`.
- */
-std::size_t
-print_alert_timeline(const Journal &journal,
-                     const telemetry::Tsdb *tsdb)
+/// Print the alert timeline from the TSDB's "alert" annotations (one
+/// per state-machine edge).
+void
+print_alert_timeline(const telemetry::Tsdb &tsdb)
 {
-    std::size_t fired = 0, edges = 0;
-    std::cout << "alert timeline (journal):\n";
-    for (const JournalEvent &ev : journal.events()) {
-        if (ev.kind != JournalEventKind::AlertTransition) continue;
+    std::size_t edges = 0;
+    std::cout << "alert timeline (tsdb):\n";
+    for (const telemetry::Annotation &a : tsdb.annotations()) {
+        if (a.kind != "alert") continue;
         ++edges;
-        if (ev.failed) ++fired;
-        std::cout << "  cycle " << ev.cycle << "  [rule "
-                  << (ev.attempt == 0 ? 0 : ev.attempt - 1) << "] "
-                  << ev.name << ": " << ev.detail;
-        if (ev.value != 0.0) std::cout << "  (value " << ev.value
-                                       << ")";
-        std::cout << "\n";
+        std::cout << "  cycle " << a.cycle << "  " << a.name << ": "
+                  << a.text << "\n";
     }
     if (edges == 0) {
         std::cout << "  (no alert transitions — no rules configured "
                      "or none tripped)\n";
     }
-    if (tsdb) {
-        // Cross-check: the TSDB carries the same edges as
-        // annotations; disagreement means the two artifacts are from
-        // different runs.
-        std::size_t annEdges = 0;
-        for (const telemetry::Annotation &a : tsdb->annotations()) {
-            if (a.kind == "alert") ++annEdges;
-        }
-        std::cout << "tsdb cross-check: " << annEdges
-                  << " alert annotations vs " << edges
-                  << " journal transitions"
-                  << (annEdges == edges ? "" : "  MISMATCH") << "\n";
-    }
-    return fired;
 }
 
 } // namespace
@@ -118,42 +93,55 @@ print_alert_timeline(const Journal &journal,
 int
 main(int argc, char **argv)
 {
+    const char *usage = "usage: poseidon_explain JOURNAL.jsonl "
+                        "[--top N] [--job ID] [--alerts --tsdb FILE] "
+                        "[--json FILE]\n";
     std::string path;
     std::string jsonOut;
-    std::string sloSpec;
     std::string tsdbPath;
     bool wantAlerts = false;
     std::size_t top = 3;
     JobId onlyJob = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--alerts") == 0) {
-            wantAlerts = true;
-        } else if (std::strcmp(argv[i], "--tsdb") == 0 &&
-                   i + 1 < argc) {
-            tsdbPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--top") == 0 &&
-                   i + 1 < argc) {
-            top = static_cast<std::size_t>(std::stoul(argv[++i]));
-        } else if (std::strcmp(argv[i], "--job") == 0 &&
-                   i + 1 < argc) {
-            onlyJob = static_cast<JobId>(std::stoull(argv[++i]));
-        } else if (std::strcmp(argv[i], "--json") == 0 &&
-                   i + 1 < argc) {
-            jsonOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--slo") == 0 &&
-                   i + 1 < argc) {
-            sloSpec = argv[++i];
-        } else if (argv[i][0] != '-' && path.empty()) {
-            path = argv[i];
-        } else {
-            std::cerr << "usage: poseidon_explain JOURNAL.jsonl "
-                         "[--top N] [--job ID] [--slo SPEC] "
-                         "[--alerts] [--tsdb FILE] [--json FILE]\n";
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::strcmp(argv[i], "--alerts") == 0) {
+                wantAlerts = true;
+            } else if (std::strcmp(argv[i], "--tsdb") == 0 &&
+                       i + 1 < argc) {
+                tsdbPath = argv[++i];
+            } else if (std::strcmp(argv[i], "--top") == 0 &&
+                       i + 1 < argc) {
+                top = telemetry::parse_integer<std::size_t>(argv[++i],
+                                                            "--top");
+            } else if (std::strcmp(argv[i], "--job") == 0 &&
+                       i + 1 < argc) {
+                onlyJob = telemetry::parse_integer<JobId>(argv[++i],
+                                                          "--job");
+                if (onlyJob == 0) {
+                    telemetry::throw_bad_integer(argv[i], "--job");
+                }
+            } else if (std::strcmp(argv[i], "--json") == 0 &&
+                       i + 1 < argc) {
+                jsonOut = argv[++i];
+            } else if (argv[i][0] != '-' && path.empty()) {
+                path = argv[i];
+            } else {
+                std::cerr << usage;
+                return 2;
+            }
         }
+    } catch (const InvalidArgument &e) {
+        std::cerr << "poseidon_explain: " << e.what() << "\n" << usage;
+        return 2;
     }
     if (path.empty()) {
         std::cerr << "poseidon_explain: no journal file given\n";
+        return 2;
+    }
+    if (wantAlerts == tsdbPath.empty()) {
+        std::cerr << "poseidon_explain: --alerts and --tsdb FILE go "
+                     "together\n"
+                  << usage;
         return 2;
     }
 
@@ -161,19 +149,11 @@ main(int argc, char **argv)
         Journal journal = Journal::load_jsonl(path);
         BreakdownReport br = decompose(journal);
 
-        SloReport slo;
-        bool haveSlo = !sloSpec.empty();
-        if (haveSlo) {
-            slo = evaluate_slo(br, SloConfig::parse(sloSpec));
-        }
-
         telemetry::Tsdb tsdb;
-        bool haveTsdb = !tsdbPath.empty();
-        if (haveTsdb) tsdb = telemetry::Tsdb::load_jsonl(tsdbPath);
+        if (wantAlerts) tsdb = telemetry::Tsdb::load_jsonl(tsdbPath);
 
         if (!jsonOut.empty()) {
             telemetry::Json out = br.to_json();
-            if (haveSlo) out.set("slo", slo.to_json());
             if (jsonOut == "-") {
                 std::cout << out.dump(2) << "\n";
             } else if (!telemetry::write_text_file(
@@ -184,17 +164,6 @@ main(int argc, char **argv)
             }
         }
 
-        // A firing edge trips the exit code regardless of the output
-        // mode (mirrors how --slo alerts do).
-        bool anyFiring = false;
-        if (wantAlerts) {
-            for (const JournalEvent &ev : journal.events()) {
-                if (ev.kind == JournalEventKind::AlertTransition &&
-                    ev.failed) {
-                    anyFiring = true;
-                }
-            }
-        }
         if (jsonOut.empty() || jsonOut != "-") {
             print_summary(br);
             if (onlyJob != 0) {
@@ -212,27 +181,15 @@ main(int argc, char **argv)
                     std::cout << br.waterfall_text(*jb) << "\n";
                 }
             }
-            if (wantAlerts) {
-                print_alert_timeline(journal,
-                                     haveTsdb ? &tsdb : nullptr);
-            }
-            if (haveSlo) {
-                std::cout << "slo (budget " << slo.budgetFraction
-                          << ", alert at burn >= "
-                          << slo.alertBurnRate << "x):\n";
-                for (const SloStatus &s : slo.statuses) {
-                    std::cout << "  prio" << s.priority
-                              << ": target " << s.targetCycles
-                              << " cycles, " << s.violations << "/"
-                              << s.jobs << " violations, burn rate "
-                              << s.burnRate
-                              << (s.alerting ? "  ALERT" : "")
-                              << "\n";
-                }
-            }
+            if (wantAlerts) print_alert_timeline(tsdb);
         }
-        if (haveSlo && slo.alerts > 0) return 1;
-        if (anyFiring) return 1;
+        // A firing edge trips the exit code in every output mode; an
+        // "alert" annotation's value is the rule's new state.
+        constexpr auto kFiring =
+            static_cast<double>(telemetry::AlertState::Firing);
+        for (const telemetry::Annotation &a : tsdb.annotations()) {
+            if (a.kind == "alert" && a.value == kFiring) return 1;
+        }
         return 0;
     } catch (const Error &e) {
         std::cerr << "poseidon_explain: " << e.what() << "\n";
