@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "hw/faults.h"
 #include "telemetry/text_format.h"
-#include "workloads/workloads.h"
 
 namespace poseidon::cluster {
 
@@ -35,6 +34,13 @@ trace_signature(const isa::Trace &trace)
         mix(static_cast<u64>(in.tag));
     }
     return h;
+}
+
+/// Cards in one host (the router refuses a template with none).
+std::size_t
+cards_per_host(const serve::ServeConfig &host)
+{
+    return host.fleet.empty() ? host.cards : host.fleet.size();
 }
 
 hw::HwConfig
@@ -125,7 +131,6 @@ ClusterStats::to_json() const
     j.set("failed", Json(failed));
     j.set("expired", Json(expired));
     j.set("shed", Json(shed));
-    j.set("rejected", Json(rejected));
     j.set("rerouted", Json(rerouted));
     j.set("placements", Json(placements));
     j.set("locality_hits", Json(localityHits));
@@ -146,19 +151,7 @@ ClusterStats::to_json() const
     j.set("p99_latency_cycles", Json(p99LatencyCycles));
     j.set("conserved", Json(conserved()));
     Json jt = Json::object();
-    for (const auto &kv : tenants) {
-        const ClusterTenantStats &t = kv.second;
-        Json e = Json::object();
-        e.set("submitted", Json(t.submitted));
-        e.set("completed", Json(t.completed));
-        e.set("failed", Json(t.failed));
-        e.set("expired", Json(t.expired));
-        e.set("shed", Json(t.shed));
-        e.set("rejected", Json(t.rejected));
-        e.set("p50_latency_cycles", Json(t.p50LatencyCycles));
-        e.set("p99_latency_cycles", Json(t.p99LatencyCycles));
-        jt.set(kv.first, std::move(e));
-    }
+    for (const auto &[name, t] : tenants) jt.set(name, t.to_json());
     j.set("tenants", std::move(jt));
     Json jh = Json::array();
     for (const HostSummary &h : hosts) {
@@ -195,8 +188,6 @@ ClusterStats::export_metrics(telemetry::MetricsRegistry &reg) const
     reg.gauge("cluster.jobs.expired")
         .set(static_cast<double>(expired));
     reg.gauge("cluster.jobs.shed").set(static_cast<double>(shed));
-    reg.gauge("cluster.jobs.rejected")
-        .set(static_cast<double>(rejected));
     reg.gauge("cluster.jobs.rerouted")
         .set(static_cast<double>(rerouted));
     reg.gauge("cluster.locality_hit_rate").set(locality_hit_rate());
@@ -212,6 +203,8 @@ ClusterRouter::ClusterRouter(ClusterConfig cfg)
 {
     POSEIDON_REQUIRE_T(InvalidArgument, cfg_.hosts >= 1,
                        "cluster needs at least one host");
+    POSEIDON_REQUIRE_T(InvalidArgument, cards_per_host(cfg_.host) >= 1,
+                       "cluster host template needs at least one card");
     POSEIDON_REQUIRE_T(InvalidArgument,
                        cfg_.keyCacheShare > 0.0 &&
                            cfg_.keyCacheShare <= 1.0,
@@ -255,10 +248,7 @@ ClusterRouter::key_bytes(const std::string &tenant) const
 double
 ClusterRouter::host_key_capacity() const
 {
-    std::size_t cards = cfg_.host.fleet.empty()
-                            ? cfg_.host.cards
-                            : cfg_.host.fleet.size();
-    return static_cast<double>(cards) *
+    return static_cast<double>(cards_per_host(cfg_.host)) *
            cfg_.host.card.hbm_capacity_bytes() * cfg_.keyCacheShare;
 }
 
@@ -305,14 +295,13 @@ ClusterRouter::ensure_engine(std::size_t h)
 ClusterTicket
 ClusterRouter::submit(serve::JobSpec spec)
 {
-    if (!spec.workload.empty()) {
-        workloads::Workload w = workloads::find_workload(spec.workload);
-        if (spec.name.empty()) spec.name = w.name;
-        spec.trace = std::move(w.trace);
-        spec.workload.clear();
-    }
-    POSEIDON_REQUIRE_T(InvalidArgument, !spec.trace.empty(),
-                       "cluster job has an empty trace");
+    serve::prepare_job(spec);
+    POSEIDON_REQUIRE(key_bytes(spec.tenant) <= host_key_capacity(),
+                     "submit: tenant \"" << spec.tenant << "\" needs "
+                     << key_bytes(spec.tenant)
+                     << " bytes of evaluation keys, more than a host's "
+                        "modeled HBM key cache ("
+                     << host_key_capacity() << " bytes)");
     Tracked t;
     t.callback = std::move(spec.callback);
     spec.callback = nullptr;
@@ -322,8 +311,7 @@ ClusterRouter::submit(serve::JobSpec spec)
     {
         std::lock_guard<std::mutex> lk(mu_);
         t.id = nextId_++;
-        ++submitted_;
-        ++tenants_[t.spec.tenant].submitted;
+        ledger_.submit(t.spec.tenant);
         ticket.id = t.id;
         ticket.result = t.promise.get_future().share();
         ClusterEvent ev;
@@ -422,9 +410,7 @@ ClusterRouter::pick_host(const Tracked &t, double arrival,
     if (elig.empty()) return ClusterEvent::kNoHost;
 
     const double kb = key_bytes(t.spec.tenant);
-    const double cards = static_cast<double>(
-        cfg_.host.fleet.empty() ? std::max<std::size_t>(1, cfg_.host.cards)
-                                : cfg_.host.fleet.size());
+    const double cards = static_cast<double>(cards_per_host(cfg_.host));
     std::size_t chosen = elig.front();
     switch (cfg_.placement) {
       case Placement::RoundRobin:
@@ -571,43 +557,13 @@ ClusterRouter::process_deaths(double clusterClock)
 void
 ClusterRouter::resolve(Tracked t, serve::JobResult r)
 {
-    const bool asRejected =
-        r.state == serve::JobState::Failed &&
-        r.errorCode == ErrorCode::kInvalidArgument;
     r.id = t.id;
-    if (r.tenant.empty()) r.tenant = t.spec.tenant;
+    r.tenant = t.spec.tenant;
     if (r.name.empty()) r.name = t.spec.name;
     r.arrivalCycle = t.originalArrival;
-    const double latency = r.finishCycle - r.arrivalCycle;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        ClusterTenantStats &ts = tenants_[t.spec.tenant];
-        switch (r.state) {
-          case serve::JobState::Completed:
-            ++completed_;
-            ++ts.completed;
-            latencies_[t.spec.tenant].push_back(latency);
-            break;
-          case serve::JobState::Failed:
-          case serve::JobState::Queued:
-            if (asRejected) {
-                ++rejected_;
-                ++ts.rejected;
-            } else {
-                ++failed_;
-                ++ts.failed;
-            }
-            break;
-          case serve::JobState::Expired:
-            ++expired_;
-            ++ts.expired;
-            break;
-          case serve::JobState::Shed:
-            ++shed_;
-            ++ts.shed;
-            break;
-        }
-        horizon_ = std::max(horizon_, r.finishCycle);
+        ledger_.finish(r);
     }
     ClusterEvent ev;
     ev.kind = ClusterEventKind::Resolved;
@@ -615,8 +571,8 @@ ClusterRouter::resolve(Tracked t, serve::JobResult r)
     ev.cycle = r.finishCycle;
     ev.tenant = t.spec.tenant;
     ev.host = t.host;
-    ev.value = latency;
-    ev.detail = asRejected ? "Rejected" : serve::to_string(r.state);
+    ev.value = r.latency_cycles();
+    ev.detail = serve::to_string(r.state);
     journal_.append(std::move(ev));
     t.promise.set_value(r);
     if (t.callback) t.callback(r);
@@ -627,50 +583,6 @@ ClusterRouter::place(Tracked t)
 {
     const double arrival = t.spec.arrivalCycle;
     autoscale_step(arrival);
-
-    if (t.reroutes == 0 && cfg_.maxInFlight > 0) {
-        std::size_t inflight;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            inflight = inFlight_.size();
-        }
-        if (inflight >= cfg_.maxInFlight) {
-            ClusterEvent ev;
-            ev.kind = ClusterEventKind::ShedCluster;
-            ev.job = t.id;
-            ev.cycle = arrival;
-            ev.tenant = t.spec.tenant;
-            ev.detail = "cluster in-flight cap";
-            journal_.append(std::move(ev));
-            serve::JobResult r;
-            r.state = serve::JobState::Shed;
-            r.errorCode = ErrorCode::kOverloaded;
-            r.error = "cluster admission control: in-flight cap";
-            r.finishCycle = arrival;
-            resolve(std::move(t), std::move(r));
-            return;
-        }
-    }
-
-    const double kb = key_bytes(t.spec.tenant);
-    if (kb > host_key_capacity()) {
-        ClusterEvent ev;
-        ev.kind = ClusterEventKind::Rejected;
-        ev.job = t.id;
-        ev.cycle = arrival;
-        ev.tenant = t.spec.tenant;
-        ev.value = kb;
-        ev.detail = "evaluation keys exceed the host HBM key cache";
-        journal_.append(std::move(ev));
-        serve::JobResult r;
-        r.state = serve::JobState::Failed;
-        r.errorCode = ErrorCode::kInvalidArgument;
-        r.error = "tenant evaluation keys exceed every host's "
-                  "modeled HBM key cache";
-        r.finishCycle = arrival;
-        resolve(std::move(t), std::move(r));
-        return;
-    }
 
     bool hit = false;
     bool transfer = false;
@@ -690,7 +602,7 @@ ClusterRouter::place(Tracked t)
     double eff = std::max(arrival, host.readyAtCycle);
     if (transfer) {
         charge_key_transfer(h, t.spec.tenant, t.id, arrival);
-        eff += cfg_.host.card.transfer_cycles(kb);
+        eff += cfg_.host.card.transfer_cycles(key_bytes(t.spec.tenant));
     } else {
         host.residentKeys[t.spec.tenant] = arrival;
     }
@@ -707,11 +619,9 @@ ClusterRouter::place(Tracked t)
     ev.detail = hit ? "locality-hit" : "locality-miss";
     journal_.append(std::move(ev));
 
-    const double cards = static_cast<double>(
-        cfg_.host.fleet.empty() ? std::max<std::size_t>(1, cfg_.host.cards)
-                                : cfg_.host.fleet.size());
-    host.freeAtCycle =
-        std::max(host.freeAtCycle, eff) + estCost / cards;
+    host.freeAtCycle = std::max(host.freeAtCycle, eff) +
+                       estCost / static_cast<double>(
+                                     cards_per_host(cfg_.host));
     t.host = h;
 
     serve::JobSpec spec = t.spec;
@@ -746,16 +656,14 @@ ClusterRouter::sample_round(double clusterClock)
                  static_cast<double>(active_hosts()));
     tsdb_.record("cluster.alive_hosts", c,
                  static_cast<double>(alive));
+    const serve::Outcomes &o = ledger_.totals();
     tsdb_.record("cluster.jobs.completed", c,
-                 static_cast<double>(completed_));
+                 static_cast<double>(o.completed));
     tsdb_.record("cluster.jobs.failed", c,
-                 static_cast<double>(failed_));
+                 static_cast<double>(o.failed));
     tsdb_.record("cluster.jobs.expired", c,
-                 static_cast<double>(expired_));
-    tsdb_.record("cluster.jobs.shed", c,
-                 static_cast<double>(shed_));
-    tsdb_.record("cluster.jobs.rejected", c,
-                 static_cast<double>(rejected_));
+                 static_cast<double>(o.expired));
+    tsdb_.record("cluster.jobs.shed", c, static_cast<double>(o.shed));
     tsdb_.record("cluster.jobs.rerouted", c,
                  static_cast<double>(rerouted_));
     tsdb_.record("cluster.placements", c,
@@ -819,13 +727,13 @@ ClusterRouter::drain()
                 resolve(std::move(t), std::move(pr.second));
                 continue;
             }
-            if (t.reroutes < cfg_.maxReroutes) {
+            if (t.reroutes < kRerouteBudget) {
                 ++t.reroutes;
                 ++rerouted_;
                 ++hh.rerouted;
                 double rearrival =
                     std::max(t.spec.arrivalCycle, hh.deathCycle) +
-                    cfg_.rerouteOverheadCycles;
+                    kRerouteDelayCycles;
                 t.spec.arrivalCycle = rearrival;
                 ClusterEvent ev;
                 ev.kind = ClusterEventKind::Rerouted;
@@ -846,7 +754,7 @@ ClusterRouter::drain()
                 r.error = "host died; reroute budget exhausted";
                 r.finishCycle =
                     std::max(t.spec.arrivalCycle, hh.deathCycle) +
-                    cfg_.rerouteOverheadCycles;
+                    kRerouteDelayCycles;
                 resolve(std::move(t), std::move(r));
             }
         }
@@ -861,15 +769,11 @@ ClusterStats
 ClusterRouter::stats() const
 {
     ClusterStats s;
-    std::vector<double> all;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        s.submitted = submitted_;
-        s.completed = completed_;
-        s.failed = failed_;
-        s.expired = expired_;
-        s.shed = shed_;
-        s.rejected = rejected_;
+        ledger_.fill(s);
+        s.p50LatencyCycles = ledger_.latency_quantile(0.50);
+        s.p99LatencyCycles = ledger_.latency_quantile(0.99);
         s.rerouted = rerouted_;
         s.placements = placements_;
         s.localityHits = localityHits_;
@@ -881,26 +785,9 @@ ClusterRouter::stats() const
         s.scaleDowns = scaleDowns_;
         s.hostDeaths = hostDeaths_;
         s.peakActiveHosts = peakActiveHosts_;
-        s.horizonCycles = horizon_;
         s.clockGHz = cfg_.host.card.clockGHz;
-        s.tenants = tenants_;
-        for (auto &kv : s.tenants) {
-            auto it = latencies_.find(kv.first);
-            if (it == latencies_.end() || it->second.empty())
-                continue;
-            kv.second.p50LatencyCycles =
-                telemetry::exact_quantile(it->second, 0.50);
-            kv.second.p99LatencyCycles =
-                telemetry::exact_quantile(it->second, 0.99);
-            all.insert(all.end(), it->second.begin(),
-                       it->second.end());
-        }
     }
     s.activeHosts = active_hosts();
-    if (!all.empty()) {
-        s.p50LatencyCycles = telemetry::exact_quantile(all, 0.50);
-        s.p99LatencyCycles = telemetry::exact_quantile(all, 0.99);
-    }
     s.hosts.reserve(hosts_.size());
     for (const Host &x : hosts_) {
         HostSummary h;
@@ -915,6 +802,9 @@ ClusterRouter::stats() const
         h.keyTransferBytes = x.keyTransferBytes;
         h.residentKeyBytes = x.residentKeyBytes;
         if (x.engine) h.engine = x.engine->stats();
+        for (const auto &[tenant, ht] : h.engine.tenants) {
+            s.tenants[tenant].attainedCycles += ht.attainedCycles;
+        }
         s.hosts.push_back(std::move(h));
     }
     return s;

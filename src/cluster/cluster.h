@@ -23,14 +23,15 @@
  * cost against queueing; RoundRobin / Random / LeastLoaded exist as
  * baselines the benchmark gates against. Host key caches are bounded
  * by cards * HwConfig::hbm_capacity_bytes() * keyCacheShare with LRU
- * eviction; a tenant whose keys fit no host is Rejected with a typed
- * InvalidArgument, never silently queued.
+ * eviction.
  *
- * **Admission & overload.** ClusterConfig::maxInFlight bounds jobs
- * admitted but not yet resolved; excess submissions are shed at the
- * router (JobState::Shed, ErrorCode::kOverloaded) before they reach
- * any host — cluster-level load shedding on top of each engine's own
- * queue-depth admission control.
+ * **Admission.** submit() runs the engine's own submit boundary
+ * (serve::prepare_job) and also refuses a tenant whose keys fit no
+ * host's key cache: a job that could never run throws InvalidArgument
+ * at submit, never inside drain(). Overload is the host engines'
+ * business: ClusterConfig::host.maxQueueDepth sheds queued work as
+ * JobState::Shed / ErrorCode::kOverloaded, and the router counts
+ * those verdicts like any other.
  *
  * **Autoscaling.** A gauge-driven policy watches the same backlog
  * quantity the serve.queue_depth gauge samples: placement-time
@@ -42,7 +43,7 @@
  * **Host chaos.** ClusterConfig::hostChaos scripts whole-host deaths
  * ("HostDeath{host=2, cycle=5e6}"): jobs that would finish after the
  * death cycle on that host are rerouted (resubmitted with arrival
- * pushed past the death plus rerouteOverheadCycles), its key residency
+ * pushed past the death plus kRerouteDelayCycles), its key residency
  * is dropped, and the cluster journal records the death, every
  * reroute, and still exactly one Resolved event per cluster job —
  * journal conservation survives host loss.
@@ -144,9 +145,11 @@ struct ClusterConfig
     /// this is the fleet ceiling; autoscale.minHosts start active.
     std::size_t hosts = 8;
 
-    /// Per-host engine template. Every host gets a copy with its own
-    /// fault-seed lineage (hw::mix_seed over the host index), so
-    /// equal configs still run independent ECC campaigns.
+    /// Per-host engine template (at least one card). Every host gets
+    /// a copy with its own fault-seed lineage (hw::mix_seed over the
+    /// host index), so equal configs still run independent ECC
+    /// campaigns. Its maxQueueDepth is the cluster's admission
+    /// control.
     serve::ServeConfig host;
 
     /// Placement policy (see Placement).
@@ -169,18 +172,6 @@ struct ClusterConfig
     /// cache; the rest is working-set headroom.
     double keyCacheShare = 0.5;
 
-    /// Cluster admission control: jobs in flight (admitted, not yet
-    /// resolved) above this are shed as Overloaded. 0 = unbounded.
-    std::size_t maxInFlight = 0;
-
-    /// Cycles added to a rerouted job's arrival past the host death
-    /// (failure detection + re-dispatch).
-    double rerouteOverheadCycles = 5e4;
-
-    /// Reroute attempts per job before it fails (host-death budget,
-    /// independent of the per-engine RetryPolicy).
-    u64 maxReroutes = 3;
-
     AutoscaleConfig autoscale;
 
     /// Whole-host chaos schedule ("" = none), e.g.
@@ -192,19 +183,6 @@ struct ClusterConfig
 
     /// Publish cluster.* metrics into the global MetricsRegistry.
     bool exportTelemetry = true;
-};
-
-/// Aggregate per-tenant outcome at the cluster level.
-struct ClusterTenantStats
-{
-    u64 submitted = 0;
-    u64 completed = 0;
-    u64 failed = 0;
-    u64 expired = 0;
-    u64 shed = 0;
-    u64 rejected = 0;
-    double p50LatencyCycles = 0.0;
-    double p99LatencyCycles = 0.0;
 };
 
 /// Per-host roll-up inside ClusterStats.
@@ -223,15 +201,12 @@ struct HostSummary
     serve::ServeStats engine;      ///< zeroed when never spawned
 };
 
-/// Cluster-wide statistics, all on the simulated clock.
-struct ClusterStats
+/// Cluster-wide statistics, all on the simulated clock. The verdict
+/// totals count cluster jobs (shed = per-host admission control); the
+/// horizon is the latest cluster-job finish across all hosts, and a
+/// tenant's attainedCycles sums its card time over every host.
+struct ClusterStats : serve::Outcomes
 {
-    u64 submitted = 0;
-    u64 completed = 0;
-    u64 failed = 0;
-    u64 expired = 0;
-    u64 shed = 0;     ///< cluster admission + per-host shedding
-    u64 rejected = 0; ///< keys fit no host
     u64 rerouted = 0; ///< host-death resubmissions
     u64 placements = 0;
     u64 localityHits = 0; ///< placements onto key-resident hosts
@@ -245,8 +220,6 @@ struct ClusterStats
     std::size_t activeHosts = 0;
     std::size_t peakActiveHosts = 0;
 
-    /// Latest cluster-job finish across all hosts.
-    double horizonCycles = 0.0;
     double clockGHz = 0.0;
 
     /// Exact cluster-level completed-job latency quantiles (arrival
@@ -254,7 +227,6 @@ struct ClusterStats
     double p50LatencyCycles = 0.0;
     double p99LatencyCycles = 0.0;
 
-    std::map<std::string, ClusterTenantStats> tenants;
     std::vector<HostSummary> hosts;
 
     /// Fraction of placements that landed on a key-resident host.
@@ -264,13 +236,6 @@ struct ClusterStats
                    ? 0.0
                    : static_cast<double>(localityHits) /
                          static_cast<double>(placements);
-    }
-
-    /// Every admitted job reached exactly one terminal verdict.
-    bool conserved() const
-    {
-        return submitted ==
-               completed + failed + expired + shed + rejected;
     }
 
     telemetry::Json to_json() const;
@@ -290,6 +255,14 @@ struct ClusterTicket
 class ClusterRouter
 {
   public:
+    /// Cycles added to a rerouted job's arrival past the host death
+    /// (failure detection + re-dispatch).
+    static constexpr double kRerouteDelayCycles = 5e4;
+
+    /// Reroutes per job before it fails (host-death budget,
+    /// independent of the per-engine RetryPolicy).
+    static constexpr u64 kRerouteBudget = 3;
+
     explicit ClusterRouter(ClusterConfig cfg = ClusterConfig{});
     ~ClusterRouter();
 
@@ -299,12 +272,13 @@ class ClusterRouter
     const ClusterConfig& config() const { return cfg_; }
 
     /**
-     * Accept a job. Non-blocking and thread-safe; named workloads
-     * resolve immediately (unknown name / empty trace throws
-     * InvalidArgument here, never inside drain()). The future becomes
-     * ready during a later drain() with the *cluster-level* verdict:
-     * JobResult::arrivalCycle is the original router arrival, so
-     * latency_cycles() spans reroutes.
+     * Accept a job. Non-blocking and thread-safe; the spec goes
+     * through serve::prepare_job, and a tenant whose keys exceed one
+     * host's key cache is refused too, so a job that could never
+     * run throws InvalidArgument here, never inside drain(). The
+     * future becomes ready during a later drain() with the
+     * *cluster-level* verdict: JobResult::arrivalCycle is the
+     * original router arrival, so latency_cycles() spans reroutes.
      */
     ClusterTicket submit(serve::JobSpec spec);
 
@@ -403,8 +377,9 @@ class ClusterRouter
     double lastPressure_ = 0.0;
     std::size_t rrNext_ = 0;
 
-    /// Guards pending_/nextId_ and aggregate counters (submit() may
-    /// run on client threads; stats() reads between drains).
+    /// Guards pending_/nextId_, ledger_ and the aggregate counters
+    /// (submit() may run on client threads; stats() reads between
+    /// drains).
     mutable std::mutex mu_;
     std::deque<Tracked> pending_;
     ClusterJobId nextId_ = 1;
@@ -413,12 +388,7 @@ class ClusterRouter
     /// Results one round of host drains produced, in host order.
     std::vector<std::pair<ClusterJobId, serve::JobResult>> roundResults_;
 
-    u64 submitted_ = 0;
-    u64 completed_ = 0;
-    u64 failed_ = 0;
-    u64 expired_ = 0;
-    u64 shed_ = 0;
-    u64 rejected_ = 0;
+    serve::OutcomeLedger ledger_;
     u64 rerouted_ = 0;
     u64 placements_ = 0;
     u64 localityHits_ = 0;
@@ -430,10 +400,7 @@ class ClusterRouter
     u64 scaleDowns_ = 0;
     u64 hostDeaths_ = 0;
     std::size_t peakActiveHosts_ = 0;
-    double horizon_ = 0.0;
     double roundClock_ = 0.0;
-    std::map<std::string, ClusterTenantStats> tenants_;
-    std::map<std::string, std::vector<double>> latencies_;
 };
 
 } // namespace poseidon::cluster

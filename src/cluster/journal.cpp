@@ -1,7 +1,5 @@
 #include "cluster/journal.h"
 
-#include <utility>
-
 #include "common/check.h"
 #include "telemetry/text_format.h"
 
@@ -12,8 +10,6 @@ to_string(ClusterEventKind k)
 {
     switch (k) {
       case ClusterEventKind::Submitted: return "Submitted";
-      case ClusterEventKind::Rejected: return "Rejected";
-      case ClusterEventKind::ShedCluster: return "ShedCluster";
       case ClusterEventKind::Placed: return "Placed";
       case ClusterEventKind::KeyTransfer: return "KeyTransfer";
       case ClusterEventKind::KeyEvicted: return "KeyEvicted";
@@ -82,90 +78,6 @@ ClusterEvent::from_json(const telemetry::Json &j)
     if (j.contains("value")) ev.value = j.at("value").as_number();
     if (j.contains("detail")) ev.detail = j.at("detail").as_string();
     return ev;
-}
-
-ClusterJournal::ClusterJournal(ClusterJournal &&o) noexcept
-    : enabled_(o.enabled_),
-      clockGHz_(o.clockGHz_),
-      hosts_(o.hosts_),
-      events_(std::move(o.events_))
-{
-}
-
-ClusterJournal&
-ClusterJournal::operator=(ClusterJournal &&o) noexcept
-{
-    if (this != &o) {
-        enabled_ = o.enabled_;
-        clockGHz_ = o.clockGHz_;
-        hosts_ = o.hosts_;
-        events_ = std::move(o.events_);
-    }
-    return *this;
-}
-
-void
-ClusterJournal::set_meta(double clockGHz, std::size_t hosts)
-{
-    clockGHz_ = clockGHz;
-    hosts_ = hosts;
-}
-
-void
-ClusterJournal::append(ClusterEvent ev)
-{
-    if (!enabled_) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    events_.push_back(std::move(ev));
-}
-
-std::size_t
-ClusterJournal::size() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return events_.size();
-}
-
-namespace {
-
-const telemetry::JsonlSchema kDocument{ClusterJournal::kSchemaName,
-                                       ClusterJournal::kSchemaVersion,
-                                       "cluster journal",
-                                       {"events"}};
-
-} // namespace
-
-std::string
-ClusterJournal::to_jsonl() const
-{
-    using telemetry::Json;
-    std::lock_guard<std::mutex> lk(mu_);
-    Json header = telemetry::jsonl_header(kDocument);
-    header.set("clock_ghz", Json(clockGHz_));
-    header.set("hosts", Json(static_cast<u64>(hosts_)));
-    header.set("events", Json(static_cast<u64>(events_.size())));
-    telemetry::JsonlWriter out(header);
-    for (const ClusterEvent &ev : events_) out.line(ev.to_json());
-    return out.take();
-}
-
-ClusterJournal
-ClusterJournal::parse_jsonl(const std::string &text)
-{
-    using telemetry::Json;
-    ClusterJournal jr;
-    telemetry::read_jsonl(
-        text, kDocument,
-        [&jr](const Json &h) {
-            jr.clockGHz_ = h.at("clock_ghz").as_number();
-            jr.hosts_ = static_cast<std::size_t>(
-                telemetry::json_int(h.at("hosts"), "hosts"));
-        },
-        [&jr](const Json &line) -> std::size_t {
-            jr.events_.push_back(ClusterEvent::from_json(line));
-            return 0;
-        });
-    return jr;
 }
 
 } // namespace poseidon::cluster

@@ -7,11 +7,10 @@
  *
  * The per-host serve::Journal records what happens to a job *inside*
  * one engine (queueing, batching, attempts). This journal records the
- * level above: what the global router decided — admission or shedding,
- * the placement verdict and whether it hit the tenant's key cache, the
- * modeled key transfers it charged, host deaths and the re-routes they
- * forced, autoscale transitions, and one terminal Resolved event per
- * cluster job.
+ * level above: what the global router decided — the placement verdict
+ * and whether it hit the tenant's key cache, the modeled key transfers
+ * it charged, host deaths and the re-routes they forced, autoscale
+ * transitions, and one terminal Resolved event per cluster job.
  *
  * The determinism contract carries up from the engine (DESIGN.md §16):
  * every append happens in the router's single-threaded placement and
@@ -29,11 +28,10 @@
  */
 
 #include <cstddef>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/job.h"
+#include "telemetry/event_log.h"
 #include "telemetry/json.h"
 
 namespace poseidon::cluster {
@@ -45,8 +43,6 @@ using ClusterJobId = u64;
 /// Router event types, in the order a job encounters them.
 enum class ClusterEventKind : unsigned {
     Submitted,   ///< accepted by submit(); cycle = arrival
-    Rejected,    ///< infeasible (keys exceed every host's HBM cache)
-    ShedCluster, ///< dropped by cluster admission control
     Placed,      ///< assigned to a host (value = estimated cost)
     KeyTransfer, ///< keys uploaded to the host (value = bytes)
     KeyEvicted,  ///< tenant keys evicted from a host's cache (job = 0)
@@ -68,7 +64,12 @@ bool cluster_kind_from_string(const std::string &s,
 /// serialized; everything else keeps its default (see to_json()).
 struct ClusterEvent
 {
-    /// "no host" marker (admission-side events).
+    static constexpr const char *kSchemaName = "poseidon-cluster-journal";
+    static constexpr int kSchemaVersion = 1;
+    static constexpr const char *kNoun = "cluster journal";
+    static constexpr const char *kFleetKey = "hosts";
+
+    /// "no host" marker (router-side events).
     static constexpr std::size_t kNoHost = static_cast<std::size_t>(-1);
 
     ClusterEventKind kind = ClusterEventKind::Submitted;
@@ -87,51 +88,9 @@ struct ClusterEvent
     static ClusterEvent from_json(const telemetry::Json &j);
 };
 
-/// Append-only event log with JSONL (de)serialization, mirroring
-/// serve::Journal. Appends are mutex-guarded (submit() may run on
-/// client threads); reads are meant for after-run analysis.
-class ClusterJournal
-{
-  public:
-    static constexpr int kSchemaVersion = 1;
-    static constexpr const char *kSchemaName = "poseidon-cluster-journal";
-
-    ClusterJournal() = default;
-    ClusterJournal(ClusterJournal &&o) noexcept;
-    ClusterJournal& operator=(ClusterJournal &&o) noexcept;
-    ClusterJournal(const ClusterJournal&) = delete;
-    ClusterJournal& operator=(const ClusterJournal&) = delete;
-
-    /// Recording switch; a disabled journal drops appends
-    /// (ClusterConfig::journal maps to this).
-    bool enabled() const { return enabled_; }
-    void set_enabled(bool on) { enabled_ = on; }
-
-    /// Fleet facts stamped into the JSONL header.
-    void set_meta(double clockGHz, std::size_t hosts);
-    double clock_ghz() const { return clockGHz_; }
-    std::size_t hosts() const { return hosts_; }
-
-    void append(ClusterEvent ev);
-
-    std::size_t size() const;
-    bool empty() const { return size() == 0; }
-    const std::vector<ClusterEvent>& events() const { return events_; }
-
-    /// Header line + one compact JSON object per event.
-    std::string to_jsonl() const;
-
-    /// Parse a journal back from its JSONL form (a line-numbered
-    /// ParseError on any malformed line); to_jsonl() round-trips.
-    static ClusterJournal parse_jsonl(const std::string &text);
-
-  private:
-    bool enabled_ = true;
-    double clockGHz_ = 0.0;
-    std::size_t hosts_ = 0;
-    mutable std::mutex mu_;
-    std::vector<ClusterEvent> events_;
-};
+/// The router's journal: the shared event log over ClusterEvent
+/// (telemetry/event_log.h), the same class as serve::Journal.
+using ClusterJournal = telemetry::EventLog<ClusterEvent>;
 
 } // namespace poseidon::cluster
 

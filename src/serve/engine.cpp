@@ -70,6 +70,45 @@ to_string(JobState s)
     return "?";
 }
 
+void
+prepare_job(JobSpec &spec)
+{
+    if (!spec.workload.empty()) {
+        workloads::Workload wl = workloads::find_workload(spec.workload);
+        spec.trace = std::move(wl.trace);
+        if (spec.name.empty()) spec.name = wl.name;
+        spec.workload.clear();
+    }
+    POSEIDON_REQUIRE(!spec.trace.empty(),
+                     "submit: job \"" << spec.name
+                     << "\" carries neither a trace nor a workload");
+    POSEIDON_REQUIRE(!spec.tenant.empty(), "submit: empty tenant");
+    POSEIDON_REQUIRE(spec.retry.maxAttempts >= 1,
+                     "submit: job \"" << spec.name
+                     << "\" has maxAttempts == 0 (it could never run)");
+    POSEIDON_REQUIRE(spec.retry.backoffBaseCycles >= 0.0 &&
+                         std::isfinite(spec.retry.backoffBaseCycles),
+                     "submit: negative or non-finite backoffBaseCycles");
+    POSEIDON_REQUIRE(spec.retry.backoffMultiplier >= 1.0,
+                     "submit: backoffMultiplier must be >= 1, got "
+                         << spec.retry.backoffMultiplier);
+    POSEIDON_REQUIRE(std::isfinite(spec.arrivalCycle) &&
+                         spec.arrivalCycle >= 0.0,
+                     "submit: job \"" << spec.name
+                     << "\" has a negative or non-finite arrival "
+                        "cycle");
+    POSEIDON_REQUIRE(spec.deadlineCycle >= spec.arrivalCycle,
+                     "submit: job \"" << spec.name
+                     << "\" deadline " << spec.deadlineCycle
+                     << " lies before its arrival "
+                     << spec.arrivalCycle
+                     << " (it could never be dispatched in time)");
+    spec.trace.validate(); // reject malformed programs at the boundary
+    if (spec.batchKey.empty()) {
+        spec.batchKey = derive_batch_key(spec.trace);
+    }
+}
+
 double
 ServeStats::throughput_jobs_per_sec() const
 {
@@ -107,18 +146,7 @@ ServeStats::to_json() const
     j.set("throughput_jobs_per_sec", Json(throughput_jobs_per_sec()));
     j.set("fleet_occupancy", Json(fleet_occupancy()));
     Json jt = Json::object();
-    for (const auto &[name, t] : tenants) {
-        Json one = Json::object();
-        one.set("submitted", Json(t.submitted));
-        one.set("completed", Json(t.completed));
-        one.set("failed", Json(t.failed));
-        one.set("expired", Json(t.expired));
-        one.set("shed", Json(t.shed));
-        one.set("attained_cycles", Json(t.attainedCycles));
-        one.set("p50_latency_cycles", Json(t.p50LatencyCycles));
-        one.set("p99_latency_cycles", Json(t.p99LatencyCycles));
-        jt.set(name, std::move(one));
-    }
+    for (const auto &[name, t] : tenants) jt.set(name, t.to_json());
     j.set("tenants", std::move(jt));
     Json jc = Json::array();
     for (std::size_t i = 0; i < cards.size(); ++i) {
@@ -231,42 +259,7 @@ ServingEngine::~ServingEngine() = default;
 JobTicket
 ServingEngine::submit(JobSpec spec)
 {
-    if (!spec.workload.empty()) {
-        workloads::Workload wl = workloads::find_workload(spec.workload);
-        spec.trace = std::move(wl.trace);
-        if (spec.name.empty()) spec.name = wl.name;
-    }
-    POSEIDON_REQUIRE(!spec.trace.empty(),
-                     "ServingEngine::submit: job \"" << spec.name
-                     << "\" carries neither a trace nor a workload");
-    POSEIDON_REQUIRE(!spec.tenant.empty(),
-                     "ServingEngine::submit: empty tenant");
-    POSEIDON_REQUIRE(spec.retry.maxAttempts >= 1,
-                     "ServingEngine::submit: job \"" << spec.name
-                     << "\" has maxAttempts == 0 (it could never run)");
-    POSEIDON_REQUIRE(spec.retry.backoffBaseCycles >= 0.0 &&
-                         std::isfinite(spec.retry.backoffBaseCycles),
-                     "ServingEngine::submit: negative or non-finite "
-                     "backoffBaseCycles");
-    POSEIDON_REQUIRE(spec.retry.backoffMultiplier >= 1.0,
-                     "ServingEngine::submit: backoffMultiplier must "
-                     "be >= 1, got " << spec.retry.backoffMultiplier);
-    POSEIDON_REQUIRE(std::isfinite(spec.arrivalCycle) &&
-                         spec.arrivalCycle >= 0.0,
-                     "ServingEngine::submit: job \"" << spec.name
-                     << "\" has a negative or non-finite arrival "
-                        "cycle");
-    POSEIDON_REQUIRE(spec.deadlineCycle >= spec.arrivalCycle,
-                     "ServingEngine::submit: job \"" << spec.name
-                     << "\" deadline " << spec.deadlineCycle
-                     << " lies before its arrival "
-                     << spec.arrivalCycle
-                     << " (it could never be dispatched in time)");
-    spec.trace.validate(); // reject malformed programs at the boundary
-    if (spec.batchKey.empty()) {
-        spec.batchKey = derive_batch_key(spec.trace);
-    }
-
+    prepare_job(spec);
     Pending p;
     p.qj.spec = std::move(spec);
     JobTicket ticket;
@@ -275,8 +268,7 @@ ServingEngine::submit(JobSpec spec)
     std::lock_guard<std::mutex> lk(mu_);
     p.qj.id = nextId_++;
     ticket.id = p.qj.id;
-    ++submitted_;
-    ++tenants_[p.qj.spec.tenant].submitted;
+    ledger_.submit(p.qj.spec.tenant);
     if (journal_.enabled()) {
         JournalEvent ev;
         ev.kind = JournalEventKind::Submitted;
@@ -296,8 +288,7 @@ std::size_t
 ServingEngine::queue_depth() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return static_cast<std::size_t>(submitted_ - completed_ - failed_ -
-                                    expired_ - shed_);
+    return static_cast<std::size_t>(ledger_.open());
 }
 
 void
@@ -312,34 +303,13 @@ ServingEngine::finish_job(QueuedJob &&qj, JobResult r)
         promise = std::move(it->second);
         promises_.erase(it);
 
-        TenantStats &t = tenants_[r.tenant];
-        switch (r.state) {
-          case JobState::Completed:
-            ++completed_;
-            ++t.completed;
-            latencies_[r.tenant].push_back(r.latency_cycles());
-            // Simulated-cycle histogram feeding the TSDB's windowed
-            // quantiles (drain thread only — deterministic).
-            if (cfg_.tsdbCadenceCycles > 0.0) {
-                latencyHist_.observe(r.latency_cycles());
-            }
-            break;
-          case JobState::Failed:
-            ++failed_;
-            ++t.failed;
-            break;
-          case JobState::Expired:
-            ++expired_;
-            ++t.expired;
-            break;
-          case JobState::Shed:
-            ++shed_;
-            ++t.shed;
-            break;
-          case JobState::Queued:
-            POSEIDON_CHECK(false, "finish_job with non-terminal state");
+        ledger_.finish(r);
+        // Simulated-cycle histogram feeding the TSDB's windowed
+        // quantiles (drain thread only — deterministic).
+        if (r.state == JobState::Completed &&
+            cfg_.tsdbCadenceCycles > 0.0) {
+            latencyHist_.observe(r.latency_cycles());
         }
-        horizon_ = std::max(horizon_, r.finishCycle);
     }
     if (journal_.enabled()) {
         JournalEvent ev;
@@ -509,7 +479,9 @@ ServingEngine::export_health_trace() const
             ev.pid = telemetry::Tracer::kSimPid;
             ev.tid = tid;
             ev.tsUs = us(openAt);
-            ev.durUs = us(std::max(horizon_, openAt) - openAt);
+            ev.durUs =
+                us(std::max(ledger_.totals().horizonCycles, openAt) -
+                   openAt);
             ev.args.emplace_back("reason", telemetry::Json(reason));
             ev.args.emplace_back("open_cycle",
                                  telemetry::Json(openAt));
@@ -590,14 +562,15 @@ ServingEngine::sample_tsdb(double cycle)
     // therefore the dump — is byte-identical at every thread count.
     {
         std::lock_guard<std::mutex> lk(mu_);
+        const Outcomes &o = ledger_.totals();
         tsdb_.record("serve.jobs.completed", cycle,
-                     static_cast<double>(completed_));
+                     static_cast<double>(o.completed));
         tsdb_.record("serve.jobs.failed", cycle,
-                     static_cast<double>(failed_));
+                     static_cast<double>(o.failed));
         tsdb_.record("serve.jobs.expired", cycle,
-                     static_cast<double>(expired_));
+                     static_cast<double>(o.expired));
         tsdb_.record("serve.jobs.shed", cycle,
-                     static_cast<double>(shed_));
+                     static_cast<double>(o.shed));
         tsdb_.record("serve.jobs.retried", cycle,
                      static_cast<double>(retries_));
         tsdb_.record("serve.batches", cycle,
@@ -681,7 +654,7 @@ ServingEngine::export_alert_trace() const
             }
         }
         if (firedAt >= 0.0) { // still firing at drain end
-            close(std::max(horizon_, firedAt));
+            close(std::max(ledger_.totals().horizonCycles, firedAt));
         }
     }
 }
@@ -926,8 +899,7 @@ ServingEngine::drain()
                 sched_.charge(qj.spec.tenant, sim.cycles);
                 {
                     std::lock_guard<std::mutex> lk(mu_);
-                    tenants_[qj.spec.tenant].attainedCycles +=
-                        sim.cycles;
+                    ledger_.attain(qj.spec.tenant, sim.cycles);
                 }
 
                 u64 attemptsUsed = qj.attempt + 1;
@@ -1062,7 +1034,7 @@ ServingEngine::drain()
         double end;
         {
             std::lock_guard<std::mutex> lk(mu_);
-            end = std::max(clock_, horizon_);
+            end = std::max(clock_, ledger_.totals().horizonCycles);
         }
         sample_tsdb(end);
         while (nextSampleCycle_ <= end) {
@@ -1097,29 +1069,14 @@ ServingEngine::stats() const
 {
     ServeStats s;
     std::lock_guard<std::mutex> lk(mu_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.failed = failed_;
-    s.expired = expired_;
-    s.shed = shed_;
+    ledger_.fill(s);
     s.retries = retries_;
     s.batches = batches_;
     s.maxQueueDepth = maxQueueDepth_;
     s.quarantines = health_.quarantines();
     s.readmissions = health_.readmissions();
     s.probes = health_.probes();
-    s.horizonCycles = horizon_;
     s.clockGHz = shards_.card(0).config().clockGHz;
-    s.tenants = tenants_;
-    for (auto &[tenant, t] : s.tenants) {
-        auto it = latencies_.find(tenant);
-        if (it != latencies_.end()) {
-            t.p50LatencyCycles =
-                telemetry::exact_quantile(it->second, 0.50);
-            t.p99LatencyCycles =
-                telemetry::exact_quantile(it->second, 0.99);
-        }
-    }
     s.cards = shards_.stats();
     for (const CardStats &c : s.cards) s.busyCycles += c.busyCycles;
     s.health.reserve(health_.size());

@@ -76,6 +76,7 @@
 #include "serve/health.h"
 #include "serve/job.h"
 #include "serve/journal.h"
+#include "serve/outcomes.h"
 #include "serve/latency_breakdown.h"
 #include "serve/scheduler.h"
 #include "serve/shard.h"
@@ -149,27 +150,9 @@ struct ServeConfig
     std::string alertRules;
 };
 
-/// Aggregate per-tenant outcome (simulated time).
-struct TenantStats
-{
-    u64 submitted = 0;
-    u64 completed = 0;
-    u64 failed = 0;
-    u64 expired = 0;
-    u64 shed = 0;
-    double attainedCycles = 0.0; ///< card time consumed, incl. failures
-    double p50LatencyCycles = 0.0;
-    double p99LatencyCycles = 0.0;
-};
-
 /// Fleet-wide serving statistics, all on the simulated clock.
-struct ServeStats
+struct ServeStats : Outcomes
 {
-    u64 submitted = 0;
-    u64 completed = 0;
-    u64 failed = 0;
-    u64 expired = 0;
-    u64 shed = 0;         ///< dropped by admission control
     u64 retries = 0;      ///< fault-triggered re-executions
     u64 batches = 0;      ///< dispatches issued
     u64 maxQueueDepth = 0;
@@ -177,14 +160,11 @@ struct ServeStats
     u64 readmissions = 0; ///< breakers re-closed after clean probes
     u64 probes = 0;       ///< probe attempts executed
 
-    /// Latest job finish (the serving horizon / makespan).
-    double horizonCycles = 0.0;
     /// Sum of all card busy cycles (failed attempts included).
     double busyCycles = 0.0;
     /// Modeled clock the horizon is measured on (from the base card).
     double clockGHz = 0.0;
 
-    std::map<std::string, TenantStats> tenants;
     std::vector<CardStats> cards;
     /// Breaker ledger per card (parallel to `cards`).
     std::vector<CardHealth> health;
@@ -240,9 +220,9 @@ class ServingEngine
     }
 
     /**
-     * Accept a job. Non-blocking and thread-safe; a named workload is
-     * resolved (and an empty batchKey derived) immediately, so an
-     * unknown name or empty trace throws InvalidArgument here, never
+     * Accept a job. Non-blocking and thread-safe; the spec goes
+     * through prepare_job() (serve/job.h), so an unknown workload or
+     * a job that could never run throws InvalidArgument here, never
      * inside drain(). The returned future becomes ready during a
      * later drain() on whichever thread drains.
      */
@@ -334,22 +314,13 @@ class ServingEngine
 
     std::map<JobId, std::promise<JobResult>> promises_;
 
-    double horizon_ = 0.0;
     /// Latest round time drain() reached (the fleet clock sheds are
     /// stamped with).
     double clock_ = 0.0;
-    u64 submitted_ = 0;
-    u64 completed_ = 0;
-    u64 failed_ = 0;
-    u64 expired_ = 0;
-    u64 shed_ = 0;
+    OutcomeLedger ledger_;
     u64 retries_ = 0;
     u64 batches_ = 0;
     u64 maxQueueDepth_ = 0;
-    std::map<std::string, TenantStats> tenants_;
-    /// Per-tenant completed-job latencies (simulated cycles) backing
-    /// the exact p50/p99 quantiles in stats().
-    std::map<std::string, std::vector<double>> latencies_;
 };
 
 } // namespace poseidon::serve

@@ -158,6 +158,17 @@ struct JobSpec
     std::function<void(const JobResult &)> callback;
 };
 
+/**
+ * The submit boundary of the engine and of the cluster router: a
+ * named workload becomes its trace (and default name), and an empty
+ * batchKey is derived from the trace. A job that could never run
+ * throws InvalidArgument: an unknown workload, an empty trace or
+ * tenant, maxAttempts == 0, a negative, non-finite or shrinking
+ * backoff, a negative or non-finite arrival, a deadline before the
+ * arrival, or a malformed trace (isa::Trace::validate).
+ */
+void prepare_job(JobSpec &spec);
+
 /// Handle returned by submit(): the job id plus a shared future that
 /// becomes ready when the job reaches a terminal state during drain().
 struct JobTicket

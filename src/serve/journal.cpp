@@ -1,7 +1,6 @@
 #include "serve/journal.h"
 
 #include <climits>
-#include <utility>
 
 #include "common/check.h"
 #include "telemetry/text_format.h"
@@ -104,105 +103,6 @@ JournalEvent::from_json(const telemetry::Json &j)
     if (j.contains("failed")) ev.failed = j.at("failed").as_bool();
     if (j.contains("detail")) ev.detail = j.at("detail").as_string();
     return ev;
-}
-
-Journal::Journal(Journal &&o) noexcept
-    : enabled_(o.enabled_),
-      clockGHz_(o.clockGHz_),
-      cards_(o.cards_),
-      nextBatch_(o.nextBatch_),
-      events_(std::move(o.events_))
-{
-}
-
-Journal&
-Journal::operator=(Journal &&o) noexcept
-{
-    if (this != &o) {
-        enabled_ = o.enabled_;
-        clockGHz_ = o.clockGHz_;
-        cards_ = o.cards_;
-        nextBatch_ = o.nextBatch_;
-        events_ = std::move(o.events_);
-    }
-    return *this;
-}
-
-void
-Journal::set_meta(double clockGHz, std::size_t cards)
-{
-    clockGHz_ = clockGHz;
-    cards_ = cards;
-}
-
-void
-Journal::append(JournalEvent ev)
-{
-    if (!enabled_) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    events_.push_back(std::move(ev));
-}
-
-u64
-Journal::next_batch_id()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return nextBatch_++;
-}
-
-std::size_t
-Journal::size() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return events_.size();
-}
-
-namespace {
-
-const telemetry::JsonlSchema kDocument{Journal::kSchemaName,
-                                       Journal::kSchemaVersion,
-                                       "journal",
-                                       {"events"}};
-
-} // namespace
-
-std::string
-Journal::to_jsonl() const
-{
-    using telemetry::Json;
-    std::lock_guard<std::mutex> lk(mu_);
-    Json header = telemetry::jsonl_header(kDocument);
-    header.set("clock_ghz", Json(clockGHz_));
-    header.set("cards", Json(static_cast<u64>(cards_)));
-    header.set("events", Json(static_cast<u64>(events_.size())));
-    telemetry::JsonlWriter out(header);
-    for (const JournalEvent &ev : events_) out.line(ev.to_json());
-    return out.take();
-}
-
-Journal
-Journal::parse_jsonl(const std::string &text)
-{
-    using telemetry::Json;
-    Journal jr;
-    telemetry::read_jsonl(
-        text, kDocument,
-        [&jr](const Json &h) {
-            jr.clockGHz_ = h.at("clock_ghz").as_number();
-            jr.cards_ = static_cast<std::size_t>(
-                telemetry::json_int(h.at("cards"), "cards"));
-        },
-        [&jr](const Json &line) -> std::size_t {
-            jr.events_.push_back(JournalEvent::from_json(line));
-            return 0;
-        });
-    return jr;
-}
-
-Journal
-Journal::load_jsonl(const std::string &path)
-{
-    return parse_jsonl(telemetry::read_text_file(path, "journal"));
 }
 
 } // namespace poseidon::serve

@@ -31,11 +31,10 @@
  */
 
 #include <cstddef>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/job.h"
+#include "telemetry/event_log.h"
 #include "telemetry/json.h"
 
 namespace poseidon::serve {
@@ -69,6 +68,11 @@ bool journal_kind_from_string(const std::string &s,
 /// everything else keeps its default (see to_json()).
 struct JournalEvent
 {
+    static constexpr const char *kSchemaName = "poseidon-journal";
+    static constexpr int kSchemaVersion = 1;
+    static constexpr const char *kNoun = "journal";
+    static constexpr const char *kFleetKey = "cards";
+
     /// "no card" marker (queue-side events).
     static constexpr std::size_t kNoCard = static_cast<std::size_t>(-1);
 
@@ -94,61 +98,9 @@ struct JournalEvent
     static JournalEvent from_json(const telemetry::Json &j);
 };
 
-/// Append-only event log with JSONL (de)serialization. Appends are
-/// mutex-guarded (submit() runs on client threads); reads are meant
-/// for between-drain analysis, like ServingEngine::stats().
-class Journal
-{
-  public:
-    static constexpr int kSchemaVersion = 1;
-    static constexpr const char *kSchemaName = "poseidon-journal";
-
-    Journal() = default;
-    /// Movable so parse/load can return by value; moving is for
-    /// single-threaded contexts only (the mutex itself is not moved).
-    Journal(Journal &&o) noexcept;
-    Journal& operator=(Journal &&o) noexcept;
-    Journal(const Journal&) = delete;
-    Journal& operator=(const Journal&) = delete;
-
-    /// Recording switch; a disabled journal drops appends (the
-    /// engine's ServeConfig::journal maps to this).
-    bool enabled() const { return enabled_; }
-    void set_enabled(bool on) { enabled_ = on; }
-
-    /// Fleet facts stamped into the JSONL header (the explain tool
-    /// needs the clock to print microseconds).
-    void set_meta(double clockGHz, std::size_t cards);
-    double clock_ghz() const { return clockGHz_; }
-    std::size_t cards() const { return cards_; }
-
-    void append(JournalEvent ev);
-
-    /// Monotone dispatch ids for BatchFormed/Dispatched correlation.
-    u64 next_batch_id();
-
-    std::size_t size() const;
-    bool empty() const { return size() == 0; }
-    const std::vector<JournalEvent>& events() const { return events_; }
-
-    /// Header line + one compact JSON object per event.
-    std::string to_jsonl() const;
-
-    /// Parse a journal back from its JSONL form; any malformed line
-    /// throws a line-numbered poseidon::ParseError.
-    static Journal parse_jsonl(const std::string &text);
-
-    /// Read + parse_jsonl a file (throws ParseError, also on I/O).
-    static Journal load_jsonl(const std::string &path);
-
-  private:
-    bool enabled_ = true;
-    double clockGHz_ = 0.0;
-    std::size_t cards_ = 0;
-    u64 nextBatch_ = 1;
-    mutable std::mutex mu_;
-    std::vector<JournalEvent> events_;
-};
+/// The engine's lifecycle journal: the shared event log over
+/// JournalEvent (telemetry/event_log.h).
+using Journal = telemetry::EventLog<JournalEvent>;
 
 } // namespace poseidon::serve
 

@@ -110,7 +110,7 @@ Scheduler::pick_batch(std::size_t card, double now,
         --queued_;
     }
     if (journal_) {
-        u64 batchId = journal_->next_batch_id();
+        u64 batchId = nextBatch_++;
         JournalEvent formed;
         formed.kind = JournalEventKind::BatchFormed;
         formed.cycle = now;

@@ -144,6 +144,8 @@ class Scheduler
     std::size_t maxBatch_;
     std::size_t queued_ = 0;
     Journal *journal_ = nullptr; ///< not owned; may be null
+    /// Monotone dispatch ids for BatchFormed/Dispatched correlation.
+    u64 nextBatch_ = 1;
     /// std::map: iteration in tenant-name order keeps every scan
     /// deterministic.
     std::map<std::string, std::deque<QueuedJob>> tenants_;

@@ -1,8 +1,8 @@
 // Tests for the cluster-scale two-level router: key-cache locality
-// placement, the modeled key-transfer cost, admission control and
-// shedding, infeasible-tenant rejection, host death mid-drain
-// re-routing with journal conservation, autoscaling, and bit-exact
-// determinism of cluster dumps across host thread counts.
+// placement, the modeled key-transfer cost, per-host admission
+// control, refusal of jobs that could never run at submit, host death
+// mid-drain re-routing with journal conservation, autoscaling, and
+// bit-exact determinism of cluster dumps across host thread counts.
 
 #include <gtest/gtest.h>
 
@@ -175,12 +175,14 @@ TEST(Cluster, LruEvictionMakesRoomInTheKeyCache)
               1u);
 }
 
-// ----------------------------------------- admission control / rejects
+// ------------------------------------- admission control / refusals
 
 TEST(Cluster, SaturatedClusterShedsBeyondInFlightCap)
 {
+    // Admission control is the host engines': each sheds queued work
+    // beyond its maxQueueDepth, and the router resolves those verdicts.
     ClusterConfig cfg = small_cluster(2);
-    cfg.maxInFlight = 4;
+    cfg.host.maxQueueDepth = 2;
     ClusterRouter router(cfg);
     std::vector<ClusterTicket> tickets;
     for (int i = 0; i < 10; ++i) {
@@ -190,8 +192,9 @@ TEST(Cluster, SaturatedClusterShedsBeyondInFlightCap)
     router.drain();
     ClusterStats s = router.stats();
     EXPECT_EQ(s.submitted, 10u);
-    EXPECT_EQ(s.completed, 4u);
-    EXPECT_EQ(s.shed, 6u);
+    EXPECT_GT(s.shed, 0u);
+    EXPECT_GT(s.completed, 0u);
+    EXPECT_EQ(s.completed + s.shed, 10u);
     EXPECT_TRUE(s.conserved());
     u64 shedResults = 0;
     for (ClusterTicket &t : tickets) {
@@ -201,10 +204,9 @@ TEST(Cluster, SaturatedClusterShedsBeyondInFlightCap)
             EXPECT_EQ(r.errorCode, ErrorCode::kOverloaded);
         }
     }
-    EXPECT_EQ(shedResults, 6u);
-    EXPECT_EQ(count_events(router.journal(),
-                           ClusterEventKind::ShedCluster),
-              6u);
+    EXPECT_EQ(shedResults, s.shed);
+    EXPECT_EQ(count_events(router.journal(), ClusterEventKind::Submitted),
+              count_events(router.journal(), ClusterEventKind::Resolved));
 }
 
 TEST(Cluster, TenantKeysExceedingHostHbmAreRejected)
@@ -214,24 +216,63 @@ TEST(Cluster, TenantKeysExceedingHostHbmAreRejected)
     cfg.keyCacheShare = 0.5; // 4 GB usable per host
     cfg.tenantKeyBytes["whale"] = 6e9;
     ClusterRouter router(cfg);
-    ClusterTicket big = router.submit(job("whale", "too-big"));
+    // A job that could never run is refused at submit, before it gets
+    // an id, a journal line or a place in the tally.
+    EXPECT_THROW(router.submit(job("whale", "too-big")), InvalidArgument);
     ClusterTicket ok = router.submit(job("minnow", "fits"));
     router.drain();
 
-    JobResult rb = big.result.get();
-    EXPECT_EQ(rb.state, JobState::Failed);
-    EXPECT_EQ(rb.errorCode, ErrorCode::kInvalidArgument);
+    EXPECT_EQ(ok.id, 1u);
     EXPECT_EQ(ok.result.get().state, JobState::Completed);
-
     ClusterStats s = router.stats();
-    EXPECT_EQ(s.rejected, 1u);
+    EXPECT_EQ(s.submitted, 1u);
     EXPECT_EQ(s.completed, 1u);
-    EXPECT_EQ(s.failed, 0u);
     EXPECT_TRUE(s.conserved());
-    EXPECT_EQ(s.tenants.at("whale").rejected, 1u);
-    EXPECT_EQ(count_events(router.journal(),
-                           ClusterEventKind::Rejected),
-              1u);
+    EXPECT_EQ(s.tenants.count("whale"), 0u);
+}
+
+TEST(Cluster, InvalidSpecThrowsAtSubmit)
+{
+    ClusterRouter router(small_cluster(2));
+    ClusterTicket first = router.submit(job("alice", "valid-1"));
+
+    JobSpec noTenant = job("", "no-tenant");
+    JobSpec noAttempts = job("alice", "no-attempts");
+    noAttempts.retry.maxAttempts = 0;
+    JobSpec lateDeadline = job("alice", "deadline-before-arrival", 1e6);
+    lateDeadline.deadlineCycle = 5e5;
+    JobSpec negativeArrival = job("alice", "negative-arrival", -1.0);
+    JobSpec badNtt = job("alice", "ntt-degree-3");
+    badNtt.trace.emit(isa::OpKind::NTT, 1024, 3, isa::BasicOp::Other);
+    for (const JobSpec &bad :
+         {noTenant, noAttempts, lateDeadline, negativeArrival, badNtt}) {
+        SCOPED_TRACE(bad.name);
+        EXPECT_THROW(router.submit(bad), InvalidArgument);
+    }
+
+    ClusterTicket second = router.submit(job("bob", "valid-2", 1e5));
+    EXPECT_EQ(router.in_flight(), 2u);
+    router.drain();
+    EXPECT_EQ(router.in_flight(), 0u);
+    EXPECT_EQ(first.result.get().state, JobState::Completed);
+    EXPECT_EQ(second.result.get().state, JobState::Completed);
+    ClusterStats s = router.stats();
+    EXPECT_EQ(s.submitted, 2u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_TRUE(s.conserved());
+}
+
+TEST(Cluster, ZeroCardHostTemplateIsRefused)
+{
+    ClusterConfig cfg = small_cluster(2);
+    cfg.host.cards = 0;
+    EXPECT_THROW(ClusterRouter{cfg}, InvalidArgument);
+    // A heterogeneous fleet list sizes the host instead of `cards`.
+    cfg.host.fleet = {cfg.host.card};
+    ClusterRouter router(cfg);
+    ClusterTicket t = router.submit(job("alice", "one"));
+    router.drain();
+    EXPECT_EQ(t.result.get().state, JobState::Completed);
 }
 
 // --------------------------------------------- host death + rerouting
@@ -271,7 +312,7 @@ TEST(Cluster, HostDeathMidDrainReroutesWithConservation)
     bool sawRerouteLatency = false;
     for (const ClusterEvent &ev : jr.events()) {
         if (ev.kind == ClusterEventKind::Resolved &&
-            ev.value >= cfg.rerouteOverheadCycles) {
+            ev.value >= ClusterRouter::kRerouteDelayCycles) {
             sawRerouteLatency = true;
         }
     }
@@ -355,6 +396,18 @@ TEST(Cluster, MergedTsdbCarriesClusterAndPerHostSeries)
         router.submit(job("alice", "j" + std::to_string(i)));
     }
     router.drain();
+    // Card time is the host engines' books: the cluster reports each
+    // tenant's attained cycles as the sum over its hosts.
+    ClusterStats s = router.stats();
+    double hostSum = 0.0;
+    for (const cluster::HostSummary &h : s.hosts) {
+        ASSERT_TRUE(h.spawned);
+        double attained = h.engine.tenants.at("alice").attainedCycles;
+        EXPECT_GT(attained, 0.0);
+        hostSum += attained;
+    }
+    EXPECT_DOUBLE_EQ(s.tenants.at("alice").attainedCycles, hostSum);
+
     telemetry::Tsdb merged = router.cluster_tsdb();
     EXPECT_NE(merged.find("cluster.in_flight"), nullptr);
     EXPECT_NE(merged.find("cluster.placements"), nullptr);
@@ -388,6 +441,20 @@ TEST(Cluster, JournalParseRejectsMalformedDocuments)
         "\"clock_ghz\":0.3,\"hosts\":2,\"events\":1}\n";
     EXPECT_NO_THROW(ClusterJournal::parse_jsonl(
         header + "{\"ev\":\"Submitted\",\"job\":1,\"cycle\":0}\n"));
+    // Kinds the router no longer emits are unknown kinds, reported
+    // with their line number.
+    for (const char *retired : {"ShedCluster", "Rejected"}) {
+        SCOPED_TRACE(retired);
+        try {
+            ClusterJournal::parse_jsonl(header + "{\"ev\":\"" + retired +
+                                        "\",\"job\":1,\"cycle\":0}\n");
+            ADD_FAILURE() << retired << " line parsed";
+        } catch (const ParseError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     for (const std::string &bad : {
              std::string(""),
              std::string("{\"schema\":5}\n"),
