@@ -3,8 +3,8 @@
 // the unbounded-depth capability that distinguishes Poseidon from
 // non-bootstrapping accelerators.
 //
-// Build & run:  ./examples/bootstrap_demo   (takes ~10s: it generates
-// the full BSGS rotation key set)
+// Build & run:  ./examples/bootstrap_demo   (takes a few seconds: it
+// encodes the transform stages and generates their rotation keys)
 
 #include <cmath>
 #include <cstdio>
@@ -32,11 +32,29 @@ main()
     CkksEvaluator eval(ctx);
     KSwitchKey relin = keygen.make_relin_key();
 
-    std::printf("Building bootstrapper (matrices + %zu-slot BSGS "
-                "keys)...\n", ctx->slots());
+    std::printf("Building bootstrapper (encoded %zu-slot transform "
+                "stages + rotation keys)...\n", ctx->slots());
     Bootstrapper boot(ctx, encoder, keygen);
     std::printf("One bootstrap consumes %zu levels of the %zu-prime "
-                "chain.\n\n", boot.levels_consumed(), params.L);
+                "chain.\n", boot.levels_consumed(), params.L);
+
+    // The transform stages, encoded once at construction.
+    BootstrapPlan plan = boot.plan();
+    auto print_stages = [](const char *name,
+                           const std::vector<BootstrapPlan::Stage> &st) {
+        for (std::size_t i = 0; i < st.size(); ++i) {
+            std::printf("  %s stage %zu: %3zu diagonals, %2zu hoisted + "
+                        "%2zu giant rotations, %2zu limbs, %5.2f MB\n",
+                        name, i + 1, st[i].diagonals, st[i].babySteps,
+                        st[i].giantSteps, st[i].limbs, st[i].bytes / 1e6);
+        }
+    };
+    print_stages("CoeffToSlot", plan.coeffToSlot);
+    print_stages("SlotToCoeff", plan.slotToCoeff);
+    std::printf("  plaintext tables: %.2f MB; transforms run %zu "
+                "plaintext mults and %zu keyswitches per bootstrap\n\n",
+                plan.table_bytes() / 1e6, plan.plain_mults(),
+                plan.keyswitches());
 
     // Encrypt x = 0.9 in every slot, bottom of the chain.
     std::vector<cdouble> x(ctx->slots(), cdouble(0.9, 0.0));

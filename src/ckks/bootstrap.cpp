@@ -3,6 +3,10 @@
 #include "ckks/chebyshev.h"
 
 #include <cmath>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <set>
 
 #include "common/check.h"
 #include "telemetry/metrics.h"
@@ -12,17 +16,69 @@ namespace poseidon {
 
 namespace {
 
-/// Diagonal d of a dense matrix: diag_d[j] = M[j][(j+d) mod n].
+/// The n x n matrix of c times the in-place linear map `apply`,
+/// column-major: column k, at [k*n, (k+1)*n), is apply(c * e_k).
 std::vector<cdouble>
-extract_diagonal(const std::vector<std::vector<cdouble>> &m, std::size_t d)
+matrix_of(std::size_t n, double c,
+          const std::function<void(std::vector<cdouble> &)> &apply)
 {
-    std::size_t n = m.size();
-    std::vector<cdouble> diag(n);
-    for (std::size_t j = 0; j < n; ++j) diag[j] = m[j][(j + d) % n];
-    return diag;
+    std::vector<cdouble> m(n * n);
+    std::vector<cdouble> col(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        std::fill(col.begin(), col.end(), cdouble(0, 0));
+        col[k] = c;
+        apply(col);
+        std::copy(col.begin(), col.end(), m.begin() + k * n);
+    }
+    return m;
+}
+
+/// floor(a / b) for b > 0.
+long
+floor_div(long a, long b)
+{
+    return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+/// A rotation step as a slot offset in [0, n).
+std::size_t
+slot_offset(long step, std::size_t n)
+{
+    long m = static_cast<long>(n);
+    return static_cast<std::size_t>((step % m + m) % m);
 }
 
 } // namespace
+
+std::size_t
+BootstrapPlan::table_bytes() const
+{
+    std::size_t b = 0;
+    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
+        for (const Stage &s : *t) b += s.bytes;
+    }
+    return b;
+}
+
+std::size_t
+BootstrapPlan::keyswitches() const
+{
+    std::size_t k = 0;
+    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
+        for (const Stage &s : *t) k += s.giantSteps;
+    }
+    return k;
+}
+
+std::size_t
+BootstrapPlan::plain_mults() const
+{
+    std::size_t p = 0;
+    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
+        for (const Stage &s : *t) p += s.diagonals;
+    }
+    return p;
+}
 
 Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
                            KeyGenerator &keygen, BootstrapConfig cfg)
@@ -31,41 +87,46 @@ Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
     POSEIDON_REQUIRE(cfg_.taylorDegree >= 3 && cfg_.taylorDegree <= 15,
                      "Bootstrapper: taylorDegree out of range");
     std::size_t ns = ctx_->slots();
+    unsigned logNs = log2_floor(ns);
+    std::size_t L = ctx_->params().L;
+    // Stages sit at fixed levels; a chain too short to bootstrap (which
+    // bootstrap() rejects) clamps them to one limb.
+    auto level = [&](std::size_t spent) {
+        return L > spent ? L - spent : std::size_t(1);
+    };
 
-    // BSGS split: n1 ~ sqrt(ns) rounded to a power of two.
-    n1_ = std::size_t(1) << ((log2_floor(ns) + 1) / 2);
-    nb_ = ns / n1_;
-
-    // Build the encoding matrices numerically from the encoder's own
-    // transforms (column k = transform(e_k)).
-    std::vector<std::vector<cdouble>> fwd(ns, std::vector<cdouble>(ns));
-    std::vector<std::vector<cdouble>> inv(ns, std::vector<cdouble>(ns));
-    std::vector<cdouble> col(ns);
-    for (std::size_t k = 0; k < ns; ++k) {
-        std::fill(col.begin(), col.end(), cdouble(0, 0));
-        col[k] = 1.0;
-        encoder_.fft_special(col);
-        for (std::size_t j = 0; j < ns; ++j) fwd[j][k] = col[j];
-
-        std::fill(col.begin(), col.end(), cdouble(0, 0));
-        col[k] = 1.0;
-        encoder_.fft_special_inv(col);
-        for (std::size_t j = 0; j < ns; ++j) inv[j][k] = col[j];
-    }
-
-    // CoeffToSlot folds the 1/q0 normalization into the matrix.
+    // CoeffToSlot: the inverse FFT's butterfly layers split in two,
+    // its bit reversal dropped. The stages fold in the FFT's 1/ns, the
+    // Delta/q0 that leaves t/q0 in the slots, and the 1/2 of the
+    // real/imaginary split, as sqrt(fold) each: a diagonal's encoding
+    // error is absolute, so the stages' relative errors are smallest
+    // when their entries are equally large.
+    unsigned split = (logNs + 1) / 2;
     double q0 = static_cast<double>(ctx_->ring()->prime(0));
-    ctsDiags_.resize(ns);
-    stcDiags_.resize(ns);
-    for (std::size_t d = 0; d < ns; ++d) {
-        ctsDiags_[d] = extract_diagonal(inv, d);
-        for (auto &v : ctsDiags_[d]) {
-            v *= ctx_->params().scale() / q0;
-        }
-        stcDiags_[d] = extract_diagonal(fwd, d);
-    }
-    // The CtS constants carry Delta/q0; the matrix above was scaled by
-    // Delta/q0 so that slots after the transform hold t/q0 directly.
+    double fold = std::sqrt(ctx_->params().scale() / q0 / (2.0 * ns));
+    auto inv_layers = [&](unsigned begin, unsigned end) {
+        return matrix_of(ns, fold, [&](std::vector<cdouble> &v) {
+            encoder_.fft_inv_layers(v, begin, end);
+        });
+    };
+    cts_.push_back(make_stage(inv_layers(0, split), level(0)));
+    cts_.push_back(make_stage(inv_layers(split, logNs), level(1)));
+
+    // The split then multiplies by -X^{N/2} at the level CtS leaves.
+    std::size_t n = ctx_->degree();
+    std::vector<i64> mono(n, 0);
+    mono[n / 2] = -1;
+    negI_ = RnsPoly::ct(ctx_->ring(), level(2), Domain::Coeff);
+    negI_.assign_signed(mono);
+    negI_.to_eval();
+
+    // SlotToCoeff: fft_special after the bit reversal that restores
+    // natural order. fft_special starts with that same reversal, so
+    // this is its butterfly layers alone. It runs on the limbs EvalMod
+    // leaves.
+    stc_ = make_stage(matrix_of(ns, 1.0, [&](std::vector<cdouble> &v) {
+        encoder_.fft_layers(v, 0, logNs);
+    }), level(levels_consumed() - 1));
 
     if (cfg_.variant == EvalModVariant::ChebyshevCos) {
         double r2 = std::ldexp(1.0, static_cast<int>(
@@ -77,23 +138,93 @@ Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
             -cfg_.kRange, cfg_.kRange, cfg_.chebDegree);
     }
 
-    // Keys: relinearization plus the BSGS rotations and conjugation.
+    // Keys: relinearization, every stage's rotations, conjugation.
     relin_ = keygen.make_relin_key();
-    for (std::size_t g = 1; g < n1_; ++g) {
-        steps_.push_back(static_cast<long>(g));
+    std::set<long> steps;
+    auto add = [&](long r) {
+        if (std::size_t o = slot_offset(r, ns)) steps.insert(long(o));
+    };
+    auto collect = [&](const EncodedStage &st) {
+        for (long r : st.baby) add(r);
+        for (const auto &g : st.groups) add(g.giant);
+    };
+    for (const EncodedStage &st : cts_) collect(st);
+    collect(stc_);
+    gk_ = keygen.make_galois_keys({steps.begin(), steps.end()},
+                                  /*includeConjugate=*/true);
+}
+
+Bootstrapper::EncodedStage
+Bootstrapper::make_stage(const std::vector<cdouble> &m,
+                         std::size_t limbs) const
+{
+    // Nonzero diagonals diag_o[j] = M[j][(j+o) mod n]. Butterfly layers
+    // leave structural zeros exactly zero, so the test is exact.
+    std::size_t n = ctx_->slots();
+    POSEIDON_REQUIRE(m.size() == n * n, "make_stage: not an n x n matrix");
+    auto at = [&](std::size_t j, std::size_t k) { return m[k * n + j]; };
+    std::vector<std::size_t> offsets;
+    std::size_t stride = n;
+    for (std::size_t o = 0; o < n; ++o) {
+        for (std::size_t j = 0; j < n; ++j) {
+            if (at(j, (j + o) % n) != cdouble(0, 0)) {
+                offsets.push_back(o);
+                stride = std::gcd(stride, o);
+                break;
+            }
+        }
     }
-    for (std::size_t b = 1; b < nb_; ++b) {
-        steps_.push_back(static_cast<long>(b * n1_));
+    POSEIDON_REQUIRE(!offsets.empty(), "make_stage: zero matrix");
+
+    // Offset o = stride*k with k centred on zero, split as
+    // k = n1*b + g: baby step stride*g, giant step stride*n1*b.
+    std::size_t n1 = 1;
+    while (n1 * n1 < offsets.size()) n1 <<= 1;
+    long period = static_cast<long>(n / stride);
+    std::map<std::pair<long, long>, std::size_t> terms; // (b, g) -> offset
+    for (std::size_t o : offsets) {
+        long k = static_cast<long>(o / stride);
+        if (k >= (period + 1) / 2) k -= period;
+        long b = floor_div(k, static_cast<long>(n1));
+        terms[{b, k - b * static_cast<long>(n1)}] = o;
     }
-    gk_ = keygen.make_galois_keys(steps_, /*includeConjugate=*/true);
+
+    EncodedStage st;
+    st.limbs = limbs;
+    std::map<long, std::size_t> babyAt; // g -> index into st.baby
+    for (const auto &[bg, o] : terms) babyAt.emplace(bg.second, 0);
+    for (auto &[g, idx] : babyAt) {
+        idx = st.baby.size();
+        st.baby.push_back(g * static_cast<long>(stride));
+    }
+    double scale = static_cast<double>(ctx_->ring()->prime(limbs - 1));
+    std::vector<cdouble> diag(n);
+    for (const auto &[bg, o] : terms) {
+        long giant = bg.first * static_cast<long>(n1 * stride);
+        if (st.groups.empty() || st.groups.back().giant != giant) {
+            st.groups.push_back({giant, {}});
+        }
+        // Pre-rotate right by the giant step, which the group's giant
+        // rotation undoes.
+        std::size_t shift = slot_offset(giant, n);
+        for (std::size_t j = 0; j < n; ++j) {
+            std::size_t row = (j + n - shift) % n;
+            diag[j] = at(row, (row + o) % n);
+        }
+        // Encoded at the prime the stage's rescale drops, so the stage
+        // returns its input's scale exactly.
+        st.groups.back().diags.push_back(
+            {babyAt.at(bg.second), encoder_.encode(diag, limbs, scale)});
+    }
+    return st;
 }
 
 std::size_t
 Bootstrapper::levels_consumed() const
 {
     if (cfg_.variant == EvalModVariant::ChebyshevCos) {
-        // CtS 1 + split 1 + Chebyshev evaluation (affine 2, power
-        // ladder ~log2+3, BSGS recursion ~2*log2(deg/m)+1, scale
+        // CtS 2 (the split is free) + Chebyshev evaluation (affine 2,
+        // power ladder ~log2+3, BSGS recursion ~2*log2(deg/m)+1, scale
         // normalization 1) + doubleAngle r + final constant 1 +
         // combine 1 + StC 1. Conservative upper bound:
         std::size_t m = 1;
@@ -105,10 +236,32 @@ Bootstrapper::levels_consumed() const
         return 2 + 2 + ladder + rec + 1 + cfg_.doubleAngleIters + 1 +
                1 + 1;
     }
-    // CtS 1 + split 1 + argument scaling 1 + Horner taylorDegree +
-    // doubleAngle r + sine extraction 1 + combine 1 + StC 1.
-    return 1 + 1 + 1 + cfg_.taylorDegree + cfg_.doubleAngleIters + 1 +
-           1 + 1;
+    // CtS 2 (the split is free) + argument scaling 1 + Horner
+    // taylorDegree + doubleAngle r + sine extraction 1 + combine 1 +
+    // StC 1.
+    return 2 + 1 + cfg_.taylorDegree + cfg_.doubleAngleIters + 1 + 1 + 1;
+}
+
+BootstrapPlan
+Bootstrapper::plan() const
+{
+    auto describe = [&](const EncodedStage &st) {
+        BootstrapPlan::Stage p;
+        for (long r : st.baby) p.babySteps += r != 0;
+        for (const auto &g : st.groups) {
+            p.diagonals += g.diags.size();
+            p.giantSteps += g.giant != 0;
+        }
+        p.limbs = st.limbs;
+        p.bytes = p.diagonals * st.limbs * ctx_->degree() * sizeof(u64);
+        return p;
+    };
+    BootstrapPlan plan;
+    for (const EncodedStage &st : cts_) {
+        plan.coeffToSlot.push_back(describe(st));
+    }
+    plan.slotToCoeff.push_back(describe(stc_));
+    return plan;
 }
 
 Ciphertext
@@ -174,44 +327,29 @@ Bootstrapper::add_cscalar(const Ciphertext &ct, cdouble v) const
 }
 
 Ciphertext
-Bootstrapper::linear_transform(
-    const Ciphertext &ct, const std::vector<std::vector<cdouble>> &diags,
-    const CkksEvaluator &eval, double factor) const
+Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
+                               const CkksEvaluator &eval) const
 {
-    std::size_t ns = ctx_->slots();
+    POSEIDON_REQUIRE(ct.num_limbs() >= st.limbs,
+                     "linear_transform: input below the stage's level");
+    Ciphertext in = ct;
+    if (in.num_limbs() > st.limbs) eval.drop_to_limbs_inplace(in, st.limbs);
 
     // Baby-step rotations, hoisted: one digit decomposition of c1
-    // shared by all n1 rotations (Halevi-Shoup).
-    std::vector<long> babySteps(n1_);
-    for (std::size_t g = 0; g < n1_; ++g) {
-        babySteps[g] = static_cast<long>(g);
-    }
-    std::vector<Ciphertext> rots = eval.rotate_hoisted(ct, babySteps, gk_);
+    // shared by all of them (Halevi-Shoup).
+    std::vector<Ciphertext> rots = eval.rotate_hoisted(in, st.baby, gk_);
 
     Ciphertext acc;
     bool accSet = false;
-    std::vector<cdouble> diag(ns);
-    for (std::size_t b = 0; b < nb_; ++b) {
-        Ciphertext inner;
-        bool innerSet = false;
-        std::size_t shift = b * n1_;
-        for (std::size_t g = 0; g < n1_; ++g) {
-            const auto &d = diags[shift + g];
-            // Pre-rotate the diagonal right by the giant step.
-            for (std::size_t j = 0; j < ns; ++j) {
-                diag[j] = d[(j + ns - shift) % ns] * factor;
-            }
-            Plaintext pt = encoder_.encode(diag, rots[g].num_limbs());
-            Ciphertext term = eval.mul_plain(rots[g], pt);
-            if (innerSet) {
-                eval.add_inplace(inner, term);
-            } else {
-                inner = std::move(term);
-                innerSet = true;
-            }
+    for (const auto &group : st.groups) {
+        const auto &first = group.diags.front();
+        Ciphertext inner = eval.mul_plain(rots[first.babyIndex], first.pt);
+        for (std::size_t k = 1; k < group.diags.size(); ++k) {
+            const auto &d = group.diags[k];
+            eval.add_inplace(inner, eval.mul_plain(rots[d.babyIndex], d.pt));
         }
-        if (shift != 0) {
-            inner = eval.rotate(inner, static_cast<long>(shift), gk_);
+        if (group.giant != 0) {
+            inner = eval.rotate(inner, group.giant, gk_);
         }
         if (accSet) {
             eval.add_inplace(acc, inner);
@@ -229,18 +367,20 @@ Bootstrapper::coeff_to_slot(const Ciphertext &ct,
                             const CkksEvaluator &eval,
                             double msgScale) const
 {
-    // The stored diagonals carry Delta/q0; fold in the actual message
-    // scale so the transform outputs exactly t/q0 (t integer + m).
+    // The stages carry Delta/q0 for a message at scale Delta; relabel
+    // the input so a message at msgScale comes out as exactly t/q0.
     if (msgScale <= 0.0) msgScale = ctx_->params().scale();
-    double factor = msgScale / ctx_->params().scale();
-    Ciphertext z = linear_transform(ct, ctsDiags_, eval, factor);
+    Ciphertext z = ct;
+    z.scale = ct.scale * (ctx_->params().scale() / msgScale);
+    for (const EncodedStage &st : cts_) z = linear_transform(z, st, eval);
     Ciphertext zc = eval.conjugate(z, gk_);
 
-    // lo = (z + conj z) / 2, hi = (z - conj z) * (-i/2).
+    // The stages folded in 1/2: lo = z + conj z, hi = (z - conj z)*(-i),
+    // with -i the monomial -X^{N/2} (exact, no level).
     Ciphertext lo = eval.add(z, zc);
-    lo = mul_cscalar(lo, cdouble(0.5, 0.0), eval);
     Ciphertext hi = eval.sub(z, zc);
-    hi = mul_cscalar(hi, cdouble(0.0, -0.5), eval);
+    hi.c0.mul_inplace(negI_);
+    hi.c1.mul_inplace(negI_);
     return {std::move(lo), std::move(hi)};
 }
 
@@ -327,7 +467,7 @@ Bootstrapper::slot_to_coeff(const Ciphertext &lo, const Ciphertext &hi,
     Ciphertext a = mul_cscalar(lo, cdouble(1.0, 0.0), eval);
     Ciphertext b = mul_cscalar(hi, cdouble(0.0, 1.0), eval);
     Ciphertext z = eval.add(a, b);
-    return linear_transform(z, stcDiags_, eval);
+    return linear_transform(z, stc_, eval);
 }
 
 Ciphertext

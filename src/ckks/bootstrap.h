@@ -11,17 +11,33 @@
  *  1. ModRaise    — reinterpret a bottom-level ciphertext mod q_0 over
  *                   the full chain; the message becomes m + q_0*I with
  *                   small integer polynomial I.
- *  2. CoeffToSlot — homomorphic inverse-encoding matrix (BSGS linear
- *                   transform with ~2*sqrt(n) rotations) moving
- *                   coefficients into slots, scaled by 1/q_0; the slots
- *                   then hold t/q_0 in [-K, K].
+ *  2. CoeffToSlot — the encoder's inverse special FFT, factored
+ *                   (Cheon-Han-Hhan) into two sparse stages: its first
+ *                   ceil(log2(n)/2) butterfly layers, then the rest. At
+ *                   n = 512 slots that is 32 diagonals (stride 16) and
+ *                   31 diagonals (offsets -15..15), each stage a
+ *                   hoisted baby-step/giant-step product costing one
+ *                   level. The final bit reversal is dropped, so slot j
+ *                   holds coefficient rev(j) (rev reverses log2(n)
+ *                   bits): t_rev(j)/q_0 in the real half and
+ *                   t_{rev(j)+n}/q_0 in the imaginary half, in [-K, K].
+ *                   The real/imaginary split is one conjugation and a
+ *                   multiplication by the monomial -X^{N/2} (-i in
+ *                   every slot), which costs no level.
  *  3. EvalMod     — approximate t mod q_0 via
  *                   q_0/(2*pi) * sin(2*pi*t/q_0): Taylor series of
  *                   exp(i*y/2^r) followed by r squarings (double-angle),
  *                   imaginary part extracted with one conjugation.
- *  4. SlotToCoeff — the forward encoding matrix, moving the cleaned
- *                   slots back into coefficients.
+ *                   It works slot by slot, so the bit-reversed order is
+ *                   harmless.
+ *  4. SlotToCoeff — the forward special FFT after a bit reversal that
+ *                   restores natural order; the FFT starts with the
+ *                   same reversal, so the two cancel and only its
+ *                   butterfly layers remain, run as one dense
+ *                   baby-step/giant-step product.
  *
+ * Every transform diagonal is encoded once, at construction, at the
+ * level its stage runs at; plan() reports the stages and their bytes.
  * All four stages decompose into the five Poseidon operators, which is
  * exactly why the accelerator can run bootstrapping by operator reuse.
  */
@@ -65,16 +81,42 @@ struct BootstrapConfig
     double kRange = 17.0;
 };
 
+/// The linear transforms one bootstrap runs, as built at construction.
+struct BootstrapPlan
+{
+    /// One sparse stage: out = sum_b rot_{giant_b}(sum_g diag_{b,g} *
+    /// rot_{baby_g}(in)), then one rescale.
+    struct Stage
+    {
+        std::size_t diagonals = 0;  ///< nonzero diagonals = plaintext mults
+        std::size_t babySteps = 0;  ///< hoisted rotations (one shared ModUp)
+        std::size_t giantSteps = 0; ///< full rotations, one keyswitch each
+        std::size_t limbs = 0;      ///< level of the stage and its plaintexts
+        std::size_t bytes = 0;      ///< bytes of its encoded diagonals
+    };
+
+    std::vector<Stage> coeffToSlot; ///< in the order they run
+    std::vector<Stage> slotToCoeff;
+
+    /// Bytes of every encoded diagonal.
+    std::size_t table_bytes() const;
+    /// Keyswitches of both transforms (giant steps; hoisted baby steps
+    /// share a decomposition and do not count).
+    std::size_t keyswitches() const;
+    /// Plaintext multiplications of both transforms.
+    std::size_t plain_mults() const;
+};
+
 /**
- * One-time bootstrap engine: owns the CoeffToSlot/SlotToCoeff diagonal
- * tables, the relinearization key and the BSGS rotation keys.
+ * One-time bootstrap engine: owns the encoded CoeffToSlot/SlotToCoeff
+ * diagonals, the relinearization key and the rotation keys.
  */
 class Bootstrapper
 {
   public:
     /**
-     * Builds all matrices and keys. `keygen` must outlive nothing —
-     * keys are copied in.
+     * Builds and encodes all transform stages and generates the keys.
+     * `keygen` must outlive nothing — keys are copied in.
      */
     Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
                  KeyGenerator &keygen, BootstrapConfig cfg = {});
@@ -86,6 +128,9 @@ class Bootstrapper
      */
     std::size_t levels_consumed() const;
 
+    /// The transform stages one bootstrap runs.
+    BootstrapPlan plan() const;
+
     /// Refresh a bottom-level ciphertext to a high level.
     Ciphertext bootstrap(const Ciphertext &ct,
                          const CkksEvaluator &eval) const;
@@ -96,10 +141,12 @@ class Bootstrapper
     Ciphertext mod_raise(const Ciphertext &ct) const;
 
     /**
-     * Stage 2: returns (lo, hi) with slots t_j/q0 and t_{j+n/2}/q0.
-     * `msgScale` is the scale the input message was encoded at
-     * (<= 0: the context default); it must be folded into the matrix
-     * constants so that integer multiples of q0 stay integer.
+     * Stage 2: returns (lo, hi) with slot j holding t_rev(j)/q0 and
+     * t_{rev(j)+n}/q0, rev reversing the log2(n) bits of j. `msgScale`
+     * is the scale the input message was encoded at (<= 0: the
+     * context default); the input is relabelled to scale
+     * ct.scale*Delta/msgScale so that integer multiples of q0 stay
+     * integer.
      */
     std::pair<Ciphertext, Ciphertext>
     coeff_to_slot(const Ciphertext &ct, const CkksEvaluator &eval,
@@ -113,16 +160,37 @@ class Bootstrapper
     Ciphertext slot_to_coeff(const Ciphertext &lo, const Ciphertext &hi,
                              const CkksEvaluator &eval) const;
 
-    /// The BSGS rotation steps this instance uses (for ISA tracing).
-    const std::vector<long>& rotation_steps() const { return steps_; }
-
   private:
-    /// out = factor * M * in as a BSGS diagonal linear transform
-    /// (one rescale).
-    Ciphertext linear_transform(
-        const Ciphertext &ct,
-        const std::vector<std::vector<cdouble>> &diags,
-        const CkksEvaluator &eval, double factor = 1.0) const;
+    /// One BootstrapPlan::Stage with its diagonals encoded.
+    struct EncodedStage
+    {
+        /// A diagonal pre-rotated by its group's giant step; it
+        /// multiplies the baby-step rotation baby[babyIndex].
+        struct Diagonal
+        {
+            std::size_t babyIndex;
+            Plaintext pt;
+        };
+        struct Group
+        {
+            long giant;
+            std::vector<Diagonal> diags;
+        };
+        std::size_t limbs = 0;
+        std::vector<long> baby; ///< hoisted rotation steps
+        std::vector<Group> groups;
+    };
+
+    /// Encodes the nonzero diagonals of the slots() x slots() matrix
+    /// `m` (column-major) as one stage whose plaintexts sit at `limbs`.
+    EncodedStage make_stage(const std::vector<cdouble> &m,
+                            std::size_t limbs) const;
+
+    /// One stage applied to `ct` (dropped to the stage's level first),
+    /// then one rescale; the output keeps ct's scale.
+    Ciphertext linear_transform(const Ciphertext &ct,
+                                const EncodedStage &st,
+                                const CkksEvaluator &eval) const;
 
     /// ct * complex scalar at the default scale, rescaled.
     Ciphertext mul_cscalar(const Ciphertext &ct, cdouble v,
@@ -136,11 +204,9 @@ class Bootstrapper
     BootstrapConfig cfg_;
     KSwitchKey relin_;
     GaloisKeys gk_;
-    std::vector<long> steps_;
-    std::size_t n1_; ///< baby-step count
-    std::size_t nb_; ///< giant-step count
-    std::vector<std::vector<cdouble>> ctsDiags_; ///< invFFT * (1/q0)
-    std::vector<std::vector<cdouble>> stcDiags_; ///< forward FFT
+    std::vector<EncodedStage> cts_; ///< CoeffToSlot stages, in order
+    EncodedStage stc_;              ///< SlotToCoeff
+    RnsPoly negI_;                  ///< -X^{N/2}: -i in every slot
     std::vector<double> cosCoeffs_; ///< ChebyshevCos interpolation
 };
 

@@ -28,24 +28,85 @@ require_ctx(const CkksContextPtr &ctx)
     return ctx;
 }
 
+/// a*b by the textbook formula. std::complex's operator* computes the
+/// same two expressions but then tests both parts for NaN and may call
+/// the C99 Annex G fallback, which blocks vectorization; the twiddles
+/// and inputs here are always finite.
+inline cdouble
+mul(cdouble a, cdouble b)
+{
+    return {a.real() * b.real() - a.imag() * b.imag(),
+            a.real() * b.imag() + a.imag() * b.real()};
+}
+
 } // namespace
 
 CkksEncoder::CkksEncoder(CkksContextPtr ctx)
-    : ctx_(std::move(ctx)),
-      slots_(require_ctx(ctx_)->slots()),
-      m_(2 * ctx_->degree())
+    : ctx_(std::move(ctx)), slots_(require_ctx(ctx_)->slots())
 {
-    ksiPows_.resize(m_ + 1);
-    for (std::size_t k = 0; k <= m_; ++k) {
+    // Twiddle of butterfly j in the layer of half-width h: the
+    // primitive M-th root (M = 2N) raised to 5^j mod 8h, scaled to M.
+    std::size_t m = 2 * ctx_->degree();
+    auto ksi = [m](std::size_t k) {
         double angle = 2.0 * M_PI * static_cast<double>(k) /
-                       static_cast<double>(m_);
-        ksiPows_[k] = cdouble(std::cos(angle), std::sin(angle));
+                       static_cast<double>(m);
+        return cdouble(std::cos(angle), std::sin(angle));
+    };
+    fwdTwiddles_.resize(slots_ - 1);
+    invTwiddles_.resize(slots_ - 1);
+    for (std::size_t lenh = 1; lenh < slots_; lenh <<= 1) {
+        std::size_t lenq = lenh << 3;
+        std::size_t fivePow = 1;
+        for (std::size_t j = 0; j < lenh; ++j) {
+            std::size_t r = fivePow % lenq;
+            fwdTwiddles_[lenh - 1 + j] = ksi(r * (m / lenq));
+            invTwiddles_[lenh - 1 + j] = ksi((lenq - r) * (m / lenq));
+            fivePow = (fivePow * 5) % m;
+        }
     }
-    rotGroup_.resize(slots_);
-    std::size_t fivePow = 1;
-    for (std::size_t j = 0; j < slots_; ++j) {
-        rotGroup_[j] = fivePow;
-        fivePow = (fivePow * 5) % m_;
+}
+
+void
+CkksEncoder::fft_layers(std::vector<cdouble> &vals, unsigned begin,
+                        unsigned end) const
+{
+    std::size_t size = vals.size();
+    POSEIDON_REQUIRE(is_pow2(size) && size <= slots_ &&
+                     (std::size_t(1) << end) <= size && begin <= end,
+                     "fft_layers: bad size or layer range");
+    for (std::size_t lenh = std::size_t(1) << begin;
+         lenh < (std::size_t(1) << end); lenh <<= 1) {
+        const cdouble *tw = &fwdTwiddles_[lenh - 1];
+        for (std::size_t i = 0; i < size; i += 2 * lenh) {
+            for (std::size_t j = 0; j < lenh; ++j) {
+                cdouble u = vals[i + j];
+                cdouble v = mul(vals[i + j + lenh], tw[j]);
+                vals[i + j] = u + v;
+                vals[i + j + lenh] = u - v;
+            }
+        }
+    }
+}
+
+void
+CkksEncoder::fft_inv_layers(std::vector<cdouble> &vals, unsigned begin,
+                            unsigned end) const
+{
+    std::size_t size = vals.size();
+    POSEIDON_REQUIRE(is_pow2(size) && size <= slots_ &&
+                     (std::size_t(1) << end) <= size && begin <= end,
+                     "fft_inv_layers: bad size or layer range");
+    for (unsigned layer = begin; layer < end; ++layer) {
+        std::size_t lenh = size >> (layer + 1);
+        const cdouble *tw = &invTwiddles_[lenh - 1];
+        for (std::size_t i = 0; i < size; i += 2 * lenh) {
+            for (std::size_t j = 0; j < lenh; ++j) {
+                cdouble u = vals[i + j] + vals[i + j + lenh];
+                cdouble v = mul(vals[i + j] - vals[i + j + lenh], tw[j]);
+                vals[i + j] = u;
+                vals[i + j + lenh] = v;
+            }
+        }
     }
 }
 
@@ -56,19 +117,7 @@ CkksEncoder::fft_special(std::vector<cdouble> &vals) const
     POSEIDON_REQUIRE(is_pow2(size) && size <= slots_,
                      "fft_special: bad size");
     array_bit_reverse(vals);
-    for (std::size_t len = 2; len <= size; len <<= 1) {
-        for (std::size_t i = 0; i < size; i += len) {
-            std::size_t lenh = len >> 1;
-            std::size_t lenq = len << 2;
-            for (std::size_t j = 0; j < lenh; ++j) {
-                std::size_t idx = (rotGroup_[j] % lenq) * (m_ / lenq);
-                cdouble u = vals[i + j];
-                cdouble v = vals[i + j + lenh] * ksiPows_[idx];
-                vals[i + j] = u + v;
-                vals[i + j + lenh] = u - v;
-            }
-        }
-    }
+    fft_layers(vals, 0, log2_floor(size));
 }
 
 void
@@ -77,22 +126,7 @@ CkksEncoder::fft_special_inv(std::vector<cdouble> &vals) const
     std::size_t size = vals.size();
     POSEIDON_REQUIRE(is_pow2(size) && size <= slots_,
                      "fft_special_inv: bad size");
-    for (std::size_t len = size; len >= 1; len >>= 1) {
-        for (std::size_t i = 0; i < size; i += len) {
-            std::size_t lenh = len >> 1;
-            std::size_t lenq = len << 2;
-            for (std::size_t j = 0; j < lenh; ++j) {
-                std::size_t idx =
-                    (lenq - (rotGroup_[j] % lenq)) * (m_ / lenq);
-                cdouble u = vals[i + j] + vals[i + j + lenh];
-                cdouble v = (vals[i + j] - vals[i + j + lenh]) *
-                            ksiPows_[idx];
-                vals[i + j] = u;
-                vals[i + j + lenh] = v;
-            }
-        }
-        if (len == 1) break; // len is unsigned; avoid wrap
-    }
+    fft_inv_layers(vals, 0, log2_floor(size));
     array_bit_reverse(vals);
     double inv = 1.0 / static_cast<double>(size);
     for (auto &v : vals) v *= inv;

@@ -51,20 +51,37 @@ class CkksEncoder
     /// Decode a plaintext back to slots() complex values.
     std::vector<cdouble> decode(const Plaintext &pt) const;
 
-    /**
-     * Direct access to the special FFT used by encode/decode; the
-     * bootstrapper uses these to build CoeffToSlot/SlotToCoeff
-     * matrices.
-     */
+    /// The special FFT used by decode: bit reversal, then
+    /// fft_layers(vals, 0, log2 n).
     void fft_special(std::vector<cdouble> &vals) const;
+
+    /// The inverse used by encode: fft_inv_layers(vals, 0, log2 n),
+    /// then bit reversal and a 1/n scale.
     void fft_special_inv(std::vector<cdouble> &vals) const;
+
+    /**
+     * Butterfly layers [begin, end) of fft_special, without its bit
+     * reversal; layer l pairs slots 2^l apart. The bootstrapper builds
+     * its SlotToCoeff matrix from these.
+     */
+    void fft_layers(std::vector<cdouble> &vals, unsigned begin,
+                    unsigned end) const;
+
+    /**
+     * Butterfly layers [begin, end) of fft_special_inv, without its
+     * bit reversal and 1/n scale; layer l pairs slots n/2^{l+1} apart.
+     * The bootstrapper builds its CoeffToSlot stages from these.
+     */
+    void fft_inv_layers(std::vector<cdouble> &vals, unsigned begin,
+                        unsigned end) const;
 
   private:
     CkksContextPtr ctx_;
     std::size_t slots_;
-    std::size_t m_;                    ///< 2N
-    std::vector<cdouble> ksiPows_;     ///< exp(2*pi*i*k/M), k in [0, M]
-    std::vector<std::size_t> rotGroup_; ///< 5^j mod M, j in [0, slots)
+    /// Per-layer butterfly twiddles; the layer of half-width h holds
+    /// its h twiddles at [h-1, 2h-1).
+    std::vector<cdouble> fwdTwiddles_;
+    std::vector<cdouble> invTwiddles_;
 };
 
 } // namespace poseidon

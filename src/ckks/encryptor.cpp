@@ -116,9 +116,9 @@ CkksEncryptor::encrypt_symmetric(const Plaintext &pt, const SecretKey &sk)
     Ciphertext ct;
     ct.c0 = RnsPoly::ct(ring, limbs, Domain::Eval);
     ct.c1 = RnsPoly::ct(ring, limbs, Domain::Eval);
-    // Serial on purpose: c1 is drawn from the sampler's PRNG
-    // per-element inside the loop, and the PRNG stream (and the
-    // ciphertext derived from it) must not depend on the thread count.
+    // Serial on purpose: c1 is drawn from the sampler's PRNG limb by
+    // limb inside the loop, and the PRNG stream (and the ciphertext
+    // derived from it) must not depend on the thread count.
     for (std::size_t k = 0; k < limbs; ++k) {
         u64 q = ring->prime(k);
         const Barrett64 &br = ring->barrett(k);
@@ -127,8 +127,8 @@ CkksEncryptor::encrypt_symmetric(const Plaintext &pt, const SecretKey &sk)
         const u64 *ev = e.limb(k);
         u64 *c0 = ct.c0.limb(k);
         u64 *c1 = ct.c1.limb(k);
+        sampler_.prng().uniform_fill(c1, n, q);
         for (std::size_t t = 0; t < n; ++t) {
-            c1[t] = sampler_.prng().uniform(q);
             c0[t] = add_mod(add_mod(neg_mod(br.mul(c1[t], sv[t]), q),
                                     ev[t], q),
                             m[t], q);

@@ -43,11 +43,7 @@ KeyGenerator::encrypt_zero(const std::vector<std::size_t> &idx)
     piece.a = RnsPoly(ring, idx, Domain::Eval);
     // Uniform a in R: independent uniform residues per limb (CRT).
     for (std::size_t k = 0; k < idx.size(); ++k) {
-        u64 q = ring->prime(idx[k]);
-        u64 *limb = piece.a.limb(k);
-        for (std::size_t t = 0; t < n; ++t) {
-            limb[t] = sampler_.prng().uniform(q);
-        }
+        sampler_.prng().uniform_fill(piece.a.limb(k), n, ring->prime(idx[k]));
     }
 
     RnsPoly e(ring, idx, Domain::Coeff);

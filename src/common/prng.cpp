@@ -59,6 +59,12 @@ u64
 Prng::next()
 {
     check_owner();
+    return step();
+}
+
+u64
+Prng::step()
+{
     u64 result = rotl(s_[1] * 5, 7) * 9;
     u64 t = s_[1] << 17;
     s_[2] ^= s_[0];
@@ -79,6 +85,29 @@ Prng::uniform(u64 bound)
     for (;;) {
         u64 r = next();
         if (r >= threshold) return r % bound;
+    }
+}
+
+void
+Prng::uniform_fill(u64 *out, std::size_t n, u64 bound)
+{
+    POSEIDON_REQUIRE(bound >= 1, "uniform_fill: bound must be >= 1");
+    check_owner();
+    u64 threshold = (0 - bound) % bound;
+    auto fill = [&](auto reduce) {
+        for (std::size_t t = 0; t < n; ++t) {
+            u64 r;
+            do {
+                r = step();
+            } while (r < threshold);
+            out[t] = reduce(r);
+        }
+    };
+    if (bound > 1 && bound < kMaxModulus) {
+        Barrett64 br(bound);
+        fill([&](u64 r) { return br.reduce(r); });
+    } else {
+        fill([&](u64 r) { return r % bound; });
     }
 }
 
@@ -147,7 +176,7 @@ std::vector<u64>
 Sampler::uniform_mod(std::size_t n, u64 q)
 {
     std::vector<u64> out(n);
-    for (auto &v : out) v = prng_.uniform(q);
+    prng_.uniform_fill(out.data(), n, q);
     return out;
 }
 

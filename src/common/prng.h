@@ -60,6 +60,15 @@ class Prng
     /// Uniform value in [0, bound) without modulo bias (bound >= 1).
     u64 uniform(u64 bound);
 
+    /**
+     * out[t] = uniform(bound) for t in [0, n), drawn in the same stream
+     * order with the same rejections, so the output is identical to the
+     * loop. The owner check and the rejection threshold run once per
+     * call, and bounds below kMaxModulus reduce with Barrett64 instead
+     * of a division.
+     */
+    void uniform_fill(u64 *out, std::size_t n, u64 bound);
+
     /// Uniform double in [0, 1).
     double uniform_double();
 
@@ -76,6 +85,9 @@ class Prng
 
   private:
     void check_owner();
+
+    /// One xoshiro256** step, without the owner check.
+    u64 step();
 
     u64 s_[4];
     bool haveSpare_ = false;

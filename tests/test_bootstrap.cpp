@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "ckks/bootstrap.h"
 #include "ckks/encryptor.h"
+#include "telemetry/metrics.h"
 
 namespace poseidon {
 namespace {
@@ -109,6 +110,91 @@ TEST(Bootstrap, ModRaisePreservesMessage)
     for (std::size_t t = 0; t < n; ++t) {
         EXPECT_EQ(a.limb(0)[t], b.limb(0)[t]) << "coeff " << t;
     }
+}
+
+TEST(Bootstrap, CoeffToSlotMatchesPlainTransform)
+{
+    // Slot j of lo/hi holds coefficient rev(j) / rev(j)+n of the
+    // mod-raised plaintext over q0, rev reversing log2(n) bits.
+    BootFixture &f = BootFixture::instance();
+    std::size_t ns = f.ctx->slots();
+    auto z = small_message(ns, 4);
+    Ciphertext ct = f.encryptor.encrypt(f.encoder.encode(z, 1));
+    Ciphertext raised = f.boot.mod_raise(ct);
+
+    RnsPoly t = f.decryptor.decrypt(raised).poly;
+    t.to_coeff();
+    const RnsBasis &basis = f.ctx->ring()->ct_basis(t.num_limbs());
+    double q0 = static_cast<double>(f.ctx->ring()->prime(0));
+    auto coeff_over_q0 = [&](std::size_t i) {
+        std::vector<u64> res(t.num_limbs());
+        for (std::size_t k = 0; k < res.size(); ++k) res[k] = t.limb(k)[i];
+        return basis.compose_centered_double(res.data()) / q0;
+    };
+
+    auto [lo, hi] = f.boot.coeff_to_slot(raised, f.eval, ct.scale);
+    EXPECT_EQ(lo.num_limbs(), f.ctx->params().L - 2);
+    auto vlo = f.encoder.decode(f.decryptor.decrypt(lo));
+    auto vhi = f.encoder.decode(f.decryptor.decrypt(hi));
+    unsigned bits = log2_floor(ns);
+    double errLo = 0, errHi = 0, maxI = 0;
+    for (std::size_t j = 0; j < ns; ++j) {
+        std::size_t i = bit_reverse(j, bits);
+        double wantLo = coeff_over_q0(i), wantHi = coeff_over_q0(i + ns);
+        errLo = std::max(errLo, std::abs(vlo[j] - cdouble(wantLo, 0)));
+        errHi = std::max(errHi, std::abs(vhi[j] - cdouble(wantHi, 0)));
+        maxI = std::max({maxI, std::abs(wantLo), std::abs(wantHi)});
+    }
+    EXPECT_GT(maxI, 1.0) << "the q0*I term should be visible";
+    EXPECT_LT(errLo, 1e-6);
+    EXPECT_LT(errHi, 1e-6);
+}
+
+TEST(Bootstrap, OpCountsMatchPlan)
+{
+    if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+    BootFixture &f = BootFixture::instance();
+    BootstrapPlan plan = f.boot.plan();
+    std::size_t L = f.ctx->params().L;
+
+    // CoeffToSlot: 5 + 4 butterfly layers of the 512-point inverse FFT
+    // at the top two levels; SlotToCoeff: dense, where EvalMod ends.
+    ASSERT_EQ(plan.coeffToSlot.size(), 2u);
+    ASSERT_EQ(plan.slotToCoeff.size(), 1u);
+    const auto &a = plan.coeffToSlot[0], &b = plan.coeffToSlot[1];
+    const auto &s = plan.slotToCoeff[0];
+    EXPECT_EQ(a.diagonals, 32u);
+    EXPECT_EQ(b.diagonals, 31u);
+    EXPECT_EQ(s.diagonals, f.ctx->slots());
+    EXPECT_EQ(a.limbs, L);
+    EXPECT_EQ(b.limbs, L - 1);
+    EXPECT_EQ(s.limbs, L - f.boot.levels_consumed() + 1);
+    EXPECT_EQ(a.babySteps + a.giantSteps, 10u);
+    EXPECT_EQ(b.babySteps + b.giantSteps, 10u);
+    std::size_t bytes = 0;
+    for (const auto *st : {&a, &b, &s}) {
+        EXPECT_EQ(st->bytes,
+                  st->diagonals * st->limbs * f.ctx->degree() * sizeof(u64));
+        bytes += st->bytes;
+    }
+    EXPECT_EQ(plan.table_bytes(), bytes);
+
+    // Outside the transforms: CoeffToSlot's conjugation; per EvalMod
+    // (TaylorExp), taylorDegree-1 Horner and r squaring
+    // relinearizations, one conjugation and three scalar mults; two
+    // scalar mults recombining before SlotToCoeff.
+    BootstrapConfig cfg;
+    double evalModKs = cfg.taylorDegree - 1 + cfg.doubleAngleIters + 1;
+    auto &reg = telemetry::MetricsRegistry::global();
+    double ks0 = reg.counter_value("ckks.ops.keyswitch");
+    double pm0 = reg.counter_value("ckks.ops.mul_plain");
+    Ciphertext ct = f.encryptor.encrypt(
+        f.encoder.encode(small_message(f.ctx->slots(), 5), 1));
+    f.boot.bootstrap(ct, f.eval);
+    EXPECT_EQ(reg.counter_value("ckks.ops.keyswitch") - ks0,
+              plan.keyswitches() + 1 + 2 * evalModKs);
+    EXPECT_EQ(reg.counter_value("ckks.ops.mul_plain") - pm0,
+              plan.plain_mults() + 2 * 3 + 2);
 }
 
 TEST(Bootstrap, FullRefreshRecoversMessage)

@@ -1,18 +1,21 @@
-// ckks_digest — deterministic end-to-end CKKS pipeline digest.
+// ckks_digest — deterministic end-to-end CKKS pipeline digests.
 //
-// Runs a fixed, fully seeded encode/encrypt/evaluate pipeline (HAdd,
-// CMult+relin, Rescale, Rotation, conjugation, PMult) and prints one
-// line: the FNV-1a hash of every intermediate ciphertext's raw limb
-// words. Because the kernel layer guarantees canonical outputs are
-// bit-identical across dispatch levels and thread counts, the digest
-// must not change under POSEIDON_SIMD or POSEIDON_THREADS — CI runs
-// it once per SIMD level and diffs the lines.
+// Line 1: a fixed, fully seeded encode/encrypt/evaluate pipeline
+// (HAdd, CMult+relin, Rescale, Rotation, conjugation, PMult) — the
+// FNV-1a hash of every intermediate ciphertext's raw limb words.
+// Line 2: the same hash of one seeded logN=10 packed bootstrap's
+// output, which covers the bootstrapper's set-up tables and keys too.
+// Because the kernel layer guarantees canonical outputs are
+// bit-identical across dispatch levels and thread counts, neither line
+// may change under POSEIDON_SIMD or POSEIDON_THREADS — CI runs it once
+// per SIMD level and diffs the output.
 //
-// Stdout carries the digest only, so `diff <(POSEIDON_SIMD=scalar
+// Stdout carries the digests only, so `diff <(POSEIDON_SIMD=scalar
 // ckks_digest) <(POSEIDON_SIMD=avx2 ckks_digest)` is the whole gate.
 
 #include <cstdio>
 
+#include "ckks/bootstrap.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
@@ -44,6 +47,36 @@ digest_ct(u64 h, const Ciphertext &c)
     return h;
 }
 
+constexpr u64 kFnvBasis = 1469598103934665603ull;
+
+/// One bootstrap of a seeded bottom-level ciphertext at the shape the
+/// bootstrap tests use.
+u64
+bootstrap_digest()
+{
+    CkksParams params;
+    params.logN = 10;
+    params.L = 24;
+    params.scaleBits = 40;
+    params.firstPrimeBits = 45;
+    params.specialPrimeBits = 50;
+    auto ctx = make_ckks_context(params);
+
+    KeyGenerator keygen(ctx);
+    CkksEncoder encoder(ctx);
+    CkksEncryptor encryptor(ctx, keygen.make_public_key());
+    CkksEvaluator eval(ctx);
+    Bootstrapper boot(ctx, encoder, keygen);
+
+    std::vector<cdouble> x;
+    for (std::size_t i = 0; i < ctx->slots(); ++i) {
+        double d = static_cast<double>(i);
+        x.push_back({0.5 - d * 1e-3, 0.25 * ((i % 5) / 4.0) - 0.125});
+    }
+    Ciphertext ct = encryptor.encrypt(encoder.encode(x, 1));
+    return digest_ct(kFnvBasis, boot.bootstrap(ct, eval));
+}
+
 } // namespace
 
 int
@@ -71,7 +104,7 @@ main()
     Ciphertext cx = encryptor.encrypt(encoder.encode(x, params.L));
     Ciphertext cy = encryptor.encrypt(encoder.encode(y, params.L));
 
-    u64 h = 1469598103934665603ull; // FNV offset basis
+    u64 h = kFnvBasis;
     h = digest_ct(h, cx);
     h = digest_ct(h, cy);
     h = digest_ct(h, eval.add(cx, cy));
@@ -93,5 +126,7 @@ main()
     h = digest_ct(h, eval.rotate(deep, 2, galois));
 
     std::printf("%016llx\n", static_cast<unsigned long long>(h));
+    std::printf("%016llx\n",
+                static_cast<unsigned long long>(bootstrap_digest()));
     return 0;
 }
