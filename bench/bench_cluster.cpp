@@ -15,14 +15,20 @@
 //   * locality hit rate on the widest sweep cell stays above floor
 //   * per-tenant fairness (Jain index) stays above floor
 //   * journal + TSDB dumps byte-identical at POSEIDON_THREADS 1 vs 4
+//   * host cost per job stays flat: the host wall time per job of a
+//     16,384-job locality cell is at most 3x that of a 1,024-job cell
+//     (8 hosts, 16 closed-loop clients, 64 vs 1024 requests each)
 //
 // Flags: --smoke (small sweep for CI), --hosts=<n> (single-cell
 // exploration), --placement=<locality|round-robin|random|least-loaded>,
 // --autoscale (gauge-driven host scaling in every cell).
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,6 +75,7 @@ struct CellSpec
     cluster::Placement placement = cluster::Placement::Locality;
     bool autoscale = false;
     bool telemetry = false; ///< cluster+host journals and TSDBs
+    bool journals = false;  ///< cluster+host journals only
     std::string hostChaos;
 };
 
@@ -100,8 +107,8 @@ cell_config(const CellSpec &spec)
         (static_cast<double>(cfg.host.cards) *
          cfg.host.card.hbm_capacity_bytes());
     cfg.hostChaos = spec.hostChaos;
-    cfg.journal = spec.telemetry;
-    cfg.host.journal = spec.telemetry;
+    cfg.journal = spec.telemetry || spec.journals;
+    cfg.host.journal = spec.telemetry || spec.journals;
     cfg.host.tsdbCadenceCycles = spec.telemetry ? 1e5 : 0.0;
     cfg.exportTelemetry = false;
     if (spec.autoscale) {
@@ -192,6 +199,24 @@ run_cell(const CellSpec &spec)
         out.tsdbSeries = merged.series_count();
     }
     return out;
+}
+
+/// Host wall microseconds per job of one run of a locality cell (8
+/// hosts, 16 clients) with its lifecycle journals on, as a router is
+/// configured by default.
+double
+host_us_per_job(u64 perClient)
+{
+    CellSpec spec;
+    spec.hosts = 8;
+    spec.clients = 16;
+    spec.perClient = perClient;
+    spec.journals = true;
+    auto t0 = std::chrono::steady_clock::now();
+    CellResult res = run_cell(spec);
+    std::chrono::duration<double, std::micro> dt =
+        std::chrono::steady_clock::now() - t0;
+    return dt.count() / static_cast<double>(res.stats.submitted);
 }
 
 std::string
@@ -385,7 +410,35 @@ main(int argc, char **argv)
     write_artifact(h, "JOURNAL_cluster.jsonl", serial.journalJsonl);
     write_artifact(h, "TSDB_cluster.jsonl", serial.tsdbJsonl);
 
+    // Host-cost scaling: per-job wall time must not grow with the
+    // number of jobs the cell has already served.
+    // The cells are timed interleaved, best of several runs each, so
+    // noise from other processes on the machine hits both alike.
+    double usSmall = std::numeric_limits<double>::infinity();
+    double usLarge = usSmall;
+    for (int r = 0; r < 3; ++r) {
+        for (int k = 0; k < 3; ++k) {
+            usSmall = std::min(usSmall, host_us_per_job(64));
+        }
+        usLarge = std::min(usLarge, host_us_per_job(1024));
+    }
+    const double scaling = usLarge / usSmall;
+    h.metric("scaling.host_us_per_job.jobs1024", usSmall);
+    h.metric("scaling.host_us_per_job.jobs16384", usLarge);
+    h.metric("scaling.ratio", scaling);
+    std::printf("\nHost wall time per job (locality, 8 hosts, 16 "
+                "clients): %.1f us at 1,024 jobs, %.1f us at 16,384 "
+                "jobs, ratio %.2f\n",
+                usSmall, usLarge, scaling);
+
     int rc = 0;
+    if (scaling > 3.0) {
+        std::fprintf(stderr,
+                     "FAIL: host cost per job grew %.2fx from 1,024 to "
+                     "16,384 jobs (gate 3x)\n",
+                     scaling);
+        rc = 1;
+    }
     if (!conserved) {
         std::fprintf(stderr, "FAIL: cluster journal conservation "
                              "violated (submitted != resolved)\n");

@@ -16,26 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// FNV-1a over the shape-defining fields of a trace: two traces with
-/// equal signatures price identically, which is what lets the router
-/// cache the estimator's verdict across 10^5 identical requests.
-u64
-trace_signature(const isa::Trace &trace)
-{
-    u64 h = 1469598103934665603ULL;
-    auto mix = [&h](u64 v) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    };
-    for (const isa::Instr &in : trace.instrs()) {
-        mix(static_cast<u64>(in.kind));
-        mix(in.elems);
-        mix(in.degree);
-        mix(static_cast<u64>(in.tag));
-    }
-    return h;
-}
-
 /// Cards in one host (the router refuses a template with none).
 std::size_t
 cards_per_host(const serve::ServeConfig &host)
@@ -252,15 +232,34 @@ ClusterRouter::host_key_capacity() const
            cfg_.host.card.hbm_capacity_bytes() * cfg_.keyCacheShare;
 }
 
+const double*
+PriceMemo::find(const isa::Trace &trace, u64 fingerprint) const
+{
+    auto [lo, hi] = entries_.equal_range(fingerprint);
+    for (auto it = lo; it != hi; ++it) {
+        if (it->second.instrs == trace.instrs()) return &it->second.cost;
+    }
+    return nullptr;
+}
+
+void
+PriceMemo::insert(const isa::Trace &trace, u64 fingerprint, double cost)
+{
+    if (entries_.size() >= kMaxEntries || find(trace, fingerprint)) {
+        return;
+    }
+    entries_.emplace(fingerprint, Entry{trace.instrs(), cost});
+}
+
 double
 ClusterRouter::est_cost_cycles(const serve::JobSpec &spec)
 {
-    u64 sig = trace_signature(spec.trace);
-    auto it = costCache_.find(sig);
-    if (it != costCache_.end()) return it->second;
+    if (const double *hit = estimates_.find(spec.trace, spec.fingerprint)) {
+        return *hit;
+    }
     double cost =
         estimator_.run(spec.trace).cycles + cfg_.host.dispatchCycles;
-    costCache_.emplace(sig, cost);
+    estimates_.insert(spec.trace, spec.fingerprint, cost);
     return cost;
 }
 

@@ -251,6 +251,41 @@ struct ClusterTicket
     std::shared_future<serve::JobResult> result;
 };
 
+/**
+ * The placement estimator's memo. On reliable memory PoseidonSim::run
+ * is a pure function of (card config, trace), and an ISA trace
+ * depends only on its operations and shapes, never on ciphertext
+ * data, so the router prices each distinct program once. Entries are
+ * keyed by the fingerprint serve::prepare_job() stores in
+ * JobSpec::fingerprint, and a hit is confirmed by comparing the
+ * traces instruction by instruction: a fingerprint collision costs a
+ * fresh run, never a wrong estimate.
+ */
+class PriceMemo
+{
+  public:
+    /// The memoized cost of `trace`, or nullptr.
+    const double* find(const isa::Trace &trace, u64 fingerprint) const;
+
+    /// Remember `cost` for `trace` (a no-op when the trace is already
+    /// memoized or the memo holds kMaxEntries programs).
+    void insert(const isa::Trace &trace, u64 fingerprint, double cost);
+
+    std::size_t size() const { return entries_.size(); }
+
+    /// Distinct programs kept (bounds the memo's memory when clients
+    /// never repeat a program; later ones are just re-run).
+    static constexpr std::size_t kMaxEntries = 256;
+
+  private:
+    struct Entry
+    {
+        std::vector<isa::Instr> instrs;
+        double cost;
+    };
+    std::unordered_multimap<u64, Entry> entries_;
+};
+
 /// The two-level router (see file comment).
 class ClusterRouter
 {
@@ -368,10 +403,10 @@ class ClusterRouter
     ClusterJournal journal_;
     telemetry::Tsdb tsdb_;
 
-    /// Dedicated fault-free estimator card + signature cache backing
-    /// the placement cost model.
+    /// Dedicated fault-free estimator card + its memo backing the
+    /// placement cost model.
     hw::PoseidonSim estimator_;
-    std::unordered_map<u64, double> costCache_;
+    PriceMemo estimates_;
 
     double lastAutoscaleCycle_ = 0.0;
     double lastPressure_ = 0.0;

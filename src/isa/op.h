@@ -61,6 +61,8 @@ struct Instr
     u64 degree;
     /// Which basic operation emitted this instruction.
     BasicOp tag;
+
+    bool operator==(const Instr &) const = default;
 };
 
 const char* to_string(OpKind k);

@@ -18,16 +18,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string
-derive_batch_key(const isa::Trace &trace)
-{
-    u64 deg = 0;
-    for (const isa::Instr &in : trace.instrs()) {
-        deg = std::max(deg, in.degree);
-    }
-    return "deg:" + std::to_string(deg);
-}
-
 /// Simulated-cycle bounds for the engine-owned latency histogram:
 /// 1e4 .. 1e9 cycles, 1-2-5 series (33 us .. 3.3 s at 0.3 GHz).
 const std::vector<double>&
@@ -104,9 +94,20 @@ prepare_job(JobSpec &spec)
                      << spec.arrivalCycle
                      << " (it could never be dispatched in time)");
     spec.trace.validate(); // reject malformed programs at the boundary
-    if (spec.batchKey.empty()) {
-        spec.batchKey = derive_batch_key(spec.trace);
+    // One walk yields the batch key's ring degree and the fingerprint
+    // keying the router's cost-estimate memo (FNV-1a over every
+    // field).
+    u64 deg = 0;
+    u64 fp = kFingerprintBasis;
+    for (const isa::Instr &in : spec.trace.instrs()) {
+        deg = std::max(deg, in.degree);
+        for (u64 v : {static_cast<u64>(in.kind), in.elems, in.degree,
+                      static_cast<u64>(in.tag)}) {
+            fp = fingerprint_step(fp, v);
+        }
     }
+    spec.fingerprint = fp;
+    if (spec.batchKey.empty()) spec.batchKey = "deg:" + std::to_string(deg);
 }
 
 double
@@ -252,9 +253,17 @@ ServingEngine::ServingEngine(ServeConfig cfg)
     journal_.set_meta(shards_.card(0).config().clockGHz,
                       shards_.size());
     sched_.set_journal(cfg_.journal ? &journal_ : nullptr);
+    healthWindows_.resize(shards_.size());
+    alertWindows_.resize(alerts_.rules().size());
 }
 
-ServingEngine::~ServingEngine() = default;
+ServingEngine::~ServingEngine()
+{
+    // The final export: windows still open after the last drain are
+    // emitted once, clipped at the serving horizon.
+    export_health_trace(true);
+    export_alert_trace(true);
+}
 
 JobTicket
 ServingEngine::submit(JobSpec spec)
@@ -431,67 +440,68 @@ ServingEngine::refresh_gauges()
 }
 
 void
-ServingEngine::export_health_trace() const
+ServingEngine::export_health_trace(bool teardown)
 {
     telemetry::Tracer &tracer = telemetry::Tracer::global();
-    if (!tracer.active() || health_.events().empty()) return;
+    const std::vector<HealthEvent> &events = health_.events();
+    if (!tracer.active() || events.empty()) return;
     double clock = shards_.card(0).config().clockGHz;
     // Modeled cycles -> microseconds on the simulated-cycle process.
     auto us = [clock](double cycles) {
         return cycles / (clock * 1e9) * 1e6;
     };
+    auto tid = [](std::size_t c) { return 400 + static_cast<int>(c); };
     for (std::size_t c = 0; c < shards_.size(); ++c) {
-        int tid = 400 + static_cast<int>(c);
-        tracer.set_thread_name(telemetry::Tracer::kSimPid, tid,
+        tracer.set_thread_name(telemetry::Tracer::kSimPid, tid(c),
                                "card" + std::to_string(c) + " health");
-        double openAt = -1.0;
-        std::string reason;
-        for (const HealthEvent &e : health_.events()) {
-            if (e.card != c) continue;
-            bool opens = e.kind == HealthEvent::Kind::Quarantined;
-            bool closes = e.kind == HealthEvent::Kind::Readmitted ||
-                          e.kind == HealthEvent::Kind::Died;
-            if (opens && openAt < 0.0) {
-                openAt = e.cycle;
-                reason = e.reason;
-            } else if (closes && openAt >= 0.0) {
-                telemetry::TraceEvent ev;
-                ev.name = e.kind == HealthEvent::Kind::Died
-                              ? "dead"
-                              : "quarantine";
-                ev.pid = telemetry::Tracer::kSimPid;
-                ev.tid = tid;
-                ev.tsUs = us(openAt);
-                ev.durUs = us(e.cycle - openAt);
-                ev.args.emplace_back("reason",
-                                     telemetry::Json(reason));
-                ev.args.emplace_back("open_cycle",
-                                     telemetry::Json(openAt));
-                ev.args.emplace_back("close_cycle",
-                                     telemetry::Json(e.cycle));
-                tracer.complete_event(std::move(ev));
-                openAt = -1.0;
-            }
+    }
+    auto emit = [&](std::size_t c, const char *name, double closeCycle,
+                    bool closed) {
+        TraceWindow &w = healthWindows_[c];
+        telemetry::TraceEvent ev;
+        ev.name = name;
+        ev.pid = telemetry::Tracer::kSimPid;
+        ev.tid = tid(c);
+        ev.tsUs = us(w.openCycle);
+        ev.durUs = us(closeCycle - w.openCycle);
+        ev.args.emplace_back("reason", telemetry::Json(w.reason));
+        ev.args.emplace_back("open_cycle", telemetry::Json(w.openCycle));
+        if (closed) {
+            ev.args.emplace_back("close_cycle",
+                                 telemetry::Json(closeCycle));
         }
-        if (openAt >= 0.0) { // still quarantined at drain end
-            telemetry::TraceEvent ev;
-            ev.name = "quarantine";
-            ev.pid = telemetry::Tracer::kSimPid;
-            ev.tid = tid;
-            ev.tsUs = us(openAt);
-            ev.durUs =
-                us(std::max(ledger_.totals().horizonCycles, openAt) -
-                   openAt);
-            ev.args.emplace_back("reason", telemetry::Json(reason));
-            ev.args.emplace_back("open_cycle",
-                                 telemetry::Json(openAt));
-            tracer.complete_event(std::move(ev));
+        tracer.complete_event(std::move(ev));
+        w.openCycle = -1.0;
+    };
+    // Only the health events recorded since the previous export.
+    for (; healthTraced_ < events.size(); ++healthTraced_) {
+        const HealthEvent &e = events[healthTraced_];
+        TraceWindow &w = healthWindows_[e.card];
+        bool opens = e.kind == HealthEvent::Kind::Quarantined;
+        bool closes = e.kind == HealthEvent::Kind::Readmitted ||
+                      e.kind == HealthEvent::Kind::Died;
+        if (opens && w.openCycle < 0.0) {
+            w.openCycle = e.cycle;
+            w.reason = e.reason;
+        } else if (closes && w.openCycle >= 0.0) {
+            emit(e.card,
+                 e.kind == HealthEvent::Kind::Died ? "dead"
+                                                   : "quarantine",
+                 e.cycle, true);
         }
+    }
+    if (!teardown) return; // open windows wait for their close
+    for (std::size_t c = 0; c < healthWindows_.size(); ++c) {
+        double openAt = healthWindows_[c].openCycle;
+        if (openAt < 0.0) continue;
+        // Still quarantined after the last drain.
+        emit(c, "quarantine",
+             std::max(ledger_.totals().horizonCycles, openAt), false);
     }
 }
 
 void
-ServingEngine::export_job_flows(const BreakdownReport &br) const
+ServingEngine::export_job_flows(const BreakdownReport &br)
 {
     telemetry::Tracer &tracer = telemetry::Tracer::global();
     if (!tracer.active()) return;
@@ -499,14 +509,15 @@ ServingEngine::export_job_flows(const BreakdownReport &br) const
     auto us = [clock](double cycles) {
         return cycles / (clock * 1e9) * 1e6;
     };
-    // Stable per-tenant queue tracks (map order = name order).
-    std::map<std::string, int> queueTid;
+    // Stable per-tenant queue tracks, numbered in first-seen order
+    // (name order within one drain) for the engine's lifetime.
     for (const auto &[tenant, acc] : br.tenants) {
         (void)acc;
-        int tid = 350 + static_cast<int>(queueTid.size());
-        queueTid.emplace(tenant, tid);
-        tracer.set_thread_name(telemetry::Tracer::kSimPid, tid,
-                               "queue " + tenant);
+        int tid = 350 + static_cast<int>(queueTids_.size());
+        if (queueTids_.emplace(tenant, tid).second) {
+            tracer.set_thread_name(telemetry::Tracer::kSimPid, tid,
+                                   "queue " + tenant);
+        }
     }
     for (std::size_t c = 0; c < shards_.size(); ++c) {
         tracer.set_thread_name(telemetry::Tracer::kSimPid,
@@ -515,7 +526,7 @@ ServingEngine::export_job_flows(const BreakdownReport &br) const
     }
     for (const JobBreakdown &jb : br.jobs) {
         if (jb.attemptSpans.empty()) continue;
-        int qTid = queueTid[jb.tenant];
+        int qTid = queueTids_.at(jb.tenant);
         std::string label = "job" + std::to_string(jb.id);
         if (!jb.name.empty()) label += " " + jb.name;
 
@@ -614,7 +625,7 @@ ServingEngine::sample_tsdb(double cycle)
 }
 
 void
-ServingEngine::export_alert_trace() const
+ServingEngine::export_alert_trace(bool teardown)
 {
     telemetry::Tracer &tracer = telemetry::Tracer::global();
     if (!tracer.active() || alerts_.empty()) return;
@@ -622,40 +633,45 @@ ServingEngine::export_alert_trace() const
     auto us = [clock](double cycles) {
         return cycles / (clock * 1e9) * 1e6;
     };
-    for (std::size_t r = 0; r < alerts_.rules().size(); ++r) {
-        const telemetry::AlertRule &rule = alerts_.rules().rules[r];
-        int tid = 450 + static_cast<int>(r);
-        tracer.set_thread_name(telemetry::Tracer::kSimPid, tid,
-                               "alert " + rule.metric);
-        double firedAt = -1.0;
-        auto close = [&](double endCycle) {
-            telemetry::TraceEvent ev;
-            ev.name = std::string("firing => ") +
-                      telemetry::to_string(rule.severity);
-            ev.pid = telemetry::Tracer::kSimPid;
-            ev.tid = tid;
-            ev.tsUs = us(firedAt);
-            ev.durUs = us(endCycle - firedAt);
-            ev.args.emplace_back("rule", telemetry::Json(rule.str()));
-            ev.args.emplace_back("fired_cycle",
-                                 telemetry::Json(firedAt));
-            ev.args.emplace_back("end_cycle",
-                                 telemetry::Json(endCycle));
-            tracer.complete_event(std::move(ev));
-            firedAt = -1.0;
-        };
-        for (const telemetry::AlertTransition &t : alertLog_) {
-            if (t.rule != r) continue;
-            if (t.to == telemetry::AlertState::Firing) {
-                firedAt = t.cycle;
-            } else if (t.from == telemetry::AlertState::Firing &&
-                       firedAt >= 0.0) {
-                close(t.cycle);
-            }
+    const std::vector<telemetry::AlertRule> &rules =
+        alerts_.rules().rules;
+    auto tid = [](std::size_t r) { return 450 + static_cast<int>(r); };
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        tracer.set_thread_name(telemetry::Tracer::kSimPid, tid(r),
+                               "alert " + rules[r].metric);
+    }
+    auto close = [&](std::size_t r, double endCycle) {
+        TraceWindow &w = alertWindows_[r];
+        telemetry::TraceEvent ev;
+        ev.name = std::string("firing => ") +
+                  telemetry::to_string(rules[r].severity);
+        ev.pid = telemetry::Tracer::kSimPid;
+        ev.tid = tid(r);
+        ev.tsUs = us(w.openCycle);
+        ev.durUs = us(endCycle - w.openCycle);
+        ev.args.emplace_back("rule", telemetry::Json(rules[r].str()));
+        ev.args.emplace_back("fired_cycle", telemetry::Json(w.openCycle));
+        ev.args.emplace_back("end_cycle", telemetry::Json(endCycle));
+        tracer.complete_event(std::move(ev));
+        w.openCycle = -1.0;
+    };
+    // Only the transitions recorded since the previous export.
+    for (; alertsTraced_ < alertLog_.size(); ++alertsTraced_) {
+        const telemetry::AlertTransition &t = alertLog_[alertsTraced_];
+        TraceWindow &w = alertWindows_[t.rule];
+        if (t.to == telemetry::AlertState::Firing) {
+            w.openCycle = t.cycle;
+        } else if (t.from == telemetry::AlertState::Firing &&
+                   w.openCycle >= 0.0) {
+            close(t.rule, t.cycle);
         }
-        if (firedAt >= 0.0) { // still firing at drain end
-            close(std::max(ledger_.totals().horizonCycles, firedAt));
-        }
+    }
+    if (!teardown) return; // firing windows wait for their resolve
+    // Still firing after the last drain.
+    for (std::size_t r = 0; r < alertWindows_.size(); ++r) {
+        double firedAt = alertWindows_[r].openCycle;
+        if (firedAt < 0.0) continue;
+        close(r, std::max(ledger_.totals().horizonCycles, firedAt));
     }
 }
 
@@ -1027,7 +1043,7 @@ ServingEngine::drain()
     }
 
     refresh_gauges();
-    export_health_trace();
+    export_health_trace(false);
     if (cfg_.tsdbCadenceCycles > 0.0) {
         // Final flush at the serving horizon, so the last samples see
         // the terminal state; the grid then resumes past it.
@@ -1040,7 +1056,7 @@ ServingEngine::drain()
         while (nextSampleCycle_ <= end) {
             nextSampleCycle_ += cfg_.tsdbCadenceCycles;
         }
-        export_alert_trace();
+        export_alert_trace(false);
         if (cfg_.exportTelemetry && telemetry::enabled()) {
             telemetry::gauge_set(
                 "serve.alerts.firing",
@@ -1050,17 +1066,21 @@ ServingEngine::drain()
     if (cfg_.exportTelemetry && telemetry::enabled()) {
         stats().export_metrics(telemetry::MetricsRegistry::global());
     }
-    if (journal_.enabled() && !journal_.empty()) {
-        // Every accepted job is terminal here, so the journal
-        // decomposes cleanly; the conservation invariant inside
-        // decompose() doubles as an end-of-drain self-check.
-        BreakdownReport br = decompose(journal_);
+    if (journal_.enabled() && journal_.size() > decomposedEvents_) {
+        // Every job accepted before this point is terminal, so the
+        // events since the previous drain are whole walks: each job
+        // is decomposed (and its conservation self-checked) once, in
+        // the drain that finishes it.
+        BreakdownReport br = decompose(journal_, decomposedEvents_);
+        decomposedEvents_ = journal_.size();
+        phaseTotals_.add(br);
         if (cfg_.exportTelemetry && telemetry::enabled()) {
-            br.export_metrics(telemetry::MetricsRegistry::global(),
-                              breakdownExportedJobs_);
+            telemetry::MetricsRegistry &reg =
+                telemetry::MetricsRegistry::global();
+            br.export_metrics(reg);
+            phaseTotals_.export_metrics(reg);
         }
         export_job_flows(br);
-        breakdownExportedJobs_ = br.jobs.size();
     }
 }
 

@@ -126,9 +126,10 @@ struct ServeConfig
     bool exportTelemetry = true;
 
     /// Record the per-job lifecycle journal (serve/journal.h). At the
-    /// end of drain() the journal is decomposed into phase waterfalls
-    /// (serve/latency_breakdown.h) whose histograms/gauges are
-    /// published when exportTelemetry is also on.
+    /// end of drain() the events it appended are decomposed into
+    /// phase waterfalls (serve/latency_breakdown.h) whose
+    /// histograms/gauges are published when exportTelemetry is also
+    /// on.
     bool journal = true;
 
     /// TSDB sampling cadence on the simulated clock: drain() records
@@ -264,31 +265,51 @@ class ServingEngine
     /// time `T` (occupies the card; feeds the monitor).
     void dispatch_probe(std::size_t card, double T);
 
-    /// Export quarantine windows onto the Chrome trace's
-    /// fleet-health track (called at the end of drain()).
-    void export_health_trace() const;
+    /// A quarantine or firing window opened on the simulated clock
+    /// and not yet exported (openCycle < 0: none open).
+    struct TraceWindow
+    {
+        double openCycle = -1.0;
+        std::string reason;
+    };
 
-    /// Export per-job queue/attempt slices + flow arrows linking them
-    /// onto the Chrome trace's fleet tracks (end of drain()).
-    void export_job_flows(const BreakdownReport &br) const;
+    /// Export the quarantine windows closed since the previous call
+    /// onto the Chrome trace's fleet-health track (end of drain()).
+    /// A window still open waits for its close; `teardown` (the
+    /// destructor) emits it clipped at the serving horizon.
+    void export_health_trace(bool teardown);
+
+    /// Export this drain's jobs as queue/attempt slices + flow arrows
+    /// linking them onto the Chrome trace's fleet tracks.
+    void export_job_flows(const BreakdownReport &br);
 
     /// Record one TSDB sample of every serve.* series at simulated
     /// cycle `cycle`, then advance the alert state machines (their
     /// transitions land in the TSDB, counters, and alertLog_).
     void sample_tsdb(double cycle);
 
-    /// Export firing windows onto the Chrome trace's alert track
-    /// (tids 450+, called at the end of drain()).
-    void export_alert_trace() const;
+    /// Export the firing windows resolved since the previous call
+    /// onto the Chrome trace's alert track (tids 450+, end of
+    /// drain()); `teardown` as for export_health_trace().
+    void export_alert_trace(bool teardown);
 
     ServeConfig cfg_;
     ShardManager shards_;
     Scheduler sched_;
     HealthMonitor health_;
     Journal journal_;
-    /// Jobs whose phase histograms were already published by an
-    /// earlier drain() (index into the decomposed report).
-    std::size_t breakdownExportedJobs_ = 0;
+    /// Journal events already decomposed by an earlier drain().
+    std::size_t decomposedEvents_ = 0;
+    /// Phase totals of every decomposed job (serve.phase_share.*).
+    PhaseTotals phaseTotals_;
+    /// Chrome-trace export cursors: tenant queue tracks, health
+    /// events and alert transitions already walked, and the windows
+    /// they left open (per card / per rule).
+    std::map<std::string, int> queueTids_;
+    std::size_t healthTraced_ = 0;
+    std::vector<TraceWindow> healthWindows_;
+    std::size_t alertsTraced_ = 0;
+    std::vector<TraceWindow> alertWindows_;
     std::unique_ptr<ChaosInjector> chaos_;
     isa::Trace probeTrace_;
     std::vector<u64> probeSeq_;

@@ -158,20 +158,34 @@ JobBreakdown::phase_sum() const
 }
 
 BreakdownReport
-decompose(const Journal &journal)
+decompose(const Journal &journal, std::size_t fromEvent)
 {
     BreakdownReport report;
     report.clockGHz = journal.clock_ghz();
     report.cards = journal.cards();
 
+    const std::vector<JournalEvent> &events = journal.events();
+    POSEIDON_CHECK(fromEvent <= events.size(),
+                   "decompose from event " << fromEvent << " past the "
+                                           << events.size()
+                                           << "-event journal");
     std::map<JobId, Walk> walks;
-    for (const JournalEvent &ev : journal.events()) {
+    for (std::size_t i = fromEvent; i < events.size(); ++i) {
+        const JournalEvent &ev = events[i];
         if (ev.job == 0) continue; // fleet-level (probe) events
         Walk &w = walks[ev.job];
         POSEIDON_CHECK(!w.terminal,
                        "journal event after terminal state for job "
                            << ev.job);
         if (!w.started) {
+            // A walk that does not open with its submission was cut:
+            // the decomposed range starts inside this job's events.
+            POSEIDON_CHECK(ev.kind == JournalEventKind::Submitted,
+                           "journal for job "
+                               << ev.job << " starts with "
+                               << to_string(ev.kind)
+                               << " at event " << i
+                               << ", not Submitted");
             w.started = true;
             w.jb.id = ev.job;
             w.jb.firstArrivalCycle = ev.cycle;
@@ -472,14 +486,11 @@ BreakdownReport::to_json() const
 }
 
 void
-BreakdownReport::export_metrics(telemetry::MetricsRegistry &reg,
-                                std::size_t fromJob) const
+BreakdownReport::export_metrics(telemetry::MetricsRegistry &reg) const
 {
-    const double toUs =
-        clockGHz > 0.0 ? 1.0 / (clockGHz * 1e9) * 1e6 : 0.0;
-    for (std::size_t i = fromJob; i < jobs.size(); ++i) {
-        const JobBreakdown &jb = jobs[i];
-        if (toUs <= 0.0) break;
+    if (clockGHz <= 0.0) return;
+    const double toUs = 1.0 / (clockGHz * 1e9) * 1e6;
+    for (const JobBreakdown &jb : jobs) {
         for (std::size_t p = 0; p < kPhaseCount; ++p) {
             const char *phase = to_string(static_cast<Phase>(p));
             double us = jb.phaseCycles[p] * toUs;
@@ -491,16 +502,25 @@ BreakdownReport::export_metrics(telemetry::MetricsRegistry &reg,
                 .observe(us);
         }
     }
-    double total = 0.0;
-    double perPhase[kPhaseCount] = {};
-    for (const JobBreakdown &jb : jobs) {
-        total += jb.endToEndCycles;
+}
+
+void
+PhaseTotals::add(const BreakdownReport &br)
+{
+    for (const JobBreakdown &jb : br.jobs) {
+        endToEndCycles += jb.endToEndCycles;
         for (std::size_t p = 0; p < kPhaseCount; ++p) {
-            perPhase[p] += jb.phaseCycles[p];
+            phaseCycles[p] += jb.phaseCycles[p];
         }
     }
+}
+
+void
+PhaseTotals::export_metrics(telemetry::MetricsRegistry &reg) const
+{
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
-        double share = total > 0.0 ? perPhase[p] / total : 0.0;
+        double share =
+            endToEndCycles > 0.0 ? phaseCycles[p] / endToEndCycles : 0.0;
         reg.gauge(std::string("serve.phase_share.") +
                   to_string(static_cast<Phase>(p)))
             .set(share);

@@ -153,23 +153,44 @@ struct BreakdownReport
 
     /**
      * Publish serve.phase_us.<phase>.tenant.<t> /
-     * serve.phase_us.<phase>.prio.<p> histograms (one observation per
-     * job and phase, in modeled microseconds) and fleet-wide
-     * serve.phase_share.<phase> gauges into `reg`. `fromJob` skips
-     * jobs already exported by an earlier call (index into `jobs`).
+     * serve.phase_us.<phase>.prio.<p> histograms into `reg`: one
+     * observation per job of this report and phase, in modeled
+     * microseconds. The fleet-wide shares are PhaseTotals' job.
      */
-    void export_metrics(telemetry::MetricsRegistry &reg,
-                        std::size_t fromJob = 0) const;
+    void export_metrics(telemetry::MetricsRegistry &reg) const;
 };
 
 /**
- * Decompose a drained journal into per-job waterfalls + aggregates.
- * Every journaled job must have reached a terminal state, its events
- * must be chronological, and each walk must conserve cycles — all
- * enforced with POSEIDON_CHECK (a violation means a corrupt journal
- * or an engine bug, not bad user input).
+ * Fleet-wide phase totals behind the serve.phase_share.<phase>
+ * gauges. add() sums job by job in report order, so feeding it the
+ * per-drain reports of an engine (ascending, disjoint id ranges)
+ * yields bit for bit the sums over one whole-journal report.
  */
-BreakdownReport decompose(const Journal &journal);
+struct PhaseTotals
+{
+    double endToEndCycles = 0.0;
+    double phaseCycles[kPhaseCount] = {};
+
+    void add(const BreakdownReport &br);
+
+    /// Set serve.phase_share.<phase> = phase / end-to-end in `reg`.
+    void export_metrics(telemetry::MetricsRegistry &reg) const;
+};
+
+/**
+ * Decompose a drained journal into per-job waterfalls + aggregates,
+ * starting at event index `fromEvent` (events before it are not
+ * read). Every job seen must open with its Submitted event and reach
+ * a terminal state, its events must be chronological, and each walk
+ * must conserve cycles — all enforced with POSEIDON_CHECK (a
+ * violation means a corrupt journal, a range cut inside a job, or an
+ * engine bug, not bad user input). The engine passes the offset its
+ * previous drain stopped at: every job accepted before a drain ends
+ * is terminal when it returns, so each drain's suffix is a
+ * self-contained set of whole walks.
+ */
+BreakdownReport decompose(const Journal &journal,
+                          std::size_t fromEvent = 0);
 
 } // namespace poseidon::serve
 

@@ -13,6 +13,8 @@
 #include "cluster/cluster.h"
 #include "common/parallel.h"
 #include "common/status.h"
+#include "hw/faults.h"
+#include "hw/sim.h"
 
 namespace poseidon {
 namespace {
@@ -501,6 +503,106 @@ TEST(Cluster, DumpsAreThreadCountInvariant)
     EXPECT_FALSE(serial.first.empty());
     EXPECT_EQ(serial.first, threaded.first);
     EXPECT_EQ(serial.second, threaded.second);
+}
+
+/// One-instruction MM program; an MM's degree does not change its
+/// price, so it is free to steer the fingerprint.
+isa::Trace
+mm_trace(u64 elems, u64 degree)
+{
+    isa::Trace t;
+    t.emit(isa::OpKind::MM, elems, degree, isa::BasicOp::Other);
+    return t;
+}
+
+/// The degree that makes mm_trace(eB, ·) collide with mm_trace(eA, 0)
+/// under prepare_job's fingerprint: after (kind, elems) the two
+/// states differ by exactly this value, which the degree cancels.
+u64
+colliding_degree(u64 eA, u64 eB)
+{
+    u64 h = serve::fingerprint_step(serve::kFingerprintBasis,
+                                    static_cast<u64>(isa::OpKind::MM));
+    return serve::fingerprint_step(h, eA) ^ serve::fingerprint_step(h, eB);
+}
+
+TEST(Cluster, PriceMemoConfirmsEveryHit)
+{
+    // A hit needs the fingerprint *and* the exact instructions; a
+    // forced collision misses, then holds both programs.
+    cluster::PriceMemo memo;
+    isa::Trace a = small_trace(u64(1) << 16);
+    isa::Trace b = small_trace(u64(1) << 17);
+    EXPECT_EQ(memo.find(a, 7), nullptr);
+    memo.insert(a, 7, 1.0);
+    ASSERT_NE(memo.find(small_trace(u64(1) << 16), 7), nullptr);
+    EXPECT_EQ(*memo.find(small_trace(u64(1) << 16), 7), 1.0);
+    EXPECT_EQ(memo.find(a, 8), nullptr);
+    EXPECT_EQ(memo.find(b, 7), nullptr); // same key, other program
+    memo.insert(b, 7, 2.0);
+    memo.insert(a, 7, 3.0); // already memoized: ignored
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(*memo.find(a, 7), 1.0);
+    EXPECT_EQ(*memo.find(b, 7), 2.0);
+
+    // Full: new programs are not kept (they are just re-run).
+    for (u64 i = 0; memo.size() < cluster::PriceMemo::kMaxEntries; ++i) {
+        memo.insert(mm_trace(i + 1, 0), i, 0.0);
+    }
+    isa::Trace late = mm_trace(u64(1) << 40, 0);
+    memo.insert(late, 99, 4.0);
+    EXPECT_EQ(memo.find(late, 99), nullptr);
+    EXPECT_EQ(memo.size(), cluster::PriceMemo::kMaxEntries);
+}
+
+TEST(Cluster, PlacementEstimatesMatchFaultFreeSimulator)
+{
+    // Five programs (three sizes plus a fingerprint-colliding MM
+    // pair) from six tenants on four hosts under locality placement.
+    // Every placement's estimated cost (ClusterEvent::value) is a
+    // fresh fault-free run of the job's own program (the colliding
+    // pair included), and the hosts chosen are the schedule the
+    // estimator produced before it confirmed memo hits exactly.
+    const u64 eA = u64(1) << 18;
+    const u64 eB = u64(1) << 19;
+    std::vector<isa::Trace> programs = {
+        small_trace(u64(1) << 15), small_trace(u64(1) << 16),
+        small_trace(u64(1) << 17), mm_trace(eA, 0),
+        mm_trace(eB, colliding_degree(eA, eB))};
+    JobSpec pa = job("t", "a"), pb = job("t", "b");
+    pa.trace = programs[3];
+    pb.trace = programs[4];
+    serve::prepare_job(pa);
+    serve::prepare_job(pb);
+    ASSERT_EQ(pa.fingerprint, pb.fingerprint);
+    ClusterConfig cfg = small_cluster(4);
+    cfg.placement = Placement::Locality;
+    cfg.host.card.faults.ber = 1e-9; // the estimator stays fault-free
+    ClusterRouter router(cfg);
+    std::vector<std::size_t> programOf;
+    for (int i = 0; i < 40; ++i) {
+        JobSpec s = job("t" + std::to_string(i % 6), "j", 1e3 * i);
+        s.trace = programs[(i * 7) % programs.size()];
+        programOf.push_back((i * 7) % programs.size());
+        router.submit(std::move(s));
+    }
+    router.drain();
+    ASSERT_EQ(router.stats().completed, 40u);
+
+    hw::HwConfig est = cfg.host.card;
+    est.faults = hw::FaultConfig{};
+    std::vector<std::size_t> hosts;
+    for (const ClusterEvent &ev : router.journal().events()) {
+        if (ev.kind != ClusterEventKind::Placed) continue;
+        const isa::Trace &t = programs[programOf[ev.job - 1]];
+        EXPECT_EQ(ev.value, hw::PoseidonSim(est).run(t).cycles +
+                                cfg.host.dispatchCycles)
+            << "job " << ev.job;
+        hosts.push_back(ev.host);
+    }
+    std::string got;
+    for (std::size_t h : hosts) got += std::to_string(h);
+    EXPECT_EQ(got, "0123021302310231023102310231023102310231");
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -358,6 +360,138 @@ TEST(Breakdown, AttributesBackoffAndRetryOverhead)
     EXPECT_GT(jb->endToEndCycles, jb->reportedLatencyCycles);
 }
 
+TEST(Journal, IncrementalDecompositionEqualsWhole)
+{
+    // Four drains on a {flaky, clean} fleet: closed-loop follow-ups,
+    // a faulted attempt that retries, and a burst past the admission
+    // limit. Each drain's own event range decomposes on its own, and
+    // the pieces reassemble the whole-journal decomposition.
+    telemetry::MetricsRegistry &reg =
+        telemetry::MetricsRegistry::global();
+    reg.reset();
+    hw::HwConfig flaky = hw::HwConfig::poseidon_u280();
+    flaky.faults.ber = 1e-4;
+    flaky.faults.secded = false;
+    ServeConfig cfg;
+    cfg.fleet = {flaky, hw::HwConfig::poseidon_u280()};
+    cfg.maxBatch = 1;
+    cfg.maxQueueDepth = 6;
+    cfg.exportTelemetry = true;
+    ServingEngine eng(cfg);
+
+    int followUps = 0;
+    std::function<void(const JobResult &)> closedLoop =
+        [&](const JobResult &r) {
+            if (++followUps > 6) return;
+            JobSpec s = job("loop", "follow-up");
+            s.arrivalCycle = r.finishCycle;
+            s.callback = closedLoop;
+            eng.submit(std::move(s));
+        };
+    std::vector<std::size_t> drainEnds = {0};
+    std::vector<BreakdownReport> perDrain;
+    auto drain = [&] {
+        eng.drain();
+        perDrain.push_back(
+            serve::decompose(eng.journal(), drainEnds.back()));
+        drainEnds.push_back(eng.journal().size());
+    };
+
+    for (int i = 0; i < 2; ++i) {
+        JobSpec s = job("loop", "seed" + std::to_string(i));
+        s.callback = closedLoop;
+        eng.submit(std::move(s));
+    }
+    drain();
+    for (int i = 0; i < 2; ++i) { // one of the pair lands on card 0
+        JobSpec s = job("big", "retrier", u64(1) << 20);
+        s.retry.backoffBaseCycles = 5000.0;
+        s.arrivalCycle = eng.stats().horizonCycles;
+        eng.submit(std::move(s));
+    }
+    drain();
+    for (int i = 0; i < 10; ++i) {
+        JobSpec s = job("burst", "b" + std::to_string(i));
+        s.arrivalCycle = eng.stats().horizonCycles;
+        eng.submit(std::move(s));
+    }
+    drain();
+    followUps = 0;
+    JobSpec last = job("loop", "tail");
+    last.arrivalCycle = eng.stats().horizonCycles;
+    last.callback = closedLoop;
+    eng.submit(std::move(last));
+    drain();
+
+    ServeStats st = eng.stats();
+    ASSERT_GE(st.retries, 1u);
+    ASSERT_GE(st.shed, 1u);
+    ASSERT_EQ(perDrain.size(), 4u);
+
+    BreakdownReport whole = serve::decompose(eng.journal());
+    ASSERT_EQ(whole.jobs.size(), st.submitted);
+    telemetry::Json pieces = telemetry::Json::array();
+    for (const BreakdownReport &br : perDrain) {
+        EXPECT_FALSE(br.jobs.empty());
+        const telemetry::Json jobs = br.to_json().at("jobs");
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            pieces.push_back(jobs.at(i));
+        }
+    }
+    EXPECT_EQ(pieces.dump(), whole.to_json().at("jobs").dump());
+
+    if (telemetry::enabled()) {
+        // The old whole-journal gauge formula, in job-id order.
+        double total = 0.0;
+        double perPhase[serve::kPhaseCount] = {};
+        for (const JobBreakdown &jb : whole.jobs) {
+            total += jb.endToEndCycles;
+            for (std::size_t p = 0; p < serve::kPhaseCount; ++p) {
+                perPhase[p] += jb.phaseCycles[p];
+            }
+        }
+        const double toUs = 1e6 / (whole.clockGHz * 1e9);
+        for (std::size_t p = 0; p < serve::kPhaseCount; ++p) {
+            const std::string phase =
+                serve::to_string(static_cast<Phase>(p));
+            EXPECT_EQ(reg.gauge("serve.phase_share." + phase).value(),
+                      perPhase[p] / total)
+                << phase;
+            // One observation per job, summed in job-id order.
+            std::map<std::string, std::pair<u64, double>> tenants;
+            for (const JobBreakdown &jb : whole.jobs) {
+                auto &[n, sum] = tenants[jb.tenant];
+                ++n;
+                sum += jb.phaseCycles[p] * toUs;
+            }
+            for (const auto &[tenant, want] : tenants) {
+                const telemetry::Histogram &h = reg.histogram(
+                    "serve.phase_us." + phase + ".tenant." + tenant);
+                EXPECT_EQ(h.count(), want.first) << phase << tenant;
+                EXPECT_EQ(h.sum(), want.second) << phase << tenant;
+            }
+        }
+    }
+
+    // A range that starts inside a job's walk is refused.
+    std::size_t mid = drainEnds[1];
+    while (eng.journal().events()[mid].kind !=
+           JournalEventKind::Dispatched) {
+        ++mid;
+    }
+    ASSERT_LT(mid, drainEnds[2]);
+    EXPECT_THROW(serve::decompose(eng.journal(), mid),
+                 poseidon::InternalError);
+    // So is one that ends before the job does: the last drain's
+    // range minus its final terminal event.
+    Journal cut;
+    cut.set_meta(eng.journal().clock_ghz(), eng.journal().cards());
+    for (std::size_t i = drainEnds[3]; i + 1 < drainEnds[4]; ++i) {
+        cut.append(eng.journal().events()[i]);
+    }
+    EXPECT_THROW(serve::decompose(cut), poseidon::InternalError);
+}
+
 TEST(Breakdown, WorstOrdersJobsAndWaterfallPrints)
 {
     ServingEngine eng(mix_config());
@@ -407,6 +541,82 @@ TEST(Tracer, JournalFlowEventsLinkQueueToAttempts)
     // The queue span starts the flow and the final attempt ends it.
     EXPECT_TRUE(flowPhases.count("s"));
     EXPECT_TRUE(flowPhases.count("f"));
+}
+
+TEST(Tracer, MultiDrainTraceEmitsEachSliceOnce)
+{
+    // Three drains under one capture: every job's queue slice and
+    // flow start appear once, and a quarantine / firing window that
+    // stays open across drains is emitted once, at teardown.
+    if (!telemetry::enabled()) GTEST_SKIP() << "telemetry off";
+    telemetry::Tracer &tr = telemetry::Tracer::global();
+    tr.start();
+    hw::HwConfig flaky = hw::HwConfig::poseidon_u280();
+    flaky.faults.ber = 1e-4;
+    flaky.faults.secded = false;
+    ServeConfig cfg;
+    cfg.fleet = {flaky, hw::HwConfig::poseidon_u280()};
+    cfg.maxBatch = 1;
+    cfg.health.minAttempts = 1;
+    cfg.health.cooldownCycles = 1e15; // quarantined for good
+    cfg.tsdbCadenceCycles = 1e5;
+    cfg.alertRules = "serve.jobs.completed > 0 => page";
+    auto count = [&](auto &&pred) {
+        telemetry::Json doc =
+            telemetry::Json::parse(tr.chrome_trace_json());
+        const telemetry::Json &evs = doc.at("traceEvents");
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            if (pred(evs.at(i))) ++n;
+        }
+        return n;
+    };
+    auto slices_on = [&](double tid) {
+        return count([tid](const telemetry::Json &e) {
+            return e.at("ph").as_string() == "X" &&
+                   e.at("tid").as_number() == tid;
+        });
+    };
+    u64 jobs = 0;
+    {
+        ServingEngine eng(cfg);
+        for (int d = 0; d < 3; ++d) {
+            for (int i = 0; i < 2; ++i) {
+                JobSpec s = job("t", "j", u64(1) << 20);
+                s.arrivalCycle = eng.stats().horizonCycles;
+                s.retry.maxAttempts = 4;
+                eng.submit(std::move(s));
+            }
+            eng.drain();
+        }
+        ServeStats st = eng.stats();
+        jobs = st.submitted;
+        ASSERT_GE(st.quarantines, 1u);
+        ASSERT_NE(st.health[0].state, serve::BreakerState::Closed);
+        ASSERT_FALSE(eng.alert_log().empty());
+        for (u64 id = 1; id <= jobs; ++id) {
+            const std::string queued =
+                "job" + std::to_string(id) + " j queued";
+            EXPECT_EQ(count([&](const telemetry::Json &e) {
+                          return e.at("name").as_string() == queued;
+                      }),
+                      1u)
+                << queued;
+            EXPECT_EQ(count([&](const telemetry::Json &e) {
+                          return e.at("ph").as_string() == "s" &&
+                                 e.at("id").as_number() ==
+                                     static_cast<double>(id);
+                      }),
+                      1u)
+                << id;
+        }
+        EXPECT_EQ(slices_on(400.0), 0u); // card 0's window is open
+        EXPECT_EQ(slices_on(450.0), 0u); // the page never resolves
+    }
+    EXPECT_EQ(slices_on(400.0), 1u);
+    EXPECT_EQ(slices_on(450.0), 1u);
+    tr.stop();
+    EXPECT_EQ(jobs, 6u);
 }
 
 } // namespace
