@@ -5,8 +5,12 @@
 // FNV-1a hash of every intermediate ciphertext's raw limb words.
 // Line 2: the same hash of one seeded logN=10 packed bootstrap's
 // output, which covers the bootstrapper's set-up tables and keys too.
+// Both use one keyswitch digit per prime (dnum = 0), so lines 3 and 4
+// rerun them with hybrid keyswitching (dnum = 3: line 1's pipeline
+// with K = 2, line 2's bootstrap with K = 8), which covers the digit
+// base conversion.
 // Because the kernel layer guarantees canonical outputs are
-// bit-identical across dispatch levels and thread counts, neither line
+// bit-identical across dispatch levels and thread counts, no line
 // may change under POSEIDON_SIMD or POSEIDON_THREADS — CI runs it once
 // per SIMD level and diffs the output.
 //
@@ -52,7 +56,7 @@ constexpr u64 kFnvBasis = 1469598103934665603ull;
 /// One bootstrap of a seeded bottom-level ciphertext at the shape the
 /// bootstrap tests use.
 u64
-bootstrap_digest()
+bootstrap_digest(std::size_t dnum, std::size_t K)
 {
     CkksParams params;
     params.logN = 10;
@@ -60,6 +64,8 @@ bootstrap_digest()
     params.scaleBits = 40;
     params.firstPrimeBits = 45;
     params.specialPrimeBits = 50;
+    params.dnum = dnum;
+    params.K = K;
     auto ctx = make_ckks_context(params);
 
     KeyGenerator keygen(ctx);
@@ -77,15 +83,16 @@ bootstrap_digest()
     return digest_ct(kFnvBasis, boot.bootstrap(ct, eval));
 }
 
-} // namespace
-
-int
-main()
+/// The seeded evaluate pipeline: every intermediate ciphertext hashed.
+u64
+pipeline_digest(std::size_t dnum, std::size_t K)
 {
     CkksParams params;
     params.logN = 12;
     params.L = 6;
     params.scaleBits = 35;
+    params.dnum = dnum;
+    params.K = K;
     auto ctx = make_ckks_context(params);
 
     KeyGenerator keygen(ctx);
@@ -124,9 +131,23 @@ main()
     Ciphertext deep = eval.mul(prod, scaled, relin);
     eval.rescale_inplace(deep);
     h = digest_ct(h, eval.rotate(deep, 2, galois));
+    return h;
+}
 
+void
+print_digest(u64 h)
+{
     std::printf("%016llx\n", static_cast<unsigned long long>(h));
-    std::printf("%016llx\n",
-                static_cast<unsigned long long>(bootstrap_digest()));
+}
+
+} // namespace
+
+int
+main()
+{
+    print_digest(pipeline_digest(0, 1));
+    print_digest(bootstrap_digest(0, 1));
+    print_digest(pipeline_digest(3, 2));
+    print_digest(bootstrap_digest(3, 8));
     return 0;
 }
