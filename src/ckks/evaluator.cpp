@@ -246,10 +246,13 @@ CkksEvaluator::extended_indices(std::size_t limbs) const
 
 std::vector<std::vector<std::vector<u64>>>
 CkksEvaluator::decompose_digits_eval(
-    const RnsPoly &dCoeff, const std::vector<std::size_t> &extIdx) const
+    const RnsPoly &d, const RnsPoly &dCoeff,
+    const std::vector<std::size_t> &extIdx) const
 {
-    POSEIDON_REQUIRE(dCoeff.domain() == Domain::Coeff,
-                     "decompose_digits_eval: coeff domain required");
+    POSEIDON_REQUIRE(d.domain() == Domain::Eval &&
+                     dCoeff.domain() == Domain::Coeff,
+                     "decompose_digits_eval: needs d in the eval domain "
+                     "and its coefficient-domain copy");
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
     std::size_t limbs = dCoeff.num_limbs();
@@ -257,49 +260,48 @@ CkksEvaluator::decompose_digits_eval(
     std::size_t numDigits = ctx_->num_digits(limbs);
 
     std::vector<std::vector<std::vector<u64>>> out(numDigits);
-    std::vector<std::vector<u64>> convOut;
-    std::vector<u64*> convPtr;
-
     for (std::size_t j = 0; j < numDigits; ++j) {
         std::size_t start = j * alpha;
         std::size_t len = std::min(alpha, limbs - start);
-        const u64 *digit = dCoeff.limb(start);
+        auto own = [&](std::size_t m) {
+            return m >= start && m < start + len;
+        };
+        out[j].assign(extIdx.size(), std::vector<u64>(n));
 
         if (len > 1) {
-            const RnsConv &conv = ctx_->digit_conv(limbs, j);
-            std::size_t total = ring->num_primes();
-            if (convOut.size() != total) {
-                convOut.assign(total, std::vector<u64>(n));
-                convPtr.resize(total);
-                for (std::size_t i = 0; i < total; ++i) {
-                    convPtr[i] = convOut[i].data();
-                }
-            }
+            // digit_conv's destination is extIdx without the digit's
+            // own primes, in order: convert straight into those rows.
             std::vector<const u64*> src(len);
             for (std::size_t k = 0; k < len; ++k) {
                 src[k] = dCoeff.limb(start + k);
             }
-            conv.convert(src, convPtr, n, /*correct=*/true);
+            std::vector<u64*> dst;
+            dst.reserve(extIdx.size() - len);
+            for (std::size_t m = 0; m < extIdx.size(); ++m) {
+                if (!own(m)) dst.push_back(out[j][m].data());
+            }
+            ctx_->digit_conv(limbs, j).convert(src, dst, n,
+                                               /*correct=*/true);
         }
 
-        out[j].resize(extIdx.size());
-        // Each target prime m gets an independent buffer: reduce (or
-        // copy) the digit into it, then NTT it. convOut/digit are
-        // read-only here, so the m loop parallelizes cleanly.
+        // The digit's own residues are d's evaluation-domain limbs
+        // already; every other row is reduced (one-prime digits) or
+        // converted above, then forward-transformed. Rows are
+        // independent, so the m loop parallelizes cleanly.
+        const u64 *digit = dCoeff.limb(start);
         parallel::parallel_for(0, extIdx.size(), 1,
             [&](std::size_t m0, std::size_t m1) {
                 for (std::size_t m = m0; m < m1; ++m) {
-                    std::size_t pidx = extIdx[m];
-                    u64 qm = ring->prime(pidx);
                     std::vector<u64> &buf = out[j][m];
-                    buf.resize(n);
-                    if (len > 1) {
-                        std::copy(convOut[pidx].begin(),
-                                  convOut[pidx].end(), buf.begin());
-                    } else if (pidx == start) {
-                        std::copy(digit, digit + n, buf.begin());
-                    } else {
-                        kernels::reduce_mod_n(buf.data(), digit, n, qm);
+                    if (own(m)) {
+                        std::copy(d.limb(m), d.limb(m) + n,
+                                  buf.begin());
+                        continue;
+                    }
+                    std::size_t pidx = extIdx[m];
+                    if (len == 1) {
+                        kernels::reduce_mod_n(buf.data(), digit, n,
+                                              ring->prime(pidx));
                     }
                     ring->table(pidx).forward(buf.data());
                 }
@@ -312,26 +314,38 @@ std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                              std::size_t limbs) const
 {
+    // ModDown in the evaluation domain: only the K special limbs go to
+    // the coefficient domain (base conversion needs them there), and
+    // only their `limbs` converted images come back. finish() is
+    // linear mod q_i, so subtracting and scaling the eval-domain
+    // q-limbs gives the same bytes as the coefficient-domain apply().
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
     std::size_t K = ctx_->params().K;
     const ModDown &md = ctx_->mod_down(limbs);
-    acc0.to_coeff();
-    acc1.to_coeff();
 
     auto run_moddown = [&](RnsPoly &acc) {
+        parallel::parallel_for(0, K, 1,
+            [&](std::size_t j0, std::size_t j1) {
+                for (std::size_t jp = j0; jp < j1; ++jp) {
+                    std::size_t m = limbs + jp;
+                    ring->table(acc.prime_index(m)).inverse(acc.limb(m));
+                }
+            }, "ckks.moddown_intt");
         RnsPoly out = RnsPoly::ct(ring, limbs, Domain::Coeff);
-        std::vector<const u64*> xq(limbs), xp(K);
+        std::vector<const u64*> xq(limbs), xp(K), c(limbs);
         std::vector<u64*> o(limbs);
         for (std::size_t iq = 0; iq < limbs; ++iq) {
             xq[iq] = acc.limb(iq);
             o[iq] = out.limb(iq);
+            c[iq] = o[iq];
         }
         for (std::size_t jp = 0; jp < K; ++jp) {
             xp[jp] = acc.limb(limbs + jp);
         }
-        md.apply(xq, xp, o, n);
+        md.conv().convert(xp, o, n, /*correct=*/true);
         out.to_eval();
+        md.finish(xq, c, o, n);
         return out;
     };
 
@@ -359,7 +373,7 @@ CkksEvaluator::keyswitch_core(const RnsPoly &d, const KSwitchKey &key) const
 
     RnsPoly dc = d;
     dc.to_coeff();
-    auto digits = decompose_digits_eval(dc, extIdx);
+    auto digits = decompose_digits_eval(d, dc, extIdx);
 
     // Accumulate digit-by-key products. The loop nest is m-outer /
     // j-inner so each extended limb m is owned by exactly one chunk;
@@ -546,7 +560,7 @@ CkksEvaluator::rotate_hoisted(const Ciphertext &a,
     // digits, which in the evaluation domain is a permutation.
     RnsPoly dc = a.c1;
     dc.to_coeff();
-    auto digits = decompose_digits_eval(dc, extIdx);
+    auto digits = decompose_digits_eval(a.c1, dc, extIdx);
 
     std::vector<Ciphertext> out;
     out.reserve(steps.size());

@@ -118,15 +118,19 @@ class CkksEvaluator
     std::vector<std::size_t> extended_indices(std::size_t limbs) const;
 
     /**
-     * ModUp digit decomposition of a coefficient-domain polynomial:
-     * result[j][m] holds digit j broadcast into extended prime m, in
-     * evaluation domain. Memory: digits * ext * N words.
+     * ModUp digit decomposition of `d` (evaluation domain) given its
+     * coefficient-domain copy `dCoeff`: result[j][m] holds digit j
+     * broadcast into extended prime m, in evaluation domain. A digit's
+     * own limbs are copied from `d`; only the other extended primes
+     * are converted and transformed. Memory: digits * ext * N words.
      */
     std::vector<std::vector<std::vector<u64>>>
-    decompose_digits_eval(const RnsPoly &dCoeff,
+    decompose_digits_eval(const RnsPoly &d, const RnsPoly &dCoeff,
                           const std::vector<std::size_t> &extIdx) const;
 
-    /// ModDown both keyswitch accumulators back to the q-basis.
+    /// ModDown both eval-domain keyswitch accumulators back to the
+    /// q-basis, in the evaluation domain (only the K special limbs are
+    /// inverse-transformed).
     std::pair<RnsPoly, RnsPoly>
     mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                   std::size_t limbs) const;

@@ -93,11 +93,14 @@ CkksContext::digit_conv(std::size_t limbs, std::size_t g) const
     for (std::size_t i = start; i < start + len; ++i) {
         srcPrimes.push_back(ring_->prime(i));
     }
-    // Destination: every chain prime (ciphertext + special); callers
-    // use the limbs they need.
     std::vector<u64> dstPrimes;
-    for (std::size_t i = 0; i < ring_->num_primes(); ++i) {
-        dstPrimes.push_back(ring_->prime(i));
+    for (std::size_t i = 0; i < limbs; ++i) {
+        if (i < start || i >= start + len) {
+            dstPrimes.push_back(ring_->prime(i));
+        }
+    }
+    for (std::size_t j = 0; j < params_.K; ++j) {
+        dstPrimes.push_back(ring_->prime(params_.L + j));
     }
     auto conv = std::make_unique<RnsConv>(RnsBasis(std::move(srcPrimes)),
                                           RnsBasis(std::move(dstPrimes)));

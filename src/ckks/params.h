@@ -91,9 +91,11 @@ class CkksContext
 
     /**
      * Base conversion from digit group `g`'s primes (restricted to the
-     * first `limbs` ciphertext primes) to the full extended basis
-     * (all ciphertext primes of the chain + special primes). Cached.
-     * Only meaningful for groups with more than one prime.
+     * first `limbs` ciphertext primes) to the rest of the level's
+     * extended basis: ciphertext primes 0..limbs-1 without the group's
+     * own, in ascending order, then the K special primes. The group's
+     * own residues need no conversion. Cached. Only meaningful for
+     * groups with more than one prime.
      */
     const RnsConv& digit_conv(std::size_t limbs, std::size_t g) const;
 

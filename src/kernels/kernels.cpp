@@ -195,30 +195,6 @@ cpu_supports(SimdLevel lvl)
 #endif
 }
 
-/// Copy every non-null entry of `src` over `dst`.
-void
-overlay(KernelTable &dst, const KernelTable &src)
-{
-#define POSEIDON_KERNELS_OVERLAY(f)                                        \
-    do {                                                                   \
-        if (src.f) dst.f = src.f;                                          \
-    } while (0)
-    POSEIDON_KERNELS_OVERLAY(add_mod_n);
-    POSEIDON_KERNELS_OVERLAY(sub_mod_n);
-    POSEIDON_KERNELS_OVERLAY(neg_mod_n);
-    POSEIDON_KERNELS_OVERLAY(add_scalar_mod_n);
-    POSEIDON_KERNELS_OVERLAY(sub_scalar_mod_n);
-    POSEIDON_KERNELS_OVERLAY(scalar_mul_shoup_n);
-    POSEIDON_KERNELS_OVERLAY(scalar_mul_mod_acc_n);
-    POSEIDON_KERNELS_OVERLAY(mul_mod_n);
-    POSEIDON_KERNELS_OVERLAY(mul_mod_acc_lazy_n);
-    POSEIDON_KERNELS_OVERLAY(reduce_mod_n);
-    POSEIDON_KERNELS_OVERLAY(normalize_n);
-    POSEIDON_KERNELS_OVERLAY(ntt_forward);
-    POSEIDON_KERNELS_OVERLAY(ntt_inverse);
-#undef POSEIDON_KERNELS_OVERLAY
-}
-
 const KernelTable *
 backend(SimdLevel lvl)
 {
@@ -332,32 +308,7 @@ active_level()
 const KernelTable &
 table(SimdLevel lvl)
 {
-    static const KernelTable merged[3] = {
-        [] {
-            KernelTable t = scalar_table();
-            return t;
-        }(),
-        [] {
-            KernelTable t = scalar_table();
-            if (level_supported(SimdLevel::Avx2)) {
-                overlay(t, *backend(SimdLevel::Avx2));
-            }
-            return t;
-        }(),
-        [] {
-            KernelTable t = scalar_table();
-            if (level_supported(SimdLevel::Avx2)) {
-                overlay(t, *backend(SimdLevel::Avx2));
-            }
-            if (level_supported(SimdLevel::Avx512)) {
-                overlay(t, *backend(SimdLevel::Avx512));
-            }
-            return t;
-        }(),
-    };
-    int i = static_cast<int>(clamp_supported(lvl));
-    POSEIDON_CHECK(i >= 0 && i < 3, "kernels: bad SimdLevel " << i);
-    return merged[i];
+    return *backend(clamp_supported(lvl));
 }
 
 const KernelTable &

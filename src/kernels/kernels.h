@@ -112,11 +112,9 @@ struct KernelTable
 };
 
 /**
- * The kernel table for one level, with unimplemented entries filled
- * from the next lower level (the AVX-512 backend, for instance,
- * borrows the AVX2 NTT). Asking for an unsupported level returns the
- * best supported one at or below it. References stay valid for the
- * process lifetime.
+ * The kernel table for one level; every backend fills every entry.
+ * Asking for an unsupported level returns the best supported one at
+ * or below it. References stay valid for the process lifetime.
  */
 const KernelTable &table(SimdLevel lvl);
 

@@ -1,17 +1,20 @@
 /**
  * @file
- * AVX-512F backend for the kernel layer: elementwise kernels only.
+ * AVX-512F backend for the kernel layer: elementwise kernels and the
+ * NTT butterfly passes.
  *
  * Relative to AVX2 this gains native unsigned 64-bit compares
  * (`_mm512_cmpge_epu64_mask`) and masked subtraction, halving the
  * instruction count of every conditional-subtract, plus twice the
  * lane width. 64-bit multiplies still go through `_mm512_mul_epu32`
  * partial products — `_mm512_mullo_epi64` is AVX-512DQ, which this
- * backend deliberately does not require. The NTT entries are left
- * null and inherited from the AVX2 backend by the dispatcher's
- * table merge (see kernels.cpp): the butterfly passes are
- * shuffle-bound, where 512-bit lanes pay cross-lane permute latency
- * and offer little win on one memory-bound core.
+ * backend deliberately does not require. The NTT passes are
+ * multiply-bound, not shuffle-bound: the three short-stride stages
+ * (t = 4, 2, 1) cost two two-source permutes per vector on each side
+ * of the butterfly, and every stage does 8 butterflies per vector op
+ * (about 1.4-1.6x the speed of the AVX2 passes at N = 2^14,
+ * EXPERIMENTS.md).
+ * Transforms shorter than 16 use the AVX2 table.
  *
  * The number-theoretic bounds (lazy Shoup < 2q, width-Barrett < 3q,
  * nu-reduce < 3q) are identical to the AVX2 backend; see that file
@@ -388,13 +391,208 @@ avx512_normalize_n(u64 *a, std::size_t n, u64 q)
     for (; t < n; ++t) a[t] = csub_s(a[t], q);
 }
 
+// ---- Lazy NTT passes. ----
+//
+// Same Harvey bounds as the AVX2 passes: forward coefficients stay
+// < 4q between stages, inverse ones < 2q, and the last pass of each
+// canonicalizes (the inverse folding in n^{-1}). Stages with t >= 8
+// pair whole vectors; t = 4, 2, 1 load two vectors and split them
+// into their u and v halves with one 64-bit permute each, so every
+// stage runs 8 butterflies per vector op.
+
+inline __m512i
+bcast(u64 x)
+{
+    return _mm512_set1_epi64(static_cast<long long>(x));
+}
+
+inline __m512i
+idx8(long long e0, long long e1, long long e2, long long e3,
+     long long e4, long long e5, long long e6, long long e7)
+{
+    return _mm512_set_epi64(e7, e6, e5, e4, e3, e2, e1, e0);
+}
+
+/// One vector CT butterfly: u, v enter and leave < 4q; the twiddle
+/// product is lazy < 2q.
+inline void
+ct_lazy(__m512i &u, __m512i &v, __m512i w, __m512i ws, __m512i qv,
+        __m512i twoqv)
+{
+    __m512i uc = csub(u, twoqv);
+    __m512i t = shoup_lazy(v, w, ws, qv);
+    u = _mm512_add_epi64(uc, t);
+    v = _mm512_add_epi64(_mm512_sub_epi64(uc, t), twoqv);
+}
+
+/// One vector GS butterfly: u, v enter and leave < 2q.
+inline void
+gs_lazy(__m512i &u, __m512i &v, __m512i w, __m512i ws, __m512i qv,
+        __m512i twoqv)
+{
+    __m512i s = csub(_mm512_add_epi64(u, v), twoqv);
+    __m512i d = _mm512_add_epi64(_mm512_sub_epi64(u, v), twoqv);
+    v = shoup_lazy(d, w, ws, qv);
+    u = s;
+}
+
+/**
+ * Split/merge of two loaded vectors x0 = a[p..p+8), x1 = a[p+8..p+16)
+ * into the u and v operands of a stage with butterfly distance t < 8,
+ * and the twiddle layout that matches. Group g (2t elements) holds its
+ * u half first; a pair of vectors covers 8/t groups.
+ */
+struct SmallStride
+{
+    __m512i uIdx, vIdx;   ///< permutex2var picks u / v from (x0, x1)
+    __m512i lo, hi;       ///< permutex2var rebuilds x0 / x1 from (u, v)
+    __m512i wIdx;         ///< lane -> group within the 8/t twiddles
+
+    explicit SmallStride(std::size_t t)
+    {
+        if (t == 4) {
+            uIdx = lo = idx8(0, 1, 2, 3, 8, 9, 10, 11);
+            vIdx = hi = idx8(4, 5, 6, 7, 12, 13, 14, 15);
+            wIdx = idx8(0, 0, 0, 0, 1, 1, 1, 1);
+        } else if (t == 2) {
+            uIdx = idx8(0, 1, 4, 5, 8, 9, 12, 13);
+            vIdx = idx8(2, 3, 6, 7, 10, 11, 14, 15);
+            lo = idx8(0, 1, 8, 9, 2, 3, 10, 11);
+            hi = idx8(4, 5, 12, 13, 6, 7, 14, 15);
+            wIdx = idx8(0, 0, 1, 1, 2, 2, 3, 3);
+        } else {
+            uIdx = idx8(0, 2, 4, 6, 8, 10, 12, 14);
+            vIdx = idx8(1, 3, 5, 7, 9, 11, 13, 15);
+            lo = idx8(0, 8, 1, 9, 2, 10, 3, 11);
+            hi = idx8(4, 12, 5, 13, 6, 14, 7, 15);
+            wIdx = idx8(0, 1, 2, 3, 4, 5, 6, 7);
+        }
+    }
+};
+
+/// Twiddles for the 8/t groups starting at tw[0], spread per lane.
+inline __m512i
+small_twiddles(const u64 *tw, std::size_t t, __m512i wIdx)
+{
+    if (t == 1) return _mm512_loadu_si512(tw);
+    // 2 (t = 4) or 4 (t = 2) values, spread by wIdx.
+    __m512i raw = _mm512_maskz_loadu_epi64(t == 4 ? 0x03 : 0x0f, tw);
+    return _mm512_permutexvar_epi64(wIdx, raw);
+}
+
+void
+avx512_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
+                   const u64 *psiShoup, u64 q)
+{
+    if (n < 16) {
+        table(SimdLevel::Avx2).ntt_forward(a, n, logn, psi, psiShoup, q);
+        return;
+    }
+    __m512i qv = bcast(q);
+    __m512i twoqv = _mm512_add_epi64(qv, qv);
+    std::size_t t = n;
+    for (std::size_t m = 1; m < n; m <<= 1) {
+        t >>= 1;
+        if (t >= 8) {
+            for (std::size_t i = 0; i < m; ++i) {
+                std::size_t j1 = 2 * i * t;
+                __m512i w = bcast(psi[m + i]);
+                __m512i ws = bcast(psiShoup[m + i]);
+                for (std::size_t j = j1; j < j1 + t; j += 8) {
+                    __m512i u = _mm512_loadu_si512(a + j);
+                    __m512i v = _mm512_loadu_si512(a + j + t);
+                    ct_lazy(u, v, w, ws, qv, twoqv);
+                    _mm512_storeu_si512(a + j, u);
+                    _mm512_storeu_si512(a + j + t, v);
+                }
+            }
+            continue;
+        }
+        SmallStride ss(t);
+        std::size_t groups = 8 / t; // per pair of vectors
+        for (std::size_t i = 0; i < m; i += groups) {
+            u64 *p = a + 2 * t * i;
+            __m512i x0 = _mm512_loadu_si512(p);
+            __m512i x1 = _mm512_loadu_si512(p + 8);
+            __m512i u = _mm512_permutex2var_epi64(x0, ss.uIdx, x1);
+            __m512i v = _mm512_permutex2var_epi64(x0, ss.vIdx, x1);
+            __m512i w = small_twiddles(psi + m + i, t, ss.wIdx);
+            __m512i ws = small_twiddles(psiShoup + m + i, t, ss.wIdx);
+            ct_lazy(u, v, w, ws, qv, twoqv);
+            _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, ss.lo, v));
+            _mm512_storeu_si512(p + 8,
+                                _mm512_permutex2var_epi64(u, ss.hi, v));
+        }
+    }
+    for (std::size_t j = 0; j < n; j += 8) { // < 4q -> canonical
+        __m512i x = _mm512_loadu_si512(a + j);
+        _mm512_storeu_si512(a + j, csub(csub(x, twoqv), qv));
+    }
+}
+
+void
+avx512_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
+                   const u64 *ipsiShoup, u64 nInv, u64 nInvShoup, u64 q)
+{
+    if (n < 16) {
+        table(SimdLevel::Avx2).ntt_inverse(a, n, logn, ipsi, ipsiShoup,
+                                           nInv, nInvShoup, q);
+        return;
+    }
+    __m512i qv = bcast(q);
+    __m512i twoqv = _mm512_add_epi64(qv, qv);
+    std::size_t t = 1;
+    for (std::size_t m = n; m > 1; m >>= 1, t <<= 1) {
+        std::size_t h = m >> 1;
+        if (t >= 8) {
+            for (std::size_t i = 0; i < h; ++i) {
+                std::size_t j1 = 2 * i * t;
+                __m512i w = bcast(ipsi[h + i]);
+                __m512i ws = bcast(ipsiShoup[h + i]);
+                for (std::size_t j = j1; j < j1 + t; j += 8) {
+                    __m512i u = _mm512_loadu_si512(a + j);
+                    __m512i v = _mm512_loadu_si512(a + j + t);
+                    gs_lazy(u, v, w, ws, qv, twoqv);
+                    _mm512_storeu_si512(a + j, u);
+                    _mm512_storeu_si512(a + j + t, v);
+                }
+            }
+            continue;
+        }
+        SmallStride ss(t);
+        std::size_t groups = 8 / t;
+        for (std::size_t i = 0; i < h; i += groups) {
+            u64 *p = a + 2 * t * i;
+            __m512i x0 = _mm512_loadu_si512(p);
+            __m512i x1 = _mm512_loadu_si512(p + 8);
+            __m512i u = _mm512_permutex2var_epi64(x0, ss.uIdx, x1);
+            __m512i v = _mm512_permutex2var_epi64(x0, ss.vIdx, x1);
+            __m512i w = small_twiddles(ipsi + h + i, t, ss.wIdx);
+            __m512i ws = small_twiddles(ipsiShoup + h + i, t, ss.wIdx);
+            gs_lazy(u, v, w, ws, qv, twoqv);
+            _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, ss.lo, v));
+            _mm512_storeu_si512(p + 8,
+                                _mm512_permutex2var_epi64(u, ss.hi, v));
+        }
+    }
+    // Fold n^{-1} into the canonicalizing pass: inputs < 2q, lazy
+    // product < 2q, one subtraction finishes.
+    __m512i niv = bcast(nInv);
+    __m512i nisv = bcast(nInvShoup);
+    for (std::size_t j = 0; j < n; j += 8) {
+        __m512i x = _mm512_loadu_si512(a + j);
+        _mm512_storeu_si512(a + j,
+                            csub(shoup_lazy(x, niv, nisv, qv), qv));
+    }
+}
+
 } // namespace
 
 const KernelTable *
 avx512_table()
 {
     static const KernelTable t = [] {
-        KernelTable k; // NTT entries stay null -> inherited from AVX2
+        KernelTable k;
         k.add_mod_n = avx512_add_mod_n;
         k.sub_mod_n = avx512_sub_mod_n;
         k.neg_mod_n = avx512_neg_mod_n;
@@ -406,6 +604,8 @@ avx512_table()
         k.mul_mod_acc_lazy_n = avx512_mul_mod_acc_lazy_n;
         k.reduce_mod_n = avx512_reduce_mod_n;
         k.normalize_n = avx512_normalize_n;
+        k.ntt_forward = avx512_ntt_forward;
+        k.ntt_inverse = avx512_ntt_inverse;
         return k;
     }();
     return &t;

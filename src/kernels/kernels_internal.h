@@ -16,8 +16,8 @@ namespace poseidon::kernels::internal {
 /// AVX2 kernel table, or nullptr when not compiled in.
 const KernelTable *avx2_table();
 
-/// AVX-512 kernel table (elementwise kernels only; NTT entries are
-/// left null and inherited from AVX2), or nullptr.
+/// AVX-512 kernel table (elementwise kernels and NTT passes), or
+/// nullptr.
 const KernelTable *avx512_table();
 
 } // namespace poseidon::kernels::internal

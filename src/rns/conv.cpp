@@ -128,23 +128,36 @@ ModDown::apply(const std::vector<const u64*> &xq,
                const std::vector<const u64*> &xp,
                const std::vector<u64*> &out, std::size_t n) const
 {
-    const RnsBasis &qb = conv_.dst();
-    std::size_t l = qb.size();
+    std::size_t l = conv_.dst().size();
     POSEIDON_REQUIRE(xq.size() == l && out.size() == l,
                      "ModDown::apply: limb count mismatch");
 
     // conv_{p->q}(x_p) into scratch buffers.
     std::vector<std::vector<u64>> scratch(l, std::vector<u64>(n));
     std::vector<u64*> scratchPtr(l);
-    for (std::size_t i = 0; i < l; ++i) scratchPtr[i] = scratch[i].data();
+    std::vector<const u64*> c(l);
+    for (std::size_t i = 0; i < l; ++i) {
+        scratchPtr[i] = scratch[i].data();
+        c[i] = scratchPtr[i];
+    }
     conv_.convert(xp, scratchPtr, n, /*correct=*/true);
+    finish(xq, c, out, n);
+}
 
+void
+ModDown::finish(const std::vector<const u64*> &xq,
+                const std::vector<const u64*> &c,
+                const std::vector<u64*> &out, std::size_t n) const
+{
+    const RnsBasis &qb = conv_.dst();
+    std::size_t l = qb.size();
+    POSEIDON_REQUIRE(xq.size() == l && c.size() == l && out.size() == l,
+                     "ModDown::finish: limb count mismatch");
     parallel::parallel_for(0, l, 1,
         [&](std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i) {
                 u64 q = qb.modulus(i);
-                kernels::sub_mod_n(out[i], xq[i], scratch[i].data(), n,
-                                   q);
+                kernels::sub_mod_n(out[i], xq[i], c[i], n, q);
                 kernels::scalar_mul_shoup_n(out[i], out[i], n, pInv_[i],
                                             pInvShoup_[i], q);
             }

@@ -5,7 +5,7 @@
  * @file
  * Fast RNS base conversion — the paper's `RNSconv` building block
  * (Eq. 1), plus the ModUp/ModDown coefficient math built from it
- * (Eqs. 2-3). All functions here operate on coefficient-domain residue
+ * (Eqs. 2-3). Base conversion operates on coefficient-domain residue
  * arrays; the NTT round-trips happen in the CKKS layer.
  *
  * Poseidon implements RNSconv in hardware by cascading the MA and MM
@@ -70,6 +70,12 @@ class RnsConv
  * the q-basis of round(x / P):
  *
  *   out_i = (x_i - conv_{p->q}(x_p)_i) * P^{-1}  mod q_i
+ *
+ * The conversion needs coefficient-domain x_p; the subtract-and-scale
+ * step (`finish`) is linear, so it runs equally on coefficient or
+ * evaluation-domain residues. The keyswitch uses that to keep its
+ * q-limbs in the evaluation domain: it transforms only the K special
+ * limbs out and the L converted limbs in.
  */
 class ModDown
 {
@@ -77,6 +83,8 @@ class ModDown
     ModDown(const RnsBasis &qBasis, const RnsBasis &pBasis);
 
     /**
+     * Coefficient-domain ModDown: `conv()` then `finish`.
+     *
      * @param xq   residues over q-basis (size L, each n coefficients)
      * @param xp   residues over p-basis (size K, each n coefficients)
      * @param out  output residues over q-basis (size L)
@@ -84,6 +92,15 @@ class ModDown
     void apply(const std::vector<const u64*> &xq,
                const std::vector<const u64*> &xp,
                const std::vector<u64*> &out, std::size_t n) const;
+
+    /**
+     * out_i = (xq_i - c_i) * P^{-1} mod q_i, where c is conv()'s output
+     * for x_p; xq and c must be in the same domain. `out` may alias xq
+     * or c.
+     */
+    void finish(const std::vector<const u64*> &xq,
+                const std::vector<const u64*> &c,
+                const std::vector<u64*> &out, std::size_t n) const;
 
     const RnsConv& conv() const { return conv_; }
 

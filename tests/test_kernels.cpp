@@ -38,14 +38,16 @@ non_scalar_levels()
     return out;
 }
 
-/// One NTT prime per requested bit width (all == 1 mod 2*4096 so the
-/// same list serves the NTT tests).
+/// One NTT prime per requested bit width (all == 1 mod 2*8192 so the
+/// same list serves the NTT tests). 61 bits is the widest
+/// generate_ntt_primes accepts, where the forward NTT's lazy 4q < 2^64
+/// bound is tightest.
 std::vector<u64>
 test_primes()
 {
     std::vector<u64> primes;
-    for (unsigned bits : {28u, 35u, 45u, 50u, 59u, 60u}) {
-        std::vector<u64> p = generate_ntt_primes(4096, bits, 1, primes);
+    for (unsigned bits : {28u, 35u, 45u, 50u, 59u, 60u, 61u}) {
+        std::vector<u64> p = generate_ntt_primes(8192, bits, 1, primes);
         primes.push_back(p[0]);
     }
     return primes;
@@ -293,7 +295,7 @@ TEST(KernelsNtt, ForwardMatchesScalarBitExact)
     for (SimdLevel lvl : non_scalar_levels()) {
         const KernelTable &t = kernels::table(lvl);
         const KernelTable &ref = kernels::table(SimdLevel::Scalar);
-        for (std::size_t n : {8u, 16u, 64u, 1024u, 4096u}) {
+        for (std::size_t n : {8u, 16u, 32u, 64u, 1024u, 4096u, 8192u}) {
             for (u64 q : test_primes()) {
                 NttTable tbl(n, q);
                 auto a = random_canonical(prng, n, q);
@@ -318,7 +320,7 @@ TEST(KernelsNtt, InverseMatchesScalarBitExact)
     for (SimdLevel lvl : non_scalar_levels()) {
         const KernelTable &t = kernels::table(lvl);
         const KernelTable &ref = kernels::table(SimdLevel::Scalar);
-        for (std::size_t n : {8u, 16u, 64u, 1024u, 4096u}) {
+        for (std::size_t n : {8u, 16u, 32u, 64u, 1024u, 4096u, 8192u}) {
             for (u64 q : test_primes()) {
                 NttTable tbl(n, q);
                 auto a = random_canonical(prng, n, q);
@@ -365,24 +367,34 @@ TEST(KernelsNtt, RoundTripRestoresInput)
 
 TEST(KernelsNtt, TinyDegreesFallBackCorrectly)
 {
-    // n < 8 takes the scalar path inside SIMD backends.
+    // n < 8 takes the scalar path inside SIMD backends; the AVX-512
+    // backend hands n = 8 to the AVX2 passes.
     Prng prng(9);
+    const KernelTable &ref = kernels::table(SimdLevel::Scalar);
     for (SimdLevel lvl : non_scalar_levels()) {
         const KernelTable &t = kernels::table(lvl);
-        for (std::size_t n : {2u, 4u}) {
+        for (std::size_t n : {2u, 4u, 8u}) {
             u64 q = generate_ntt_primes(n, 40, 1)[0];
             NttTable tbl(n, q);
             auto a = random_canonical(prng, n, q);
             auto want = a;
             auto got = a;
-            kernels::table(SimdLevel::Scalar)
-                .ntt_forward(want.data(), n, tbl.log_degree(),
-                             tbl.psi_br().data(),
-                             tbl.psi_br_shoup().data(), q);
+            ref.ntt_forward(want.data(), n, tbl.log_degree(),
+                            tbl.psi_br().data(),
+                            tbl.psi_br_shoup().data(), q);
             t.ntt_forward(got.data(), n, tbl.log_degree(),
                           tbl.psi_br().data(),
                           tbl.psi_br_shoup().data(), q);
             EXPECT_EQ(want, got) << "tiny fwd n=" << n;
+            ref.ntt_inverse(want.data(), n, tbl.log_degree(),
+                            tbl.ipsi_br().data(),
+                            tbl.ipsi_br_shoup().data(), tbl.n_inv(),
+                            tbl.n_inv_shoup(), q);
+            t.ntt_inverse(got.data(), n, tbl.log_degree(),
+                          tbl.ipsi_br().data(),
+                          tbl.ipsi_br_shoup().data(), tbl.n_inv(),
+                          tbl.n_inv_shoup(), q);
+            EXPECT_EQ(want, got) << "tiny inv n=" << n;
         }
     }
 }

@@ -1,5 +1,6 @@
 // Unit tests for the RNS basis, CRT composition, fast base conversion
-// (the paper's RNSconv, Eq. 1) and ModDown (Eq. 2).
+// (the paper's RNSconv, Eq. 1) and ModDown (Eq. 2), including its
+// evaluation-domain finish.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "common/status.h"
 #include "common/prng.h"
+#include "ntt/ntt.h"
 #include "rns/conv.h"
 #include "rns/primes.h"
 
@@ -200,6 +202,63 @@ TEST(ModDown, DividesByPAndRounds)
                         static_cast<double>(P);
         // ModDown returns floor-ish division; error bounded by ~1.
         EXPECT_NEAR(got, expect, 2.0) << "t=" << t << " v=" << values[t];
+    }
+}
+
+TEST(ModDown, FinishInEvalDomainMatchesApply)
+{
+    // The keyswitch runs ModDown's subtract-and-scale on
+    // evaluation-domain q-limbs: NTT(apply(x)) must equal
+    // finish(NTT(x_q), NTT(conv(x_p))) bit for bit.
+    const std::size_t n = 64;
+    Prng prng(29);
+    for (std::size_t K : {1u, 3u}) {
+        for (std::size_t limbs : {1u, 5u}) {
+            RnsBasis qb = make_basis(n, 40, limbs);
+            RnsBasis pb = make_basis(n, 45, K, qb.moduli());
+            ModDown md(qb, pb);
+            std::vector<NttTable> ntt;
+            for (std::size_t i = 0; i < limbs; ++i) {
+                ntt.emplace_back(n, qb.modulus(i));
+            }
+
+            auto random_limbs = [&](const RnsBasis &b) {
+                std::vector<std::vector<u64>> x(b.size(),
+                                                std::vector<u64>(n));
+                for (std::size_t i = 0; i < b.size(); ++i) {
+                    for (u64 &v : x[i]) v = prng.uniform(b.modulus(i));
+                }
+                return x;
+            };
+            auto xq = random_limbs(qb);
+            auto xp = random_limbs(pb);
+            std::vector<std::vector<u64>> want(limbs,
+                                               std::vector<u64>(n));
+            std::vector<std::vector<u64>> c = want, got = want;
+            auto xqE = xq;
+
+            std::vector<const u64*> xqp(limbs), xqEp(limbs), xpp(K),
+                cp(limbs);
+            std::vector<u64*> wantp(limbs), cw(limbs), gotp(limbs);
+            for (std::size_t i = 0; i < limbs; ++i) {
+                xqp[i] = xq[i].data();
+                xqEp[i] = xqE[i].data();
+                cp[i] = cw[i] = c[i].data();
+                wantp[i] = want[i].data();
+                gotp[i] = got[i].data();
+            }
+            for (std::size_t j = 0; j < K; ++j) xpp[j] = xp[j].data();
+
+            md.apply(xqp, xpp, wantp, n);
+            md.conv().convert(xpp, cw, n, /*correct=*/true);
+            for (std::size_t i = 0; i < limbs; ++i) {
+                ntt[i].forward(want[i].data());
+                ntt[i].forward(xqE[i].data());
+                ntt[i].forward(c[i].data());
+            }
+            md.finish(xqEp, cp, gotp, n);
+            EXPECT_EQ(want, got) << "K=" << K << " limbs=" << limbs;
+        }
     }
 }
 
