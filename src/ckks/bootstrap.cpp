@@ -112,21 +112,22 @@ Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
     cts_.push_back(make_stage(inv_layers(0, split), level(0)));
     cts_.push_back(make_stage(inv_layers(split, logNs), level(1)));
 
-    // The split then multiplies by -X^{N/2} at the level CtS leaves.
-    std::size_t n = ctx_->degree();
-    std::vector<i64> mono(n, 0);
-    mono[n / 2] = -1;
-    negI_ = RnsPoly::ct(ctx_->ring(), level(2), Domain::Coeff);
-    negI_.assign_signed(mono);
-    negI_.to_eval();
-
     // SlotToCoeff: fft_special after the bit reversal that restores
     // natural order. fft_special starts with that same reversal, so
-    // this is its butterfly layers alone. It runs on the limbs EvalMod
-    // leaves.
-    stc_ = make_stage(matrix_of(ns, 1.0, [&](std::vector<cdouble> &v) {
-        encoder_.fft_layers(v, 0, logNs);
-    }), level(levels_consumed() - 1));
+    // this is its butterfly layers alone, split in two: the short
+    // butterflies (offsets within +-15 at 512 slots) on the limbs
+    // EvalMod leaves, then the long ones (stride 16). Every entry of a
+    // butterfly product is one unit-modulus twiddle path, so neither
+    // stage needs a fold.
+    auto fwd_layers = [&](unsigned begin, unsigned end) {
+        return matrix_of(ns, 1.0, [&](std::vector<cdouble> &v) {
+            encoder_.fft_layers(v, begin, end);
+        });
+    };
+    stc_.push_back(make_stage(fwd_layers(0, logNs / 2),
+                              level(levels_consumed() - 2)));
+    stc_.push_back(make_stage(fwd_layers(logNs / 2, logNs),
+                              level(levels_consumed() - 1)));
 
     if (cfg_.variant == EvalModVariant::ChebyshevCos) {
         double r2 = std::ldexp(1.0, static_cast<int>(
@@ -148,8 +149,9 @@ Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
         for (long r : st.baby) add(r);
         for (const auto &g : st.groups) add(g.giant);
     };
-    for (const EncodedStage &st : cts_) collect(st);
-    collect(stc_);
+    for (const auto *t : {&cts_, &stc_}) {
+        for (const EncodedStage &st : *t) collect(st);
+    }
     gk_ = keygen.make_galois_keys({steps.begin(), steps.end()},
                                   /*includeConjugate=*/true);
 }
@@ -225,8 +227,8 @@ Bootstrapper::levels_consumed() const
     if (cfg_.variant == EvalModVariant::ChebyshevCos) {
         // CtS 2 (the split is free) + Chebyshev evaluation (affine 2,
         // power ladder ~log2+3, BSGS recursion ~2*log2(deg/m)+1, scale
-        // normalization 1) + doubleAngle r + final constant 1 +
-        // combine 1 + StC 1. Conservative upper bound:
+        // normalization 1) + doubleAngle r + final constant 1 + StC 2
+        // (the recombination is free). Conservative upper bound:
         std::size_t m = 1;
         while (m * m < cfg_.chebDegree + 1) m <<= 1;
         std::size_t ladder = log2_floor(m) + 3;
@@ -234,12 +236,12 @@ Bootstrapper::levels_consumed() const
                               cfg_.chebDegree / std::max<std::size_t>(m, 1),
                               1)) + 1) + 2;
         return 2 + 2 + ladder + rec + 1 + cfg_.doubleAngleIters + 1 +
-               1 + 1;
+               2;
     }
     // CtS 2 (the split is free) + argument scaling 1 + Horner
-    // taylorDegree + doubleAngle r + sine extraction 1 + combine 1 +
-    // StC 1.
-    return 2 + 1 + cfg_.taylorDegree + cfg_.doubleAngleIters + 1 + 1 + 1;
+    // taylorDegree + doubleAngle r + sine extraction 1 + StC 2 (the
+    // recombination is free).
+    return 2 + 1 + cfg_.taylorDegree + cfg_.doubleAngleIters + 1 + 2;
 }
 
 BootstrapPlan
@@ -260,7 +262,9 @@ Bootstrapper::plan() const
     for (const EncodedStage &st : cts_) {
         plan.coeffToSlot.push_back(describe(st));
     }
-    plan.slotToCoeff.push_back(describe(stc_));
+    for (const EncodedStage &st : stc_) {
+        plan.slotToCoeff.push_back(describe(st));
+    }
     return plan;
 }
 
@@ -317,6 +321,14 @@ Bootstrapper::mul_cscalar(const Ciphertext &ct, cdouble v,
     return out;
 }
 
+void
+Bootstrapper::mul_monomial_inplace(Ciphertext &ct, cdouble unit) const
+{
+    Plaintext m = encoder_.encode_scalar(unit, ct.num_limbs(), 1.0);
+    ct.c0.mul_inplace(m.poly);
+    ct.c1.mul_inplace(m.poly);
+}
+
 Ciphertext
 Bootstrapper::add_cscalar(const Ciphertext &ct, cdouble v) const
 {
@@ -341,13 +353,16 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
 
     Ciphertext acc;
     bool accSet = false;
+    std::vector<const Ciphertext*> cts;
+    std::vector<const Plaintext*> pts;
     for (const auto &group : st.groups) {
-        const auto &first = group.diags.front();
-        Ciphertext inner = eval.mul_plain(rots[first.babyIndex], first.pt);
-        for (std::size_t k = 1; k < group.diags.size(); ++k) {
-            const auto &d = group.diags[k];
-            eval.add_inplace(inner, eval.mul_plain(rots[d.babyIndex], d.pt));
+        cts.clear();
+        pts.clear();
+        for (const auto &d : group.diags) {
+            cts.push_back(&rots[d.babyIndex]);
+            pts.push_back(&d.pt);
         }
+        Ciphertext inner = eval.dot_plain(cts, pts);
         if (group.giant != 0) {
             inner = eval.rotate(inner, group.giant, gk_);
         }
@@ -379,8 +394,7 @@ Bootstrapper::coeff_to_slot(const Ciphertext &ct,
     // with -i the monomial -X^{N/2} (exact, no level).
     Ciphertext lo = eval.add(z, zc);
     Ciphertext hi = eval.sub(z, zc);
-    hi.c0.mul_inplace(negI_);
-    hi.c1.mul_inplace(negI_);
+    mul_monomial_inplace(hi, cdouble(0.0, -1.0));
     return {std::move(lo), std::move(hi)};
 }
 
@@ -462,12 +476,14 @@ Ciphertext
 Bootstrapper::slot_to_coeff(const Ciphertext &lo, const Ciphertext &hi,
                             const CkksEvaluator &eval) const
 {
-    // z = lo + i*hi, run both through one scalar mult to equalize
-    // scale and level exactly.
-    Ciphertext a = mul_cscalar(lo, cdouble(1.0, 0.0), eval);
-    Ciphertext b = mul_cscalar(hi, cdouble(0.0, 1.0), eval);
-    Ciphertext z = eval.add(a, b);
-    return linear_transform(z, stc_, eval);
+    // z = lo + i*hi with i the monomial X^{N/2}: EvalMod leaves both
+    // at one level and exactly Delta, so the sum is exact and costs no
+    // level.
+    Ciphertext z = hi;
+    mul_monomial_inplace(z, cdouble(0.0, 1.0));
+    eval.add_inplace(z, lo);
+    for (const EncodedStage &st : stc_) z = linear_transform(z, st, eval);
+    return z;
 }
 
 Ciphertext

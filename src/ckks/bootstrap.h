@@ -30,11 +30,18 @@
  *                   imaginary part extracted with one conjugation.
  *                   It works slot by slot, so the bit-reversed order is
  *                   harmless.
- *  4. SlotToCoeff — the forward special FFT after a bit reversal that
- *                   restores natural order; the FFT starts with the
- *                   same reversal, so the two cancel and only its
- *                   butterfly layers remain, run as one dense
- *                   baby-step/giant-step product.
+ *  4. SlotToCoeff — z = lo + X^{N/2}*hi (i in every slot; EvalMod
+ *                   leaves both halves at one level and exactly Delta,
+ *                   so the recombination is exact and costs no level),
+ *                   then the forward special FFT after a bit reversal
+ *                   that restores natural order. The FFT starts with
+ *                   the same reversal, so the two cancel and only its
+ *                   butterfly layers remain, factored like CoeffToSlot
+ *                   into two sparse stages: its first floor(log2(n)/2)
+ *                   layers, then the rest. At n = 512 slots that is 31
+ *                   diagonals (offsets -15..15), then 32 (stride 16),
+ *                   each a hoisted baby-step/giant-step product
+ *                   costing one level.
  *
  * Every transform diagonal is encoded once, at construction, at the
  * level its stage runs at; plan() reports the stages and their bytes.
@@ -156,7 +163,11 @@ class Bootstrapper
     Ciphertext eval_mod(const Ciphertext &ct, const CkksEvaluator &eval,
                         double msgScale = -1.0) const;
 
-    /// Stage 4: recombine and apply the forward encoding matrix.
+    /**
+     * Stage 4: recombine z = lo + i*hi and apply the forward encoding
+     * matrix. lo and hi must sit at one level and one scale, as
+     * eval_mod leaves them.
+     */
     Ciphertext slot_to_coeff(const Ciphertext &lo, const Ciphertext &hi,
                              const CkksEvaluator &eval) const;
 
@@ -196,6 +207,10 @@ class Bootstrapper
     Ciphertext mul_cscalar(const Ciphertext &ct, cdouble v,
                            const CkksEvaluator &eval) const;
 
+    /// ct *= `unit` in {i, -i} as the monomial +-X^{N/2} (exact, no
+    /// level or scale change).
+    void mul_monomial_inplace(Ciphertext &ct, cdouble unit) const;
+
     /// ct + complex scalar (exact scale match, no level cost).
     Ciphertext add_cscalar(const Ciphertext &ct, cdouble v) const;
 
@@ -205,8 +220,7 @@ class Bootstrapper
     KSwitchKey relin_;
     GaloisKeys gk_;
     std::vector<EncodedStage> cts_; ///< CoeffToSlot stages, in order
-    EncodedStage stc_;              ///< SlotToCoeff
-    RnsPoly negI_;                  ///< -X^{N/2}: -i in every slot
+    std::vector<EncodedStage> stc_; ///< SlotToCoeff stages, in order
     std::vector<double> cosCoeffs_; ///< ChebyshevCos interpolation
 };
 

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "kernels/kernels.h"
 
 namespace poseidon {
 
@@ -26,6 +27,40 @@ require_ctx(const CkksContextPtr &ctx)
 {
     POSEIDON_REQUIRE(ctx != nullptr, "CkksEncoder: null context");
     return ctx;
+}
+
+/// Checks `limbs`; resolves a scale <= 0 to the context default.
+double
+checked_scale(const CkksContext &ctx, std::size_t limbs, double scale)
+{
+    POSEIDON_REQUIRE(limbs >= 1 && limbs <= ctx.params().L,
+                     "encode: limb count " << limbs << " outside [1, "
+                     << ctx.params().L << "]");
+    if (scale <= 0.0) scale = ctx.params().scale();
+    POSEIDON_REQUIRE(std::isfinite(scale),
+                     "encode: scale must be finite, got " << scale);
+    return scale;
+}
+
+/// Largest |coefficient| an encoding may round to (i64 headroom).
+constexpr double kMaxCoeff = 4.0e18;
+
+i64
+round_coeff(double v)
+{
+    POSEIDON_REQUIRE(std::abs(v) < kMaxCoeff,
+                     "encode: coefficient overflows 62 bits — "
+                     "scale too large for these values");
+    return static_cast<i64>(std::llround(v));
+}
+
+/// v mod q in [0, q), as RnsPoly::assign_signed reduces it.
+u64
+signed_residue(i64 v, u64 q)
+{
+    if (v >= 0) return static_cast<u64>(v) % q;
+    u64 r = (static_cast<u64>(-(v + 1)) + 1) % q;
+    return r == 0 ? 0 : q - r;
 }
 
 /// a*b by the textbook formula. std::complex's operator* computes the
@@ -64,6 +99,13 @@ CkksEncoder::CkksEncoder(CkksContextPtr ctx)
             fivePow = (fivePow * 5) % m;
         }
     }
+
+    // Coefficient slots_ = N/2 holds a slot's imaginary part.
+    imagUnit_ = RnsPoly::ct(ctx_->ring(), ctx_->params().L, Domain::Coeff);
+    for (std::size_t k = 0; k < imagUnit_.num_limbs(); ++k) {
+        imagUnit_.limb(k)[slots_] = 1;
+    }
+    imagUnit_.to_eval();
 }
 
 void
@@ -139,12 +181,7 @@ CkksEncoder::encode(const std::vector<cdouble> &values, std::size_t limbs,
     POSEIDON_REQUIRE(values.size() <= slots_,
                      "encode: " << values.size() << " values exceed the "
                      << slots_ << " available slots");
-    POSEIDON_REQUIRE(limbs >= 1 && limbs <= ctx_->params().L,
-                     "encode: limb count " << limbs << " outside [1, "
-                     << ctx_->params().L << "]");
-    if (scale <= 0.0) scale = ctx_->params().scale();
-    POSEIDON_REQUIRE(std::isfinite(scale),
-                     "encode: scale must be finite, got " << scale);
+    scale = checked_scale(*ctx_, limbs, scale);
 
     std::vector<cdouble> vals(slots_, cdouble(0, 0));
     std::copy(values.begin(), values.end(), vals.begin());
@@ -152,16 +189,9 @@ CkksEncoder::encode(const std::vector<cdouble> &values, std::size_t limbs,
 
     std::size_t n = ctx_->degree();
     std::vector<i64> coeffs(n);
-    constexpr double kMaxCoeff = 4.0e18; // i64 headroom guard
     for (std::size_t j = 0; j < slots_; ++j) {
-        double re = vals[j].real() * scale;
-        double im = vals[j].imag() * scale;
-        POSEIDON_REQUIRE(std::abs(re) < kMaxCoeff &&
-                         std::abs(im) < kMaxCoeff,
-                         "encode: coefficient overflows 62 bits — "
-                         "scale too large for these values");
-        coeffs[j] = static_cast<i64>(std::llround(re));
-        coeffs[j + slots_] = static_cast<i64>(std::llround(im));
+        coeffs[j] = round_coeff(vals[j].real() * scale);
+        coeffs[j + slots_] = round_coeff(vals[j].imag() * scale);
     }
 
     Plaintext pt;
@@ -185,7 +215,27 @@ Plaintext
 CkksEncoder::encode_scalar(cdouble value, std::size_t limbs,
                            double scale) const
 {
-    return encode(std::vector<cdouble>(slots_, value), limbs, scale);
+    // encode() of a constant vector: the inverse FFT leaves exactly
+    // the value in slot 0 and zeros elsewhere, so coefficient 0 is
+    // round(re*scale) and coefficient N/2 is round(im*scale). The NTT
+    // is linear mod q, so re + im*X^{N/2} per limb has its bytes.
+    scale = checked_scale(*ctx_, limbs, scale);
+    i64 re = round_coeff(value.real() * scale);
+    i64 im = round_coeff(value.imag() * scale);
+    std::size_t n = ctx_->degree();
+    Plaintext pt;
+    pt.poly = RnsPoly::ct(ctx_->ring(), limbs, Domain::Eval);
+    for (std::size_t k = 0; k < limbs; ++k) {
+        u64 q = pt.poly.prime(k);
+        u64 b = signed_residue(im, q);
+        u64 bShoup = static_cast<u64>((u128(b) << 64) / q);
+        u64 *out = pt.poly.limb(k);
+        kernels::scalar_mul_shoup_n(out, imagUnit_.limb(k), n, b, bShoup,
+                                    q);
+        kernels::add_scalar_mod_n(out, out, n, signed_residue(re, q), q);
+    }
+    pt.scale = scale;
+    return pt;
 }
 
 std::vector<cdouble>

@@ -44,7 +44,12 @@ class CkksEncoder
     Plaintext encode_real(const std::vector<double> &values,
                           std::size_t limbs, double scale = -1.0) const;
 
-    /// Encode the same scalar into every slot.
+    /**
+     * Encode the same scalar into every slot; byte-equal to encode()
+     * of a constant vector. X^{N/2} is i in every slot, so a + bi
+     * encodes to round(a*scale) + round(b*scale)*X^{N/2}: computed
+     * per limb from the precomputed monomial, with no FFT or NTT.
+     */
     Plaintext encode_scalar(cdouble value, std::size_t limbs,
                             double scale = -1.0) const;
 
@@ -82,6 +87,8 @@ class CkksEncoder
     /// its h twiddles at [h-1, 2h-1).
     std::vector<cdouble> fwdTwiddles_;
     std::vector<cdouble> invTwiddles_;
+    /// X^{N/2} in the evaluation domain over every chain prime.
+    RnsPoly imagUnit_;
 };
 
 } // namespace poseidon

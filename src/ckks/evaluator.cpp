@@ -136,6 +136,57 @@ CkksEvaluator::mul_plain(const Ciphertext &a, const Plaintext &p) const
 }
 
 Ciphertext
+CkksEvaluator::dot_plain(const std::vector<const Ciphertext*> &cts,
+                         const std::vector<const Plaintext*> &pts) const
+{
+    POSEIDON_REQUIRE_T(ShapeMismatch,
+                       !cts.empty() && cts.size() == pts.size(),
+                       "dot_plain: " << cts.size() << " ciphertexts vs "
+                       << pts.size() << " plaintexts");
+    const Ciphertext &a = *cts.front();
+    const Plaintext &p = *pts.front();
+    std::size_t limbs = a.num_limbs();
+    for (std::size_t t = 0; t < cts.size(); ++t) {
+        check_same_shape(a, *cts[t]);
+        POSEIDON_REQUIRE_T(ShapeMismatch, a.c0.compatible(pts[t]->poly),
+                           "dot_plain: plaintext " << t << " level "
+                           "mismatch (" << pts[t]->num_limbs() << " vs "
+                           << limbs << " limbs)");
+        POSEIDON_REQUIRE_T(ShapeMismatch,
+                           scales_close(p.scale, pts[t]->scale),
+                           "dot_plain: plaintext " << t << " scale "
+                           "mismatch (" << pts[t]->scale << " vs "
+                           << p.scale << ")");
+    }
+    telemetry::count("ckks.ops.mul_plain", static_cast<double>(cts.size()));
+
+    std::size_t n = ctx_->degree();
+    const auto &ring = ctx_->ring();
+    Ciphertext out;
+    out.c0 = RnsPoly::ct(ring, limbs, Domain::Eval);
+    out.c1 = RnsPoly::ct(ring, limbs, Domain::Eval);
+    out.scale = a.scale * p.scale;
+    parallel::parallel_for(0, limbs, 1,
+        [&](std::size_t k0, std::size_t k1) {
+            for (std::size_t k = k0; k < k1; ++k) {
+                u64 q = ring->prime(k);
+                u64 *o0 = out.c0.limb(k); // zero-initialized by ct()
+                u64 *o1 = out.c1.limb(k);
+                for (std::size_t t = 0; t < cts.size(); ++t) {
+                    const u64 *pt = pts[t]->poly.limb(k);
+                    kernels::mul_mod_acc_lazy_n(o0, cts[t]->c0.limb(k),
+                                                pt, n, q);
+                    kernels::mul_mod_acc_lazy_n(o1, cts[t]->c1.limb(k),
+                                                pt, n, q);
+                }
+                kernels::normalize_n(o0, n, q);
+                kernels::normalize_n(o1, n, q);
+            }
+        }, "ckks.dot_plain");
+    return out;
+}
+
+Ciphertext
 CkksEvaluator::mul_scalar(const Ciphertext &a, double value,
                           double scale) const
 {

@@ -13,6 +13,7 @@
  */
 
 #include <utility>
+#include <vector>
 
 #include "ckks/ciphertext.h"
 #include "ckks/keys.h"
@@ -39,6 +40,16 @@ class CkksEvaluator
     // ---- PMult ----
     /// Ciphertext-plaintext multiply; scales multiply (rescale after).
     Ciphertext mul_plain(const Ciphertext &a, const Plaintext &p) const;
+
+    /**
+     * Sum of cts[k] * pts[k]: one lazy multiply-accumulate per term
+     * and limb and one normalization, with no per-term temporary.
+     * Byte-equal to the mul_plain/add_inplace chain and counted as
+     * one mul_plain per term. Every ciphertext must share one level
+     * and scale, and every plaintext that level and one scale.
+     */
+    Ciphertext dot_plain(const std::vector<const Ciphertext*> &cts,
+                         const std::vector<const Plaintext*> &pts) const;
 
     /**
      * Multiply by the scalar `value` encoded at `scale` (default: the

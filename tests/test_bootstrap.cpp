@@ -158,21 +158,25 @@ TEST(Bootstrap, OpCountsMatchPlan)
     std::size_t L = f.ctx->params().L;
 
     // CoeffToSlot: 5 + 4 butterfly layers of the 512-point inverse FFT
-    // at the top two levels; SlotToCoeff: dense, where EvalMod ends.
+    // at the top two levels; SlotToCoeff: 4 + 5 layers of the forward
+    // FFT on the two levels EvalMod leaves.
     ASSERT_EQ(plan.coeffToSlot.size(), 2u);
-    ASSERT_EQ(plan.slotToCoeff.size(), 1u);
+    ASSERT_EQ(plan.slotToCoeff.size(), 2u);
     const auto &a = plan.coeffToSlot[0], &b = plan.coeffToSlot[1];
-    const auto &s = plan.slotToCoeff[0];
+    const auto &s = plan.slotToCoeff[0], &t = plan.slotToCoeff[1];
     EXPECT_EQ(a.diagonals, 32u);
     EXPECT_EQ(b.diagonals, 31u);
-    EXPECT_EQ(s.diagonals, f.ctx->slots());
+    EXPECT_EQ(s.diagonals, 31u);
+    EXPECT_EQ(t.diagonals, 32u);
     EXPECT_EQ(a.limbs, L);
     EXPECT_EQ(b.limbs, L - 1);
-    EXPECT_EQ(s.limbs, L - f.boot.levels_consumed() + 1);
-    EXPECT_EQ(a.babySteps + a.giantSteps, 10u);
-    EXPECT_EQ(b.babySteps + b.giantSteps, 10u);
+    EXPECT_EQ(s.limbs, L - f.boot.levels_consumed() + 2);
+    EXPECT_EQ(t.limbs, L - f.boot.levels_consumed() + 1);
+    for (const auto *st : {&a, &b, &s, &t}) {
+        EXPECT_EQ(st->babySteps + st->giantSteps, 10u);
+    }
     std::size_t bytes = 0;
-    for (const auto *st : {&a, &b, &s}) {
+    for (const auto *st : {&a, &b, &s, &t}) {
         EXPECT_EQ(st->bytes,
                   st->diagonals * st->limbs * f.ctx->degree() * sizeof(u64));
         bytes += st->bytes;
@@ -181,8 +185,9 @@ TEST(Bootstrap, OpCountsMatchPlan)
 
     // Outside the transforms: CoeffToSlot's conjugation; per EvalMod
     // (TaylorExp), taylorDegree-1 Horner and r squaring
-    // relinearizations, one conjugation and three scalar mults; two
-    // scalar mults recombining before SlotToCoeff.
+    // relinearizations, one conjugation and three scalar mults. The
+    // recombination before SlotToCoeff is a monomial product, not a
+    // plaintext mult.
     BootstrapConfig cfg;
     double evalModKs = cfg.taylorDegree - 1 + cfg.doubleAngleIters + 1;
     auto &reg = telemetry::MetricsRegistry::global();
@@ -194,7 +199,38 @@ TEST(Bootstrap, OpCountsMatchPlan)
     EXPECT_EQ(reg.counter_value("ckks.ops.keyswitch") - ks0,
               plan.keyswitches() + 1 + 2 * evalModKs);
     EXPECT_EQ(reg.counter_value("ckks.ops.mul_plain") - pm0,
-              plan.plain_mults() + 2 * 3 + 2);
+              plan.plain_mults() + 2 * 3);
+}
+
+TEST(Bootstrap, SlotToCoeffMatchesPlainTransform)
+{
+    // Inverse of CoeffToSlot's layout: slot j of lo/hi holds
+    // coefficient rev(j) / rev(j)+n of the message's encoding over
+    // Delta. SlotToCoeff must turn that back into the message.
+    BootFixture &f = BootFixture::instance();
+    std::size_t ns = f.ctx->slots();
+    auto z = small_message(ns, 6);
+    RnsPoly t = f.encoder.encode(z, 1).poly;
+    t.to_coeff();
+    u64 q0 = f.ctx->ring()->prime(0);
+    double delta = f.ctx->params().scale();
+    unsigned bits = log2_floor(ns);
+    std::vector<cdouble> lo(ns), hi(ns);
+    for (std::size_t j = 0; j < ns; ++j) {
+        std::size_t i = bit_reverse(j, bits);
+        lo[j] = static_cast<double>(centered(t.limb(0)[i], q0)) / delta;
+        hi[j] = static_cast<double>(centered(t.limb(0)[i + ns], q0)) /
+                delta;
+    }
+
+    std::size_t limbs =
+        f.ctx->params().L - f.boot.levels_consumed() + 2;
+    Ciphertext clo = f.encryptor.encrypt(f.encoder.encode(lo, limbs));
+    Ciphertext chi = f.encryptor.encrypt(f.encoder.encode(hi, limbs));
+    Ciphertext out = f.boot.slot_to_coeff(clo, chi, f.eval);
+    EXPECT_EQ(out.num_limbs(), limbs - 2);
+    auto back = f.encoder.decode(f.decryptor.decrypt(out));
+    EXPECT_LT(max_err(z, back), 1e-6);
 }
 
 TEST(Bootstrap, FullRefreshRecoversMessage)

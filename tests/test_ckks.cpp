@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/status.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "telemetry/metrics.h"
 
 namespace poseidon {
 namespace {
@@ -67,6 +70,18 @@ max_err(const std::vector<cdouble> &a, const std::vector<cdouble> &b)
     return m;
 }
 
+bool
+same_bytes(const RnsPoly &a, const RnsPoly &b)
+{
+    if (!a.compatible(b)) return false;
+    for (std::size_t k = 0; k < a.num_limbs(); ++k) {
+        if (!std::equal(a.limb(k), a.limb(k) + a.degree(), b.limb(k))) {
+            return false;
+        }
+    }
+    return true;
+}
+
 TEST(CkksEncoder, EncodeDecodeRoundTrip)
 {
     Fixture f(small_params());
@@ -85,6 +100,28 @@ TEST(CkksEncoder, ScalarAndRealEncode)
         EXPECT_NEAR(v.real(), 0.5, 1e-6);
         EXPECT_NEAR(v.imag(), -0.25, 1e-6);
     }
+
+    // The closed form (no FFT, no NTT) has encode()'s exact bytes.
+    std::vector<cdouble> values = {cdouble(0.5, 0.0), cdouble(0.5, -0.25),
+                                   cdouble(-1.0, 0.0)};
+    const cdouble iPow[] = {{1, 0}, {0, 1}, {-1, 0}, {0, -1}};
+    double fact = 1.0;
+    for (unsigned d = 0; d <= 7; ++d) {
+        if (d > 0) fact *= d;
+        values.push_back(iPow[d % 4] / fact);
+    }
+    std::size_t slots = f.ctx->slots();
+    for (std::size_t limbs : {std::size_t(1), f.ctx->params().L}) {
+        for (cdouble v : values) {
+            Plaintext a = f.encoder.encode_scalar(v, limbs);
+            Plaintext b = f.encoder.encode(
+                std::vector<cdouble>(slots, v), limbs);
+            EXPECT_TRUE(same_bytes(a.poly, b.poly))
+                << "value " << v << " at " << limbs << " limbs";
+            EXPECT_EQ(a.scale, b.scale);
+        }
+    }
+
     std::vector<double> reals = {1.0, -2.0, 3.0};
     Plaintext pr = f.encoder.encode_real(reals, 2);
     auto rb = f.encoder.decode(pr);
@@ -334,6 +371,65 @@ TEST(Ckks, LevelMismatchRejected)
     Ciphertext c1 = f.encryptor.encrypt(f.encoder.encode(z, 3));
     Ciphertext c2 = f.encryptor.encrypt(f.encoder.encode(z, 2));
     EXPECT_THROW(f.eval.add(c1, c2), poseidon::Error);
+}
+
+TEST(Ckks, DotPlainMatchesMulPlainChain)
+{
+    // Exact mod q, so byte-equal at whichever POSEIDON_SIMD level the
+    // suite runs under (CI runs it once per level).
+    Fixture f(small_params());
+    std::size_t slots = f.ctx->slots();
+    std::vector<Ciphertext> cts;
+    std::vector<Plaintext> pts;
+    for (u64 t = 0; t < 32; ++t) {
+        if (t < 4) {
+            cts.push_back(f.encryptor.encrypt(
+                f.encoder.encode(test_vector(slots, 60 + t), 3)));
+        }
+        pts.push_back(f.encoder.encode(test_vector(slots, 70 + t), 3));
+    }
+    auto &reg = telemetry::MetricsRegistry::global();
+    for (std::size_t terms : {1, 7, 32}) {
+        std::vector<const Ciphertext*> cp;
+        std::vector<const Plaintext*> pp;
+        Ciphertext chain = f.eval.mul_plain(cts[0], pts[0]);
+        for (std::size_t t = 0; t < terms; ++t) {
+            cp.push_back(&cts[t % cts.size()]);
+            pp.push_back(&pts[t]);
+            if (t > 0) f.eval.add_inplace(chain,
+                                          f.eval.mul_plain(*cp[t], *pp[t]));
+        }
+        double pm0 = reg.counter_value("ckks.ops.mul_plain");
+        Ciphertext dot = f.eval.dot_plain(cp, pp);
+        EXPECT_TRUE(same_bytes(dot.c0, chain.c0)) << terms << " terms";
+        EXPECT_TRUE(same_bytes(dot.c1, chain.c1)) << terms << " terms";
+        EXPECT_EQ(dot.scale, chain.scale);
+        if (telemetry::enabled()) {
+            EXPECT_EQ(reg.counter_value("ckks.ops.mul_plain") - pm0,
+                      static_cast<double>(terms));
+        }
+    }
+
+    // Every term must share the first term's level and scales.
+    Ciphertext low = cts[1];
+    f.eval.drop_to_limbs_inplace(low, 2);
+    Plaintext lowPt = pts[1];
+    f.eval.drop_to_limbs_inplace(lowPt, 2);
+    Ciphertext scaled = f.encryptor.encrypt(f.encoder.encode(
+        test_vector(slots, 64), 3, f.ctx->params().scale() * 2));
+    Plaintext scaledPt = f.encoder.encode(test_vector(slots, 65), 3,
+                                          f.ctx->params().scale() * 2);
+    using Terms = std::pair<std::vector<const Ciphertext*>,
+                            std::vector<const Plaintext*>>;
+    for (const Terms &bad :
+         {Terms{{&cts[0], &low}, {&pts[0], &pts[1]}},
+          Terms{{&cts[0], &cts[1]}, {&pts[0], &lowPt}},
+          Terms{{&cts[0], &scaled}, {&pts[0], &pts[1]}},
+          Terms{{&cts[0], &cts[1]}, {&pts[0], &scaledPt}},
+          Terms{{&cts[0]}, {&pts[0], &pts[1]}}}) {
+        EXPECT_THROW(f.eval.dot_plain(bad.first, bad.second),
+                     ShapeMismatch);
+    }
 }
 
 TEST(Ckks, KeyswitchCoreIdentity)

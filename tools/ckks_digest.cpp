@@ -12,10 +12,12 @@
 // Because the kernel layer guarantees canonical outputs are
 // bit-identical across dispatch levels and thread counts, no line
 // may change under POSEIDON_SIMD or POSEIDON_THREADS — CI runs it once
-// per SIMD level and diffs the output.
+// per SIMD level and diffs each output against the committed
+// tools/ckks_digest.expected, so a drift every level shares fails too.
+// A change that means to alter the arithmetic updates that file.
 //
-// Stdout carries the digests only, so `diff <(POSEIDON_SIMD=scalar
-// ckks_digest) <(POSEIDON_SIMD=avx2 ckks_digest)` is the whole gate.
+// Stdout carries the digests only, so `diff tools/ckks_digest.expected
+// <(POSEIDON_SIMD=avx2 ckks_digest)` is the whole gate.
 
 #include <cstdio>
 
