@@ -44,17 +44,20 @@ main()
                            const std::vector<BootstrapPlan::Stage> &st) {
         for (std::size_t i = 0; i < st.size(); ++i) {
             std::printf("  %s stage %zu: %3zu diagonals, %2zu hoisted + "
-                        "%2zu giant rotations, %2zu limbs, %5.2f MB\n",
+                        "%2zu giant rotations, %zu ModDowns, %2zu limbs, "
+                        "%5.2f MB\n",
                         name, i + 1, st[i].diagonals, st[i].babySteps,
-                        st[i].giantSteps, st[i].limbs, st[i].bytes / 1e6);
+                        st[i].giantSteps, st[i].modDowns, st[i].limbs,
+                        st[i].bytes / 1e6);
         }
     };
     print_stages("CoeffToSlot", plan.coeffToSlot);
     print_stages("SlotToCoeff", plan.slotToCoeff);
     std::printf("  plaintext tables: %.2f MB; transforms run %zu "
-                "plaintext mults and %zu keyswitches per bootstrap\n\n",
+                "plaintext mults, %zu keyswitches and %zu ModDowns per "
+                "bootstrap\n\n",
                 plan.table_bytes() / 1e6, plan.plain_mults(),
-                plan.keyswitches());
+                plan.keyswitches(), plan.mod_downs());
 
     // Encrypt x = 0.9 in every slot, bottom of the chain.
     std::vector<cdouble> x(ctx->slots(), cdouble(0.9, 0.0));

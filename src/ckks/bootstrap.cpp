@@ -71,6 +71,16 @@ BootstrapPlan::keyswitches() const
 }
 
 std::size_t
+BootstrapPlan::mod_downs() const
+{
+    std::size_t m = 0;
+    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
+        for (const Stage &s : *t) m += s.modDowns;
+    }
+    return m;
+}
+
+std::size_t
 BootstrapPlan::plain_mults() const
 {
     std::size_t p = 0;
@@ -214,9 +224,11 @@ Bootstrapper::make_stage(const std::vector<cdouble> &m,
             diag[j] = at(row, (row + o) % n);
         }
         // Encoded at the prime the stage's rescale drops, so the stage
-        // returns its input's scale exactly.
+        // returns its input's scale exactly, and over the extended
+        // basis the products run in.
         st.groups.back().diags.push_back(
-            {babyAt.at(bg.second), encoder_.encode(diag, limbs, scale)});
+            {babyAt.at(bg.second),
+             encoder_.encode_extended(diag, limbs, scale)});
     }
     return st;
 }
@@ -254,8 +266,10 @@ Bootstrapper::plan() const
             p.diagonals += g.diags.size();
             p.giantSteps += g.giant != 0;
         }
+        p.modDowns = p.giantSteps + 1;
         p.limbs = st.limbs;
-        p.bytes = p.diagonals * st.limbs * ctx_->degree() * sizeof(u64);
+        p.bytes = p.diagonals * (st.limbs + ctx_->params().K) *
+                  ctx_->degree() * sizeof(u64);
         return p;
     };
     BootstrapPlan plan;
@@ -347,9 +361,12 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
     Ciphertext in = ct;
     if (in.num_limbs() > st.limbs) eval.drop_to_limbs_inplace(in, st.limbs);
 
-    // Baby-step rotations, hoisted: one digit decomposition of c1
-    // shared by all of them (Halevi-Shoup).
-    std::vector<Ciphertext> rots = eval.rotate_hoisted(in, st.baby, gk_);
+    // Double hoisting (Bossuat et al. 2021): the baby-step rotations
+    // share one digit decomposition of c1 and stay over the extended
+    // basis QP, where each group multiplies its diagonals. A group with
+    // a giant step pays one ModDown before its rotation, whose
+    // keyswitch lands back in QP; one ModDown of the sum ends the stage.
+    std::vector<Ciphertext> rots = eval.rotate_hoisted_ext(in, st.baby, gk_);
 
     Ciphertext acc;
     bool accSet = false;
@@ -364,7 +381,8 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
         }
         Ciphertext inner = eval.dot_plain(cts, pts);
         if (group.giant != 0) {
-            inner = eval.rotate(inner, group.giant, gk_);
+            inner = eval.rotate_ext(eval.mod_down(std::move(inner)),
+                                    group.giant, gk_);
         }
         if (accSet) {
             eval.add_inplace(acc, inner);
@@ -373,8 +391,9 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
             accSet = true;
         }
     }
-    eval.rescale_inplace(acc);
-    return acc;
+    Ciphertext out = eval.mod_down(std::move(acc));
+    eval.rescale_inplace(out);
+    return out;
 }
 
 std::pair<Ciphertext, Ciphertext>

@@ -16,11 +16,12 @@
  *                   ceil(log2(n)/2) butterfly layers, then the rest. At
  *                   n = 512 slots that is 32 diagonals (stride 16) and
  *                   31 diagonals (offsets -15..15), each stage a
- *                   hoisted baby-step/giant-step product costing one
- *                   level. The final bit reversal is dropped, so slot j
- *                   holds coefficient rev(j) (rev reverses log2(n)
- *                   bits): t_rev(j)/q_0 in the real half and
- *                   t_{rev(j)+n}/q_0 in the imaginary half, in [-K, K].
+ *                   double-hoisted baby-step/giant-step product (see
+ *                   below) costing one level. The final bit reversal is
+ *                   dropped, so slot j holds coefficient rev(j) (rev
+ *                   reverses log2(n) bits): t_rev(j)/q_0 in the real
+ *                   half and t_{rev(j)+n}/q_0 in the imaginary half, in
+ *                   [-K, K].
  *                   The real/imaginary split is one conjugation and a
  *                   multiplication by the monomial -X^{N/2} (-i in
  *                   every slot), which costs no level.
@@ -40,11 +41,20 @@
  *                   into two sparse stages: its first floor(log2(n)/2)
  *                   layers, then the rest. At n = 512 slots that is 31
  *                   diagonals (offsets -15..15), then 32 (stride 16),
- *                   each a hoisted baby-step/giant-step product
+ *                   each a double-hoisted baby-step/giant-step product
  *                   costing one level.
  *
- * Every transform diagonal is encoded once, at construction, at the
- * level its stage runs at; plan() reports the stages and their bytes.
+ * Double hoisting (Bossuat, Mouchet, Troncoso-Pastoriza and Hubaux,
+ * Eurocrypt 2021): a stage's baby-step rotations share one ModUp and
+ * stay in the extended basis QP without a ModDown; each BSGS group
+ * multiplies its diagonals there; a group with a giant step is brought
+ * down once and rotated by a keyswitch that lands back in QP; one
+ * ModDown of the sum ends the stage. That is 4 ModDowns per stage (3
+ * giant steps + 1) instead of one per rotation (10).
+ *
+ * Every transform diagonal is encoded once, at construction, over the
+ * level its stage runs at plus the K special primes; plan() reports the
+ * stages, their ModDowns and their bytes.
  * All four stages decompose into the five Poseidon operators, which is
  * exactly why the accelerator can run bootstrapping by operator reuse.
  */
@@ -98,8 +108,9 @@ struct BootstrapPlan
         std::size_t diagonals = 0;  ///< nonzero diagonals = plaintext mults
         std::size_t babySteps = 0;  ///< hoisted rotations (one shared ModUp)
         std::size_t giantSteps = 0; ///< full rotations, one keyswitch each
-        std::size_t limbs = 0;      ///< level of the stage and its plaintexts
-        std::size_t bytes = 0;      ///< bytes of its encoded diagonals
+        std::size_t modDowns = 0;   ///< one per giant step, one for the sum
+        std::size_t limbs = 0;      ///< level of the stage (q-primes)
+        std::size_t bytes = 0;      ///< diagonals over limbs + K primes
     };
 
     std::vector<Stage> coeffToSlot; ///< in the order they run
@@ -110,6 +121,8 @@ struct BootstrapPlan
     /// Keyswitches of both transforms (giant steps; hoisted baby steps
     /// share a decomposition and do not count).
     std::size_t keyswitches() const;
+    /// ModDowns of both transforms.
+    std::size_t mod_downs() const;
     /// Plaintext multiplications of both transforms.
     std::size_t plain_mults() const;
 };
@@ -193,7 +206,8 @@ class Bootstrapper
     };
 
     /// Encodes the nonzero diagonals of the slots() x slots() matrix
-    /// `m` (column-major) as one stage whose plaintexts sit at `limbs`.
+    /// `m` (column-major) as one stage at `limbs`, its plaintexts over
+    /// that level's extended basis.
     EncodedStage make_stage(const std::vector<cdouble> &m,
                             std::size_t limbs) const;
 

@@ -178,11 +178,27 @@ Plaintext
 CkksEncoder::encode(const std::vector<cdouble> &values, std::size_t limbs,
                     double scale) const
 {
+    scale = checked_scale(*ctx_, limbs, scale);
+    std::vector<std::size_t> idx(limbs);
+    for (std::size_t k = 0; k < limbs; ++k) idx[k] = k;
+    return encode_on(values, std::move(idx), scale);
+}
+
+Plaintext
+CkksEncoder::encode_extended(const std::vector<cdouble> &values,
+                             std::size_t limbs, double scale) const
+{
+    scale = checked_scale(*ctx_, limbs, scale);
+    return encode_on(values, ctx_->extended_indices(limbs), scale);
+}
+
+Plaintext
+CkksEncoder::encode_on(const std::vector<cdouble> &values,
+                       std::vector<std::size_t> primeIdx, double scale) const
+{
     POSEIDON_REQUIRE(values.size() <= slots_,
                      "encode: " << values.size() << " values exceed the "
                      << slots_ << " available slots");
-    scale = checked_scale(*ctx_, limbs, scale);
-
     std::vector<cdouble> vals(slots_, cdouble(0, 0));
     std::copy(values.begin(), values.end(), vals.begin());
     fft_special_inv(vals);
@@ -195,7 +211,7 @@ CkksEncoder::encode(const std::vector<cdouble> &values, std::size_t limbs,
     }
 
     Plaintext pt;
-    pt.poly = RnsPoly::ct(ctx_->ring(), limbs, Domain::Coeff);
+    pt.poly = RnsPoly(ctx_->ring(), std::move(primeIdx), Domain::Coeff);
     pt.poly.assign_signed(coeffs);
     pt.poly.to_eval();
     pt.scale = scale;

@@ -40,6 +40,15 @@ class CkksEncoder
     Plaintext encode(const std::vector<cdouble> &values,
                      std::size_t limbs, double scale = -1.0) const;
 
+    /**
+     * encode() over the extended basis of a `limbs`-prime level
+     * (CkksContext::extended_indices): the same integer polynomial,
+     * also reduced mod the K special primes, to multiply
+     * CkksEvaluator's extended-basis ciphertexts.
+     */
+    Plaintext encode_extended(const std::vector<cdouble> &values,
+                              std::size_t limbs, double scale = -1.0) const;
+
     /// Encode a real vector (imaginary parts zero).
     Plaintext encode_real(const std::vector<double> &values,
                           std::size_t limbs, double scale = -1.0) const;
@@ -81,6 +90,11 @@ class CkksEncoder
                         unsigned end) const;
 
   private:
+    /// encode() onto the primes of `primeIdx`.
+    Plaintext encode_on(const std::vector<cdouble> &values,
+                        std::vector<std::size_t> primeIdx,
+                        double scale) const;
+
     CkksContextPtr ctx_;
     std::size_t slots_;
     /// Per-layer butterfly twiddles; the layer of half-width h holds

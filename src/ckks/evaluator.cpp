@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -163,14 +164,14 @@ CkksEvaluator::dot_plain(const std::vector<const Ciphertext*> &cts,
     std::size_t n = ctx_->degree();
     const auto &ring = ctx_->ring();
     Ciphertext out;
-    out.c0 = RnsPoly::ct(ring, limbs, Domain::Eval);
-    out.c1 = RnsPoly::ct(ring, limbs, Domain::Eval);
+    out.c0 = RnsPoly(ring, a.c0.prime_indices(), Domain::Eval);
+    out.c1 = RnsPoly(ring, a.c0.prime_indices(), Domain::Eval);
     out.scale = a.scale * p.scale;
     parallel::parallel_for(0, limbs, 1,
         [&](std::size_t k0, std::size_t k1) {
             for (std::size_t k = k0; k < k1; ++k) {
-                u64 q = ring->prime(k);
-                u64 *o0 = out.c0.limb(k); // zero-initialized by ct()
+                u64 q = out.c0.prime(k);
+                u64 *o0 = out.c0.limb(k); // zero-initialized
                 u64 *o1 = out.c1.limb(k);
                 for (std::size_t t = 0; t < cts.size(); ++t) {
                     const u64 *pt = pts[t]->poly.limb(k);
@@ -283,34 +284,21 @@ CkksEvaluator::square(const Ciphertext &a, const KSwitchKey &relinKey) const
     return mul(a, a, relinKey);
 }
 
-std::vector<std::size_t>
-CkksEvaluator::extended_indices(std::size_t limbs) const
-{
-    std::size_t L = ctx_->params().L;
-    std::size_t K = ctx_->params().K;
-    std::vector<std::size_t> extIdx;
-    extIdx.reserve(limbs + K);
-    for (std::size_t i = 0; i < limbs; ++i) extIdx.push_back(i);
-    for (std::size_t j = 0; j < K; ++j) extIdx.push_back(L + j);
-    return extIdx;
-}
-
-std::vector<std::vector<std::vector<u64>>>
+CkksEvaluator::Digits
 CkksEvaluator::decompose_digits_eval(
-    const RnsPoly &d, const RnsPoly &dCoeff,
-    const std::vector<std::size_t> &extIdx) const
+    const RnsPoly &d, const std::vector<std::size_t> &extIdx) const
 {
-    POSEIDON_REQUIRE(d.domain() == Domain::Eval &&
-                     dCoeff.domain() == Domain::Coeff,
-                     "decompose_digits_eval: needs d in the eval domain "
-                     "and its coefficient-domain copy");
+    POSEIDON_REQUIRE(d.domain() == Domain::Eval,
+                     "decompose_digits_eval: needs d in the eval domain");
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
-    std::size_t limbs = dCoeff.num_limbs();
+    std::size_t limbs = d.num_limbs();
     std::size_t alpha = ctx_->alpha();
     std::size_t numDigits = ctx_->num_digits(limbs);
+    RnsPoly dCoeff = d;
+    dCoeff.to_coeff();
 
-    std::vector<std::vector<std::vector<u64>>> out(numDigits);
+    Digits out(numDigits);
     for (std::size_t j = 0; j < numDigits; ++j) {
         std::size_t start = j * alpha;
         std::size_t len = std::min(alpha, limbs - start);
@@ -362,6 +350,66 @@ CkksEvaluator::decompose_digits_eval(
 }
 
 std::pair<RnsPoly, RnsPoly>
+CkksEvaluator::key_product(const Digits &digits, const KSwitchKey &key,
+                           const std::vector<std::size_t> &extIdx,
+                           const std::vector<u32> &perm,
+                           const RnsPoly *c0) const
+{
+    const auto &ring = ctx_->ring();
+    std::size_t n = ctx_->degree();
+    std::size_t numDigits = digits.size();
+    POSEIDON_REQUIRE_T(ShapeMismatch, key.pieces.size() >= numDigits,
+                       "keyswitch: switching key has " << key.pieces.size()
+                       << " pieces, need " << numDigits);
+
+    // The loop nest is m-outer / j-inner so each extended limb m is
+    // owned by exactly one chunk; within a limb the digits accumulate
+    // in ascending-j order, so the sum is bit-identical to the serial
+    // nest at any thread count. The permuted-digit scratch is
+    // chunk-local.
+    std::size_t limbs = c0 ? c0->num_limbs() : 0;
+    RnsPoly acc0(ring, extIdx, Domain::Eval);
+    RnsPoly acc1(ring, extIdx, Domain::Eval);
+    parallel::parallel_for(0, extIdx.size(), 1,
+        [&](std::size_t m0, std::size_t m1) {
+            std::vector<u64> tmp(perm.empty() ? 0 : n);
+            auto permuted = [&](const u64 *src) -> const u64* {
+                if (perm.empty()) return src;
+                automorphism_eval_limb(src, tmp.data(), n, perm);
+                return tmp.data();
+            };
+            for (std::size_t m = m0; m < m1; ++m) {
+                std::size_t pidx = extIdx[m];
+                u64 qm = ring->prime(pidx);
+                u64 *o0 = acc0.limb(m);
+                u64 *o1 = acc1.limb(m);
+                // Lazy Barrett accumulate over the digit inner
+                // products; one normalization after the j loop.
+                for (std::size_t j = 0; j < numDigits; ++j) {
+                    const KSwitchKey::Piece &piece = key.pieces[j];
+                    const u64 *dg = permuted(digits[j][m].data());
+                    kernels::mul_mod_acc_lazy_n(o0, dg,
+                                                piece.b.limb(pidx), n,
+                                                qm);
+                    kernels::mul_mod_acc_lazy_n(o1, dg,
+                                                piece.a.limb(pidx), n,
+                                                qm);
+                }
+                if (m < limbs) {
+                    // P*c0 is exact mod q_m and zero mod every p_j.
+                    u64 pm = ctx_->p_mod_qi(pidx);
+                    u64 pmShoup = static_cast<u64>((u128(pm) << 64) / qm);
+                    kernels::scalar_mul_mod_acc_n(o0, permuted(c0->limb(m)),
+                                                  n, pm, pmShoup, qm);
+                }
+                kernels::normalize_n(o0, n, qm);
+                kernels::normalize_n(o1, n, qm);
+            }
+        }, "ckks.keyswitch_acc");
+    return {std::move(acc0), std::move(acc1)};
+}
+
+std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                              std::size_t limbs) const
 {
@@ -370,6 +418,7 @@ CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
     // only their `limbs` converted images come back. finish() is
     // linear mod q_i, so subtracting and scaling the eval-domain
     // q-limbs gives the same bytes as the coefficient-domain apply().
+    telemetry::count("ckks.ops.mod_down");
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
     std::size_t K = ctx_->params().K;
@@ -411,53 +460,13 @@ CkksEvaluator::keyswitch_core(const RnsPoly &d, const KSwitchKey &key) const
     telemetry::ScopedLatency lat("ckks.keyswitch_us");
     POSEIDON_REQUIRE(d.domain() == Domain::Eval,
                      "keyswitch_core: input must be in Eval domain");
-    const auto &ring = ctx_->ring();
-    std::size_t n = ctx_->degree();
     std::size_t limbs = d.num_limbs();
-    std::size_t numDigits = ctx_->num_digits(limbs);
-    POSEIDON_REQUIRE_T(ShapeMismatch, key.pieces.size() >= numDigits,
-                       "keyswitch_core: switching key has "
-                       << key.pieces.size() << " pieces, need "
-                       << numDigits);
-
-    std::vector<std::size_t> extIdx = extended_indices(limbs);
-
-    RnsPoly dc = d;
-    dc.to_coeff();
-    auto digits = decompose_digits_eval(d, dc, extIdx);
-
-    // Accumulate digit-by-key products. The loop nest is m-outer /
-    // j-inner so each extended limb m is owned by exactly one chunk;
-    // within a limb the digits still accumulate in ascending-j order,
-    // so the sum is bit-identical to the serial nest at any thread
-    // count.
-    RnsPoly acc0(ring, extIdx, Domain::Eval);
-    RnsPoly acc1(ring, extIdx, Domain::Eval);
-    parallel::parallel_for(0, extIdx.size(), 1,
-        [&](std::size_t m0, std::size_t m1) {
-            for (std::size_t m = m0; m < m1; ++m) {
-                std::size_t pidx = extIdx[m];
-                u64 qm = ring->prime(pidx);
-                u64 *o0 = acc0.limb(m);
-                u64 *o1 = acc1.limb(m);
-                // Lazy Barrett accumulate over the digit inner
-                // products; one normalization after the j loop.
-                for (std::size_t j = 0; j < numDigits; ++j) {
-                    const KSwitchKey::Piece &piece = key.pieces[j];
-                    const u64 *dg = digits[j][m].data();
-                    kernels::mul_mod_acc_lazy_n(o0, dg,
-                                                piece.b.limb(pidx), n,
-                                                qm);
-                    kernels::mul_mod_acc_lazy_n(o1, dg,
-                                                piece.a.limb(pidx), n,
-                                                qm);
-                }
-                kernels::normalize_n(o0, n, qm);
-                kernels::normalize_n(o1, n, qm);
-            }
-        }, "ckks.keyswitch_acc");
+    std::vector<std::size_t> extIdx = ctx_->extended_indices(limbs);
+    auto [acc0, acc1] = key_product(decompose_digits_eval(d, extIdx), key,
+                                    extIdx, {}, nullptr);
     return mod_down_pair(std::move(acc0), std::move(acc1), limbs);
 }
+
 void
 CkksEvaluator::rescale_poly(RnsPoly &p) const
 {
@@ -594,76 +603,106 @@ CkksEvaluator::apply_galois(const Ciphertext &a, u64 galois,
 }
 
 std::vector<Ciphertext>
-CkksEvaluator::rotate_hoisted(const Ciphertext &a,
-                              const std::vector<long> &steps,
-                              const GaloisKeys &keys) const
+CkksEvaluator::rotate_hoisted_ext(const Ciphertext &a,
+                                  const std::vector<long> &steps,
+                                  const GaloisKeys &keys) const
 {
     telemetry::SpanScope span("Evaluator::rotate_hoisted");
     span.attr("steps", telemetry::Json(steps.size()));
     telemetry::count("ckks.ops.rotate_hoisted");
-    const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
     std::size_t limbs = a.num_limbs();
-    std::size_t numDigits = ctx_->num_digits(limbs);
-    std::vector<std::size_t> extIdx = extended_indices(limbs);
+    std::vector<std::size_t> extIdx = ctx_->extended_indices(limbs);
 
     // Hoist: decompose c1 once; digits of tau_g(c1) are tau_g of the
     // digits, which in the evaluation domain is a permutation.
-    RnsPoly dc = a.c1;
-    dc.to_coeff();
-    auto digits = decompose_digits_eval(a.c1, dc, extIdx);
+    Digits digits = decompose_digits_eval(a.c1, extIdx);
+
+    // A zero step lifts a to P*a: [P]_q on the q-limbs, zero special
+    // limbs.
+    std::vector<u64> pModQ(limbs);
+    for (std::size_t i = 0; i < limbs; ++i) pModQ[i] = ctx_->p_mod_qi(i);
+    auto lift = [&](const RnsPoly &x) {
+        RnsPoly y = x;
+        y.mul_scalar_inplace(pModQ);
+        for (std::size_t m = limbs; m < extIdx.size(); ++m) {
+            y.append_limb(extIdx[m]);
+        }
+        return y;
+    };
 
     std::vector<Ciphertext> out;
     out.reserve(steps.size());
     for (long step : steps) {
         u64 g = galois_element_for_step(n, step);
-        if (g == 1) {
-            out.push_back(a);
-            continue;
-        }
-        const KSwitchKey &key = keys.get(g);
-        POSEIDON_REQUIRE_T(ShapeMismatch, key.pieces.size() >= numDigits,
-                           "rotate_hoisted: switching key has "
-                           << key.pieces.size() << " pieces, need "
-                           << numDigits);
-        std::vector<u32> perm = make_eval_permutation(n, g);
-
-        // Same m-outer / j-inner nest as keyswitch_core (ascending-j
-        // accumulation per limb keeps results bit-identical); the
-        // permuted-digit scratch is chunk-local.
-        RnsPoly acc0(ring, extIdx, Domain::Eval);
-        RnsPoly acc1(ring, extIdx, Domain::Eval);
-        parallel::parallel_for(0, extIdx.size(), 1,
-            [&](std::size_t m0, std::size_t m1) {
-                std::vector<u64> tmp(n);
-                for (std::size_t m = m0; m < m1; ++m) {
-                    std::size_t pidx = extIdx[m];
-                    u64 qm = ring->prime(pidx);
-                    u64 *o0 = acc0.limb(m);
-                    u64 *o1 = acc1.limb(m);
-                    for (std::size_t j = 0; j < numDigits; ++j) {
-                        const KSwitchKey::Piece &piece = key.pieces[j];
-                        automorphism_eval_limb(digits[j][m].data(),
-                                               tmp.data(), n, perm);
-                        kernels::mul_mod_acc_lazy_n(
-                            o0, tmp.data(), piece.b.limb(pidx), n, qm);
-                        kernels::mul_mod_acc_lazy_n(
-                            o1, tmp.data(), piece.a.limb(pidx), n, qm);
-                    }
-                    kernels::normalize_n(o0, n, qm);
-                    kernels::normalize_n(o1, n, qm);
-                }
-            }, "ckks.rotate_acc");
-        auto [u0, u1] =
-            mod_down_pair(std::move(acc0), std::move(acc1), limbs);
-
         Ciphertext r;
-        r.c0 = automorphism(a.c0, g);
-        r.c0.add_inplace(u0);
-        r.c1 = std::move(u1);
         r.scale = a.scale;
+        if (g == 1) {
+            r.c0 = lift(a.c0);
+            r.c1 = lift(a.c1);
+        } else {
+            std::tie(r.c0, r.c1) =
+                key_product(digits, keys.get(g), extIdx,
+                            make_eval_permutation(n, g), &a.c0);
+        }
         out.push_back(std::move(r));
     }
+    return out;
+}
+
+std::vector<Ciphertext>
+CkksEvaluator::rotate_hoisted(const Ciphertext &a,
+                              const std::vector<long> &steps,
+                              const GaloisKeys &keys) const
+{
+    std::vector<Ciphertext> out = rotate_hoisted_ext(a, steps, keys);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        if (galois_element_for_step(ctx_->degree(), steps[i]) == 1) {
+            out[i] = a;
+        } else {
+            out[i] = mod_down(std::move(out[i]));
+        }
+    }
+    return out;
+}
+
+Ciphertext
+CkksEvaluator::rotate_ext(const Ciphertext &a, long step,
+                          const GaloisKeys &keys) const
+{
+    POSEIDON_SPAN("Evaluator::keyswitch");
+    telemetry::count("ckks.ops.keyswitch");
+    telemetry::count("ckks.ops.rotation");
+    telemetry::ScopedLatency lat("ckks.keyswitch_us");
+    u64 g = galois_element_for_step(ctx_->degree(), step);
+    POSEIDON_REQUIRE(g != 1, "rotate_ext: zero rotation step");
+    RnsPoly c0g = automorphism(a.c0, g);
+    RnsPoly c1g = automorphism(a.c1, g);
+    std::vector<std::size_t> extIdx =
+        ctx_->extended_indices(a.num_limbs());
+    Ciphertext out;
+    std::tie(out.c0, out.c1) = key_product(
+        decompose_digits_eval(c1g, extIdx), keys.get(g), extIdx, {}, &c0g);
+    out.scale = a.scale;
+    return out;
+}
+
+Ciphertext
+CkksEvaluator::mod_down(Ciphertext &&a) const
+{
+    std::size_t K = ctx_->params().K;
+    POSEIDON_REQUIRE_T(ShapeMismatch,
+                       a.num_limbs() > K &&
+                       a.c0.prime_indices() ==
+                           ctx_->extended_indices(a.num_limbs() - K) &&
+                       a.c1.compatible(a.c0),
+                       "mod_down: ciphertext is not over an extended "
+                       "basis");
+    std::size_t limbs = a.num_limbs() - K;
+    Ciphertext out;
+    std::tie(out.c0, out.c1) =
+        mod_down_pair(std::move(a.c0), std::move(a.c1), limbs);
+    out.scale = a.scale;
     return out;
 }
 

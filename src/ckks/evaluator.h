@@ -45,8 +45,11 @@ class CkksEvaluator
      * Sum of cts[k] * pts[k]: one lazy multiply-accumulate per term
      * and limb and one normalization, with no per-term temporary.
      * Byte-equal to the mul_plain/add_inplace chain and counted as
-     * one mul_plain per term. Every ciphertext must share one level
-     * and scale, and every plaintext that level and one scale.
+     * one mul_plain per term. Every ciphertext must share one basis
+     * and scale, and every plaintext that basis and one scale. The
+     * basis is a level's q-primes, or its extended basis QP
+     * (rotate_hoisted_ext results times CkksEncoder::encode_extended
+     * plaintexts).
      */
     Ciphertext dot_plain(const std::vector<const Ciphertext*> &cts,
                          const std::vector<const Plaintext*> &pts) const;
@@ -95,12 +98,13 @@ class CkksEvaluator
                       const GaloisKeys &keys) const;
 
     /**
-     * Hoisted multi-rotation (Halevi-Shoup): the expensive ModUp digit
-     * decomposition of c1 runs once and is shared by every requested
-     * rotation; each extra rotation costs only an evaluation-domain
-     * permutation, the key inner product and a ModDown. Bit-exact with
-     * calling rotate() per step. `keys` must hold a key for every
-     * nonzero step.
+     * Hoisted multi-rotation (Halevi-Shoup): rotate_hoisted_ext, then
+     * one ModDown per nonzero step (a zero step returns `a`). The
+     * ModUp digit decomposition of c1 runs once; each rotation costs
+     * an evaluation-domain permutation, the key inner product and a
+     * ModDown. Byte-equal to ModDown of the extended results, since
+     * P*tau(c0) vanishes mod every special prime. `keys` must hold a
+     * key for every nonzero step.
      */
     std::vector<Ciphertext>
     rotate_hoisted(const Ciphertext &a, const std::vector<long> &steps,
@@ -121,27 +125,64 @@ class CkksEvaluator
     std::pair<RnsPoly, RnsPoly>
     keyswitch_core(const RnsPoly &d, const KSwitchKey &key) const;
 
+    // ---- Extended basis QP (double hoisting) ----
+    //
+    // An extended ciphertext spans a level's q-primes plus the K special
+    // primes (CkksContext::extended_indices) and stands for P times a
+    // q-basis ciphertext, up to keyswitch noise; it keeps that
+    // ciphertext's scale. Keyswitch results land there before their
+    // ModDown, so a sum of rotations (times plaintexts, via dot_plain)
+    // pays for a single ModDown (Bossuat et al., Eurocrypt 2021).
+
+    /**
+     * rotate_hoisted without the ModDowns: for each step,
+     * (P*tau(c0) + acc0, acc1) over QP, where (acc0, acc1) is the key
+     * inner product of tau(c1)'s digits; a zero step gives P*a.
+     */
+    std::vector<Ciphertext>
+    rotate_hoisted_ext(const Ciphertext &a, const std::vector<long> &steps,
+                       const GaloisKeys &keys) const;
+
+    /// rotate() with its result over QP, without the ModDown; counted
+    /// as one keyswitch.
+    Ciphertext rotate_ext(const Ciphertext &a, long step,
+                          const GaloisKeys &keys) const;
+
+    /// Divide P out of an extended ciphertext (ModDown to the q-basis).
+    Ciphertext mod_down(Ciphertext &&a) const;
+
   private:
     void check_same_shape(const Ciphertext &a, const Ciphertext &b) const;
     void rescale_poly(RnsPoly &p) const;
 
-    /// Extended prime indices {0..limbs-1} + all special primes.
-    std::vector<std::size_t> extended_indices(std::size_t limbs) const;
+    /// digits[j][m]: digit j of a polynomial in extended prime m.
+    using Digits = std::vector<std::vector<std::vector<u64>>>;
 
     /**
-     * ModUp digit decomposition of `d` (evaluation domain) given its
-     * coefficient-domain copy `dCoeff`: result[j][m] holds digit j
-     * broadcast into extended prime m, in evaluation domain. A digit's
-     * own limbs are copied from `d`; only the other extended primes
-     * are converted and transformed. Memory: digits * ext * N words.
+     * ModUp digit decomposition of `d` (evaluation domain): result[j][m]
+     * holds digit j broadcast into extended prime m, in evaluation
+     * domain. A digit's own limbs are copied from `d`; only the other
+     * extended primes are converted and transformed. Memory: digits *
+     * ext * N words.
      */
-    std::vector<std::vector<std::vector<u64>>>
-    decompose_digits_eval(const RnsPoly &d, const RnsPoly &dCoeff,
-                          const std::vector<std::size_t> &extIdx) const;
+    Digits decompose_digits_eval(const RnsPoly &d,
+                                 const std::vector<std::size_t> &extIdx)
+        const;
 
-    /// ModDown both eval-domain keyswitch accumulators back to the
-    /// q-basis, in the evaluation domain (only the K special limbs are
-    /// inverse-transformed).
+    /**
+     * The keyswitch inner product over QP, before its ModDown:
+     * acc0 = sum_j perm(digits[j]) * b_j (+ P*perm(c0) when `c0` is
+     * given) and acc1 = sum_j perm(digits[j]) * a_j, with `perm` an
+     * evaluation-domain automorphism (none when empty).
+     */
+    std::pair<RnsPoly, RnsPoly>
+    key_product(const Digits &digits, const KSwitchKey &key,
+                const std::vector<std::size_t> &extIdx,
+                const std::vector<u32> &perm, const RnsPoly *c0) const;
+
+    /// ModDown both eval-domain accumulators back to the q-basis, in
+    /// the evaluation domain (only the K special limbs are
+    /// inverse-transformed). Counted as one ckks.ops.mod_down.
     std::pair<RnsPoly, RnsPoly>
     mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                   std::size_t limbs) const;

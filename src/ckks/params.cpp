@@ -76,6 +76,16 @@ CkksContext::mod_down(std::size_t limbs) const
     return *slot;
 }
 
+std::vector<std::size_t>
+CkksContext::extended_indices(std::size_t limbs) const
+{
+    std::vector<std::size_t> idx;
+    idx.reserve(limbs + params_.K);
+    for (std::size_t i = 0; i < limbs; ++i) idx.push_back(i);
+    for (std::size_t j = 0; j < params_.K; ++j) idx.push_back(params_.L + j);
+    return idx;
+}
+
 const RnsConv&
 CkksContext::digit_conv(std::size_t limbs, std::size_t g) const
 {

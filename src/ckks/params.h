@@ -99,6 +99,12 @@ class CkksContext
      */
     const RnsConv& digit_conv(std::size_t limbs, std::size_t g) const;
 
+    /**
+     * Prime indices of the extended basis QP of a `limbs`-prime level:
+     * ciphertext primes 0..limbs-1, then the K special primes.
+     */
+    std::vector<std::size_t> extended_indices(std::size_t limbs) const;
+
     /// [P mod q_i] for every ciphertext prime (keyswitch key factor).
     u64 p_mod_qi(std::size_t i) const { return pModQ_[i]; }
 

@@ -42,6 +42,7 @@ class RnsPoly
     /// Context-wide index of the k-th limb's prime.
     std::size_t prime_index(std::size_t k) const { return primeIdx_[k]; }
     u64 prime(std::size_t k) const { return ctx_->prime(primeIdx_[k]); }
+    const std::vector<std::size_t>& prime_indices() const { return primeIdx_; }
 
     Domain domain() const { return domain_; }
 

@@ -30,6 +30,17 @@ boot_params()
     return p;
 }
 
+/// Hybrid keyswitching: 3 digits of 8 primes and K = 8 special primes,
+/// where a diagonal's special-prime residues carry the most weight.
+CkksParams
+hybrid_boot_params()
+{
+    CkksParams p = boot_params();
+    p.dnum = 3;
+    p.K = 8;
+    return p;
+}
+
 struct BootFixture
 {
     CkksContextPtr ctx;
@@ -40,8 +51,8 @@ struct BootFixture
     CkksEvaluator eval;
     Bootstrapper boot;
 
-    BootFixture()
-        : ctx(make_ckks_context(boot_params())),
+    explicit BootFixture(const CkksParams &p)
+        : ctx(make_ckks_context(p)),
           encoder(ctx),
           keygen(ctx),
           encryptor(ctx, keygen.make_public_key()),
@@ -50,9 +61,16 @@ struct BootFixture
           boot(ctx, encoder, keygen)
     {}
 
+    // Heavyweight; each shape is shared across tests.
     static BootFixture& instance()
     {
-        static BootFixture f; // heavyweight; share across tests
+        static BootFixture f(boot_params());
+        return f;
+    }
+
+    static BootFixture& hybrid()
+    {
+        static BootFixture f(hybrid_boot_params());
         return f;
     }
 };
@@ -112,11 +130,11 @@ TEST(Bootstrap, ModRaisePreservesMessage)
     }
 }
 
-TEST(Bootstrap, CoeffToSlotMatchesPlainTransform)
+void
+check_coeff_to_slot(BootFixture &f)
 {
     // Slot j of lo/hi holds coefficient rev(j) / rev(j)+n of the
     // mod-raised plaintext over q0, rev reversing log2(n) bits.
-    BootFixture &f = BootFixture::instance();
     std::size_t ns = f.ctx->slots();
     auto z = small_message(ns, 4);
     Ciphertext ct = f.encryptor.encrypt(f.encoder.encode(z, 1));
@@ -150,6 +168,16 @@ TEST(Bootstrap, CoeffToSlotMatchesPlainTransform)
     EXPECT_LT(errHi, 1e-6);
 }
 
+TEST(Bootstrap, CoeffToSlotMatchesPlainTransform)
+{
+    check_coeff_to_slot(BootFixture::instance());
+}
+
+TEST(BootstrapHybrid, CoeffToSlotMatchesPlainTransform)
+{
+    check_coeff_to_slot(BootFixture::hybrid());
+}
+
 TEST(Bootstrap, OpCountsMatchPlan)
 {
     if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
@@ -172,42 +200,51 @@ TEST(Bootstrap, OpCountsMatchPlan)
     EXPECT_EQ(b.limbs, L - 1);
     EXPECT_EQ(s.limbs, L - f.boot.levels_consumed() + 2);
     EXPECT_EQ(t.limbs, L - f.boot.levels_consumed() + 1);
-    for (const auto *st : {&a, &b, &s, &t}) {
-        EXPECT_EQ(st->babySteps + st->giantSteps, 10u);
-    }
+    // Double hoisting: one ModDown per giant step and one for the
+    // stage's sum, with every diagonal over the limbs + K primes of
+    // the extended basis.
+    std::size_t K = f.ctx->params().K;
     std::size_t bytes = 0;
     for (const auto *st : {&a, &b, &s, &t}) {
-        EXPECT_EQ(st->bytes,
-                  st->diagonals * st->limbs * f.ctx->degree() * sizeof(u64));
+        EXPECT_EQ(st->babySteps + st->giantSteps, 10u);
+        EXPECT_EQ(st->giantSteps, 3u);
+        EXPECT_EQ(st->modDowns, st->giantSteps + 1);
+        EXPECT_EQ(st->bytes, st->diagonals * (st->limbs + K) *
+                                 f.ctx->degree() * sizeof(u64));
         bytes += st->bytes;
     }
     EXPECT_EQ(plan.table_bytes(), bytes);
+    EXPECT_EQ(plan.keyswitches(), 12u);
+    EXPECT_EQ(plan.mod_downs(), 16u);
 
     // Outside the transforms: CoeffToSlot's conjugation; per EvalMod
     // (TaylorExp), taylorDegree-1 Horner and r squaring
-    // relinearizations, one conjugation and three scalar mults. The
-    // recombination before SlotToCoeff is a monomial product, not a
-    // plaintext mult.
+    // relinearizations, one conjugation and three scalar mults. Each
+    // of those keyswitches pays its own ModDown. The recombination
+    // before SlotToCoeff is a monomial product, not a plaintext mult.
     BootstrapConfig cfg;
     double evalModKs = cfg.taylorDegree - 1 + cfg.doubleAngleIters + 1;
     auto &reg = telemetry::MetricsRegistry::global();
     double ks0 = reg.counter_value("ckks.ops.keyswitch");
+    double md0 = reg.counter_value("ckks.ops.mod_down");
     double pm0 = reg.counter_value("ckks.ops.mul_plain");
     Ciphertext ct = f.encryptor.encrypt(
         f.encoder.encode(small_message(f.ctx->slots(), 5), 1));
     f.boot.bootstrap(ct, f.eval);
     EXPECT_EQ(reg.counter_value("ckks.ops.keyswitch") - ks0,
               plan.keyswitches() + 1 + 2 * evalModKs);
+    EXPECT_EQ(reg.counter_value("ckks.ops.mod_down") - md0,
+              plan.mod_downs() + 1 + 2 * evalModKs);
     EXPECT_EQ(reg.counter_value("ckks.ops.mul_plain") - pm0,
               plan.plain_mults() + 2 * 3);
 }
 
-TEST(Bootstrap, SlotToCoeffMatchesPlainTransform)
+void
+check_slot_to_coeff(BootFixture &f)
 {
     // Inverse of CoeffToSlot's layout: slot j of lo/hi holds
     // coefficient rev(j) / rev(j)+n of the message's encoding over
     // Delta. SlotToCoeff must turn that back into the message.
-    BootFixture &f = BootFixture::instance();
     std::size_t ns = f.ctx->slots();
     auto z = small_message(ns, 6);
     RnsPoly t = f.encoder.encode(z, 1).poly;
@@ -233,9 +270,19 @@ TEST(Bootstrap, SlotToCoeffMatchesPlainTransform)
     EXPECT_LT(max_err(z, back), 1e-6);
 }
 
-TEST(Bootstrap, FullRefreshRecoversMessage)
+TEST(Bootstrap, SlotToCoeffMatchesPlainTransform)
 {
-    BootFixture &f = BootFixture::instance();
+    check_slot_to_coeff(BootFixture::instance());
+}
+
+TEST(BootstrapHybrid, SlotToCoeffMatchesPlainTransform)
+{
+    check_slot_to_coeff(BootFixture::hybrid());
+}
+
+void
+check_full_refresh(BootFixture &f)
+{
     auto z = small_message(f.ctx->slots(), 2);
     Ciphertext ct = f.encryptor.encrypt(f.encoder.encode(z, 1));
     ASSERT_EQ(ct.num_limbs(), 1u);
@@ -246,6 +293,16 @@ TEST(Bootstrap, FullRefreshRecoversMessage)
 
     auto back = f.encoder.decode(f.decryptor.decrypt(fresh));
     EXPECT_LT(max_err(z, back), 5e-2);
+}
+
+TEST(Bootstrap, FullRefreshRecoversMessage)
+{
+    check_full_refresh(BootFixture::instance());
+}
+
+TEST(BootstrapHybrid, FullRefreshRecoversMessage)
+{
+    check_full_refresh(BootFixture::hybrid());
 }
 
 TEST(Bootstrap, RefreshedCiphertextSupportsFurtherMultiplication)

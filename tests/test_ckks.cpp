@@ -8,6 +8,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/parallel.h"
 #include "common/status.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
@@ -633,6 +634,66 @@ TEST(Ckks, HoistedRotationsWithHybridKeyswitch)
             ASSERT_LT(std::abs(back[i] - z[(i + step) % ns]), 1e-2)
                 << "step " << step << " slot " << i;
         }
+    }
+}
+
+TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
+{
+    // rotate_hoisted is rotate_hoisted_ext plus one ModDown per step.
+    // P*tau(c0) is zero mod every special prime and exact mod every
+    // q_i, so ModDown(P*tau(c0) + acc) = tau(c0) + ModDown(acc): a
+    // one-term group with a plaintext of 1, brought down, has
+    // rotate_hoisted's bytes, and rotate_ext's ModDown has rotate()'s.
+    // Classic and hybrid keyswitching, at 1 and 4 threads.
+    CkksParams hybrid = small_params();
+    hybrid.L = 6;
+    hybrid.dnum = 2;
+    hybrid.K = 3;
+    for (const CkksParams &p : {small_params(), hybrid}) {
+        Fixture f(p);
+        std::size_t limbs = p.L - 1;
+        std::vector<long> steps = {0, 1, 5, -3};
+        GaloisKeys gk = f.keygen.make_galois_keys({1, 5, -3});
+        Ciphertext c = f.encryptor.encrypt(
+            f.encoder.encode(test_vector(f.ctx->slots(), 52), limbs));
+        Plaintext one = f.encoder.encode_extended(
+            std::vector<cdouble>(f.ctx->slots(), 1.0), limbs, 1.0);
+        ASSERT_EQ(one.num_limbs(), limbs + p.K);
+
+        std::vector<Ciphertext> serial;
+        for (std::size_t threads : {1, 4}) {
+            parallel::set_num_threads(threads);
+            auto want = f.eval.rotate_hoisted(c, steps, gk);
+            auto ext = f.eval.rotate_hoisted_ext(c, steps, gk);
+            ASSERT_EQ(ext.size(), steps.size());
+            for (std::size_t i = 0; i < steps.size(); ++i) {
+                SCOPED_TRACE(testing::Message() << "K=" << p.K << " step "
+                             << steps[i] << " threads " << threads);
+                EXPECT_EQ(ext[i].num_limbs(), limbs + p.K);
+                Ciphertext got =
+                    f.eval.mod_down(f.eval.dot_plain({&ext[i]}, {&one}));
+                EXPECT_TRUE(same_bytes(got.c0, want[i].c0));
+                EXPECT_TRUE(same_bytes(got.c1, want[i].c1));
+                EXPECT_EQ(got.scale, want[i].scale);
+                if (threads == 1) {
+                    serial.push_back(got);
+                } else {
+                    EXPECT_TRUE(same_bytes(got.c0, serial[i].c0));
+                    EXPECT_TRUE(same_bytes(got.c1, serial[i].c1));
+                }
+                if (steps[i] == 0) continue;
+                Ciphertext single = f.eval.rotate(c, steps[i], gk);
+                Ciphertext down =
+                    f.eval.mod_down(f.eval.rotate_ext(c, steps[i], gk));
+                EXPECT_TRUE(same_bytes(down.c0, single.c0));
+                EXPECT_TRUE(same_bytes(down.c1, single.c1));
+            }
+        }
+        parallel::set_num_threads(0); // restore the environment default
+
+        // A q-basis ciphertext is neither a QP operand nor ModDown input.
+        EXPECT_THROW(f.eval.dot_plain({&c}, {&one}), ShapeMismatch);
+        EXPECT_THROW(f.eval.mod_down(Ciphertext(c)), ShapeMismatch);
     }
 }
 
