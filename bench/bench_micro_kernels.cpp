@@ -370,12 +370,16 @@ report_dispatch_and_gate(bench::Harness &h)
 {
     using kernels::SimdLevel;
     SimdLevel active = kernels::active_level();
-    std::printf("\nkernel dispatch: level=%s (avx2 %s, avx512 %s)\n",
+    // The IFMA butterflies run in the AVX-512 NTT passes, for q < 2^50.
+    bool ifma = active == SimdLevel::Avx512 && kernels::ifma_supported();
+    std::printf("\nkernel dispatch: level=%s (avx2 %s, avx512 %s, "
+                "ifma ntt butterflies %s)\n",
                 kernels::level_name(active),
                 kernels::level_supported(SimdLevel::Avx2) ? "yes"
                                                           : "no",
                 kernels::level_supported(SimdLevel::Avx512) ? "yes"
-                                                            : "no");
+                                                            : "no",
+                ifma ? "yes" : "no");
     h.metric("kernels.dispatch.level", static_cast<double>(active));
 
     std::size_t n = 1 << 14;

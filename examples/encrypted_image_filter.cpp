@@ -90,10 +90,11 @@ main()
     Ciphertext ct = encryptor.encrypt(encoder.encode_real(img, params.L));
 
     // 3x3 blur: one hoisted multi-rotation (9 taps share the single
-    // digit decomposition), accumulate, scale by 1/9.
+    // digit decomposition), accumulated over the extended basis QP and
+    // scaled by 1/9 there; one fused ModDown + rescale ends it.
     std::vector<long> allShifts = {0};
     allShifts.insert(allShifts.end(), taps.begin(), taps.end());
-    auto rots = eval.rotate_hoisted(ct, allShifts, gk);
+    auto rots = eval.rotate_hoisted_ext(ct, allShifts, gk);
 
     Ciphertext acc = rots[0];
     for (std::size_t i = 1; i < rots.size(); ++i) {

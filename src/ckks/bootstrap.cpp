@@ -365,7 +365,8 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
     // share one digit decomposition of c1 and stay over the extended
     // basis QP, where each group multiplies its diagonals. A group with
     // a giant step pays one ModDown before its rotation, whose
-    // keyswitch lands back in QP; one ModDown of the sum ends the stage.
+    // keyswitch lands back in QP; one fused ModDown + rescale of the
+    // sum ends the stage.
     std::vector<Ciphertext> rots = eval.rotate_hoisted_ext(in, st.baby, gk_);
 
     Ciphertext acc;
@@ -391,9 +392,8 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
             accSet = true;
         }
     }
-    Ciphertext out = eval.mod_down(std::move(acc));
-    eval.rescale_inplace(out);
-    return out;
+    eval.rescale_inplace(acc);
+    return acc;
 }
 
 std::pair<Ciphertext, Ciphertext>

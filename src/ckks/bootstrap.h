@@ -49,8 +49,9 @@
  * stay in the extended basis QP without a ModDown; each BSGS group
  * multiplies its diagonals there; a group with a giant step is brought
  * down once and rotated by a keyswitch that lands back in QP; one
- * ModDown of the sum ends the stage. That is 4 ModDowns per stage (3
- * giant steps + 1) instead of one per rotation (10).
+ * ModDown of the sum, fused with the stage's rescale, ends the stage.
+ * That is 4 ModDowns per stage (3 giant steps + 1) instead of one per
+ * rotation (10).
  *
  * Every transform diagonal is encoded once, at construction, over the
  * level its stage runs at plus the K special primes; plan() reports the

@@ -163,6 +163,9 @@ CkksDecryptor::decrypt(const Ciphertext &ct) const
                        "decrypt: ciphertext degree " << ct.degree()
                        << " does not match the context N="
                        << ctx_->degree());
+    POSEIDON_REQUIRE_T(ShapeMismatch, !ctx_->is_extended(ct.c0),
+                       "decrypt: ciphertext spans the extended basis QP; "
+                       "rescale_inplace or mod_down it first");
     std::size_t limbs = ct.num_limbs();
     std::size_t n = ctx_->degree();
     const auto &ring = ctx_->ring();

@@ -25,12 +25,30 @@ scales_close(double a, double b)
                                                    std::abs(b));
 }
 
+/// One keyswitch's telemetry: its span, one ckks.ops.keyswitch count
+/// and its wall time in ckks.keyswitch_us.
+struct KeyswitchTelemetry
+{
+    telemetry::SpanScope span{"Evaluator::keyswitch"};
+    telemetry::ScopedLatency lat{"ckks.keyswitch_us"};
+
+    KeyswitchTelemetry() { telemetry::count("ckks.ops.keyswitch"); }
+};
+
 } // namespace
 
 CkksEvaluator::CkksEvaluator(CkksContextPtr ctx)
     : ctx_(std::move(ctx))
 {
     POSEIDON_REQUIRE(ctx_ != nullptr, "CkksEvaluator: null context");
+}
+
+void
+CkksEvaluator::require_q_basis(const RnsPoly &p, const char *op) const
+{
+    POSEIDON_REQUIRE_T(ShapeMismatch, !ctx_->is_extended(p),
+                       op << ": ciphertext spans the extended basis QP; "
+                       "rescale_inplace or mod_down it first");
 }
 
 void
@@ -237,6 +255,8 @@ CkksEvaluator::mul(const Ciphertext &a, const Ciphertext &b,
 {
     POSEIDON_SPAN("Evaluator::mul");
     telemetry::count("ckks.ops.mul");
+    require_q_basis(a.c0, "mul");
+    require_q_basis(b.c0, "mul");
     POSEIDON_REQUIRE_T(ShapeMismatch, a.num_limbs() == b.num_limbs(),
                        "mul: level mismatch (" << a.num_limbs()
                        << " vs " << b.num_limbs() << " limbs)");
@@ -266,14 +286,14 @@ CkksEvaluator::mul(const Ciphertext &a, const Ciphertext &b,
             }
         }, "ckks.tensor");
 
-    // Relinearize d2 back onto (c0, c1).
-    auto [u0, u1] = keyswitch_core(d2, relinKey);
-    d0.add_inplace(u0);
-    d1.add_inplace(u1);
-
+    // Relinearize d2 into QP: (P*d0 + acc0, P*d1 + acc1). Its ModDown
+    // is left to rescale_inplace, which fuses it with the rescale.
+    KeyswitchTelemetry ks;
+    std::vector<std::size_t> extIdx = ctx_->extended_indices(limbs);
     Ciphertext out;
-    out.c0 = std::move(d0);
-    out.c1 = std::move(d1);
+    std::tie(out.c0, out.c1) =
+        key_product(decompose_digits_eval(d2, extIdx), relinKey, extIdx,
+                    {}, &d0, &d1);
     out.scale = a.scale * b.scale;
     return out;
 }
@@ -353,7 +373,7 @@ std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::key_product(const Digits &digits, const KSwitchKey &key,
                            const std::vector<std::size_t> &extIdx,
                            const std::vector<u32> &perm,
-                           const RnsPoly *c0) const
+                           const RnsPoly *c0, const RnsPoly *c1) const
 {
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
@@ -396,11 +416,15 @@ CkksEvaluator::key_product(const Digits &digits, const KSwitchKey &key,
                                                 qm);
                 }
                 if (m < limbs) {
-                    // P*c0 is exact mod q_m and zero mod every p_j.
+                    // P*c is exact mod q_m and zero mod every p_j.
                     u64 pm = ctx_->p_mod_qi(pidx);
                     u64 pmShoup = static_cast<u64>((u128(pm) << 64) / qm);
                     kernels::scalar_mul_mod_acc_n(o0, permuted(c0->limb(m)),
                                                   n, pm, pmShoup, qm);
+                    if (c1) {
+                        kernels::scalar_mul_mod_acc_n(
+                            o1, permuted(c1->limb(m)), n, pm, pmShoup, qm);
+                    }
                 }
                 kernels::normalize_n(o0, n, qm);
                 kernels::normalize_n(o1, n, qm);
@@ -413,19 +437,24 @@ std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                              std::size_t limbs) const
 {
-    // ModDown in the evaluation domain: only the K special limbs go to
-    // the coefficient domain (base conversion needs them there), and
-    // only their `limbs` converted images come back. finish() is
-    // linear mod q_i, so subtracting and scaling the eval-domain
-    // q-limbs gives the same bytes as the coefficient-domain apply().
+    // ModDown in the evaluation domain: only the divided-out tail
+    // limbs go to the coefficient domain (base conversion needs them
+    // there), and only their `limbs` converted images come back.
+    // finish() is linear mod q_i, so subtracting and scaling the
+    // eval-domain q-limbs gives the same bytes as the
+    // coefficient-domain apply().
     telemetry::count("ckks.ops.mod_down");
+    POSEIDON_REQUIRE_T(ShapeMismatch, acc1.compatible(acc0),
+                       "mod_down: ciphertext components disagree");
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
-    std::size_t K = ctx_->params().K;
-    const ModDown &md = ctx_->mod_down(limbs);
+    std::size_t tail = acc0.num_limbs() - limbs;
+    const ModDown &md = tail == ctx_->params().K
+                            ? ctx_->mod_down(limbs)
+                            : ctx_->rescale_mod_down(limbs + 1);
 
     auto run_moddown = [&](RnsPoly &acc) {
-        parallel::parallel_for(0, K, 1,
+        parallel::parallel_for(0, tail, 1,
             [&](std::size_t j0, std::size_t j1) {
                 for (std::size_t jp = j0; jp < j1; ++jp) {
                     std::size_t m = limbs + jp;
@@ -433,14 +462,14 @@ CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                 }
             }, "ckks.moddown_intt");
         RnsPoly out = RnsPoly::ct(ring, limbs, Domain::Coeff);
-        std::vector<const u64*> xq(limbs), xp(K), c(limbs);
+        std::vector<const u64*> xq(limbs), xp(tail), c(limbs);
         std::vector<u64*> o(limbs);
         for (std::size_t iq = 0; iq < limbs; ++iq) {
             xq[iq] = acc.limb(iq);
             o[iq] = out.limb(iq);
             c[iq] = o[iq];
         }
-        for (std::size_t jp = 0; jp < K; ++jp) {
+        for (std::size_t jp = 0; jp < tail; ++jp) {
             xp[jp] = acc.limb(limbs + jp);
         }
         md.conv().convert(xp, o, n, /*correct=*/true);
@@ -455,15 +484,14 @@ CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keyswitch_core(const RnsPoly &d, const KSwitchKey &key) const
 {
-    POSEIDON_SPAN("Evaluator::keyswitch");
-    telemetry::count("ckks.ops.keyswitch");
-    telemetry::ScopedLatency lat("ckks.keyswitch_us");
+    KeyswitchTelemetry ks;
+    require_q_basis(d, "keyswitch_core");
     POSEIDON_REQUIRE(d.domain() == Domain::Eval,
                      "keyswitch_core: input must be in Eval domain");
     std::size_t limbs = d.num_limbs();
     std::vector<std::size_t> extIdx = ctx_->extended_indices(limbs);
     auto [acc0, acc1] = key_product(decompose_digits_eval(d, extIdx), key,
-                                    extIdx, {}, nullptr);
+                                    extIdx, {}, nullptr, nullptr);
     return mod_down_pair(std::move(acc0), std::move(acc1), limbs);
 }
 
@@ -511,11 +539,20 @@ CkksEvaluator::rescale_inplace(Ciphertext &a) const
     POSEIDON_SPAN("Evaluator::rescale");
     telemetry::count("ckks.ops.rescale");
     telemetry::ScopedLatency lat("ckks.rescale_us");
-    POSEIDON_REQUIRE_T(NoiseBudgetExhausted, a.num_limbs() >= 2,
+    bool extended = ctx_->is_extended(a.c0);
+    std::size_t limbs = a.num_limbs();
+    if (extended) limbs -= ctx_->params().K;
+    POSEIDON_REQUIRE_T(NoiseBudgetExhausted, limbs >= 2,
                        "rescale: no modulus level left to drop");
-    u64 ql = a.c0.prime(a.num_limbs() - 1);
-    rescale_poly(a.c0);
-    rescale_poly(a.c1);
+    u64 ql = a.c0.prime(limbs - 1);
+    if (extended) {
+        // Fused: one ModDown divides by q_l * P.
+        std::tie(a.c0, a.c1) =
+            mod_down_pair(std::move(a.c0), std::move(a.c1), limbs - 1);
+    } else {
+        rescale_poly(a.c0);
+        rescale_poly(a.c1);
+    }
     a.scale /= static_cast<double>(ql);
 }
 
@@ -565,6 +602,7 @@ CkksEvaluator::equalize_inplace(Ciphertext &a, Ciphertext &b) const
 void
 CkksEvaluator::drop_to_limbs_inplace(Ciphertext &a, std::size_t limbs) const
 {
+    require_q_basis(a.c0, "drop_to_limbs");
     POSEIDON_REQUIRE(limbs >= 1 && limbs <= a.num_limbs(),
                      "drop_to_limbs: bad target");
     while (a.num_limbs() > limbs) {
@@ -587,6 +625,7 @@ CkksEvaluator::apply_galois(const Ciphertext &a, u64 galois,
 {
     POSEIDON_SPAN("Evaluator::apply_galois");
     telemetry::count("ckks.ops.rotation");
+    require_q_basis(a.c0, "apply_galois");
     // tau_g on both components (Eval-domain permutation), then switch
     // tau_g(c1)'s key tau_g(s) back to s.
     RnsPoly c0g = automorphism(a.c0, galois);
@@ -610,6 +649,7 @@ CkksEvaluator::rotate_hoisted_ext(const Ciphertext &a,
     telemetry::SpanScope span("Evaluator::rotate_hoisted");
     span.attr("steps", telemetry::Json(steps.size()));
     telemetry::count("ckks.ops.rotate_hoisted");
+    require_q_basis(a.c0, "rotate_hoisted_ext");
     std::size_t n = ctx_->degree();
     std::size_t limbs = a.num_limbs();
     std::vector<std::size_t> extIdx = ctx_->extended_indices(limbs);
@@ -643,25 +683,9 @@ CkksEvaluator::rotate_hoisted_ext(const Ciphertext &a,
         } else {
             std::tie(r.c0, r.c1) =
                 key_product(digits, keys.get(g), extIdx,
-                            make_eval_permutation(n, g), &a.c0);
+                            make_eval_permutation(n, g), &a.c0, nullptr);
         }
         out.push_back(std::move(r));
-    }
-    return out;
-}
-
-std::vector<Ciphertext>
-CkksEvaluator::rotate_hoisted(const Ciphertext &a,
-                              const std::vector<long> &steps,
-                              const GaloisKeys &keys) const
-{
-    std::vector<Ciphertext> out = rotate_hoisted_ext(a, steps, keys);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        if (galois_element_for_step(ctx_->degree(), steps[i]) == 1) {
-            out[i] = a;
-        } else {
-            out[i] = mod_down(std::move(out[i]));
-        }
     }
     return out;
 }
@@ -670,10 +694,9 @@ Ciphertext
 CkksEvaluator::rotate_ext(const Ciphertext &a, long step,
                           const GaloisKeys &keys) const
 {
-    POSEIDON_SPAN("Evaluator::keyswitch");
-    telemetry::count("ckks.ops.keyswitch");
+    KeyswitchTelemetry ks;
     telemetry::count("ckks.ops.rotation");
-    telemetry::ScopedLatency lat("ckks.keyswitch_us");
+    require_q_basis(a.c0, "rotate_ext");
     u64 g = galois_element_for_step(ctx_->degree(), step);
     POSEIDON_REQUIRE(g != 1, "rotate_ext: zero rotation step");
     RnsPoly c0g = automorphism(a.c0, g);
@@ -682,7 +705,8 @@ CkksEvaluator::rotate_ext(const Ciphertext &a, long step,
         ctx_->extended_indices(a.num_limbs());
     Ciphertext out;
     std::tie(out.c0, out.c1) = key_product(
-        decompose_digits_eval(c1g, extIdx), keys.get(g), extIdx, {}, &c0g);
+        decompose_digits_eval(c1g, extIdx), keys.get(g), extIdx, {}, &c0g,
+        nullptr);
     out.scale = a.scale;
     return out;
 }
@@ -690,15 +714,10 @@ CkksEvaluator::rotate_ext(const Ciphertext &a, long step,
 Ciphertext
 CkksEvaluator::mod_down(Ciphertext &&a) const
 {
-    std::size_t K = ctx_->params().K;
-    POSEIDON_REQUIRE_T(ShapeMismatch,
-                       a.num_limbs() > K &&
-                       a.c0.prime_indices() ==
-                           ctx_->extended_indices(a.num_limbs() - K) &&
-                       a.c1.compatible(a.c0),
+    POSEIDON_REQUIRE_T(ShapeMismatch, ctx_->is_extended(a.c0),
                        "mod_down: ciphertext is not over an extended "
                        "basis");
-    std::size_t limbs = a.num_limbs() - K;
+    std::size_t limbs = a.num_limbs() - ctx_->params().K;
     Ciphertext out;
     std::tie(out.c0, out.c1) =
         mod_down_pair(std::move(a.c0), std::move(a.c1), limbs);
@@ -710,6 +729,7 @@ Ciphertext
 CkksEvaluator::rotate(const Ciphertext &a, long steps,
                       const GaloisKeys &keys) const
 {
+    require_q_basis(a.c0, "rotate");
     u64 g = galois_element_for_step(ctx_->degree(), steps);
     if (g == 1) return a;
     return apply_galois(a, g, keys.get(g));
@@ -718,6 +738,7 @@ CkksEvaluator::rotate(const Ciphertext &a, long steps,
 Ciphertext
 CkksEvaluator::conjugate(const Ciphertext &a, const GaloisKeys &keys) const
 {
+    require_q_basis(a.c0, "conjugate");
     u64 g = galois_element_conjugate(ctx_->degree());
     return apply_galois(a, g, keys.get(g));
 }

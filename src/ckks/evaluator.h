@@ -66,12 +66,26 @@ class CkksEvaluator
     Ciphertext mul_integer(const Ciphertext &a, i64 value) const;
 
     // ---- CMult with relinearization ----
+    /**
+     * Tensor and relinearize, leaving the product over the extended
+     * basis QP: (P*d0 + acc0, P*d1 + acc1), where (acc0, acc1) is the
+     * key product of d2 (counted as one keyswitch). rescale_inplace
+     * then runs the keyswitch's ModDown and the rescale as one pass;
+     * mod_down gives the q-basis product at the same level.
+     */
     Ciphertext mul(const Ciphertext &a, const Ciphertext &b,
                    const KSwitchKey &relinKey) const;
     Ciphertext square(const Ciphertext &a,
                       const KSwitchKey &relinKey) const;
 
     // ---- Rescale ----
+    /**
+     * Divide by the last q-prime q_l. An extended ciphertext (a mul
+     * result, or any QP sum) is divided by P*q_l in one ModDown, which
+     * also counts as one ckks.ops.mod_down: the same bytes as mod_down
+     * then rescale, except where the two roundings straddle a
+     * half-integer (probability about 1/q_l per coefficient).
+     */
     void rescale_inplace(Ciphertext &a) const;
     Ciphertext rescale(const Ciphertext &a) const;
 
@@ -87,28 +101,19 @@ class CkksEvaluator
     /// level), so that add/sub between them is valid.
     void equalize_inplace(Ciphertext &a, Ciphertext &b) const;
 
-    /// Drop limbs to `limbs` primes without rounding (mod switch).
+    /// Drop limbs to `limbs` primes without rounding (mod switch);
+    /// q-basis only.
     void drop_to_limbs_inplace(Ciphertext &a, std::size_t limbs) const;
 
     /// Drop limbs of a plaintext to match a ciphertext.
     void drop_to_limbs_inplace(Plaintext &p, std::size_t limbs) const;
 
     // ---- Rotation / conjugation ----
+    //
+    // Like mul, these take q-basis ciphertexts only (ShapeMismatch for
+    // an extended one).
     Ciphertext rotate(const Ciphertext &a, long steps,
                       const GaloisKeys &keys) const;
-
-    /**
-     * Hoisted multi-rotation (Halevi-Shoup): rotate_hoisted_ext, then
-     * one ModDown per nonzero step (a zero step returns `a`). The
-     * ModUp digit decomposition of c1 runs once; each rotation costs
-     * an evaluation-domain permutation, the key inner product and a
-     * ModDown. Byte-equal to ModDown of the extended results, since
-     * P*tau(c0) vanishes mod every special prime. `keys` must hold a
-     * key for every nonzero step.
-     */
-    std::vector<Ciphertext>
-    rotate_hoisted(const Ciphertext &a, const std::vector<long> &steps,
-                   const GaloisKeys &keys) const;
     Ciphertext conjugate(const Ciphertext &a, const GaloisKeys &keys) const;
 
     /// Apply tau_g followed by a keyswitch back to s.
@@ -132,12 +137,17 @@ class CkksEvaluator
     // q-basis ciphertext, up to keyswitch noise; it keeps that
     // ciphertext's scale. Keyswitch results land there before their
     // ModDown, so a sum of rotations (times plaintexts, via dot_plain)
-    // pays for a single ModDown (Bossuat et al., Eurocrypt 2021).
+    // pays for a single ModDown (Bossuat et al., Eurocrypt 2021). add,
+    // sub, mul_scalar, mul_integer and dot_plain work over QP; mod_down
+    // or rescale_inplace brings the result back to the q-basis.
 
     /**
-     * rotate_hoisted without the ModDowns: for each step,
+     * Hoisted multi-rotation (Halevi-Shoup) without the ModDowns: c1's
+     * digit decomposition runs once; for each step,
      * (P*tau(c0) + acc0, acc1) over QP, where (acc0, acc1) is the key
-     * inner product of tau(c1)'s digits; a zero step gives P*a.
+     * inner product of tau(c1)'s digits (an evaluation-domain
+     * permutation of the shared digits); a zero step gives P*a. `keys`
+     * must hold a key for every nonzero step.
      */
     std::vector<Ciphertext>
     rotate_hoisted_ext(const Ciphertext &a, const std::vector<long> &steps,
@@ -148,10 +158,13 @@ class CkksEvaluator
     Ciphertext rotate_ext(const Ciphertext &a, long step,
                           const GaloisKeys &keys) const;
 
-    /// Divide P out of an extended ciphertext (ModDown to the q-basis).
+    /// Divide P out of an extended ciphertext (ModDown to the q-basis
+    /// at the same level); rescale_inplace divides by P*q_l instead.
     Ciphertext mod_down(Ciphertext &&a) const;
 
   private:
+    /// ShapeMismatch naming `op` when `p` spans an extended basis.
+    void require_q_basis(const RnsPoly &p, const char *op) const;
     void check_same_shape(const Ciphertext &a, const Ciphertext &b) const;
     void rescale_poly(RnsPoly &p) const;
 
@@ -172,17 +185,21 @@ class CkksEvaluator
     /**
      * The keyswitch inner product over QP, before its ModDown:
      * acc0 = sum_j perm(digits[j]) * b_j (+ P*perm(c0) when `c0` is
-     * given) and acc1 = sum_j perm(digits[j]) * a_j, with `perm` an
-     * evaluation-domain automorphism (none when empty).
+     * given) and acc1 = sum_j perm(digits[j]) * a_j (+ P*perm(c1) when
+     * `c1` is given), with `perm` an evaluation-domain automorphism
+     * (none when empty).
      */
     std::pair<RnsPoly, RnsPoly>
     key_product(const Digits &digits, const KSwitchKey &key,
                 const std::vector<std::size_t> &extIdx,
-                const std::vector<u32> &perm, const RnsPoly *c0) const;
+                const std::vector<u32> &perm, const RnsPoly *c0,
+                const RnsPoly *c1) const;
 
-    /// ModDown both eval-domain accumulators back to the q-basis, in
-    /// the evaluation domain (only the K special limbs are
-    /// inverse-transformed). Counted as one ckks.ops.mod_down.
+    /// ModDown both eval-domain accumulators onto ciphertext primes
+    /// 0..limbs-1, dividing out the primes after them: P (the K
+    /// special primes), or q_limbs * P for a fused rescale. Only those
+    /// tail limbs are inverse-transformed. Counted as one
+    /// ckks.ops.mod_down.
     std::pair<RnsPoly, RnsPoly>
     mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                   std::size_t limbs) const;

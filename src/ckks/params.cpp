@@ -54,6 +54,7 @@ CkksContext::CkksContext(const CkksParams &params)
 
     ring_ = std::make_shared<RingContext>(n, primes, params_.K);
     modDown_.resize(params_.L);
+    rescaleDown_.resize(params_.L);
 
     // P mod q_i for the keyswitch key generation.
     pModQ_.resize(params_.L);
@@ -76,6 +77,21 @@ CkksContext::mod_down(std::size_t limbs) const
     return *slot;
 }
 
+const ModDown&
+CkksContext::rescale_mod_down(std::size_t limbs) const
+{
+    POSEIDON_REQUIRE(limbs >= 2 && limbs <= params_.L,
+                     "CkksContext::rescale_mod_down: bad limb count");
+    auto &slot = rescaleDown_[limbs - 1];
+    if (!slot) {
+        RnsBasis tail({ring_->prime(limbs - 1)});
+        slot = std::make_unique<ModDown>(
+            ring_->ct_basis(limbs - 1),
+            tail.concat(ring_->special_basis()));
+    }
+    return *slot;
+}
+
 std::vector<std::size_t>
 CkksContext::extended_indices(std::size_t limbs) const
 {
@@ -84,6 +100,14 @@ CkksContext::extended_indices(std::size_t limbs) const
     for (std::size_t i = 0; i < limbs; ++i) idx.push_back(i);
     for (std::size_t j = 0; j < params_.K; ++j) idx.push_back(params_.L + j);
     return idx;
+}
+
+bool
+CkksContext::is_extended(const RnsPoly &p) const
+{
+    std::size_t K = params_.K;
+    return p.num_limbs() > K &&
+           p.prime_indices() == extended_indices(p.num_limbs() - K);
 }
 
 const RnsConv&

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "poly/poly.h"
 #include "poly/ring.h"
 #include "rns/conv.h"
 
@@ -79,6 +80,13 @@ class CkksContext
     /// ModDown converter for `limbs` ciphertext primes (cached).
     const ModDown& mod_down(std::size_t limbs) const;
 
+    /**
+     * Fused-rescale ModDown for a `limbs`-prime level (limbs >= 2):
+     * divides by q_{limbs-1} * P, from the tail {q_{limbs-1}} + the K
+     * special primes onto ciphertext primes 0..limbs-2 (cached).
+     */
+    const ModDown& rescale_mod_down(std::size_t limbs) const;
+
     /// Primes per keyswitch digit (1 when dnum == 0).
     std::size_t alpha() const { return alpha_; }
 
@@ -105,6 +113,10 @@ class CkksContext
      */
     std::vector<std::size_t> extended_indices(std::size_t limbs) const;
 
+    /// true when `p` spans a level's extended basis QP (exactly
+    /// extended_indices(p.num_limbs() - K)).
+    bool is_extended(const RnsPoly &p) const;
+
     /// [P mod q_i] for every ciphertext prime (keyswitch key factor).
     u64 p_mod_qi(std::size_t i) const { return pModQ_[i]; }
 
@@ -114,6 +126,8 @@ class CkksContext
     std::size_t alpha_ = 1;
     /// modDown_[l] built for l+1 limbs on first use.
     mutable std::vector<std::unique_ptr<ModDown>> modDown_;
+    /// rescaleDown_[l] built for l+1 limbs on first use.
+    mutable std::vector<std::unique_ptr<ModDown>> rescaleDown_;
     /// digitConv_ keyed by limbs and group, built on first use.
     mutable std::map<std::size_t, std::unique_ptr<RnsConv>> digitConv_;
     std::vector<u64> pModQ_;

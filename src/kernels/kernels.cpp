@@ -195,6 +195,16 @@ cpu_supports(SimdLevel lvl)
 #endif
 }
 
+bool
+cpu_has_ifma()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx512ifma");
+#else
+    return false;
+#endif
+}
+
 const KernelTable *
 backend(SimdLevel lvl)
 {
@@ -269,6 +279,8 @@ detect_level()
                    level_supported(SimdLevel::Avx2) ? 1.0 : 0.0);
         sink.gauge("kernels.dispatch.avx512_supported",
                    level_supported(SimdLevel::Avx512) ? 1.0 : 0.0);
+        sink.gauge("kernels.dispatch.avx512ifma_supported",
+                   ifma_supported() ? 1.0 : 0.0);
     }
     return chosen;
 }
@@ -296,6 +308,17 @@ bool
 level_supported(SimdLevel lvl)
 {
     return level_compiled(lvl) && cpu_supports(lvl);
+}
+
+bool
+ifma_supported()
+{
+    // Not level_supported(): the AVX-512 table asks this while it is
+    // being built.
+    static const bool ok = internal::avx512_ifma_compiled() &&
+                           cpu_supports(SimdLevel::Avx512) &&
+                           cpu_has_ifma();
+    return ok;
 }
 
 SimdLevel

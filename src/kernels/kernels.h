@@ -18,6 +18,9 @@
  *  - the decision lands in the `kernels.dispatch.*` gauges so
  *    profiler/bench/journal surfaces record which ISA level ran.
  *
+ * Within the AVX-512 level, the NTT passes take 52-bit IFMA
+ * butterflies for q < 2^50 on CPUs with avx512ifma (ifma_supported()).
+ *
  * Correctness contract (asserted by tests/test_kernels.cpp):
  * canonical outputs are **bit-identical across dispatch levels** for
  * every modulus width (28-60 bit NTT primes, any q < 2^62), every
@@ -57,6 +60,14 @@ bool level_supported(SimdLevel lvl);
 /// The dispatch decision: best supported level, after the
 /// POSEIDON_SIMD override. Computed once on first use.
 SimdLevel active_level();
+
+/**
+ * true when the AVX-512 NTT passes take 52-bit IFMA butterflies for
+ * q < 2^50: the backend was built with them and the CPU reports
+ * avx512ifma (checked once). Larger moduli, and CPUs without IFMA,
+ * run the 64-bit butterflies; the outputs are the same bytes.
+ */
+bool ifma_supported();
 
 /**
  * Batched kernel entry points. Unless noted otherwise inputs are

@@ -6,13 +6,16 @@
  * Relative to AVX2 this gains native unsigned 64-bit compares
  * (`_mm512_cmpge_epu64_mask`) and masked subtraction, halving the
  * instruction count of every conditional-subtract, plus twice the
- * lane width. 64-bit multiplies still go through `_mm512_mul_epu32`
- * partial products — `_mm512_mullo_epi64` is AVX-512DQ, which this
- * backend deliberately does not require. The NTT passes are
- * multiply-bound, not shuffle-bound: the three short-stride stages
- * (t = 4, 2, 1) cost two two-source permutes per vector on each side
- * of the butterfly, and every stage does 8 butterflies per vector op
- * (about 1.4-1.6x the speed of the AVX2 passes at N = 2^14,
+ * lane width. The elementwise kernels build 64-bit products from
+ * `_mm512_mul_epu32` partial products — `_mm512_mullo_epi64` is
+ * AVX-512DQ, which this backend deliberately does not require. So do
+ * the NTT passes for q >= 2^50 and on CPUs without IFMA; below 2^50,
+ * on an IFMA CPU, they take a 52-bit `vpmadd52` Shoup product instead
+ * (per-function target attribute; the TU stays -mavx512f). The NTT
+ * passes are multiply-bound, not shuffle-bound: the three short-stride
+ * stages (t = 4, 2, 1) cost two two-source permutes per vector on each
+ * side of the butterfly, and every stage does 8 butterflies per vector
+ * op (about 1.4-1.6x the speed of the AVX2 passes at N = 2^14,
  * EXPERIMENTS.md).
  * Transforms shorter than 16 use the AVX2 table.
  *
@@ -413,26 +416,84 @@ idx8(long long e0, long long e1, long long e2, long long e3,
     return _mm512_set_epi64(e7, e6, e5, e4, e3, e2, e1, e0);
 }
 
+/// The twiddle product of the 64-bit passes: a lazy Shoup product
+/// (< 2q) from _mm512_mul_epu32 partial products, for any q < 2^62.
+struct Shoup64
+{
+    /// The Shoup constant as the tables store it, floor(w * 2^64 / q).
+    static inline __m512i quotient(__m512i ws) { return ws; }
+
+    static inline __m512i
+    mul(__m512i v, __m512i w, __m512i ws, __m512i qv)
+    {
+        return shoup_lazy(v, w, ws, qv);
+    }
+};
+
+#ifdef POSEIDON_HAVE_AVX512IFMA
+
+#define POSEIDON_IFMA __attribute__((target("avx512f,avx512ifma")))
+
+/// Largest modulus the IFMA passes take: every lazy operand stays
+/// below 4q <= 2^52, the width of the 52-bit multiplier.
+constexpr u64 kIfmaModulusBound = u64(1) << 50;
+
+/**
+ * The twiddle product of the IFMA passes (Intel HEXL's approach,
+ * Boemer et al. 2021): a 52-bit Shoup product. With the constant
+ * w' = floor(w * 2^52 / q), which is the 64-bit one shifted right by
+ * 12, hi = floor(v * w' / 2^52) and r = v*w - hi*q lies in [0, 2q)
+ * for every v < 2^52, so its low 52 bits are all of it: three
+ * vpmadd52 instructions and a mask instead of ten 32-bit partial
+ * products. Needs v, w, q < 2^52.
+ */
+struct Shoup52
+{
+    static inline __m512i
+    quotient(__m512i ws)
+    {
+        return _mm512_srli_epi64(ws, 12);
+    }
+
+    static inline POSEIDON_IFMA __m512i
+    mul(__m512i v, __m512i w, __m512i ws, __m512i qv)
+    {
+        const __m512i zero = _mm512_setzero_si512();
+        const __m512i mask52 = _mm512_set1_epi64((1LL << 52) - 1);
+        // vpmadd52 reads the low 52 bits of -q, 2^52 - q, so one more
+        // multiply-add subtracts hi * q mod 2^52.
+        __m512i negq = _mm512_sub_epi64(zero, qv);
+        __m512i hi = _mm512_madd52hi_epu64(zero, v, ws);
+        __m512i r = _mm512_madd52lo_epu64(zero, v, w);
+        r = _mm512_madd52lo_epu64(r, hi, negq);
+        return _mm512_and_si512(r, mask52);
+    }
+};
+
+#endif // POSEIDON_HAVE_AVX512IFMA
+
 /// One vector CT butterfly: u, v enter and leave < 4q; the twiddle
 /// product is lazy < 2q.
-inline void
+template <class Mul>
+inline __attribute__((always_inline)) void
 ct_lazy(__m512i &u, __m512i &v, __m512i w, __m512i ws, __m512i qv,
         __m512i twoqv)
 {
     __m512i uc = csub(u, twoqv);
-    __m512i t = shoup_lazy(v, w, ws, qv);
+    __m512i t = Mul::mul(v, w, ws, qv);
     u = _mm512_add_epi64(uc, t);
     v = _mm512_add_epi64(_mm512_sub_epi64(uc, t), twoqv);
 }
 
 /// One vector GS butterfly: u, v enter and leave < 2q.
-inline void
+template <class Mul>
+inline __attribute__((always_inline)) void
 gs_lazy(__m512i &u, __m512i &v, __m512i w, __m512i ws, __m512i qv,
         __m512i twoqv)
 {
     __m512i s = csub(_mm512_add_epi64(u, v), twoqv);
     __m512i d = _mm512_add_epi64(_mm512_sub_epi64(u, v), twoqv);
-    v = shoup_lazy(d, w, ws, qv);
+    v = Mul::mul(d, w, ws, qv);
     u = s;
 }
 
@@ -480,14 +541,12 @@ small_twiddles(const u64 *tw, std::size_t t, __m512i wIdx)
     return _mm512_permutexvar_epi64(wIdx, raw);
 }
 
-void
-avx512_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
-                   const u64 *psiShoup, u64 q)
+/// The forward passes for n >= 16, with the twiddle product `Mul`.
+template <class Mul>
+inline __attribute__((always_inline)) void
+forward_passes(u64 *a, std::size_t n, const u64 *psi, const u64 *psiShoup,
+               u64 q)
 {
-    if (n < 16) {
-        table(SimdLevel::Avx2).ntt_forward(a, n, logn, psi, psiShoup, q);
-        return;
-    }
     __m512i qv = bcast(q);
     __m512i twoqv = _mm512_add_epi64(qv, qv);
     std::size_t t = n;
@@ -497,11 +556,11 @@ avx512_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
             for (std::size_t i = 0; i < m; ++i) {
                 std::size_t j1 = 2 * i * t;
                 __m512i w = bcast(psi[m + i]);
-                __m512i ws = bcast(psiShoup[m + i]);
+                __m512i ws = Mul::quotient(bcast(psiShoup[m + i]));
                 for (std::size_t j = j1; j < j1 + t; j += 8) {
                     __m512i u = _mm512_loadu_si512(a + j);
                     __m512i v = _mm512_loadu_si512(a + j + t);
-                    ct_lazy(u, v, w, ws, qv, twoqv);
+                    ct_lazy<Mul>(u, v, w, ws, qv, twoqv);
                     _mm512_storeu_si512(a + j, u);
                     _mm512_storeu_si512(a + j + t, v);
                 }
@@ -517,8 +576,9 @@ avx512_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
             __m512i u = _mm512_permutex2var_epi64(x0, ss.uIdx, x1);
             __m512i v = _mm512_permutex2var_epi64(x0, ss.vIdx, x1);
             __m512i w = small_twiddles(psi + m + i, t, ss.wIdx);
-            __m512i ws = small_twiddles(psiShoup + m + i, t, ss.wIdx);
-            ct_lazy(u, v, w, ws, qv, twoqv);
+            __m512i ws = Mul::quotient(
+                small_twiddles(psiShoup + m + i, t, ss.wIdx));
+            ct_lazy<Mul>(u, v, w, ws, qv, twoqv);
             _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, ss.lo, v));
             _mm512_storeu_si512(p + 8,
                                 _mm512_permutex2var_epi64(u, ss.hi, v));
@@ -530,15 +590,12 @@ avx512_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
     }
 }
 
-void
-avx512_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
-                   const u64 *ipsiShoup, u64 nInv, u64 nInvShoup, u64 q)
+/// The inverse passes for n >= 16, with the twiddle product `Mul`.
+template <class Mul>
+inline __attribute__((always_inline)) void
+inverse_passes(u64 *a, std::size_t n, const u64 *ipsi,
+               const u64 *ipsiShoup, u64 nInv, u64 nInvShoup, u64 q)
 {
-    if (n < 16) {
-        table(SimdLevel::Avx2).ntt_inverse(a, n, logn, ipsi, ipsiShoup,
-                                           nInv, nInvShoup, q);
-        return;
-    }
     __m512i qv = bcast(q);
     __m512i twoqv = _mm512_add_epi64(qv, qv);
     std::size_t t = 1;
@@ -548,11 +605,11 @@ avx512_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
             for (std::size_t i = 0; i < h; ++i) {
                 std::size_t j1 = 2 * i * t;
                 __m512i w = bcast(ipsi[h + i]);
-                __m512i ws = bcast(ipsiShoup[h + i]);
+                __m512i ws = Mul::quotient(bcast(ipsiShoup[h + i]));
                 for (std::size_t j = j1; j < j1 + t; j += 8) {
                     __m512i u = _mm512_loadu_si512(a + j);
                     __m512i v = _mm512_loadu_si512(a + j + t);
-                    gs_lazy(u, v, w, ws, qv, twoqv);
+                    gs_lazy<Mul>(u, v, w, ws, qv, twoqv);
                     _mm512_storeu_si512(a + j, u);
                     _mm512_storeu_si512(a + j + t, v);
                 }
@@ -568,8 +625,9 @@ avx512_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
             __m512i u = _mm512_permutex2var_epi64(x0, ss.uIdx, x1);
             __m512i v = _mm512_permutex2var_epi64(x0, ss.vIdx, x1);
             __m512i w = small_twiddles(ipsi + h + i, t, ss.wIdx);
-            __m512i ws = small_twiddles(ipsiShoup + h + i, t, ss.wIdx);
-            gs_lazy(u, v, w, ws, qv, twoqv);
+            __m512i ws = Mul::quotient(
+                small_twiddles(ipsiShoup + h + i, t, ss.wIdx));
+            gs_lazy<Mul>(u, v, w, ws, qv, twoqv);
             _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, ss.lo, v));
             _mm512_storeu_si512(p + 8,
                                 _mm512_permutex2var_epi64(u, ss.hi, v));
@@ -578,13 +636,66 @@ avx512_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
     // Fold n^{-1} into the canonicalizing pass: inputs < 2q, lazy
     // product < 2q, one subtraction finishes.
     __m512i niv = bcast(nInv);
-    __m512i nisv = bcast(nInvShoup);
+    __m512i nisv = Mul::quotient(bcast(nInvShoup));
     for (std::size_t j = 0; j < n; j += 8) {
         __m512i x = _mm512_loadu_si512(a + j);
         _mm512_storeu_si512(a + j,
-                            csub(shoup_lazy(x, niv, nisv, qv), qv));
+                            csub(Mul::mul(x, niv, nisv, qv), qv));
     }
 }
+
+void
+avx512_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
+                   const u64 *psiShoup, u64 q)
+{
+    if (n < 16) {
+        table(SimdLevel::Avx2).ntt_forward(a, n, logn, psi, psiShoup, q);
+        return;
+    }
+    forward_passes<Shoup64>(a, n, psi, psiShoup, q);
+}
+
+void
+avx512_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
+                   const u64 *ipsiShoup, u64 nInv, u64 nInvShoup, u64 q)
+{
+    if (n < 16) {
+        table(SimdLevel::Avx2).ntt_inverse(a, n, logn, ipsi, ipsiShoup,
+                                           nInv, nInvShoup, q);
+        return;
+    }
+    inverse_passes<Shoup64>(a, n, ipsi, ipsiShoup, nInv, nInvShoup, q);
+}
+
+#ifdef POSEIDON_HAVE_AVX512IFMA
+
+// The IFMA entry points: the 52-bit passes for q < 2^50, the 64-bit
+// ones otherwise. Both leave canonical, hence identical, outputs.
+
+POSEIDON_IFMA void
+ifma_ntt_forward(u64 *a, std::size_t n, unsigned logn, const u64 *psi,
+                 const u64 *psiShoup, u64 q)
+{
+    if (n < 16 || q >= kIfmaModulusBound) {
+        avx512_ntt_forward(a, n, logn, psi, psiShoup, q);
+        return;
+    }
+    forward_passes<Shoup52>(a, n, psi, psiShoup, q);
+}
+
+POSEIDON_IFMA void
+ifma_ntt_inverse(u64 *a, std::size_t n, unsigned logn, const u64 *ipsi,
+                 const u64 *ipsiShoup, u64 nInv, u64 nInvShoup, u64 q)
+{
+    if (n < 16 || q >= kIfmaModulusBound) {
+        avx512_ntt_inverse(a, n, logn, ipsi, ipsiShoup, nInv, nInvShoup,
+                           q);
+        return;
+    }
+    inverse_passes<Shoup52>(a, n, ipsi, ipsiShoup, nInv, nInvShoup, q);
+}
+
+#endif // POSEIDON_HAVE_AVX512IFMA
 
 } // namespace
 
@@ -606,9 +717,25 @@ avx512_table()
         k.normalize_n = avx512_normalize_n;
         k.ntt_forward = avx512_ntt_forward;
         k.ntt_inverse = avx512_ntt_inverse;
+#ifdef POSEIDON_HAVE_AVX512IFMA
+        if (ifma_supported()) {
+            k.ntt_forward = ifma_ntt_forward;
+            k.ntt_inverse = ifma_ntt_inverse;
+        }
+#endif
         return k;
     }();
     return &t;
+}
+
+bool
+avx512_ifma_compiled()
+{
+#ifdef POSEIDON_HAVE_AVX512IFMA
+    return true;
+#else
+    return false;
+#endif
 }
 
 } // namespace poseidon::kernels::internal
@@ -621,6 +748,12 @@ const KernelTable *
 avx512_table()
 {
     return nullptr;
+}
+
+bool
+avx512_ifma_compiled()
+{
+    return false;
 }
 
 } // namespace poseidon::kernels::internal

@@ -17,8 +17,12 @@ namespace poseidon::kernels::internal {
 const KernelTable *avx2_table();
 
 /// AVX-512 kernel table (elementwise kernels and NTT passes), or
-/// nullptr.
+/// nullptr. Its NTT entries take the IFMA passes for q < 2^50 when
+/// ifma_supported().
 const KernelTable *avx512_table();
+
+/// true when the AVX-512 backend was built with the IFMA NTT passes.
+bool avx512_ifma_compiled();
 
 } // namespace poseidon::kernels::internal
 

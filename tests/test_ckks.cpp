@@ -13,6 +13,7 @@
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "poly/automorphism.h"
 #include "telemetry/metrics.h"
 
 namespace poseidon {
@@ -247,6 +248,93 @@ TEST(Ckks, CMultWithRelinearization)
     std::vector<cdouble> expect(z1.size());
     for (std::size_t i = 0; i < z1.size(); ++i) expect[i] = z1[i] * z2[i];
     EXPECT_LT(max_err(expect, back), 1e-3);
+}
+
+TEST(Ckks, FusedRescaleMatchesModDownThenRescale)
+{
+    // mul leaves its product over QP, and rescale_inplace divides it by
+    // P*q_l in one ModDown. mod_down then rescale rounds twice; nested
+    // rounding agrees with one rounding except within about 1/q_l of a
+    // boundary, so the bytes match. Classic and hybrid keyswitching,
+    // at 1 and 4 threads.
+    CkksParams hybrid = small_params();
+    hybrid.L = 6;
+    hybrid.dnum = 2;
+    hybrid.K = 3;
+    for (const CkksParams &p : {small_params(), hybrid}) {
+        Fixture f(p);
+        KSwitchKey relin = f.keygen.make_relin_key();
+        std::size_t limbs = p.L - 1;
+        Ciphertext a = f.encryptor.encrypt(
+            f.encoder.encode(test_vector(f.ctx->slots(), 60), limbs));
+        Ciphertext b = f.encryptor.encrypt(
+            f.encoder.encode(test_vector(f.ctx->slots(), 61), limbs));
+
+        Ciphertext serial;
+        for (std::size_t threads : {1, 4}) {
+            parallel::set_num_threads(threads);
+            SCOPED_TRACE(testing::Message() << "K=" << p.K << " threads "
+                         << threads);
+            Ciphertext prod = f.eval.mul(a, b, relin);
+            ASSERT_EQ(prod.num_limbs(), limbs + p.K);
+            Ciphertext fused = f.eval.rescale(prod);
+            Ciphertext nested =
+                f.eval.rescale(f.eval.mod_down(Ciphertext(prod)));
+            EXPECT_EQ(fused.num_limbs(), limbs - 1);
+            EXPECT_TRUE(same_bytes(fused.c0, nested.c0));
+            EXPECT_TRUE(same_bytes(fused.c1, nested.c1));
+            EXPECT_EQ(fused.scale, nested.scale);
+            if (threads == 1) {
+                serial = fused;
+            } else {
+                EXPECT_TRUE(same_bytes(fused.c0, serial.c0));
+                EXPECT_TRUE(same_bytes(fused.c1, serial.c1));
+            }
+        }
+        parallel::set_num_threads(0); // restore the environment default
+
+        // With one q-limb left there is no q_l to divide by.
+        Ciphertext last = a;
+        f.eval.drop_to_limbs_inplace(last, 1);
+        last = f.eval.square(last, relin);
+        EXPECT_THROW(f.eval.rescale_inplace(last), NoiseBudgetExhausted);
+    }
+}
+
+TEST(Ckks, ExtendedCiphertextRejectedByQBasisOps)
+{
+    // An extended ciphertext (a mul result before its rescale, or a
+    // rotate_ext result) stands for P times a q-basis one. Read as a
+    // q-basis ciphertext it decrypts to garbage, so every q-basis-only
+    // entry point rejects it.
+    Fixture f(small_params());
+    KSwitchKey relin = f.keygen.make_relin_key();
+    GaloisKeys gk = f.keygen.make_galois_keys({1});
+    Ciphertext c = f.encryptor.encrypt(
+        f.encoder.encode(test_vector(f.ctx->slots(), 62), 3));
+    u64 g = galois_element_for_step(f.ctx->degree(), 1);
+    for (const Ciphertext &ext :
+         {f.eval.mul(c, c, relin), f.eval.rotate_ext(c, 1, gk)}) {
+        ASSERT_EQ(ext.num_limbs(), 3 + f.ctx->params().K);
+        EXPECT_THROW(f.decryptor.decrypt(ext), ShapeMismatch);
+        EXPECT_THROW(f.eval.mul(ext, ext, relin), ShapeMismatch);
+        EXPECT_THROW(f.eval.mul(c, ext, relin), ShapeMismatch);
+        EXPECT_THROW(f.eval.square(ext, relin), ShapeMismatch);
+        EXPECT_THROW(f.eval.rotate(ext, 1, gk), ShapeMismatch);
+        EXPECT_THROW(f.eval.rotate(ext, 0, gk), ShapeMismatch);
+        EXPECT_THROW(f.eval.conjugate(ext, gk), ShapeMismatch);
+        EXPECT_THROW(f.eval.apply_galois(ext, g, gk.get(g)), ShapeMismatch);
+        EXPECT_THROW(f.eval.rotate_ext(ext, 1, gk), ShapeMismatch);
+        EXPECT_THROW(f.eval.rotate_hoisted_ext(ext, {0, 1}, gk),
+                     ShapeMismatch);
+        EXPECT_THROW(f.eval.keyswitch_core(ext.c1, relin), ShapeMismatch);
+        Ciphertext dropped = ext;
+        EXPECT_THROW(f.eval.drop_to_limbs_inplace(dropped, 2),
+                     ShapeMismatch);
+        // Its ModDown is an ordinary q-basis ciphertext again.
+        Ciphertext down = f.eval.mod_down(Ciphertext(ext));
+        EXPECT_NO_THROW(f.decryptor.decrypt(down));
+    }
 }
 
 TEST(Ckks, MultiplicativeChainConsumesLevels)
@@ -583,9 +671,22 @@ TEST(Ckks, HybridKeyswitchingRejectsTooFewSpecialPrimes)
 }
 
 
+/// Hoisted rotations on the q-basis: ModDown of each nonzero step's
+/// rotate_hoisted_ext result, and `a` itself for a zero step.
+std::vector<Ciphertext>
+rotate_hoisted(const CkksEvaluator &eval, const Ciphertext &a,
+               const std::vector<long> &steps, const GaloisKeys &gk)
+{
+    std::vector<Ciphertext> out = eval.rotate_hoisted_ext(a, steps, gk);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        out[i] = steps[i] == 0 ? a : eval.mod_down(std::move(out[i]));
+    }
+    return out;
+}
+
 TEST(Ckks, HoistedRotationsMatchIndividualRotations)
 {
-    // rotate_hoisted shares one digit decomposition. It is not
+    // Hoisted rotations share one digit decomposition. They are not
     // bit-identical to per-step rotate() (the negacyclic wrap picks a
     // different — equally small — digit representative), but the
     // decrypted values must agree to within keyswitch noise.
@@ -595,7 +696,7 @@ TEST(Ckks, HoistedRotationsMatchIndividualRotations)
     Ciphertext c = f.encryptor.encrypt(f.encoder.encode(z, 4));
 
     std::vector<long> steps = {0, 1, 2, 5, -3};
-    auto hoisted = f.eval.rotate_hoisted(c, steps, gk);
+    auto hoisted = rotate_hoisted(f.eval, c, steps, gk);
     ASSERT_EQ(hoisted.size(), steps.size());
     for (std::size_t i = 0; i < steps.size(); ++i) {
         Ciphertext single = f.eval.rotate(c, steps[i], gk);
@@ -625,7 +726,7 @@ TEST(Ckks, HoistedRotationsWithHybridKeyswitch)
     GaloisKeys gk = f.keygen.make_galois_keys({1, 4});
     auto z = test_vector(f.ctx->slots(), 51);
     Ciphertext c = f.encryptor.encrypt(f.encoder.encode(z, 5));
-    auto rots = f.eval.rotate_hoisted(c, {1, 4}, gk);
+    auto rots = rotate_hoisted(f.eval, c, {1, 4}, gk);
     std::size_t ns = f.ctx->slots();
     for (std::size_t which = 0; which < 2; ++which) {
         long step = which == 0 ? 1 : 4;
@@ -639,11 +740,12 @@ TEST(Ckks, HoistedRotationsWithHybridKeyswitch)
 
 TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
 {
-    // rotate_hoisted is rotate_hoisted_ext plus one ModDown per step.
-    // P*tau(c0) is zero mod every special prime and exact mod every
-    // q_i, so ModDown(P*tau(c0) + acc) = tau(c0) + ModDown(acc): a
-    // one-term group with a plaintext of 1, brought down, has
-    // rotate_hoisted's bytes, and rotate_ext's ModDown has rotate()'s.
+    // The rotate_hoisted oracle is rotate_hoisted_ext plus one ModDown
+    // per nonzero step. P*tau(c0) is zero mod every special prime and
+    // exact mod every q_i, so ModDown(P*tau(c0) + acc) =
+    // tau(c0) + ModDown(acc): a one-term group with a plaintext of 1,
+    // brought down, has the oracle's bytes, and rotate_ext's ModDown
+    // has rotate()'s.
     // Classic and hybrid keyswitching, at 1 and 4 threads.
     CkksParams hybrid = small_params();
     hybrid.L = 6;
@@ -663,7 +765,7 @@ TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
         std::vector<Ciphertext> serial;
         for (std::size_t threads : {1, 4}) {
             parallel::set_num_threads(threads);
-            auto want = f.eval.rotate_hoisted(c, steps, gk);
+            auto want = rotate_hoisted(f.eval, c, steps, gk);
             auto ext = f.eval.rotate_hoisted_ext(c, steps, gk);
             ASSERT_EQ(ext.size(), steps.size());
             for (std::size_t i = 0; i < steps.size(); ++i) {

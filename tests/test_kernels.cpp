@@ -41,7 +41,10 @@ non_scalar_levels()
 /// One NTT prime per requested bit width (all == 1 mod 2*8192 so the
 /// same list serves the NTT tests). 61 bits is the widest
 /// generate_ntt_primes accepts, where the forward NTT's lazy 4q < 2^64
-/// bound is tightest.
+/// bound is tightest. On an IFMA host the AVX-512 NTT takes the 52-bit
+/// butterflies for the primes below 2^50: the 50-bit one is their
+/// tightest case (4q just under 2^52). The 59-61-bit primes take the
+/// 64-bit fallback.
 std::vector<u64>
 test_primes()
 {
