@@ -97,26 +97,67 @@ BM_KernelMulModN(benchmark::State &state)
 }
 BENCHMARK(BM_KernelMulModN)->Apply(supported_levels);
 
+/// A dot product of `terms` terms with operands canonical mod q:
+/// vector times vector (the key product's shape) or, with
+/// scalarWeights, vector times constant (base conversion's). Shared
+/// by the dot rows and the report.
+struct DotBench
+{
+    std::vector<std::vector<u64>> a, b;
+    std::vector<const u64 *> ap, bp;
+    std::vector<u64> w, out;
+
+    DotBench(std::size_t terms, std::size_t n, u64 q, bool scalarWeights)
+        : a(terms, std::vector<u64>(n)), b(terms, std::vector<u64>(n)),
+          w(terms), out(n)
+    {
+        Prng prng(11);
+        for (std::size_t k = 0; k < terms; ++k) {
+            for (auto &v : a[k]) v = prng.uniform(q);
+            for (auto &v : b[k]) v = prng.uniform(q);
+            w[k] = prng.uniform(q);
+            ap.push_back(a[k].data());
+            bp.push_back(scalarWeights ? nullptr : b[k].data());
+        }
+    }
+
+    void
+    run(const kernels::KernelTable &t, u64 q)
+    {
+        t.dot_mod_n(out.data(), ap.data(), bp.data(), w.data(), ap.size(),
+                    out.size(), q, q);
+    }
+};
+
 void
-BM_KernelMulModAccLazy(benchmark::State &state)
+BM_KernelDot(benchmark::State &state)
 {
     auto lvl = static_cast<kernels::SimdLevel>(state.range(0));
+    auto terms = static_cast<std::size_t>(state.range(1));
     const kernels::KernelTable &t = kernels::table(lvl);
     std::size_t n = 1 << 14;
     u64 q = generate_ntt_primes(n, 50, 1)[0];
-    Prng prng(11);
-    std::vector<u64> a(n), b(n), acc(n, 0);
-    for (auto &v : a) v = prng.uniform(q);
-    for (auto &v : b) v = prng.uniform(q);
+    DotBench d(terms, n, q, /*scalarWeights=*/false);
     for (auto _ : state) {
-        t.mul_mod_acc_lazy_n(acc.data(), a.data(), b.data(), n, q);
-        t.normalize_n(acc.data(), n, q);
-        benchmark::DoNotOptimize(acc.data());
+        d.run(t, q);
+        benchmark::DoNotOptimize(d.out.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * n);
+    state.SetItemsProcessed(state.iterations() * n * terms);
     state.SetLabel(kernels::level_name(lvl));
 }
-BENCHMARK(BM_KernelMulModAccLazy)->Apply(supported_levels);
+
+/// Every supported level at 3, 8 and 25 terms.
+void
+dot_args(benchmark::internal::Benchmark *b)
+{
+    for (int l = 0; l <= 2; ++l) {
+        auto lvl = static_cast<kernels::SimdLevel>(l);
+        if (!kernels::level_supported(lvl)) continue;
+        for (int terms : {3, 8, 25}) b->Args({l, terms});
+    }
+}
+BENCHMARK(BM_KernelDot)->Apply(dot_args);
 
 void
 BM_KernelScalarMulShoup(benchmark::State &state)
@@ -336,8 +377,9 @@ class HarnessReporter : public benchmark::ConsoleReporter
 // land in BENCH_micro_kernels.json as `kernels.speedup.*` (the only
 // metrics in the committed baseline — pruned so the absolute
 // ns_per_iter rows never gate) and, when an AVX level is dispatched,
-// the binary exits nonzero unless the ISSUE-8 floors hold: >= 1.5x
-// elementwise mulmod and >= 1.3x forward NTT at N = 2^14.
+// the binary exits nonzero unless the floors hold: >= 1.5x
+// elementwise mulmod and >= 1.3x forward NTT at N = 2^14. The dot
+// product ratios are reported only.
 
 double
 time_once(int iters, const std::function<void()> &fn)
@@ -370,16 +412,17 @@ report_dispatch_and_gate(bench::Harness &h)
 {
     using kernels::SimdLevel;
     SimdLevel active = kernels::active_level();
-    // The IFMA butterflies run in the AVX-512 NTT passes, for q < 2^50.
+    // The IFMA butterflies run in the AVX-512 NTT passes, and the IFMA
+    // accumulation in its dot product, for q < 2^50.
     bool ifma = active == SimdLevel::Avx512 && kernels::ifma_supported();
     std::printf("\nkernel dispatch: level=%s (avx2 %s, avx512 %s, "
-                "ifma ntt butterflies %s)\n",
+                "ifma ntt butterflies %s, ifma dot %s)\n",
                 kernels::level_name(active),
                 kernels::level_supported(SimdLevel::Avx2) ? "yes"
                                                           : "no",
                 kernels::level_supported(SimdLevel::Avx512) ? "yes"
                                                             : "no",
-                ifma ? "yes" : "no");
+                ifma ? "yes" : "no", ifma ? "yes" : "no");
     h.metric("kernels.dispatch.level", static_cast<double>(active));
 
     std::size_t n = 1 << 14;
@@ -411,11 +454,23 @@ report_dispatch_and_gate(bench::Harness &h)
                            table.psi_br().data(),
                            table.psi_br_shoup().data(), q);
         });
+    // Report-only: not in the committed baseline, so never gated.
+    DotBench vec(8, n, q, /*scalarWeights=*/false);
+    DotBench scl(8, n, q, /*scalarWeights=*/true);
+    double dotVecSpeedup = speedup_vs(
+        trials, iters / 4, [&] { vec.run(sc, q); },
+        [&] { vec.run(ac, q); });
+    double dotScalarSpeedup = speedup_vs(
+        trials, iters / 4, [&] { scl.run(sc, q); },
+        [&] { scl.run(ac, q); });
     h.metric("kernels.speedup.mulmod_16384", mulSpeedup);
     h.metric("kernels.speedup.ntt_fwd_16384", nttSpeedup);
+    h.metric("kernels.speedup.dot_vec8_16384", dotVecSpeedup);
+    h.metric("kernels.speedup.dot_scalar8_16384", dotScalarSpeedup);
     std::printf("kernel speedup vs scalar (N=2^14, 50-bit prime): "
-                "mulmod %.2fx, ntt_fwd %.2fx\n",
-                mulSpeedup, nttSpeedup);
+                "mulmod %.2fx, ntt_fwd %.2fx, dot 8 terms %.2fx "
+                "(scalar weights %.2fx)\n",
+                mulSpeedup, nttSpeedup, dotVecSpeedup, dotScalarSpeedup);
 
     if (active == SimdLevel::Scalar) return true;
     bool ok = mulSpeedup >= 1.5 && nttSpeedup >= 1.3;

@@ -185,21 +185,21 @@ CkksEvaluator::dot_plain(const std::vector<const Ciphertext*> &cts,
     out.c0 = RnsPoly(ring, a.c0.prime_indices(), Domain::Eval);
     out.c1 = RnsPoly(ring, a.c0.prime_indices(), Domain::Eval);
     out.scale = a.scale * p.scale;
+    std::size_t terms = cts.size();
     parallel::parallel_for(0, limbs, 1,
         [&](std::size_t k0, std::size_t k1) {
+            std::vector<const u64*> x0(terms), x1(terms), y(terms);
             for (std::size_t k = k0; k < k1; ++k) {
                 u64 q = out.c0.prime(k);
-                u64 *o0 = out.c0.limb(k); // zero-initialized
-                u64 *o1 = out.c1.limb(k);
-                for (std::size_t t = 0; t < cts.size(); ++t) {
-                    const u64 *pt = pts[t]->poly.limb(k);
-                    kernels::mul_mod_acc_lazy_n(o0, cts[t]->c0.limb(k),
-                                                pt, n, q);
-                    kernels::mul_mod_acc_lazy_n(o1, cts[t]->c1.limb(k),
-                                                pt, n, q);
+                for (std::size_t t = 0; t < terms; ++t) {
+                    x0[t] = cts[t]->c0.limb(k);
+                    x1[t] = cts[t]->c1.limb(k);
+                    y[t] = pts[t]->poly.limb(k);
                 }
-                kernels::normalize_n(o0, n, q);
-                kernels::normalize_n(o1, n, q);
+                kernels::dot_mod_n(out.c0.limb(k), x0.data(), y.data(),
+                                   nullptr, terms, n, q, q);
+                kernels::dot_mod_n(out.c1.limb(k), x1.data(), y.data(),
+                                   nullptr, terms, n, q, q);
             }
         }, "ckks.dot_plain");
     return out;
@@ -277,12 +277,9 @@ CkksEvaluator::mul(const Ciphertext &a, const Ciphertext &b,
         [&](std::size_t k0, std::size_t k1) {
             for (std::size_t k = k0; k < k1; ++k) {
                 u64 q = ring->prime(k);
-                u64 *d = d1.limb(k); // zero-initialized by ct()
-                kernels::mul_mod_acc_lazy_n(d, a.c0.limb(k),
-                                            b.c1.limb(k), n, q);
-                kernels::mul_mod_acc_lazy_n(d, a.c1.limb(k),
-                                            b.c0.limb(k), n, q);
-                kernels::normalize_n(d, n, q);
+                const u64 *x[2] = {a.c0.limb(k), a.c1.limb(k)};
+                const u64 *y[2] = {b.c1.limb(k), b.c0.limb(k)};
+                kernels::dot_mod_n(d1.limb(k), x, y, nullptr, 2, n, q, q);
             }
         }, "ckks.tensor");
 
@@ -382,52 +379,50 @@ CkksEvaluator::key_product(const Digits &digits, const KSwitchKey &key,
                        "keyswitch: switching key has " << key.pieces.size()
                        << " pieces, need " << numDigits);
 
-    // The loop nest is m-outer / j-inner so each extended limb m is
-    // owned by exactly one chunk; within a limb the digits accumulate
-    // in ascending-j order, so the sum is bit-identical to the serial
-    // nest at any thread count. The permuted-digit scratch is
-    // chunk-local.
+    // Each extended limb m is one fused dot product per component:
+    // term j < numDigits is digit j times key piece j, and on the
+    // q-limbs one more term adds c times the scalar P mod q_m (P*c is
+    // exact mod q_m and zero mod every p_j). Limbs are independent, so
+    // the bytes are the same at any thread count. The permuted-digit
+    // scratch is chunk-local.
     std::size_t limbs = c0 ? c0->num_limbs() : 0;
     RnsPoly acc0(ring, extIdx, Domain::Eval);
     RnsPoly acc1(ring, extIdx, Domain::Eval);
     parallel::parallel_for(0, extIdx.size(), 1,
         [&](std::size_t m0, std::size_t m1) {
-            std::vector<u64> tmp(perm.empty() ? 0 : n);
-            auto permuted = [&](const u64 *src) -> const u64* {
+            std::size_t terms = numDigits + 1;
+            std::vector<const u64*> x(terms), kb(terms), ka(terms);
+            std::vector<u64> w(terms, 0);
+            std::vector<u64> tmp(perm.empty() ? 0 : terms * n);
+            auto permuted = [&](const u64 *src,
+                                std::size_t k) -> const u64* {
                 if (perm.empty()) return src;
-                automorphism_eval_limb(src, tmp.data(), n, perm);
-                return tmp.data();
+                automorphism_eval_limb(src, tmp.data() + k * n, n, perm);
+                return tmp.data() + k * n;
             };
             for (std::size_t m = m0; m < m1; ++m) {
                 std::size_t pidx = extIdx[m];
                 u64 qm = ring->prime(pidx);
-                u64 *o0 = acc0.limb(m);
-                u64 *o1 = acc1.limb(m);
-                // Lazy Barrett accumulate over the digit inner
-                // products; one normalization after the j loop.
                 for (std::size_t j = 0; j < numDigits; ++j) {
-                    const KSwitchKey::Piece &piece = key.pieces[j];
-                    const u64 *dg = permuted(digits[j][m].data());
-                    kernels::mul_mod_acc_lazy_n(o0, dg,
-                                                piece.b.limb(pidx), n,
-                                                qm);
-                    kernels::mul_mod_acc_lazy_n(o1, dg,
-                                                piece.a.limb(pidx), n,
-                                                qm);
+                    x[j] = permuted(digits[j][m].data(), j);
+                    kb[j] = key.pieces[j].b.limb(pidx);
+                    ka[j] = key.pieces[j].a.limb(pidx);
                 }
-                if (m < limbs) {
-                    // P*c is exact mod q_m and zero mod every p_j.
-                    u64 pm = ctx_->p_mod_qi(pidx);
-                    u64 pmShoup = static_cast<u64>((u128(pm) << 64) / qm);
-                    kernels::scalar_mul_mod_acc_n(o0, permuted(c0->limb(m)),
-                                                  n, pm, pmShoup, qm);
-                    if (c1) {
-                        kernels::scalar_mul_mod_acc_n(
-                            o1, permuted(c1->limb(m)), n, pm, pmShoup, qm);
-                    }
+                bool withC0 = m < limbs;
+                bool withC1 = withC0 && c1 != nullptr;
+                if (withC0) {
+                    w[numDigits] = ctx_->p_mod_qi(pidx);
+                    x[numDigits] = permuted(c0->limb(m), numDigits);
                 }
-                kernels::normalize_n(o0, n, qm);
-                kernels::normalize_n(o1, n, qm);
+                kernels::dot_mod_n(acc0.limb(m), x.data(), kb.data(),
+                                   w.data(), numDigits + withC0, n, qm,
+                                   qm);
+                if (withC1) {
+                    x[numDigits] = permuted(c1->limb(m), numDigits);
+                }
+                kernels::dot_mod_n(acc1.limb(m), x.data(), ka.data(),
+                                   w.data(), numDigits + withC1, n, qm,
+                                   qm);
             }
         }, "ckks.keyswitch_acc");
     return {std::move(acc0), std::move(acc1)};

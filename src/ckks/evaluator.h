@@ -42,8 +42,8 @@ class CkksEvaluator
     Ciphertext mul_plain(const Ciphertext &a, const Plaintext &p) const;
 
     /**
-     * Sum of cts[k] * pts[k]: one lazy multiply-accumulate per term
-     * and limb and one normalization, with no per-term temporary.
+     * Sum of cts[k] * pts[k]: one fused dot product per limb and
+     * component (one reduction per sum), with no per-term temporary.
      * Byte-equal to the mul_plain/add_inplace chain and counted as
      * one mul_plain per term. Every ciphertext must share one basis
      * and scale, and every plaintext that basis and one scale. The

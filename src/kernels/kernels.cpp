@@ -1,5 +1,6 @@
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,15 +11,61 @@
 
 namespace poseidon::kernels {
 
+namespace internal {
+
+/**
+ * The scalar `dot_mod_n` over elements [t0, t1): u128 sums of the
+ * products, folded by one Barrett reduction every 15 of them, then
+ * reduced once. Every product of two values < 2^62 is < 2^124, so 15
+ * of them plus a folded value < q stay below 2^128. The sums of a
+ * 64-element tile stay in a local array, so each term is one tight
+ * loop.
+ */
+void
+dot_mod_scalar(u64 *out, const u64 *const *a, const u64 *const *b,
+               const u64 *w, std::size_t terms, std::size_t t0,
+               std::size_t t1, u64 q)
+{
+    if (t0 >= t1) return; // no tail: skip the Barrett set-up
+    Barrett64 br(q);
+    constexpr std::size_t kTile = 64;
+    u128 acc[kTile];
+    for (std::size_t s = t0; s < t1; s += kTile) {
+        std::size_t len = std::min(kTile, t1 - s);
+        std::fill(acc, acc + len, u128(0));
+        for (std::size_t k = 0; k < terms; ++k) {
+            if (k != 0 && k % 15 == 0) {
+                for (std::size_t i = 0; i < len; ++i) {
+                    acc[i] = br.reduce(acc[i]);
+                }
+            }
+            const u64 *ak = a[k] + s;
+            if (b[k]) {
+                const u64 *bk = b[k] + s;
+                for (std::size_t i = 0; i < len; ++i) {
+                    acc[i] += u128(ak[i]) * bk[i];
+                }
+            } else {
+                for (std::size_t i = 0; i < len; ++i) {
+                    acc[i] += u128(ak[i]) * w[k];
+                }
+            }
+        }
+        for (std::size_t i = 0; i < len; ++i) out[s + i] = br.reduce(acc[i]);
+    }
+}
+
+} // namespace internal
+
 namespace {
 
 // ---- Scalar reference backend. ----
 //
 // This is the baseline every SIMD variant is differentially tested
-// against (and the bench speedups are measured against). It reuses
-// the shared scalar primitives from common/modmath.h one element at a
-// time, so it is exactly the code the hot loops ran before this layer
-// existed.
+// against (and the bench speedups are measured against). Apart from
+// the dot product (dot_mod_scalar, above), it reuses the shared scalar
+// primitives from common/modmath.h one element at a time, so it is
+// exactly the code the hot loops ran before this layer existed.
 
 void
 scalar_add_mod_n(u64 *out, const u64 *a, const u64 *b, std::size_t n,
@@ -64,17 +111,6 @@ scalar_scalar_mul_shoup_n(u64 *out, const u64 *a, std::size_t n, u64 w,
 }
 
 void
-scalar_scalar_mul_mod_acc_n(u64 *acc, const u64 *a, std::size_t n,
-                            u64 w, u64 ws, u64 q)
-{
-    u64 twoq = 2 * q;
-    for (std::size_t t = 0; t < n; ++t) {
-        u64 s = acc[t] + mul_shoup(a[t], w, ws, q);
-        acc[t] = s >= twoq ? s - twoq : s;
-    }
-}
-
-void
 scalar_mul_mod_n(u64 *out, const u64 *a, const u64 *b, std::size_t n,
                  u64 q)
 {
@@ -83,15 +119,12 @@ scalar_mul_mod_n(u64 *out, const u64 *a, const u64 *b, std::size_t n,
 }
 
 void
-scalar_mul_mod_acc_lazy_n(u64 *acc, const u64 *a, const u64 *b,
-                          std::size_t n, u64 q)
+scalar_dot_mod_n(u64 *out, const u64 *const *a, const u64 *const *b,
+                 const u64 *w, std::size_t terms, std::size_t n,
+                 u64 aBound, u64 q)
 {
-    Barrett64 br(q);
-    u64 twoq = 2 * q;
-    for (std::size_t t = 0; t < n; ++t) {
-        u64 s = acc[t] + br.mul(a[t], b[t]);
-        acc[t] = s >= twoq ? s - twoq : s;
-    }
+    (void)aBound;
+    internal::dot_mod_scalar(out, a, b, w, terms, 0, n, q);
 }
 
 void
@@ -100,14 +133,6 @@ scalar_reduce_mod_n(u64 *out, const u64 *a, std::size_t n, u64 q)
     Barrett64 br(q);
     for (std::size_t t = 0; t < n; ++t) {
         out[t] = a[t] < q ? a[t] : br.reduce(a[t]);
-    }
-}
-
-void
-scalar_normalize_n(u64 *a, std::size_t n, u64 q)
-{
-    for (std::size_t t = 0; t < n; ++t) {
-        a[t] -= q & (0 - static_cast<u64>(a[t] >= q));
     }
 }
 
@@ -166,11 +191,9 @@ scalar_table()
         k.add_scalar_mod_n = scalar_add_scalar_mod_n;
         k.sub_scalar_mod_n = scalar_sub_scalar_mod_n;
         k.scalar_mul_shoup_n = scalar_scalar_mul_shoup_n;
-        k.scalar_mul_mod_acc_n = scalar_scalar_mul_mod_acc_n;
         k.mul_mod_n = scalar_mul_mod_n;
-        k.mul_mod_acc_lazy_n = scalar_mul_mod_acc_lazy_n;
+        k.dot_mod_n = scalar_dot_mod_n;
         k.reduce_mod_n = scalar_reduce_mod_n;
-        k.normalize_n = scalar_normalize_n;
         k.ntt_forward = scalar_ntt_forward;
         k.ntt_inverse = scalar_ntt_inverse;
         return k;

@@ -10,8 +10,7 @@
  *
  *  - Shoup multiplication in its lazy form: for any 64-bit v and
  *    w < q, r = v*w - floor(v*w'/2^64)*q < q*(1 + v/2^64) < 2q, so a
- *    single conditional subtraction canonicalizes and accumulators
- *    can stay in [0, 2q).
+ *    single conditional subtraction canonicalizes.
  *  - A width-parameterized Barrett multiply for variable operands
  *    a, b < q: with s = bitlen(q), mu = floor(2^(2s+1)/q) < 2^(s+2)
  *    fits a word, t = (a*b) >> (s-2) < 2^(s+2) fits a word, and
@@ -328,31 +327,6 @@ avx2_scalar_mul_shoup_n(u64 *out, const u64 *a, std::size_t n, u64 w,
 }
 
 void
-avx2_scalar_mul_mod_acc_n(u64 *acc, const u64 *a, std::size_t n, u64 w,
-                          u64 ws, u64 q)
-{
-    __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    __m256i wv = _mm256_set1_epi64x(static_cast<long long>(w));
-    __m256i wsv = _mm256_set1_epi64x(static_cast<long long>(ws));
-    __m256i twoqv = _mm256_add_epi64(qv, qv);
-    std::size_t t = 0;
-    for (; t + 4 <= n; t += 4) {
-        __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + t));
-        __m256i av2 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + t));
-        // acc<2q plus lazy product <2q stays below 4q < 2^64.
-        __m256i s = _mm256_add_epi64(av2,
-                                     shoup_lazy(av, wv, wsv, qv));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + t),
-                            csub(s, twoqv));
-    }
-    for (; t < n; ++t) {
-        acc[t] = csub_s(acc[t] + shoup_lazy_s(a[t], w, ws, q), 2 * q);
-    }
-}
-
-void
 avx2_mul_mod_n(u64 *out, const u64 *a, const u64 *b, std::size_t n,
                u64 q)
 {
@@ -400,38 +374,18 @@ avx2_mul_mod_n(u64 *out, const u64 *a, const u64 *b, std::size_t n,
     }
 }
 
+/// The dot product runs the scalar u128 sums: AVX2 has no 64x64-bit
+/// multiply, and four-lane 128-bit products built from
+/// `_mm256_mul_epu32` partials are no faster than one native `mul`
+/// per product (EXPERIMENTS.md), while a lazy per-product reduction
+/// is what the fused kernel exists to avoid.
 void
-avx2_mul_mod_acc_lazy_n(u64 *acc, const u64 *a, const u64 *b,
-                        std::size_t n, u64 q)
+avx2_dot_mod_n(u64 *out, const u64 *const *a, const u64 *const *b,
+               const u64 *w, std::size_t terms, std::size_t n,
+               u64 aBound, u64 q)
 {
-    if (q < 8) {
-        Barrett64 br(q);
-        for (std::size_t t = 0; t < n; ++t) {
-            acc[t] = csub_s(acc[t] + br.mul(a[t], b[t]), 2 * q);
-        }
-        return;
-    }
-    WidthBarrett wb = make_wb(q);
-    __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    __m256i muv = wb_mu_broadcast(wb);
-    __m256i twoqv = _mm256_add_epi64(qv, qv);
-    std::size_t t = 0;
-    for (; t + 4 <= n; t += 4) {
-        __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + t));
-        __m256i bv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + t));
-        __m256i accv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + t));
-        __m256i p = wb_mul_lazy(av, bv, wb, muv, qv, twoqv);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(acc + t),
-            csub(_mm256_add_epi64(accv, p), twoqv));
-    }
-    for (; t < n; ++t) {
-        acc[t] = csub_s(acc[t] + wb_mul_lazy_s(a[t], b[t], wb, q),
-                        2 * q);
-    }
+    (void)aBound;
+    dot_mod_scalar(out, a, b, w, terms, 0, n, q);
 }
 
 void
@@ -459,20 +413,6 @@ avx2_reduce_mod_n(u64 *out, const u64 *a, std::size_t n, u64 q)
         u64 est = static_cast<u64>((u128(a[t]) * nu) >> 64);
         out[t] = csub_s(csub_s(a[t] - est * q, 2 * q), q);
     }
-}
-
-void
-avx2_normalize_n(u64 *a, std::size_t n, u64 q)
-{
-    __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    std::size_t t = 0;
-    for (; t + 4 <= n; t += 4) {
-        __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + t));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(a + t),
-                            csub(av, qv));
-    }
-    for (; t < n; ++t) a[t] = csub_s(a[t], q);
 }
 
 // ---- Lazy NTT passes. ----
@@ -720,11 +660,9 @@ avx2_table()
         k.add_scalar_mod_n = avx2_add_scalar_mod_n;
         k.sub_scalar_mod_n = avx2_sub_scalar_mod_n;
         k.scalar_mul_shoup_n = avx2_scalar_mul_shoup_n;
-        k.scalar_mul_mod_acc_n = avx2_scalar_mul_mod_acc_n;
         k.mul_mod_n = avx2_mul_mod_n;
-        k.mul_mod_acc_lazy_n = avx2_mul_mod_acc_lazy_n;
+        k.dot_mod_n = avx2_dot_mod_n;
         k.reduce_mod_n = avx2_reduce_mod_n;
-        k.normalize_n = avx2_normalize_n;
         k.ntt_forward = avx2_ntt_forward;
         k.ntt_inverse = avx2_ntt_inverse;
         return k;

@@ -13,15 +13,24 @@
 
 namespace poseidon::kernels::internal {
 
+/**
+ * The scalar `dot_mod_n` over elements [t0, t1), shared by the scalar
+ * backend and the SIMD backends' tails. It lives in kernels.cpp, built
+ * with the default flags, so no ISA-specific copy of it can be linked.
+ */
+void dot_mod_scalar(u64 *out, const u64 *const *a, const u64 *const *b,
+                    const u64 *w, std::size_t terms, std::size_t t0,
+                    std::size_t t1, u64 q);
+
 /// AVX2 kernel table, or nullptr when not compiled in.
 const KernelTable *avx2_table();
 
 /// AVX-512 kernel table (elementwise kernels and NTT passes), or
-/// nullptr. Its NTT entries take the IFMA passes for q < 2^50 when
-/// ifma_supported().
+/// nullptr. Its NTT, Shoup and dot entries take the IFMA paths for
+/// q < 2^50 when ifma_supported().
 const KernelTable *avx512_table();
 
-/// true when the AVX-512 backend was built with the IFMA NTT passes.
+/// true when the AVX-512 backend was built with the IFMA paths.
 bool avx512_ifma_compiled();
 
 } // namespace poseidon::kernels::internal

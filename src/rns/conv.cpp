@@ -1,5 +1,6 @@
 #include "rns/conv.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -22,25 +23,21 @@ RnsConv::RnsConv(const RnsBasis &src, const RnsBasis &dst)
     : src_(src), dst_(dst)
 {
     std::size_t ls = src_.size(), ld = dst_.size();
-    qhatMod_.assign(ld, std::vector<u64>(ls));
-    qhatModShoup_.assign(ld, std::vector<u64>(ls));
-    qMod_.resize(ld);
-    qModShoup_.resize(ld);
+    weights_.assign(ld, std::vector<u64>(ls + 1));
     qhatInvShoup_.resize(ls);
     qInvDouble_.resize(ls);
     for (std::size_t j = 0; j < ld; ++j) {
         u64 p = dst_.modulus(j);
         for (std::size_t i = 0; i < ls; ++i) {
-            qhatMod_[j][i] = ls == 1 ? 1 % p : src_.qhat(i).mod_u64(p);
-            qhatModShoup_[j][i] = shoup_const(qhatMod_[j][i], p);
+            weights_[j][i] = ls == 1 ? 1 % p : src_.qhat(i).mod_u64(p);
         }
-        qMod_[j] = src_.big_product().mod_u64(p);
-        qModShoup_[j] = shoup_const(qMod_[j], p);
+        weights_[j][ls] = neg_mod(src_.big_product().mod_u64(p), p);
     }
     for (std::size_t i = 0; i < ls; ++i) {
         qhatInvShoup_[i] = shoup_const(src_.qhat_inv(i),
                                        src_.modulus(i));
         qInvDouble_[i] = 1.0 / static_cast<double>(src_.modulus(i));
+        maxSrcModulus_ = std::max(maxSrcModulus_, src_.modulus(i));
     }
 }
 
@@ -60,12 +57,20 @@ RnsConv::convert(const std::vector<const u64*> &src,
     // results are bit-identical at any thread count. The float
     // overflow estimate accumulates in ascending-i order per column,
     // matching the historical scalar loop's rounding exactly.
+    //
+    // Each dst limb is one fused dot product: term i is y_i times
+    // [Q/q_i] mod p_j, and with the correction one more term is e
+    // times -Q mod p_j. The y_i are canonical mod q_i, not mod p_j, so
+    // the operand bound is the largest q_i; e <= ls is below it too
+    // (ls distinct moduli > 1 include one > ls).
+    std::vector<const u64*> none(ls + 1, nullptr);
     parallel::parallel_for(0, n, 256,
         [&](std::size_t t0, std::size_t t1) {
             std::size_t c = t1 - t0;
             std::vector<std::vector<u64>> y(ls, std::vector<u64>(c));
             std::vector<double> est(c, 0.0);
-            std::vector<u64> e(c, 0), acc(c), corr(c);
+            std::vector<u64> e(c, 0);
+            std::vector<const u64*> terms(ls + 1);
             for (std::size_t i = 0; i < ls; ++i) {
                 // y_i = x_i * [(Q/q_i)^{-1}] mod q_i, batched.
                 kernels::scalar_mul_shoup_n(y[i].data(), src[i] + t0,
@@ -77,35 +82,20 @@ RnsConv::convert(const std::vector<const u64*> &src,
                 for (std::size_t t = 0; t < c; ++t) {
                     est[t] += static_cast<double>(yi[t]) * qi;
                 }
+                terms[i] = yi;
             }
             if (correct) {
                 // Number of whole-Q overflows in sum_i y_i * Qhat_i.
                 for (std::size_t t = 0; t < c; ++t) {
                     e[t] = static_cast<u64>(std::llround(est[t]));
                 }
+                terms[ls] = e.data();
             }
             for (std::size_t j = 0; j < ld; ++j) {
-                u64 p = dst_.modulus(j);
-                std::fill(acc.begin(), acc.end(), 0);
-                for (std::size_t i = 0; i < ls; ++i) {
-                    // Lazy accumulate: y_i is unreduced mod p, which
-                    // scalar_mul_mod_acc_n accepts (any 64-bit input).
-                    kernels::scalar_mul_mod_acc_n(acc.data(),
-                                                  y[i].data(), c,
-                                                  qhatMod_[j][i],
-                                                  qhatModShoup_[j][i],
-                                                  p);
-                }
-                kernels::normalize_n(acc.data(), c, p);
-                if (correct) {
-                    kernels::scalar_mul_shoup_n(corr.data(), e.data(),
-                                                c, qMod_[j],
-                                                qModShoup_[j], p);
-                    kernels::sub_mod_n(dst[j] + t0, acc.data(),
-                                       corr.data(), c, p);
-                } else {
-                    std::copy(acc.begin(), acc.end(), dst[j] + t0);
-                }
+                kernels::dot_mod_n(dst[j] + t0, terms.data(),
+                                   none.data(), weights_[j].data(),
+                                   correct ? ls + 1 : ls, c,
+                                   maxSrcModulus_, dst_.modulus(j));
             }
         }, "rns.conv");
 }

@@ -51,12 +51,11 @@ class RnsConv
   private:
     RnsBasis src_;
     RnsBasis dst_;
-    /// qhatMod_[j][i] = [Q/q_i] mod p_j (+ Shoup constant)
-    std::vector<std::vector<u64>> qhatMod_;
-    std::vector<std::vector<u64>> qhatModShoup_;
-    /// qMod_[j] = Q mod p_j (for overflow correction, + Shoup)
-    std::vector<u64> qMod_;
-    std::vector<u64> qModShoup_;
+    /// weights_[j][i] = [Q/q_i] mod p_j for i < ls, and
+    /// weights_[j][ls] = -Q mod p_j (the overflow correction's weight)
+    std::vector<std::vector<u64>> weights_;
+    /// the largest q_i, the bound on the products' y_i operands
+    u64 maxSrcModulus_ = 0;
     /// Shoup constant of [(Q/q_i)^{-1}] mod q_i (the value itself
     /// lives in the basis).
     std::vector<u64> qhatInvShoup_;

@@ -6,10 +6,9 @@
  * primes, lengths that are not multiples of any vector width, exact
  * in/out aliasing, and chunked (parallel_for-shaped) invocation.
  *
- * The two explicitly-lazy kernels (mul_mod_acc_lazy_n and
- * scalar_mul_mod_acc_n) only promise canonical bytes after
- * normalize_n, so those comparisons normalize both sides first —
- * exactly what routed call sites do before results escape.
+ * The fused dot product (dot_mod_n) is compared at every level,
+ * scalar included, against a reference that reduces each u128
+ * product, over every term count the CKKS layer produces.
  */
 
 #include <cstring>
@@ -105,11 +104,9 @@ TEST(KernelsDispatch, EveryTableIsFullyPopulated)
         EXPECT_NE(nullptr, t.add_scalar_mod_n);
         EXPECT_NE(nullptr, t.sub_scalar_mod_n);
         EXPECT_NE(nullptr, t.scalar_mul_shoup_n);
-        EXPECT_NE(nullptr, t.scalar_mul_mod_acc_n);
         EXPECT_NE(nullptr, t.mul_mod_n);
-        EXPECT_NE(nullptr, t.mul_mod_acc_lazy_n);
+        EXPECT_NE(nullptr, t.dot_mod_n);
         EXPECT_NE(nullptr, t.reduce_mod_n);
-        EXPECT_NE(nullptr, t.normalize_n);
         EXPECT_NE(nullptr, t.ntt_forward);
         EXPECT_NE(nullptr, t.ntt_inverse);
     }
@@ -170,57 +167,25 @@ TEST(KernelsDifferential, UnaryAndScalarOpsMatchScalar)
                 t.sub_scalar_mod_n(got.data(), a.data(), n, c, q);
                 EXPECT_EQ(want, got) << "subs " << q << " n=" << n;
 
-                // scalar_mul_shoup accepts unreduced inputs.
-                ref.scalar_mul_shoup_n(want.data(), raw.data(), n, w,
-                                       ws, q);
-                t.scalar_mul_shoup_n(got.data(), raw.data(), n, w, ws,
-                                     q);
-                EXPECT_EQ(want, got) << "muls " << q << " n=" << n;
+                // scalar_mul_shoup accepts unreduced inputs. On an IFMA
+                // host, q < 2^50 takes the 52-bit product for vectors of
+                // operands < 2^52 and the 64-bit one for the rest, so
+                // canonical, raw and interleaved inputs all run.
+                std::vector<u64> mixed(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    mixed[i] = i % 9 == 4 ? raw[i] : a[i];
+                }
+                for (const auto *in : {&a, &raw, &mixed}) {
+                    ref.scalar_mul_shoup_n(want.data(), in->data(), n, w,
+                                           ws, q);
+                    t.scalar_mul_shoup_n(got.data(), in->data(), n, w, ws,
+                                         q);
+                    EXPECT_EQ(want, got) << "muls " << q << " n=" << n;
+                }
 
                 ref.reduce_mod_n(want.data(), raw.data(), n, q);
                 t.reduce_mod_n(got.data(), raw.data(), n, q);
                 EXPECT_EQ(want, got) << "red " << q << " n=" << n;
-            }
-        }
-    }
-}
-
-TEST(KernelsDifferential, LazyAccumulatorsMatchAfterNormalize)
-{
-    const KernelTable &ref = kernels::table(SimdLevel::Scalar);
-    Prng prng(3);
-    const int kTerms = 9; // odd digit count, like a keyswitch
-    for (SimdLevel lvl : non_scalar_levels()) {
-        const KernelTable &t = kernels::table(lvl);
-        for (u64 q : test_primes()) {
-            for (std::size_t n : kLens) {
-                std::vector<u64> want(n, 0), got(n, 0);
-                for (int k = 0; k < kTerms; ++k) {
-                    auto a = random_canonical(prng, n, q);
-                    auto b = random_canonical(prng, n, q);
-                    ref.mul_mod_acc_lazy_n(want.data(), a.data(),
-                                           b.data(), n, q);
-                    t.mul_mod_acc_lazy_n(got.data(), a.data(),
-                                         b.data(), n, q);
-                }
-                ref.normalize_n(want.data(), n, q);
-                t.normalize_n(got.data(), n, q);
-                EXPECT_EQ(want, got) << "acc " << q << " n=" << n;
-
-                std::fill(want.begin(), want.end(), 0);
-                std::fill(got.begin(), got.end(), 0);
-                for (int k = 0; k < kTerms; ++k) {
-                    auto a = random_raw(prng, n); // any 64-bit input
-                    u64 w = prng.uniform(q);
-                    u64 ws = shoup_of(w, q);
-                    ref.scalar_mul_mod_acc_n(want.data(), a.data(), n,
-                                             w, ws, q);
-                    t.scalar_mul_mod_acc_n(got.data(), a.data(), n, w,
-                                           ws, q);
-                }
-                ref.normalize_n(want.data(), n, q);
-                t.normalize_n(got.data(), n, q);
-                EXPECT_EQ(want, got) << "sacc " << q << " n=" << n;
             }
         }
     }
@@ -252,34 +217,24 @@ TEST(KernelsDifferential, ExactAliasingInPlace)
     }
 }
 
+const SimdLevel kAllLevels[] = {SimdLevel::Scalar, SimdLevel::Avx2,
+                                SimdLevel::Avx512};
+
 // Chunked invocation must produce the same bytes as one full-span
 // call — this is what makes routed call sites bit-identical at every
-// POSEIDON_THREADS setting. Lazy kernels included: their tails
-// replicate the vector-lane math exactly.
+// POSEIDON_THREADS setting.
 TEST(KernelsDifferential, ChunkedCallsAreByteStable)
 {
     Prng prng(5);
     const std::size_t n = 517;
     const std::size_t splits[] = {1, 2, 3, 101, 511, 516};
-    for (SimdLevel lvl : {SimdLevel::Scalar, SimdLevel::Avx2,
-                          SimdLevel::Avx512}) {
+    for (SimdLevel lvl : kAllLevels) {
         if (!kernels::level_supported(lvl)) continue;
         const KernelTable &t = kernels::table(lvl);
         for (u64 q : test_primes()) {
             auto a = random_canonical(prng, n, q);
             auto b = random_canonical(prng, n, q);
             std::vector<u64> whole(n, 0);
-            t.mul_mod_acc_lazy_n(whole.data(), a.data(), b.data(), n,
-                                 q);
-            for (std::size_t k : splits) {
-                std::vector<u64> split(n, 0);
-                t.mul_mod_acc_lazy_n(split.data(), a.data(), b.data(),
-                                     k, q);
-                t.mul_mod_acc_lazy_n(split.data() + k, a.data() + k,
-                                     b.data() + k, n - k, q);
-                EXPECT_EQ(whole, split) << "q=" << q << " k=" << k;
-            }
-
             t.mul_mod_n(whole.data(), a.data(), b.data(), n, q);
             for (std::size_t k : splits) {
                 std::vector<u64> split(n, 0);
@@ -287,6 +242,241 @@ TEST(KernelsDifferential, ChunkedCallsAreByteStable)
                 t.mul_mod_n(split.data() + k, a.data() + k,
                             b.data() + k, n - k, q);
                 EXPECT_EQ(whole, split) << "q=" << q << " k=" << k;
+            }
+        }
+    }
+}
+
+// ---- The fused dot product. ----
+
+/// Term counts the CKKS layer produces, around the IFMA path's 16-term
+/// fold and the scalar path's 15-product fold. 45 is classic
+/// keyswitching's 44 digits plus P*c at the paper's shape (L = 44).
+const std::size_t kDotTerms[] = {1, 2, 3, 8, 15, 16, 17, 25, 45};
+
+enum class DotMode { Vector, Scalar, Mixed };
+
+/// The operands of one dot product: every a[k][t] < aBound; vector
+/// terms carry b[k] (< q), scalar terms an empty b[k] and w[k] < q.
+struct DotOperands
+{
+    std::vector<std::vector<u64>> a, b;
+    std::vector<u64> w;
+
+    DotOperands(Prng &prng, std::size_t terms, std::size_t n,
+                DotMode mode, u64 aBound, u64 q)
+        : a(terms), b(terms), w(terms, 0)
+    {
+        for (std::size_t k = 0; k < terms; ++k) {
+            a[k] = random_canonical(prng, n, aBound);
+            bool vec = mode == DotMode::Vector ||
+                       (mode == DotMode::Mixed && k % 2 == 0);
+            if (vec) {
+                b[k] = random_canonical(prng, n, q);
+            } else {
+                w[k] = prng.uniform(q);
+            }
+        }
+    }
+
+    std::vector<const u64 *>
+    a_ptrs(std::size_t off) const
+    {
+        std::vector<const u64 *> p;
+        for (const auto &v : a) p.push_back(v.data() + off);
+        return p;
+    }
+
+    std::vector<const u64 *>
+    b_ptrs(std::size_t off) const
+    {
+        std::vector<const u64 *> p;
+        for (const auto &v : b) {
+            p.push_back(v.empty() ? nullptr : v.data() + off);
+        }
+        return p;
+    }
+
+    /// Every product reduced from its u128 value, summed mod q.
+    std::vector<u64>
+    reference(u64 q) const
+    {
+        std::size_t n = a.front().size();
+        std::vector<u64> out(n, 0);
+        for (std::size_t k = 0; k < a.size(); ++k) {
+            for (std::size_t t = 0; t < n; ++t) {
+                u64 y = b[k].empty() ? w[k] : b[k][t];
+                u64 p = static_cast<u64>((u128(a[k][t]) * y) % q);
+                out[t] = add_mod(out[t], p, q);
+            }
+        }
+        return out;
+    }
+
+    std::vector<u64>
+    run(const KernelTable &t, u64 aBound, u64 q) const
+    {
+        std::size_t n = a.front().size();
+        std::vector<u64> out(n, 0);
+        t.dot_mod_n(out.data(), a_ptrs(0).data(), b_ptrs(0).data(),
+                    w.data(), a.size(), n, aBound, q);
+        return out;
+    }
+};
+
+const char *
+mode_name(DotMode mode)
+{
+    switch (mode) {
+      case DotMode::Vector: return "vector";
+      case DotMode::Scalar: return "scalar";
+      case DotMode::Mixed: return "mixed";
+    }
+    return "?";
+}
+
+TEST(KernelsDot, MatchesU128ReferenceAtEveryLevel)
+{
+    Prng prng(30);
+    for (u64 q : test_primes()) {
+        for (std::size_t terms : kDotTerms) {
+            for (std::size_t n : {8u, 13u, 1024u}) {
+                for (DotMode mode : {DotMode::Vector, DotMode::Scalar,
+                                     DotMode::Mixed}) {
+                    DotOperands ops(prng, terms, n, mode, q, q);
+                    auto want = ops.reference(q);
+                    for (SimdLevel lvl : kAllLevels) {
+                        if (!kernels::level_supported(lvl)) continue;
+                        EXPECT_EQ(want,
+                                  ops.run(kernels::table(lvl), q, q))
+                            << kernels::level_name(lvl) << " q=" << q
+                            << " terms=" << terms << " n=" << n << " "
+                            << mode_name(mode);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// RNS base conversion feeds operands canonical mod the source primes,
+// not mod q: above q (the 64-bit path reduces them before a width
+// Barrett product) and at or above 2^50, where the IFMA path would
+// truncate them and must not run.
+TEST(KernelsDot, ForeignOperandsMatchU128Reference)
+{
+    Prng prng(31);
+    std::vector<u64> primes = test_primes();
+    for (u64 q : primes) {
+        for (u64 r : primes) {
+            if (r == q) continue;
+            for (std::size_t terms : kDotTerms) {
+                for (std::size_t n : {13u, 1024u}) {
+                    for (DotMode mode : {DotMode::Scalar,
+                                         DotMode::Mixed}) {
+                        DotOperands ops(prng, terms, n, mode, r, q);
+                        auto want = ops.reference(q);
+                        for (SimdLevel lvl : kAllLevels) {
+                            if (!kernels::level_supported(lvl)) continue;
+                            EXPECT_EQ(want, ops.run(kernels::table(lvl),
+                                                    r, q))
+                                << kernels::level_name(lvl)
+                                << " q=" << q << " a<" << r
+                                << " terms=" << terms << " n=" << n
+                                << " " << mode_name(mode);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The largest operands each path admits, so every fold runs at its
+// bound: a = 2^50 - 1 with the widest prime below 2^50 (IFMA: each
+// product just under 2^100, 16 of them plus a folded value just under
+// 2^104), and a = b = q - 1 for 61-bit q (scalar: 15 products just
+// under 2^122 plus a folded value).
+TEST(KernelsDot, ExtremeOperandsAtTheFoldBounds)
+{
+    u64 q50 = generate_ntt_primes(8192, 50, 1)[0];
+    u64 q61 = generate_ntt_primes(8192, 61, 1)[0];
+    const std::size_t n = 45;
+    struct Case { u64 q, aBound; };
+    for (Case c : {Case{q50, u64(1) << 50}, Case{q50, q50},
+                   Case{q61, q61}}) {
+        for (std::size_t terms : kDotTerms) {
+            std::vector<u64> a(n, c.aBound - 1), b(n, c.q - 1);
+            std::vector<u64> w(terms, c.q - 1);
+            std::vector<const u64 *> ap(terms, a.data());
+            std::vector<const u64 *> bp(terms, b.data());
+            for (std::size_t k = 2; k < terms; k += 3) bp[k] = nullptr;
+            // (aBound - 1)(q - 1) summed `terms` times.
+            u64 p = static_cast<u64>((u128(c.aBound - 1) * (c.q - 1)) %
+                                     c.q);
+            u64 want = static_cast<u64>((u128(p) * terms) % c.q);
+            for (SimdLevel lvl : kAllLevels) {
+                if (!kernels::level_supported(lvl)) continue;
+                std::vector<u64> got(n, 0);
+                kernels::table(lvl).dot_mod_n(got.data(), ap.data(),
+                                              bp.data(), w.data(), terms,
+                                              n, c.aBound, c.q);
+                EXPECT_EQ(std::vector<u64>(n, want), got)
+                    << kernels::level_name(lvl) << " q=" << c.q
+                    << " a<" << c.aBound << " terms=" << terms;
+            }
+        }
+    }
+}
+
+TEST(KernelsDot, ChunkedCallsAreByteStable)
+{
+    Prng prng(32);
+    const std::size_t n = 517;
+    const std::size_t splits[] = {1, 2, 3, 8, 33, 101, 511, 516};
+    for (SimdLevel lvl : kAllLevels) {
+        if (!kernels::level_supported(lvl)) continue;
+        const KernelTable &t = kernels::table(lvl);
+        for (u64 q : test_primes()) {
+            for (std::size_t terms : {3u, 17u, 45u}) {
+                DotOperands ops(prng, terms, n, DotMode::Mixed, q, q);
+                auto whole = ops.run(t, q, q);
+                for (std::size_t k : splits) {
+                    std::vector<u64> split(n, 0);
+                    t.dot_mod_n(split.data(), ops.a_ptrs(0).data(),
+                                ops.b_ptrs(0).data(), ops.w.data(),
+                                terms, k, q, q);
+                    t.dot_mod_n(split.data() + k, ops.a_ptrs(k).data(),
+                                ops.b_ptrs(k).data(), ops.w.data(),
+                                terms, n - k, q, q);
+                    EXPECT_EQ(whole, split)
+                        << kernels::level_name(lvl) << " q=" << q
+                        << " terms=" << terms << " k=" << k;
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelsDot, OutputMayAliasAnOperand)
+{
+    Prng prng(33);
+    const std::size_t n = 101;
+    for (SimdLevel lvl : kAllLevels) {
+        if (!kernels::level_supported(lvl)) continue;
+        const KernelTable &t = kernels::table(lvl);
+        for (u64 q : test_primes()) {
+            DotOperands ops(prng, 17, n, DotMode::Mixed, q, q);
+            auto want = ops.reference(q);
+            for (bool intoB : {false, true}) {
+                DotOperands alias = ops;
+                u64 *out = intoB ? alias.b[0].data() : alias.a[0].data();
+                t.dot_mod_n(out, alias.a_ptrs(0).data(),
+                            alias.b_ptrs(0).data(), alias.w.data(), 17,
+                            n, q, q);
+                EXPECT_EQ(want, std::vector<u64>(out, out + n))
+                    << kernels::level_name(lvl) << " q=" << q
+                    << (intoB ? " out==b[0]" : " out==a[0]");
             }
         }
     }
