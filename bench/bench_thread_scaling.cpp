@@ -73,8 +73,7 @@ struct Run
 };
 
 Run
-run_at(std::size_t threads, const RingContextPtr &ring,
-       const RnsPoly &input, const RnsConv &conv)
+run_at(std::size_t threads, const RnsPoly &input, const RnsConv &conv)
 {
     parallel::set_num_threads(threads);
     Run r;
@@ -154,7 +153,7 @@ main(int argc, char **argv)
     std::printf("%8s %14s %10s %14s %10s\n", "threads", "NTT ms",
                 "speedup", "ModUp ms", "speedup");
     for (std::size_t threads : sweep) {
-        Run r = run_at(threads, ring, input, conv);
+        Run r = run_at(threads, input, conv);
         if (threads == 1) {
             base = r;
         } else {

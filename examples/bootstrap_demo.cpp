@@ -38,7 +38,8 @@ main()
     std::printf("One bootstrap consumes %zu levels of the %zu-prime "
                 "chain.\n", boot.levels_consumed(), params.L);
 
-    // The transform stages, encoded once at construction.
+    // The stages one bootstrap runs; the transforms are encoded once,
+    // at construction.
     BootstrapPlan plan = boot.plan();
     auto print_stages = [](const char *name,
                            const std::vector<BootstrapPlan::Stage> &st) {
@@ -53,9 +54,10 @@ main()
     };
     print_stages("CoeffToSlot", plan.coeffToSlot);
     print_stages("SlotToCoeff", plan.slotToCoeff);
-    std::printf("  plaintext tables: %.2f MB; transforms run %zu "
-                "plaintext mults, %zu keyswitches and %zu ModDowns per "
-                "bootstrap\n\n",
+    std::printf("  EvalMod: %zu keyswitches, %zu levels\n",
+                plan.evalMod.keyswitches, plan.evalMod.levels);
+    std::printf("  plaintext tables: %.2f MB; one bootstrap runs %zu "
+                "plaintext mults, %zu keyswitches and %zu ModDowns\n\n",
                 plan.table_bytes() / 1e6, plan.plain_mults(),
                 plan.keyswitches(), plan.mod_downs());
 

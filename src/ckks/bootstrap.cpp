@@ -1,7 +1,5 @@
 #include "ckks/bootstrap.h"
 
-#include "ckks/chebyshev.h"
-
 #include <cmath>
 #include <functional>
 #include <map>
@@ -15,6 +13,21 @@
 namespace poseidon {
 
 namespace {
+
+/// EvalMod's Taylor degree for exp(i*y) and its number r of
+/// double-angle squarings; the argument is divided by 2^r, so larger r
+/// widens the valid range of the integer I.
+constexpr unsigned kTaylorDegree = 7;
+constexpr unsigned kDoubleAngles = 8;
+
+/// EvalMod's cost. Per half: Horner's degree-1 ct-ct mults, the r
+/// squarings and the sine extraction's conjugation are one keyswitch
+/// each; the argument scaling, the leading Taylor coefficient and the
+/// final constant are scalar mults. Its levels are the argument
+/// scaling 1, Horner's degree, r and the final constant 1.
+constexpr BootstrapPlan::EvalMod kEvalMod = {
+    2 * (kTaylorDegree - 1 + kDoubleAngles + 1), 2 * 3,
+    1 + kTaylorDegree + kDoubleAngles + 1};
 
 /// The n x n matrix of c times the in-place linear map `apply`,
 /// column-major: column k, at [k*n, (k+1)*n), is apply(c * e_k).
@@ -63,7 +76,7 @@ BootstrapPlan::table_bytes() const
 std::size_t
 BootstrapPlan::keyswitches() const
 {
-    std::size_t k = 0;
+    std::size_t k = 1 + evalMod.keyswitches;
     for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
         for (const Stage &s : *t) k += s.giantSteps;
     }
@@ -73,7 +86,7 @@ BootstrapPlan::keyswitches() const
 std::size_t
 BootstrapPlan::mod_downs() const
 {
-    std::size_t m = 0;
+    std::size_t m = 1 + evalMod.keyswitches;
     for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
         for (const Stage &s : *t) m += s.modDowns;
     }
@@ -83,19 +96,23 @@ BootstrapPlan::mod_downs() const
 std::size_t
 BootstrapPlan::plain_mults() const
 {
-    std::size_t p = 0;
+    std::size_t p = evalMod.plainMults;
     for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
         for (const Stage &s : *t) p += s.diagonals;
     }
     return p;
 }
 
-Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
-                           KeyGenerator &keygen, BootstrapConfig cfg)
-    : ctx_(std::move(ctx)), encoder_(encoder), cfg_(cfg)
+std::size_t
+BootstrapPlan::levels() const
 {
-    POSEIDON_REQUIRE(cfg_.taylorDegree >= 3 && cfg_.taylorDegree <= 15,
-                     "Bootstrapper: taylorDegree out of range");
+    return coeffToSlot.size() + evalMod.levels + slotToCoeff.size();
+}
+
+Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
+                           KeyGenerator &keygen)
+    : ctx_(std::move(ctx)), encoder_(encoder)
+{
     std::size_t ns = ctx_->slots();
     unsigned logNs = log2_floor(ns);
     std::size_t L = ctx_->params().L;
@@ -134,20 +151,10 @@ Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
             encoder_.fft_layers(v, begin, end);
         });
     };
-    stc_.push_back(make_stage(fwd_layers(0, logNs / 2),
-                              level(levels_consumed() - 2)));
+    std::size_t spent = cts_.size() + kEvalMod.levels;
+    stc_.push_back(make_stage(fwd_layers(0, logNs / 2), level(spent)));
     stc_.push_back(make_stage(fwd_layers(logNs / 2, logNs),
-                              level(levels_consumed() - 1)));
-
-    if (cfg_.variant == EvalModVariant::ChebyshevCos) {
-        double r2 = std::ldexp(1.0, static_cast<int>(
-            cfg_.doubleAngleIters));
-        cosCoeffs_ = chebyshev_interpolate(
-            [&](double x) {
-                return std::cos((2.0 * M_PI * x - M_PI / 2.0) / r2);
-            },
-            -cfg_.kRange, cfg_.kRange, cfg_.chebDegree);
-    }
+                              level(spent + 1)));
 
     // Keys: relinearization, every stage's rotations, conjugation.
     relin_ = keygen.make_relin_key();
@@ -236,24 +243,7 @@ Bootstrapper::make_stage(const std::vector<cdouble> &m,
 std::size_t
 Bootstrapper::levels_consumed() const
 {
-    if (cfg_.variant == EvalModVariant::ChebyshevCos) {
-        // CtS 2 (the split is free) + Chebyshev evaluation (affine 2,
-        // power ladder ~log2+3, BSGS recursion ~2*log2(deg/m)+1, scale
-        // normalization 1) + doubleAngle r + final constant 1 + StC 2
-        // (the recombination is free). Conservative upper bound:
-        std::size_t m = 1;
-        while (m * m < cfg_.chebDegree + 1) m <<= 1;
-        std::size_t ladder = log2_floor(m) + 3;
-        std::size_t rec = 2 * (log2_floor(std::max<std::size_t>(
-                              cfg_.chebDegree / std::max<std::size_t>(m, 1),
-                              1)) + 1) + 2;
-        return 2 + 2 + ladder + rec + 1 + cfg_.doubleAngleIters + 1 +
-               2;
-    }
-    // CtS 2 (the split is free) + argument scaling 1 + Horner
-    // taylorDegree + doubleAngle r + sine extraction 1 + StC 2 (the
-    // recombination is free).
-    return 2 + 1 + cfg_.taylorDegree + cfg_.doubleAngleIters + 1 + 2;
+    return plan().levels();
 }
 
 BootstrapPlan
@@ -276,6 +266,7 @@ Bootstrapper::plan() const
     for (const EncodedStage &st : cts_) {
         plan.coeffToSlot.push_back(describe(st));
     }
+    plan.evalMod = kEvalMod;
     for (const EncodedStage &st : stc_) {
         plan.slotToCoeff.push_back(describe(st));
     }
@@ -423,38 +414,15 @@ Bootstrapper::eval_mod(const Ciphertext &ct, const CkksEvaluator &eval,
 {
     double q0 = static_cast<double>(ctx_->ring()->prime(0));
     double delta = msgScale > 0.0 ? msgScale : ctx_->params().scale();
-    unsigned r = cfg_.doubleAngleIters;
-    unsigned deg = cfg_.taylorDegree;
-
-    if (cfg_.variant == EvalModVariant::ChebyshevCos) {
-        // u ~ cos((2*pi*x - pi/2)/2^r), real Chebyshev evaluation.
-        ChebyshevEvaluator cheb(ctx_, encoder_, eval);
-        Ciphertext u = cheb.evaluate(ct, cosCoeffs_, -cfg_.kRange,
-                                     cfg_.kRange, relin_);
-        u = eval.adjust_scale(u, ctx_->params().scale());
-        // Double angle: cos(2t) = 2cos^2(t) - 1, r times, landing on
-        // cos(2*pi*x - pi/2) = sin(2*pi*x).
-        for (unsigned i = 0; i < r; ++i) {
-            Ciphertext sq = eval.square(u, relin_);
-            eval.rescale_inplace(sq);
-            sq = eval.mul_integer(sq, 2);
-            Plaintext one = encoder_.encode_scalar(
-                cdouble(-1.0, 0.0), sq.num_limbs(), sq.scale);
-            u = eval.add_plain(sq, one);
-        }
-        // * q0 / (2*pi*msgScale) to land on m at message scale.
-        return mul_cscalar(u, cdouble(q0 / (2.0 * M_PI * delta), 0.0),
-                           eval);
-    }
 
     // y = 2*pi*x / 2^r.
-    double argScale = 2.0 * M_PI / std::ldexp(1.0, static_cast<int>(r));
+    double argScale = 2.0 * M_PI / std::ldexp(1.0, kDoubleAngles);
     Ciphertext y = mul_cscalar(ct, cdouble(argScale, 0.0), eval);
 
     // Taylor coefficients of exp(i*y): c_d = i^d / d!.
-    std::vector<cdouble> c(deg + 1);
+    std::vector<cdouble> c(kTaylorDegree + 1);
     double fact = 1.0;
-    for (unsigned d = 0; d <= deg; ++d) {
+    for (unsigned d = 0; d <= kTaylorDegree; ++d) {
         if (d > 0) fact *= static_cast<double>(d);
         cdouble id;
         switch (d % 4) {
@@ -467,9 +435,9 @@ Bootstrapper::eval_mod(const Ciphertext &ct, const CkksEvaluator &eval,
     }
 
     // Horner: u = (..((c_deg*y + c_{deg-1})*y + ...)*y + c_0.
-    Ciphertext u = mul_cscalar(y, c[deg], eval);
-    u = add_cscalar(u, c[deg - 1]);
-    for (unsigned d = deg - 1; d-- > 0;) {
+    Ciphertext u = mul_cscalar(y, c[kTaylorDegree], eval);
+    u = add_cscalar(u, c[kTaylorDegree - 1]);
+    for (unsigned d = kTaylorDegree - 1; d-- > 0;) {
         Ciphertext yMatched = y;
         eval.drop_to_limbs_inplace(yMatched, u.num_limbs());
         u = eval.mul(u, yMatched, relin_);
@@ -478,7 +446,7 @@ Bootstrapper::eval_mod(const Ciphertext &ct, const CkksEvaluator &eval,
     }
 
     // Double angle: square r times to reach exp(2*pi*i*x).
-    for (unsigned i = 0; i < r; ++i) {
+    for (unsigned i = 0; i < kDoubleAngles; ++i) {
         u = eval.square(u, relin_);
         eval.rescale_inplace(u);
     }
@@ -511,9 +479,11 @@ Bootstrapper::bootstrap(const Ciphertext &ct,
 {
     POSEIDON_SPAN("Bootstrapper::bootstrap");
     telemetry::count("ckks.ops.bootstrap");
-    POSEIDON_REQUIRE(ctx_->params().L >= levels_consumed() + 2,
-                     "bootstrap: modulus chain too short for the "
-                     "configured EvalMod depth");
+    std::size_t levels = levels_consumed();
+    POSEIDON_REQUIRE(ctx_->params().L >= levels + 2,
+                     "bootstrap: modulus chain too short: a bootstrap "
+                     "consumes " << levels << " levels, so L must be at "
+                     "least " << levels + 2);
     Ciphertext in = ct;
     if (in.num_limbs() > 1) eval.drop_to_limbs_inplace(in, 1);
 

@@ -69,37 +69,7 @@
 
 namespace poseidon {
 
-/// Which approximation EvalMod uses.
-enum class EvalModVariant {
-    /// Taylor series of exp(i*y) + double-angle squarings + one
-    /// conjugation to extract the imaginary part (HEAAN-style).
-    TaylorExp,
-    /// Chebyshev interpolation of cos((2*pi*x - pi/2)/2^r) followed by
-    /// double-angle cos(2t)=2cos^2(t)-1 — real arithmetic only, the
-    /// approach of modern packed bootstrapping (the paper's [30]).
-    ChebyshevCos,
-};
-
-/// Tunables of the EvalMod approximation.
-struct BootstrapConfig
-{
-    EvalModVariant variant = EvalModVariant::TaylorExp;
-
-    /// Taylor degree for exp(i*y) (7 is the classic choice).
-    unsigned taylorDegree = 7;
-
-    /// Number of double-angle squarings r; the approximation argument
-    /// is divided by 2^r, so larger r widens the valid range of I.
-    unsigned doubleAngleIters = 8;
-
-    /// Chebyshev degree for the ChebyshevCos variant.
-    unsigned chebDegree = 20;
-
-    /// Half-width K of the EvalMod input range [-K, K] (bounds |I|).
-    double kRange = 17.0;
-};
-
-/// The linear transforms one bootstrap runs, as built at construction.
+/// The stages one bootstrap runs, as built at construction.
 struct BootstrapPlan
 {
     /// One sparse stage: out = sum_b rot_{giant_b}(sum_g diag_{b,g} *
@@ -114,18 +84,32 @@ struct BootstrapPlan
         std::size_t bytes = 0;      ///< diagonals over limbs + K primes
     };
 
+    /// EvalMod, run on the real and the imaginary half side by side.
+    struct EvalMod
+    {
+        std::size_t keyswitches = 0; ///< both halves, one ModDown each
+        std::size_t plainMults = 0;  ///< both halves' scalar constants
+        std::size_t levels = 0;      ///< one half's depth
+    };
+
     std::vector<Stage> coeffToSlot; ///< in the order they run
+    EvalMod evalMod;
     std::vector<Stage> slotToCoeff;
 
     /// Bytes of every encoded diagonal.
     std::size_t table_bytes() const;
-    /// Keyswitches of both transforms (giant steps; hoisted baby steps
-    /// share a decomposition and do not count).
+    /// Keyswitches per bootstrap: the transforms' giant steps (hoisted
+    /// baby steps share a decomposition and do not count), the
+    /// real/imaginary split's conjugation and EvalMod's.
     std::size_t keyswitches() const;
-    /// ModDowns of both transforms.
+    /// ModDowns per bootstrap: the transforms', then one for every
+    /// other keyswitch.
     std::size_t mod_downs() const;
-    /// Plaintext multiplications of both transforms.
+    /// Plaintext multiplications per bootstrap: the transforms'
+    /// diagonals and EvalMod's scalar constants.
     std::size_t plain_mults() const;
+    /// Levels per bootstrap: one per transform stage plus EvalMod's.
+    std::size_t levels() const;
 };
 
 /**
@@ -140,7 +124,7 @@ class Bootstrapper
      * `keygen` must outlive nothing — keys are copied in.
      */
     Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
-                 KeyGenerator &keygen, BootstrapConfig cfg = {});
+                 KeyGenerator &keygen);
 
     /**
      * Levels one bootstrap consumes from the top of the chain. The
@@ -149,7 +133,7 @@ class Bootstrapper
      */
     std::size_t levels_consumed() const;
 
-    /// The transform stages one bootstrap runs.
+    /// The stages one bootstrap runs and what they cost.
     BootstrapPlan plan() const;
 
     /// Refresh a bottom-level ciphertext to a high level.
@@ -231,12 +215,10 @@ class Bootstrapper
 
     CkksContextPtr ctx_;
     const CkksEncoder &encoder_;
-    BootstrapConfig cfg_;
     KSwitchKey relin_;
     GaloisKeys gk_;
     std::vector<EncodedStage> cts_; ///< CoeffToSlot stages, in order
     std::vector<EncodedStage> stc_; ///< SlotToCoeff stages, in order
-    std::vector<double> cosCoeffs_; ///< ChebyshevCos interpolation
 };
 
 } // namespace poseidon

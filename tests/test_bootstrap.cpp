@@ -214,16 +214,20 @@ TEST(Bootstrap, OpCountsMatchPlan)
         bytes += st->bytes;
     }
     EXPECT_EQ(plan.table_bytes(), bytes);
-    EXPECT_EQ(plan.keyswitches(), 12u);
-    EXPECT_EQ(plan.mod_downs(), 16u);
 
     // Outside the transforms: CoeffToSlot's conjugation; per EvalMod
-    // (TaylorExp), taylorDegree-1 Horner and r squaring
-    // relinearizations, one conjugation and three scalar mults. Each
-    // of those keyswitches pays its own ModDown. The recombination
-    // before SlotToCoeff is a monomial product, not a plaintext mult.
-    BootstrapConfig cfg;
-    double evalModKs = cfg.taylorDegree - 1 + cfg.doubleAngleIters + 1;
+    // half, 6 Horner and 8 squaring relinearizations, one conjugation
+    // and three scalar mults over 1 + 7 + 8 + 1 levels. Each of those
+    // keyswitches pays its own ModDown. The recombination before
+    // SlotToCoeff is a monomial product, not a plaintext mult.
+    EXPECT_EQ(plan.evalMod.keyswitches, 2u * (6 + 8 + 1));
+    EXPECT_EQ(plan.evalMod.plainMults, 2u * 3);
+    EXPECT_EQ(plan.evalMod.levels, 17u);
+    EXPECT_EQ(plan.levels(), f.boot.levels_consumed());
+    EXPECT_EQ(plan.keyswitches(), 12u + 1 + 30);
+    EXPECT_EQ(plan.mod_downs(), 16u + 1 + 30);
+    EXPECT_EQ(plan.plain_mults(), 126u + 6);
+
     auto &reg = telemetry::MetricsRegistry::global();
     double ks0 = reg.counter_value("ckks.ops.keyswitch");
     double md0 = reg.counter_value("ckks.ops.mod_down");
@@ -232,11 +236,11 @@ TEST(Bootstrap, OpCountsMatchPlan)
         f.encoder.encode(small_message(f.ctx->slots(), 5), 1));
     f.boot.bootstrap(ct, f.eval);
     EXPECT_EQ(reg.counter_value("ckks.ops.keyswitch") - ks0,
-              plan.keyswitches() + 1 + 2 * evalModKs);
+              plan.keyswitches());
     EXPECT_EQ(reg.counter_value("ckks.ops.mod_down") - md0,
-              plan.mod_downs() + 1 + 2 * evalModKs);
+              plan.mod_downs());
     EXPECT_EQ(reg.counter_value("ckks.ops.mul_plain") - pm0,
-              plan.plain_mults() + 2 * 3);
+              plan.plain_mults());
 }
 
 void
@@ -291,8 +295,10 @@ check_full_refresh(BootFixture &f)
     EXPECT_GT(fresh.num_limbs(), ct.num_limbs())
         << "bootstrap must raise the level";
 
+    // Measured 1.15e-5 (classic) and 1.41e-5 (hybrid); the bound
+    // catches an EvalMod precision loss of a few times that.
     auto back = f.encoder.decode(f.decryptor.decrypt(fresh));
-    EXPECT_LT(max_err(z, back), 5e-2);
+    EXPECT_LT(max_err(z, back), 5e-5);
 }
 
 TEST(Bootstrap, FullRefreshRecoversMessage)
@@ -362,35 +368,6 @@ TEST(Bootstrap, RepeatedBootstrapSurvivesScaleDrift)
 
     auto back = f.encoder.decode(f.decryptor.decrypt(ct));
     EXPECT_NEAR(back[0].real(), expect, 5e-2);
-}
-
-
-TEST(Bootstrap, ChebyshevCosVariant)
-{
-    // The cosine-based EvalMod (real arithmetic, Chebyshev + double
-    // angle) must refresh just like the Taylor-exp variant.
-    CkksParams p = boot_params();
-    p.L = 30; // the Chebyshev ladder spends a few more levels
-    auto ctx = make_ckks_context(p);
-    CkksEncoder enc(ctx);
-    KeyGenerator kg(ctx);
-    CkksEncryptor encr(ctx, kg.make_public_key());
-    CkksDecryptor dec(ctx, kg.secret_key());
-    CkksEvaluator ev(ctx);
-
-    BootstrapConfig cfg;
-    cfg.variant = EvalModVariant::ChebyshevCos;
-    cfg.doubleAngleIters = 7;
-    cfg.chebDegree = 20;
-    Bootstrapper boot(ctx, enc, kg, cfg);
-    ASSERT_GE(p.L, boot.levels_consumed() + 2);
-
-    auto z = small_message(ctx->slots(), 9);
-    Ciphertext ct = encr.encrypt(enc.encode(z, 1));
-    Ciphertext fresh = boot.bootstrap(ct, ev);
-    EXPECT_GT(fresh.num_limbs(), 1u);
-    auto back = enc.decode(dec.decrypt(fresh));
-    EXPECT_LT(max_err(z, back), 5e-2);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 // End-to-end tests for the CKKS scheme: encoder round trips, encrypt/
 // decrypt, and every basic operation of the paper's Section II (HAdd,
-// PMult, CMult+relin, Rescale, Keyswitch, Rotation).
+// PMult, CMult+relin, Rescale, Keyswitch, Rotation), plus the
+// HE-standard security estimator.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "ckks/security.h"
 #include "poly/automorphism.h"
 #include "telemetry/metrics.h"
 
@@ -797,6 +799,35 @@ TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
         EXPECT_THROW(f.eval.dot_plain({&c}, {&one}), ShapeMismatch);
         EXPECT_THROW(f.eval.mod_down(Ciphertext(c)), ShapeMismatch);
     }
+}
+
+TEST(Security, StandardTable)
+{
+    EXPECT_EQ(max_log_pq(4096, SecurityLevel::Classical128), 109u);
+    EXPECT_EQ(max_log_pq(32768, SecurityLevel::Classical128), 881u);
+    EXPECT_EQ(max_log_pq(999, SecurityLevel::Classical128), 0u);
+}
+
+TEST(Security, EstimatesLevels)
+{
+    CkksParams insecure; // logN=12, default chain is too big? check
+    insecure.logN = 10;
+    insecure.L = 24;
+    insecure.scaleBits = 40;
+    EXPECT_EQ(estimate_security(insecure), SecurityLevel::None);
+
+    CkksParams ok;
+    ok.logN = 13;
+    ok.L = 3;
+    ok.scaleBits = 35;
+    ok.firstPrimeBits = 45;
+    ok.specialPrimeBits = 45;
+    ok.K = 1;
+    EXPECT_EQ(estimate_security(ok), SecurityLevel::Classical128);
+
+    CkksParams strong = ok;
+    strong.logN = 15;
+    EXPECT_EQ(estimate_security(strong), SecurityLevel::Classical256);
 }
 
 } // namespace
