@@ -51,12 +51,8 @@ main(int argc, char **argv)
         [&](Trace &t) { emit_keyswitch(t, s); });
     add("Rescale", BasicOp::Rescale,
         [&](Trace &t) { emit_rescale(t, s); });
-    add("Bootstrapping", BasicOp::Bootstrapping, [&](Trace &t) {
-        BootstrapShape bs;
-        bs.base = s;
-        bs.base.limbs = 44;
-        emit_bootstrap(t, bs);
-    });
+    add("Bootstrapping", BasicOp::Bootstrapping,
+        [&](Trace &t) { emit_bootstrap(t, s, s.n / 2); });
 
     AsciiTable table(
         "Table I: operator reuse of FHE basic operations (from the "

@@ -78,9 +78,8 @@ main(int argc, char **argv)
     }
     {
         Trace t;
-        isa::BootstrapShape bs;
-        bs.base = workloads::paper_shape();
-        isa::emit_bootstrap(t, bs);
+        isa::OpShape top = workloads::paper_shape();
+        isa::emit_bootstrap(t, top, top.n / 2);
         row("Bootstrapping", t);
     }
     t1.print();

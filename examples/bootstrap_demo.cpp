@@ -36,11 +36,11 @@ main()
                 "stages + rotation keys)...\n", ctx->slots());
     Bootstrapper boot(ctx, encoder, keygen);
     std::printf("One bootstrap consumes %zu levels of the %zu-prime "
-                "chain.\n", boot.levels_consumed(), params.L);
+                "chain.\n", boot.plan().levels(), params.L);
 
     // The stages one bootstrap runs; the transforms are encoded once,
     // at construction.
-    BootstrapPlan plan = boot.plan();
+    const BootstrapPlan &plan = boot.plan();
     auto print_stages = [](const char *name,
                            const std::vector<BootstrapPlan::Stage> &st) {
         for (std::size_t i = 0; i < st.size(); ++i) {
@@ -54,8 +54,9 @@ main()
     };
     print_stages("CoeffToSlot", plan.coeffToSlot);
     print_stages("SlotToCoeff", plan.slotToCoeff);
-    std::printf("  EvalMod: %zu keyswitches, %zu levels\n",
-                plan.evalMod.keyswitches, plan.evalMod.levels);
+    std::printf("  EvalMod: %zu relinearizations + %zu conjugations, "
+                "%zu levels\n", plan.evalMod.relinearizations,
+                plan.evalMod.conjugations, plan.evalMod.levels);
     std::printf("  plaintext tables: %.2f MB; one bootstrap runs %zu "
                 "plaintext mults, %zu keyswitches and %zu ModDowns\n\n",
                 plan.table_bytes() / 1e6, plan.plain_mults(),

@@ -1,7 +1,7 @@
 #include "baselines/cpu.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 
 #include "ckks/encoder.h"
@@ -68,41 +68,6 @@ CpuBaseline::measure(const CkksParams &params, int reps)
         Ciphertext c = ct;
         eval.rescale_inplace(c);
     });
-    return t;
-}
-
-CpuOpTimes
-CpuBaseline::scale_to(const CpuOpTimes &measured, const isa::OpShape &from,
-                      const isa::OpShape &to)
-{
-    auto linear = [&](double v) {
-        return v * (static_cast<double>(to.n) * to.limbs) /
-               (static_cast<double>(from.n) * from.limbs);
-    };
-    auto nlogn = [&](double v) {
-        double a = static_cast<double>(to.n) *
-                   std::log2(static_cast<double>(to.n)) * to.limbs;
-        double b = static_cast<double>(from.n) *
-                   std::log2(static_cast<double>(from.n)) * from.limbs;
-        return v * a / b;
-    };
-    auto kswitch = [&](double v) {
-        double a = static_cast<double>(to.digits()) * to.ext_limbs() *
-                   to.n * std::log2(static_cast<double>(to.n));
-        double b = static_cast<double>(from.digits()) *
-                   from.ext_limbs() * from.n *
-                   std::log2(static_cast<double>(from.n));
-        return v * a / b;
-    };
-
-    CpuOpTimes t;
-    t.hadd = linear(measured.hadd);
-    t.pmult = linear(measured.pmult);
-    t.rescale = linear(measured.rescale);
-    t.ntt = nlogn(measured.ntt);
-    t.cmult = kswitch(measured.cmult);
-    t.keyswitch = kswitch(measured.keyswitch);
-    t.rotation = kswitch(measured.rotation);
     return t;
 }
 

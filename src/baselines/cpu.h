@@ -4,17 +4,11 @@
 /**
  * @file
  * CPU baseline: single-threaded timings of this library's own CKKS
- * implementation, playing the role of the paper's Xeon baseline.
- *
- * Measuring directly at the paper's parameters (N=2^16, 44 limbs)
- * takes minutes per CMult in software, so measurements run at a
- * smaller shape and are extrapolated with the operations' asymptotic
- * complexity (documented per field). Both the raw and extrapolated
- * numbers are reported by the benches.
+ * implementation, playing the role of the paper's Xeon baseline. The
+ * benches measure it directly at the shape they report.
  */
 
 #include "ckks/params.h"
-#include "isa/compiler.h"
 
 namespace poseidon::baselines {
 
@@ -30,26 +24,13 @@ struct CpuOpTimes
     double rescale = 0;
 };
 
-/// Measures and extrapolates the CPU baseline.
+/// Measures the CPU baseline.
 class CpuBaseline
 {
   public:
-    /**
-     * Measure the library's operations at `params`. `reps` timed
-     * repetitions per op (median-ish via min).
-     */
+    /// The library's operations at `params`, each the fastest of `reps`
+    /// timed runs.
     static CpuOpTimes measure(const CkksParams &params, int reps = 3);
-
-    /**
-     * Extrapolate measured times from the measured shape to a target
-     * shape using asymptotic complexity:
-     *  - HAdd, PMult, Rescale: ~ N * limbs
-     *  - NTT:                  ~ N * log2(N) * limbs
-     *  - Keyswitch, Rotation, CMult: ~ digits * ext * N * log2(N)
-     */
-    static CpuOpTimes scale_to(const CpuOpTimes &measured,
-                               const isa::OpShape &from,
-                               const isa::OpShape &to);
 };
 
 } // namespace poseidon::baselines

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <functional>
-#include <map>
-#include <numeric>
 #include <set>
 
 #include "common/check.h"
@@ -14,20 +12,8 @@ namespace poseidon {
 
 namespace {
 
-/// EvalMod's Taylor degree for exp(i*y) and its number r of
-/// double-angle squarings; the argument is divided by 2^r, so larger r
-/// widens the valid range of the integer I.
-constexpr unsigned kTaylorDegree = 7;
-constexpr unsigned kDoubleAngles = 8;
-
-/// EvalMod's cost. Per half: Horner's degree-1 ct-ct mults, the r
-/// squarings and the sine extraction's conjugation are one keyswitch
-/// each; the argument scaling, the leading Taylor coefficient and the
-/// final constant are scalar mults. Its levels are the argument
-/// scaling 1, Horner's degree, r and the final constant 1.
-constexpr BootstrapPlan::EvalMod kEvalMod = {
-    2 * (kTaylorDegree - 1 + kDoubleAngles + 1), 2 * 3,
-    1 + kTaylorDegree + kDoubleAngles + 1};
+constexpr unsigned kTaylorDegree = BootstrapPlan::EvalMod::taylorDegree;
+constexpr unsigned kDoubleAngles = BootstrapPlan::EvalMod::doubleAngles;
 
 /// The n x n matrix of c times the in-place linear map `apply`,
 /// column-major: column k, at [k*n, (k+1)*n), is apply(c * e_k).
@@ -46,13 +32,6 @@ matrix_of(std::size_t n, double c,
     return m;
 }
 
-/// floor(a / b) for b > 0.
-long
-floor_div(long a, long b)
-{
-    return a >= 0 ? a / b : -((-a + b - 1) / b);
-}
-
 /// A rotation step as a slot offset in [0, n).
 std::size_t
 slot_offset(long step, std::size_t n)
@@ -63,98 +42,39 @@ slot_offset(long step, std::size_t n)
 
 } // namespace
 
-std::size_t
-BootstrapPlan::table_bytes() const
-{
-    std::size_t b = 0;
-    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
-        for (const Stage &s : *t) b += s.bytes;
-    }
-    return b;
-}
-
-std::size_t
-BootstrapPlan::keyswitches() const
-{
-    std::size_t k = 1 + evalMod.keyswitches;
-    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
-        for (const Stage &s : *t) k += s.giantSteps;
-    }
-    return k;
-}
-
-std::size_t
-BootstrapPlan::mod_downs() const
-{
-    std::size_t m = 1 + evalMod.keyswitches;
-    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
-        for (const Stage &s : *t) m += s.modDowns;
-    }
-    return m;
-}
-
-std::size_t
-BootstrapPlan::plain_mults() const
-{
-    std::size_t p = evalMod.plainMults;
-    for (const auto *t : {&coeffToSlot, &slotToCoeff}) {
-        for (const Stage &s : *t) p += s.diagonals;
-    }
-    return p;
-}
-
-std::size_t
-BootstrapPlan::levels() const
-{
-    return coeffToSlot.size() + evalMod.levels + slotToCoeff.size();
-}
-
 Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
                            KeyGenerator &keygen)
     : ctx_(std::move(ctx)), encoder_(encoder)
 {
     std::size_t ns = ctx_->slots();
-    unsigned logNs = log2_floor(ns);
-    std::size_t L = ctx_->params().L;
-    // Stages sit at fixed levels; a chain too short to bootstrap (which
-    // bootstrap() rejects) clamps them to one limb.
-    auto level = [&](std::size_t spent) {
-        return L > spent ? L - spent : std::size_t(1);
-    };
+    plan_ = plan_bootstrap(ns, ctx_->params().L, ctx_->params().K,
+                           ctx_->degree());
 
-    // CoeffToSlot: the inverse FFT's butterfly layers split in two,
-    // its bit reversal dropped. The stages fold in the FFT's 1/ns, the
-    // Delta/q0 that leaves t/q0 in the slots, and the 1/2 of the
-    // real/imaginary split, as sqrt(fold) each: a diagonal's encoding
-    // error is absolute, so the stages' relative errors are smallest
-    // when their entries are equally large.
-    unsigned split = (logNs + 1) / 2;
+    // CoeffToSlot: the inverse FFT's butterfly layers. The stages fold
+    // in the FFT's 1/ns, the Delta/q0 that leaves t/q0 in the slots,
+    // and the 1/2 of the real/imaginary split, as sqrt(fold) each: a
+    // diagonal's encoding error is absolute, so the stages' relative
+    // errors are smallest when their entries are equally large.
     double q0 = static_cast<double>(ctx_->ring()->prime(0));
     double fold = std::sqrt(ctx_->params().scale() / q0 / (2.0 * ns));
-    auto inv_layers = [&](unsigned begin, unsigned end) {
-        return matrix_of(ns, fold, [&](std::vector<cdouble> &v) {
-            encoder_.fft_inv_layers(v, begin, end);
-        });
-    };
-    cts_.push_back(make_stage(inv_layers(0, split), level(0)));
-    cts_.push_back(make_stage(inv_layers(split, logNs), level(1)));
+    for (const BootstrapPlan::Stage &st : plan_.coeffToSlot) {
+        cts_.push_back(make_stage(
+            matrix_of(ns, fold, [&](std::vector<cdouble> &v) {
+                encoder_.fft_inv_layers(v, st.layerBegin, st.layerEnd);
+            }), st));
+    }
 
     // SlotToCoeff: fft_special after the bit reversal that restores
     // natural order. fft_special starts with that same reversal, so
-    // this is its butterfly layers alone, split in two: the short
-    // butterflies (offsets within +-15 at 512 slots) on the limbs
-    // EvalMod leaves, then the long ones (stride 16). Every entry of a
-    // butterfly product is one unit-modulus twiddle path, so neither
-    // stage needs a fold.
-    auto fwd_layers = [&](unsigned begin, unsigned end) {
-        return matrix_of(ns, 1.0, [&](std::vector<cdouble> &v) {
-            encoder_.fft_layers(v, begin, end);
-        });
-    };
-    std::size_t spent = cts_.size() + kEvalMod.levels;
-    stc_.push_back(make_stage(fwd_layers(0, logNs / 2), level(spent)));
-    stc_.push_back(make_stage(fwd_layers(logNs / 2, logNs),
-                              level(spent + 1)));
+    // this is its butterfly layers alone. Every entry of a butterfly
+    // product is one unit-modulus twiddle path, so no stage needs a
+    // fold.
+    for (const BootstrapPlan::Stage &st : plan_.slotToCoeff) {
+        stc_.push_back(make_stage(
+            matrix_of(ns, 1.0, [&](std::vector<cdouble> &v) {
+                encoder_.fft_layers(v, st.layerBegin, st.layerEnd);
+            }), st));
+    }
 
     // Keys: relinearization, every stage's rotations, conjugation.
     relin_ = keygen.make_relin_key();
@@ -162,115 +82,55 @@ Bootstrapper::Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
     auto add = [&](long r) {
         if (std::size_t o = slot_offset(r, ns)) steps.insert(long(o));
     };
-    auto collect = [&](const EncodedStage &st) {
-        for (long r : st.baby) add(r);
-        for (const auto &g : st.groups) add(g.giant);
-    };
-    for (const auto *t : {&cts_, &stc_}) {
-        for (const EncodedStage &st : *t) collect(st);
+    for (const auto *t : {&plan_.coeffToSlot, &plan_.slotToCoeff}) {
+        for (const BootstrapPlan::Stage &st : *t) {
+            for (long r : st.babies) add(r);
+            for (const auto &o : st.offsets) add(o.giant);
+        }
     }
     gk_ = keygen.make_galois_keys({steps.begin(), steps.end()},
                                   /*includeConjugate=*/true);
 }
 
-Bootstrapper::EncodedStage
+std::vector<Plaintext>
 Bootstrapper::make_stage(const std::vector<cdouble> &m,
-                         std::size_t limbs) const
+                         const BootstrapPlan::Stage &st) const
 {
-    // Nonzero diagonals diag_o[j] = M[j][(j+o) mod n]. Butterfly layers
+    // Diagonal o is diag_o[j] = M[j][(j+o) mod n]. Butterfly layers
     // leave structural zeros exactly zero, so the test is exact.
     std::size_t n = ctx_->slots();
     POSEIDON_REQUIRE(m.size() == n * n, "make_stage: not an n x n matrix");
     auto at = [&](std::size_t j, std::size_t k) { return m[k * n + j]; };
-    std::vector<std::size_t> offsets;
-    std::size_t stride = n;
+    auto offset = [&](const BootstrapPlan::Stage::Offset &o) {
+        return slot_offset(o.giant + st.babies[o.baby], n);
+    };
+    std::vector<bool> planned(n, false);
+    for (const auto &o : st.offsets) planned[offset(o)] = true;
     for (std::size_t o = 0; o < n; ++o) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (at(j, (j + o) % n) != cdouble(0, 0)) {
-                offsets.push_back(o);
-                stride = std::gcd(stride, o);
-                break;
-            }
+        for (std::size_t j = 0; j < n && !planned[o]; ++j) {
+            POSEIDON_REQUIRE_T(InternalError,
+                               at(j, (j + o) % n) == cdouble(0, 0),
+                               "make_stage: nonzero diagonal " << o
+                               << " outside the bootstrap plan");
         }
     }
-    POSEIDON_REQUIRE(!offsets.empty(), "make_stage: zero matrix");
 
-    // Offset o = stride*k with k centred on zero, split as
-    // k = n1*b + g: baby step stride*g, giant step stride*n1*b.
-    std::size_t n1 = 1;
-    while (n1 * n1 < offsets.size()) n1 <<= 1;
-    long period = static_cast<long>(n / stride);
-    std::map<std::pair<long, long>, std::size_t> terms; // (b, g) -> offset
-    for (std::size_t o : offsets) {
-        long k = static_cast<long>(o / stride);
-        if (k >= (period + 1) / 2) k -= period;
-        long b = floor_div(k, static_cast<long>(n1));
-        terms[{b, k - b * static_cast<long>(n1)}] = o;
-    }
-
-    EncodedStage st;
-    st.limbs = limbs;
-    std::map<long, std::size_t> babyAt; // g -> index into st.baby
-    for (const auto &[bg, o] : terms) babyAt.emplace(bg.second, 0);
-    for (auto &[g, idx] : babyAt) {
-        idx = st.baby.size();
-        st.baby.push_back(g * static_cast<long>(stride));
-    }
-    double scale = static_cast<double>(ctx_->ring()->prime(limbs - 1));
+    // Each diagonal is pre-rotated right by its giant step, which the
+    // group's giant rotation undoes, and encoded at the prime the
+    // stage's rescale drops, so the stage returns its input's scale
+    // exactly, over the extended basis the products run in.
+    double scale = static_cast<double>(ctx_->ring()->prime(st.limbs - 1));
+    std::vector<Plaintext> out;
     std::vector<cdouble> diag(n);
-    for (const auto &[bg, o] : terms) {
-        long giant = bg.first * static_cast<long>(n1 * stride);
-        if (st.groups.empty() || st.groups.back().giant != giant) {
-            st.groups.push_back({giant, {}});
-        }
-        // Pre-rotate right by the giant step, which the group's giant
-        // rotation undoes.
-        std::size_t shift = slot_offset(giant, n);
+    for (const auto &o : st.offsets) {
+        std::size_t shift = slot_offset(o.giant, n);
         for (std::size_t j = 0; j < n; ++j) {
             std::size_t row = (j + n - shift) % n;
-            diag[j] = at(row, (row + o) % n);
+            diag[j] = at(row, (row + offset(o)) % n);
         }
-        // Encoded at the prime the stage's rescale drops, so the stage
-        // returns its input's scale exactly, and over the extended
-        // basis the products run in.
-        st.groups.back().diags.push_back(
-            {babyAt.at(bg.second),
-             encoder_.encode_extended(diag, limbs, scale)});
+        out.push_back(encoder_.encode_extended(diag, st.limbs, scale));
     }
-    return st;
-}
-
-std::size_t
-Bootstrapper::levels_consumed() const
-{
-    return plan().levels();
-}
-
-BootstrapPlan
-Bootstrapper::plan() const
-{
-    auto describe = [&](const EncodedStage &st) {
-        BootstrapPlan::Stage p;
-        for (long r : st.baby) p.babySteps += r != 0;
-        for (const auto &g : st.groups) {
-            p.diagonals += g.diags.size();
-            p.giantSteps += g.giant != 0;
-        }
-        p.modDowns = p.giantSteps + 1;
-        p.limbs = st.limbs;
-        p.bytes = p.diagonals * (st.limbs + ctx_->params().K) *
-                  ctx_->degree() * sizeof(u64);
-        return p;
-    };
-    BootstrapPlan plan;
-    for (const EncodedStage &st : cts_) {
-        plan.coeffToSlot.push_back(describe(st));
-    }
-    plan.evalMod = kEvalMod;
-    for (const EncodedStage &st : stc_) {
-        plan.slotToCoeff.push_back(describe(st));
-    }
-    return plan;
+    return out;
 }
 
 Ciphertext
@@ -344,7 +204,9 @@ Bootstrapper::add_cscalar(const Ciphertext &ct, cdouble v) const
 }
 
 Ciphertext
-Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
+Bootstrapper::linear_transform(const Ciphertext &ct,
+                               const BootstrapPlan::Stage &st,
+                               const std::vector<Plaintext> &diags,
                                const CkksEvaluator &eval) const
 {
     POSEIDON_REQUIRE(ct.num_limbs() >= st.limbs,
@@ -354,33 +216,33 @@ Bootstrapper::linear_transform(const Ciphertext &ct, const EncodedStage &st,
 
     // Double hoisting (Bossuat et al. 2021): the baby-step rotations
     // share one digit decomposition of c1 and stay over the extended
-    // basis QP, where each group multiplies its diagonals. A group with
-    // a giant step pays one ModDown before its rotation, whose
-    // keyswitch lands back in QP; one fused ModDown + rescale of the
-    // sum ends the stage.
-    std::vector<Ciphertext> rots = eval.rotate_hoisted_ext(in, st.baby, gk_);
+    // basis QP, where each giant group multiplies its diagonals. A
+    // group with a giant step pays one ModDown before its rotation,
+    // whose keyswitch lands back in QP; one fused ModDown + rescale of
+    // the sum ends the stage.
+    std::vector<Ciphertext> rots = eval.rotate_hoisted_ext(in, st.babies, gk_);
 
     Ciphertext acc;
-    bool accSet = false;
     std::vector<const Ciphertext*> cts;
     std::vector<const Plaintext*> pts;
-    for (const auto &group : st.groups) {
+    for (std::size_t i = 0, j; i < st.offsets.size(); i = j) {
+        long giant = st.offsets[i].giant;
         cts.clear();
         pts.clear();
-        for (const auto &d : group.diags) {
-            cts.push_back(&rots[d.babyIndex]);
-            pts.push_back(&d.pt);
+        for (j = i; j < st.offsets.size() && st.offsets[j].giant == giant;
+             ++j) {
+            cts.push_back(&rots[st.offsets[j].baby]);
+            pts.push_back(&diags[j]);
         }
         Ciphertext inner = eval.dot_plain(cts, pts);
-        if (group.giant != 0) {
-            inner = eval.rotate_ext(eval.mod_down(std::move(inner)),
-                                    group.giant, gk_);
+        if (giant != 0) {
+            inner = eval.rotate_ext(eval.mod_down(std::move(inner)), giant,
+                                    gk_);
         }
-        if (accSet) {
-            eval.add_inplace(acc, inner);
-        } else {
+        if (i == 0) {
             acc = std::move(inner);
-            accSet = true;
+        } else {
+            eval.add_inplace(acc, inner);
         }
     }
     eval.rescale_inplace(acc);
@@ -397,7 +259,9 @@ Bootstrapper::coeff_to_slot(const Ciphertext &ct,
     if (msgScale <= 0.0) msgScale = ctx_->params().scale();
     Ciphertext z = ct;
     z.scale = ct.scale * (ctx_->params().scale() / msgScale);
-    for (const EncodedStage &st : cts_) z = linear_transform(z, st, eval);
+    for (std::size_t i = 0; i < cts_.size(); ++i) {
+        z = linear_transform(z, plan_.coeffToSlot[i], cts_[i], eval);
+    }
     Ciphertext zc = eval.conjugate(z, gk_);
 
     // The stages folded in 1/2: lo = z + conj z, hi = (z - conj z)*(-i),
@@ -469,7 +333,9 @@ Bootstrapper::slot_to_coeff(const Ciphertext &lo, const Ciphertext &hi,
     Ciphertext z = hi;
     mul_monomial_inplace(z, cdouble(0.0, 1.0));
     eval.add_inplace(z, lo);
-    for (const EncodedStage &st : stc_) z = linear_transform(z, st, eval);
+    for (std::size_t i = 0; i < stc_.size(); ++i) {
+        z = linear_transform(z, plan_.slotToCoeff[i], stc_[i], eval);
+    }
     return z;
 }
 
@@ -479,7 +345,7 @@ Bootstrapper::bootstrap(const Ciphertext &ct,
 {
     POSEIDON_SPAN("Bootstrapper::bootstrap");
     telemetry::count("ckks.ops.bootstrap");
-    std::size_t levels = levels_consumed();
+    std::size_t levels = plan_.levels();
     POSEIDON_REQUIRE(ctx_->params().L >= levels + 2,
                      "bootstrap: modulus chain too short: a bootstrap "
                      "consumes " << levels << " levels, so L must be at "

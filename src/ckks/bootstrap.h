@@ -13,15 +13,13 @@
  *                   small integer polynomial I.
  *  2. CoeffToSlot — the encoder's inverse special FFT, factored
  *                   (Cheon-Han-Hhan) into two sparse stages: its first
- *                   ceil(log2(n)/2) butterfly layers, then the rest. At
- *                   n = 512 slots that is 32 diagonals (stride 16) and
- *                   31 diagonals (offsets -15..15), each stage a
- *                   double-hoisted baby-step/giant-step product (see
- *                   below) costing one level. The final bit reversal is
- *                   dropped, so slot j holds coefficient rev(j) (rev
- *                   reverses log2(n) bits): t_rev(j)/q_0 in the real
- *                   half and t_{rev(j)+n}/q_0 in the imaginary half, in
- *                   [-K, K].
+ *                   ceil(log2(n)/2) butterfly layers, then the rest,
+ *                   each a double-hoisted baby-step/giant-step product
+ *                   (see below) costing one level. The final bit
+ *                   reversal is dropped, so slot j holds coefficient
+ *                   rev(j) (rev reverses log2(n) bits): t_rev(j)/q_0 in
+ *                   the real half and t_{rev(j)+n}/q_0 in the imaginary
+ *                   half, in [-K, K].
  *                   The real/imaginary split is one conjugation and a
  *                   multiplication by the monomial -X^{N/2} (-i in
  *                   every slot), which costs no level.
@@ -39,10 +37,7 @@
  *                   the same reversal, so the two cancel and only its
  *                   butterfly layers remain, factored like CoeffToSlot
  *                   into two sparse stages: its first floor(log2(n)/2)
- *                   layers, then the rest. At n = 512 slots that is 31
- *                   diagonals (offsets -15..15), then 32 (stride 16),
- *                   each a double-hoisted baby-step/giant-step product
- *                   costing one level.
+ *                   layers, then the rest.
  *
  * Double hoisting (Bossuat, Mouchet, Troncoso-Pastoriza and Hubaux,
  * Eurocrypt 2021): a stage's baby-step rotations share one ModUp and
@@ -50,12 +45,10 @@
  * multiplies its diagonals there; a group with a giant step is brought
  * down once and rotated by a keyswitch that lands back in QP; one
  * ModDown of the sum, fused with the stage's rescale, ends the stage.
- * That is 4 ModDowns per stage (3 giant steps + 1) instead of one per
- * rotation (10).
  *
- * Every transform diagonal is encoded once, at construction, over the
- * level its stage runs at plus the K special primes; plan() reports the
- * stages, their ModDowns and their bytes.
+ * The stages, their diagonals and their costs are plan_bootstrap()'s
+ * (ckks/bootstrap_plan.h); each diagonal is encoded once, at
+ * construction, over its stage's level plus the K special primes.
  * All four stages decompose into the five Poseidon operators, which is
  * exactly why the accelerator can run bootstrapping by operator reuse.
  */
@@ -63,54 +56,12 @@
 #include <utility>
 #include <vector>
 
+#include "ckks/bootstrap_plan.h"
 #include "ckks/encoder.h"
 #include "ckks/evaluator.h"
 #include "ckks/keys.h"
 
 namespace poseidon {
-
-/// The stages one bootstrap runs, as built at construction.
-struct BootstrapPlan
-{
-    /// One sparse stage: out = sum_b rot_{giant_b}(sum_g diag_{b,g} *
-    /// rot_{baby_g}(in)), then one rescale.
-    struct Stage
-    {
-        std::size_t diagonals = 0;  ///< nonzero diagonals = plaintext mults
-        std::size_t babySteps = 0;  ///< hoisted rotations (one shared ModUp)
-        std::size_t giantSteps = 0; ///< full rotations, one keyswitch each
-        std::size_t modDowns = 0;   ///< one per giant step, one for the sum
-        std::size_t limbs = 0;      ///< level of the stage (q-primes)
-        std::size_t bytes = 0;      ///< diagonals over limbs + K primes
-    };
-
-    /// EvalMod, run on the real and the imaginary half side by side.
-    struct EvalMod
-    {
-        std::size_t keyswitches = 0; ///< both halves, one ModDown each
-        std::size_t plainMults = 0;  ///< both halves' scalar constants
-        std::size_t levels = 0;      ///< one half's depth
-    };
-
-    std::vector<Stage> coeffToSlot; ///< in the order they run
-    EvalMod evalMod;
-    std::vector<Stage> slotToCoeff;
-
-    /// Bytes of every encoded diagonal.
-    std::size_t table_bytes() const;
-    /// Keyswitches per bootstrap: the transforms' giant steps (hoisted
-    /// baby steps share a decomposition and do not count), the
-    /// real/imaginary split's conjugation and EvalMod's.
-    std::size_t keyswitches() const;
-    /// ModDowns per bootstrap: the transforms', then one for every
-    /// other keyswitch.
-    std::size_t mod_downs() const;
-    /// Plaintext multiplications per bootstrap: the transforms'
-    /// diagonals and EvalMod's scalar constants.
-    std::size_t plain_mults() const;
-    /// Levels per bootstrap: one per transform stage plus EvalMod's.
-    std::size_t levels() const;
-};
 
 /**
  * One-time bootstrap engine: owns the encoded CoeffToSlot/SlotToCoeff
@@ -126,15 +77,10 @@ class Bootstrapper
     Bootstrapper(CkksContextPtr ctx, const CkksEncoder &encoder,
                  KeyGenerator &keygen);
 
-    /**
-     * Levels one bootstrap consumes from the top of the chain. The
-     * context must satisfy L >= levels_consumed() + 2 for the result
-     * to land above the input.
-     */
-    std::size_t levels_consumed() const;
-
-    /// The stages one bootstrap runs and what they cost.
-    BootstrapPlan plan() const;
+    /// The stages one bootstrap runs and what they cost. A bootstrap
+    /// consumes plan().levels() levels from the top of the chain, so
+    /// the context needs L >= plan().levels() + 2.
+    const BootstrapPlan& plan() const { return plan_; }
 
     /// Refresh a bottom-level ciphertext to a high level.
     Ciphertext bootstrap(const Ciphertext &ct,
@@ -170,36 +116,18 @@ class Bootstrapper
                              const CkksEvaluator &eval) const;
 
   private:
-    /// One BootstrapPlan::Stage with its diagonals encoded.
-    struct EncodedStage
-    {
-        /// A diagonal pre-rotated by its group's giant step; it
-        /// multiplies the baby-step rotation baby[babyIndex].
-        struct Diagonal
-        {
-            std::size_t babyIndex;
-            Plaintext pt;
-        };
-        struct Group
-        {
-            long giant;
-            std::vector<Diagonal> diags;
-        };
-        std::size_t limbs = 0;
-        std::vector<long> baby; ///< hoisted rotation steps
-        std::vector<Group> groups;
-    };
+    /// Encodes the diagonals `st` names of the slots() x slots()
+    /// matrix `m` (column-major), in the order of st.offsets, over the
+    /// extended basis of the stage's level. InternalError when `m` has
+    /// a nonzero diagonal the plan does not name.
+    std::vector<Plaintext> make_stage(const std::vector<cdouble> &m,
+                                      const BootstrapPlan::Stage &st) const;
 
-    /// Encodes the nonzero diagonals of the slots() x slots() matrix
-    /// `m` (column-major) as one stage at `limbs`, its plaintexts over
-    /// that level's extended basis.
-    EncodedStage make_stage(const std::vector<cdouble> &m,
-                            std::size_t limbs) const;
-
-    /// One stage applied to `ct` (dropped to the stage's level first),
-    /// then one rescale; the output keeps ct's scale.
+    /// Stage `st` with its encoded diagonals applied to `ct` (dropped
+    /// to the stage's level first), then one rescale to ct's scale.
     Ciphertext linear_transform(const Ciphertext &ct,
-                                const EncodedStage &st,
+                                const BootstrapPlan::Stage &st,
+                                const std::vector<Plaintext> &diags,
                                 const CkksEvaluator &eval) const;
 
     /// ct * complex scalar at the default scale, rescaled.
@@ -217,8 +145,9 @@ class Bootstrapper
     const CkksEncoder &encoder_;
     KSwitchKey relin_;
     GaloisKeys gk_;
-    std::vector<EncodedStage> cts_; ///< CoeffToSlot stages, in order
-    std::vector<EncodedStage> stc_; ///< SlotToCoeff stages, in order
+    BootstrapPlan plan_;
+    /// Encoded diagonals of plan_'s CoeffToSlot and SlotToCoeff stages.
+    std::vector<std::vector<Plaintext>> cts_, stc_;
 };
 
 } // namespace poseidon

@@ -614,28 +614,6 @@ CkksEvaluator::drop_to_limbs_inplace(Plaintext &p, std::size_t limbs) const
     while (p.num_limbs() > limbs) p.poly.drop_last_limb();
 }
 
-Ciphertext
-CkksEvaluator::apply_galois(const Ciphertext &a, u64 galois,
-                            const KSwitchKey &key) const
-{
-    POSEIDON_SPAN("Evaluator::apply_galois");
-    telemetry::count("ckks.ops.rotation");
-    require_q_basis(a.c0, "apply_galois");
-    // tau_g on both components (Eval-domain permutation), then switch
-    // tau_g(c1)'s key tau_g(s) back to s.
-    RnsPoly c0g = automorphism(a.c0, galois);
-    RnsPoly c1g = automorphism(a.c1, galois);
-
-    auto [u0, u1] = keyswitch_core(c1g, key);
-    c0g.add_inplace(u0);
-
-    Ciphertext out;
-    out.c0 = std::move(c0g);
-    out.c1 = std::move(u1);
-    out.scale = a.scale;
-    return out;
-}
-
 std::vector<Ciphertext>
 CkksEvaluator::rotate_hoisted_ext(const Ciphertext &a,
                                   const std::vector<long> &steps,
@@ -689,18 +667,26 @@ Ciphertext
 CkksEvaluator::rotate_ext(const Ciphertext &a, long step,
                           const GaloisKeys &keys) const
 {
-    KeyswitchTelemetry ks;
-    telemetry::count("ckks.ops.rotation");
-    require_q_basis(a.c0, "rotate_ext");
     u64 g = galois_element_for_step(ctx_->degree(), step);
     POSEIDON_REQUIRE(g != 1, "rotate_ext: zero rotation step");
+    return galois_ext(a, g, keys.get(g));
+}
+
+Ciphertext
+CkksEvaluator::galois_ext(const Ciphertext &a, u64 g,
+                          const KSwitchKey &key) const
+{
+    // tau_g on both components, then tau_g(c1)'s key back to s in QP.
+    KeyswitchTelemetry ks;
+    telemetry::count("ckks.ops.rotation");
+    require_q_basis(a.c0, "rotate");
     RnsPoly c0g = automorphism(a.c0, g);
     RnsPoly c1g = automorphism(a.c1, g);
     std::vector<std::size_t> extIdx =
         ctx_->extended_indices(a.num_limbs());
     Ciphertext out;
     std::tie(out.c0, out.c1) = key_product(
-        decompose_digits_eval(c1g, extIdx), keys.get(g), extIdx, {}, &c0g,
+        decompose_digits_eval(c1g, extIdx), key, extIdx, {}, &c0g,
         nullptr);
     out.scale = a.scale;
     return out;
@@ -727,7 +713,7 @@ CkksEvaluator::rotate(const Ciphertext &a, long steps,
     require_q_basis(a.c0, "rotate");
     u64 g = galois_element_for_step(ctx_->degree(), steps);
     if (g == 1) return a;
-    return apply_galois(a, g, keys.get(g));
+    return mod_down(galois_ext(a, g, keys.get(g)));
 }
 
 Ciphertext
@@ -735,7 +721,7 @@ CkksEvaluator::conjugate(const Ciphertext &a, const GaloisKeys &keys) const
 {
     require_q_basis(a.c0, "conjugate");
     u64 g = galois_element_conjugate(ctx_->degree());
-    return apply_galois(a, g, keys.get(g));
+    return mod_down(galois_ext(a, g, keys.get(g)));
 }
 
 } // namespace poseidon

@@ -111,14 +111,10 @@ class CkksEvaluator
     // ---- Rotation / conjugation ----
     //
     // Like mul, these take q-basis ciphertexts only (ShapeMismatch for
-    // an extended one).
+    // an extended one). Each is mod_down of its rotation over QP.
     Ciphertext rotate(const Ciphertext &a, long steps,
                       const GaloisKeys &keys) const;
     Ciphertext conjugate(const Ciphertext &a, const GaloisKeys &keys) const;
-
-    /// Apply tau_g followed by a keyswitch back to s.
-    Ciphertext apply_galois(const Ciphertext &a, u64 galois,
-                            const KSwitchKey &key) const;
 
     // ---- Keyswitch core (exposed for bootstrapping / ISA tracing) ----
     /**
@@ -163,6 +159,11 @@ class CkksEvaluator
     Ciphertext mod_down(Ciphertext &&a) const;
 
   private:
+    /// tau_g of `a` keyswitched back to s under `key`, over QP without
+    /// the ModDown; counted as one keyswitch and one rotation.
+    Ciphertext galois_ext(const Ciphertext &a, u64 g,
+                          const KSwitchKey &key) const;
+
     /// ShapeMismatch naming `op` when `p` spans an extended basis.
     void require_q_basis(const RnsPoly &p, const char *op) const;
     void check_same_shape(const Ciphertext &a, const Ciphertext &b) const;

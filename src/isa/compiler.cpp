@@ -1,8 +1,8 @@
 #include "isa/compiler.h"
 
-#include <cmath>
 #include <string>
 
+#include "ckks/bootstrap_plan.h"
 #include "common/check.h"
 #include "telemetry/metrics.h"
 
@@ -17,24 +17,18 @@ ct_words(const OpShape &s)
     return 2 * s.limbs * s.n;
 }
 
-/**
- * Counts the instructions an emitter appends into the telemetry
- * registry ("isa.instrs.<BasicOp>"). Nested emitters (the keyswitch
- * inside CMult/Rotation) are charged to the outermost basic operation
- * only, matching how the trace tags attribute the work.
- */
+/// Counts the instructions an emitter appends into the telemetry
+/// registry ("isa.instrs.<BasicOp>").
 class EmitMeter
 {
   public:
     EmitMeter(const Trace &t, BasicOp tag)
         : t_(t), tag_(tag), before_(t.size())
-    {
-        ++depth();
-    }
+    {}
 
     ~EmitMeter()
     {
-        if (--depth() > 0 || !telemetry::enabled()) return;
+        if (!telemetry::enabled()) return;
         double n = static_cast<double>(t_.size() - before_);
         auto &reg = telemetry::MetricsRegistry::global();
         reg.counter(std::string("isa.instrs.") + to_string(tag_)).add(n);
@@ -45,16 +39,102 @@ class EmitMeter
     EmitMeter& operator=(const EmitMeter&) = delete;
 
   private:
-    static int& depth()
-    {
-        thread_local int d = 0;
-        return d;
-    }
-
     const Trace &t_;
     BasicOp tag_;
     std::size_t before_;
 };
+
+/// A dot product's reductions: one per output, one fold per 16 terms.
+u64
+dot_reductions(u64 outputs, u64 terms)
+{
+    return outputs * (1 + (terms - 1) / 16);
+}
+
+/// ModUp of one polynomial: the input to the coefficient domain, each
+/// digit base-converted (q-hat scaling, then alpha multiply-accumulates
+/// per output on the MM datapath) onto the extended primes outside it,
+/// and those forward-transformed; a digit's own limbs are copied.
+void
+mod_up(Trace &t, const OpShape &s, BasicOp tag)
+{
+    telemetry::count("isa.ops.mod_up");
+    u64 D = s.digits();
+    u64 alpha = (s.limbs + D - 1) / D;
+    u64 converted = D * s.ext_limbs() - s.limbs;
+    t.emit(OpKind::INTT, s.limbs * s.n, s.n, tag);
+    t.emit(OpKind::MM, (s.limbs + converted * alpha) * s.n, s.n, tag);
+    t.emit(OpKind::SBT, converted * s.n, s.n, tag);
+    t.emit(OpKind::NTT, converted * s.n, s.n, tag);
+}
+
+/// The key product over QP: per extended limb and component, the
+/// digits times the streamed key plus `pTerms` P*c terms on the q-limbs
+/// (P*c0 for a rotation, P*d0 and P*d1 for a relinearization).
+void
+key_product(Trace &t, const OpShape &s, u64 pTerms, BasicOp tag)
+{
+    telemetry::count("isa.ops.key_product");
+    u64 D = s.digits();
+    u64 ext = s.ext_limbs();
+    u64 products = (2 * D * ext + pTerms * s.limbs) * s.n;
+    u64 outputs = 2 * ext * s.n;
+    t.emit(OpKind::HBM_RD, 2 * D * ext * s.n, s.n, tag);
+    t.emit(OpKind::MM, products, s.n, tag);
+    t.emit(OpKind::MA, products - outputs, s.n, tag);
+    t.emit(OpKind::SBT, dot_reductions(outputs, D + (pTerms > 0)), s.n,
+           tag);
+}
+
+/// ModDown of a QP pair onto `limbs` q-primes, dividing out the `tail`
+/// primes after them (P, or q_l*P for a fused rescale): the tail's INTT
+/// and base conversion, NTTs of the images, then (x - conv) * tail^-1.
+void
+mod_down(Trace &t, u64 n, u64 limbs, u64 tail, BasicOp tag)
+{
+    telemetry::count("isa.ops.mod_down");
+    t.emit(OpKind::INTT, 2 * tail * n, n, tag);
+    t.emit(OpKind::MM, 2 * (tail + tail * limbs + limbs) * n, n, tag);
+    t.emit(OpKind::MA, 2 * limbs * n, n, tag);
+    t.emit(OpKind::SBT, 2 * limbs * n, n, tag);
+    t.emit(OpKind::NTT, 2 * limbs * n, n, tag);
+}
+
+/// Rescale of a q-basis ciphertext: INTT of the dropped limb, then per
+/// remaining limb a reduction, NTT, subtraction and q_l^{-1} multiply.
+void
+rescale(Trace &t, const OpShape &s, BasicOp tag)
+{
+    POSEIDON_REQUIRE(s.limbs >= 2, "emit_rescale: nothing to drop");
+    u64 rem = s.limbs - 1;
+    t.emit(OpKind::INTT, 2 * s.n, s.n, tag);
+    t.emit(OpKind::SBT, 2 * rem * s.n, s.n, tag);
+    t.emit(OpKind::NTT, 2 * rem * s.n, s.n, tag);
+    t.emit(OpKind::MA, 4 * rem * s.n, s.n, tag);
+    t.emit(OpKind::MM, 2 * rem * s.n, s.n, tag);
+}
+
+/// tau_g of a ciphertext keyswitched into QP: the automorphism of both
+/// polys, ModUp of c1 and the key product with P*c0.
+void
+rotate_ext(Trace &t, const OpShape &s, BasicOp tag)
+{
+    t.emit(OpKind::AUTO, 2 * s.limbs * s.n, s.n, tag);
+    mod_up(t, s, tag);
+    key_product(t, s, 1, tag);
+}
+
+/// The tensor product (d0, d2 and the two-term dot d1) relinearized
+/// into QP: ModUp of d2 and the key product with P*d0 and P*d1.
+void
+mul_ext(Trace &t, const OpShape &s, BasicOp tag)
+{
+    t.emit(OpKind::MM, 4 * s.limbs * s.n, s.n, tag);
+    t.emit(OpKind::MA, s.limbs * s.n, s.n, tag);
+    t.emit(OpKind::SBT, 3 * s.limbs * s.n, s.n, tag);
+    mod_up(t, s, tag);
+    key_product(t, s, 2, tag);
+}
 
 } // namespace
 
@@ -79,48 +159,14 @@ emit_pmult(Trace &t, const OpShape &s, BasicOp tag)
 }
 
 void
-emit_keyswitch(Trace &t, const OpShape &s, bool standalone, BasicOp tag)
+emit_keyswitch(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
-    u64 D = s.digits();
-    u64 ext = s.ext_limbs();
-    u64 alpha = (s.limbs + D - 1) / D; // primes per digit
-
-    if (standalone) {
-        t.emit(OpKind::HBM_RD, s.limbs * s.n, s.n, tag);
-    }
-
-    // ModUp: input to coefficient domain, then per digit a base
-    // conversion into the extended basis followed by NTT.
-    t.emit(OpKind::INTT, s.limbs * s.n, s.n, tag);
-    // RNSconv per digit: y_i = x_i * qhat_inv (alpha MM), then the
-    // accumulation onto every extended limb (alpha MM + (alpha-1) MA
-    // per target limb); alpha == 1 degenerates to a pure reduction.
-    u64 convMM = D * (alpha + alpha * ext) * s.n;
-    u64 convMA = D * ((alpha > 0 ? alpha - 1 : 0) * ext) * s.n;
-    t.emit(OpKind::MM, convMM, s.n, tag);
-    if (convMA) t.emit(OpKind::MA, convMA, s.n, tag);
-    t.emit(OpKind::SBT, convMM, s.n, tag);
-    t.emit(OpKind::NTT, D * ext * s.n, s.n, tag);
-
-    // Inner products with the switching key: stream the key from HBM.
-    t.emit(OpKind::HBM_RD, D * 2 * ext * s.n, s.n, tag);
-    t.emit(OpKind::MM, D * 2 * ext * s.n, s.n, tag);
-    t.emit(OpKind::MA, D * 2 * ext * s.n, s.n, tag);
-    t.emit(OpKind::SBT, D * 2 * ext * s.n, s.n, tag);
-
-    // ModDown of both accumulators: INTT, conv p->q, subtract, *P^-1,
-    // NTT back to the evaluation domain.
-    t.emit(OpKind::INTT, 2 * ext * s.n, s.n, tag);
-    u64 mdMM = 2 * (s.K + s.K * s.limbs + s.limbs) * s.n;
-    t.emit(OpKind::MM, mdMM, s.n, tag);
-    t.emit(OpKind::MA, 2 * s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::SBT, mdMM, s.n, tag);
-    t.emit(OpKind::NTT, 2 * s.limbs * s.n, s.n, tag);
-
-    if (standalone) {
-        t.emit(OpKind::HBM_WR, ct_words(s), s.n, tag);
-    }
+    t.emit(OpKind::HBM_RD, s.limbs * s.n, s.n, tag);
+    mod_up(t, s, tag);
+    key_product(t, s, 0, tag);
+    mod_down(t, s.n, s.limbs, s.K, tag);
+    t.emit(OpKind::HBM_WR, ct_words(s), s.n, tag);
 }
 
 void
@@ -128,13 +174,8 @@ emit_cmult(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
     t.emit(OpKind::HBM_RD, 2 * ct_words(s), s.n, tag);
-    // Tensor product: d0, d2, and the two cross terms of d1.
-    t.emit(OpKind::MM, 4 * s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::MA, s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::SBT, 4 * s.limbs * s.n, s.n, tag);
-    // Relinearize d2 (on chip) and fold into (d0, d1).
-    emit_keyswitch(t, s, /*standalone=*/false, tag);
-    t.emit(OpKind::MA, 2 * s.limbs * s.n, s.n, tag);
+    mul_ext(t, s, tag);
+    mod_down(t, s.n, s.limbs, s.K, tag);
     t.emit(OpKind::HBM_WR, ct_words(s), s.n, tag);
 }
 
@@ -142,17 +183,9 @@ void
 emit_rescale(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
-    POSEIDON_REQUIRE(s.limbs >= 2, "emit_rescale: nothing to drop");
-    u64 rem = s.limbs - 1;
     t.emit(OpKind::HBM_RD, ct_words(s), s.n, tag);
-    // Both polys: INTT of the dropped limb, then per remaining limb a
-    // reduction, NTT, subtraction and multiply by q_l^{-1}.
-    t.emit(OpKind::INTT, 2 * s.n, s.n, tag);
-    t.emit(OpKind::SBT, 2 * rem * s.n, s.n, tag);
-    t.emit(OpKind::NTT, 2 * rem * s.n, s.n, tag);
-    t.emit(OpKind::MA, 4 * rem * s.n, s.n, tag);
-    t.emit(OpKind::MM, 2 * rem * s.n, s.n, tag);
-    t.emit(OpKind::HBM_WR, 2 * rem * s.n, s.n, tag);
+    rescale(t, s, tag);
+    t.emit(OpKind::HBM_WR, 2 * (s.limbs - 1) * s.n, s.n, tag);
 }
 
 void
@@ -169,31 +202,18 @@ void
 emit_modup(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
-    u64 D = s.digits();
-    u64 ext = s.ext_limbs();
-    u64 alpha = (s.limbs + D - 1) / D;
     t.emit(OpKind::HBM_RD, s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::INTT, s.limbs * s.n, s.n, tag);
-    u64 convMM = D * (alpha + alpha * ext) * s.n;
-    t.emit(OpKind::MM, convMM, s.n, tag);
-    t.emit(OpKind::SBT, convMM, s.n, tag);
-    t.emit(OpKind::NTT, D * ext * s.n, s.n, tag);
-    t.emit(OpKind::HBM_WR, D * ext * s.n, s.n, tag);
+    mod_up(t, s, tag);
+    t.emit(OpKind::HBM_WR, s.digits() * s.ext_limbs() * s.n, s.n, tag);
 }
 
 void
 emit_moddown(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
-    u64 ext = s.ext_limbs();
-    t.emit(OpKind::HBM_RD, ext * s.n, s.n, tag);
-    t.emit(OpKind::INTT, ext * s.n, s.n, tag);
-    u64 mdMM = (s.K + s.K * s.limbs + s.limbs) * s.n;
-    t.emit(OpKind::MM, mdMM, s.n, tag);
-    t.emit(OpKind::MA, s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::SBT, mdMM, s.n, tag);
-    t.emit(OpKind::NTT, s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::HBM_WR, s.limbs * s.n, s.n, tag);
+    t.emit(OpKind::HBM_RD, 2 * s.ext_limbs() * s.n, s.n, tag);
+    mod_down(t, s.n, s.limbs, s.K, tag);
+    t.emit(OpKind::HBM_WR, ct_words(s), s.n, tag);
 }
 
 void
@@ -201,79 +221,116 @@ emit_rotation(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
     t.emit(OpKind::HBM_RD, ct_words(s), s.n, tag);
-    // Index mapping on both components (HFAuto), then keyswitch of the
-    // permuted c1 and the final addition into c0.
-    t.emit(OpKind::AUTO, 2 * s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::SBT, 2 * s.limbs * s.n, s.n, tag); // Eq. 4 index math
-    emit_keyswitch(t, s, /*standalone=*/false, tag);
-    t.emit(OpKind::MA, s.limbs * s.n, s.n, tag);
+    rotate_ext(t, s, tag);
+    mod_down(t, s.n, s.limbs, s.K, tag);
     t.emit(OpKind::HBM_WR, ct_words(s), s.n, tag);
 }
 
 void
-emit_bootstrap(Trace &t, const BootstrapShape &bs, BasicOp tag)
+emit_bootstrap(Trace &t, const OpShape &top, u64 slots, BasicOp tag)
 {
     EmitMeter meter(t, tag);
-    OpShape s = bs.base;
-    u64 ns = bs.eff_slots();
-
-    // ModRaise: read bottom-level ct, broadcast into the full chain.
-    t.emit(OpKind::HBM_RD, 2 * s.n, s.n, tag);
-    t.emit(OpKind::SBT, 2 * s.limbs * s.n, s.n, tag);
-    t.emit(OpKind::NTT, 2 * s.limbs * s.n, s.n, tag);
-
-    auto emit_linear_stage = [&](u64 radix) {
-        // BSGS over a radix-`radix` butterfly stage: ~2*sqrt(radix)
-        // rotations and `radix` diagonal multiplications.
-        u64 n1 = static_cast<u64>(
-            std::ceil(std::sqrt(static_cast<double>(radix))));
-        u64 nb = (radix + n1 - 1) / n1;
-        for (u64 g = 1; g < n1; ++g) emit_rotation(t, s, tag);
-        for (u64 d = 0; d < radix; ++d) emit_pmult(t, s, tag);
-        t.emit(OpKind::MA, 2 * (radix - 1) * s.limbs * s.n, s.n, tag);
-        for (u64 b = 1; b < nb; ++b) emit_rotation(t, s, tag);
-        if (s.limbs > 1) {
-            emit_rescale(t, s, tag);
-            --s.limbs;
-        }
+    BootstrapPlan plan = plan_bootstrap(slots, top.limbs, top.K, top.n);
+    POSEIDON_REQUIRE(top.limbs >= plan.levels() + 2,
+                     "emit_bootstrap: a bootstrap consumes "
+                     << plan.levels() << " levels, so the chain needs "
+                     "at least " << plan.levels() + 2 << " limbs, not "
+                     << top.limbs);
+    u64 n = top.n;
+    // The shape at `limbs` q-primes: a lower level has fewer digits.
+    u64 alpha = top.dnum == 0 ? 1 : (top.limbs + top.dnum - 1) / top.dnum;
+    auto at = [&](u64 limbs) {
+        OpShape s = top;
+        s.limbs = limbs;
+        if (top.dnum != 0) s.dnum = (limbs + alpha - 1) / alpha;
+        return s;
     };
 
-    // CoeffToSlot: factored into ctsStages balanced radices.
-    u64 ctsRadix = static_cast<u64>(std::llround(
-        std::pow(static_cast<double>(ns), 1.0 / bs.ctsStages)));
-    if (ctsRadix < 2) ctsRadix = 2;
-    for (u64 st = 0; st < bs.ctsStages; ++st) emit_linear_stage(ctsRadix);
+    // ModRaise: the input's coefficients spread over the whole chain.
+    t.emit(OpKind::HBM_RD, 2 * n, n, tag);
+    t.emit(OpKind::INTT, 2 * n, n, tag);
+    t.emit(OpKind::SBT, 2 * top.limbs * n, n, tag);
+    t.emit(OpKind::NTT, 2 * top.limbs * n, n, tag);
 
-    // Split into real/imag halves: conjugation + two constant mults.
-    emit_rotation(t, s, tag); // conjugation == automorphism+keyswitch
-    for (int i = 0; i < 2; ++i) {
-        emit_pmult(t, s, tag);
-    }
-    if (s.limbs > 1) {
-        emit_rescale(t, s, tag);
-        --s.limbs;
-    }
-
-    // EvalMod on both halves.
-    for (int half = 0; half < 2; ++half) {
-        for (u64 c = 0; c < bs.evalModCMults; ++c) {
-            emit_cmult(t, s, tag);
-            if (s.limbs > 1) {
-                emit_rescale(t, s, tag);
-                if (half == 1) --s.limbs;
-            }
+    // One double-hoisted stage (Bootstrapper::linear_transform).
+    auto stage = [&](const BootstrapPlan::Stage &st) {
+        OpShape s = at(st.limbs);
+        u64 ext = s.ext_limbs();
+        // Baby steps: one ModUp of c1; per step, the digits (and c0)
+        // permuted and one key product over QP, written out for the
+        // diagonal products; the zero step lifts the input to P*ct.
+        mod_up(t, s, tag);
+        t.emit(OpKind::MM, 2 * s.limbs * n, n, tag);
+        for (std::size_t b = 0; b < st.babySteps; ++b) {
+            t.emit(OpKind::AUTO, (s.digits() * ext + s.limbs) * n, n, tag);
+            key_product(t, s, 1, tag);
+            t.emit(OpKind::HBM_WR, 2 * ext * n, n, tag);
         }
-        for (u64 p = 0; p < bs.evalModPMults; ++p) emit_pmult(t, s, tag);
-        emit_rotation(t, s, tag); // conjugation for Im() extraction
+        // Per giant group: its diagonal products over QP, diagonals and
+        // baby steps streamed in, then for a nonzero giant step one
+        // ModDown and a rotation back into QP. The groups sum in QP and
+        // one fused ModDown + rescale ends the stage.
+        for (std::size_t i = 0, j; i < st.offsets.size(); i = j) {
+            long giant = st.offsets[i].giant;
+            for (j = i; j < st.offsets.size() &&
+                        st.offsets[j].giant == giant; ++j) {}
+            u64 terms = j - i;
+            t.emit(OpKind::HBM_RD, 3 * terms * ext * n, n, tag);
+            t.emit(OpKind::MM, 2 * terms * ext * n, n, tag);
+            t.emit(OpKind::MA, 2 * (terms - 1) * ext * n, n, tag);
+            t.emit(OpKind::SBT, dot_reductions(2 * ext * n, terms), n,
+                   tag);
+            if (giant != 0) {
+                mod_down(t, n, s.limbs, s.K, tag);
+                rotate_ext(t, s, tag);
+            }
+            if (i > 0) t.emit(OpKind::MA, 2 * ext * n, n, tag);
+        }
+        mod_down(t, n, s.limbs - 1, s.K + 1, tag);
+    };
+
+    // CoeffToSlot, then the real/imaginary split: one conjugation, a
+    // sum, a difference and the monomial -X^{N/2}.
+    for (const auto &st : plan.coeffToSlot) stage(st);
+    u64 l = plan.coeffToSlot.back().limbs - 1;
+    rotate_ext(t, at(l), tag);
+    mod_down(t, n, l, top.K, tag);
+    t.emit(OpKind::MA, 4 * l * n, n, tag);
+    t.emit(OpKind::MM, 2 * l * n, n, tag);
+
+    // EvalMod on each half (one conjugation each), one mult per level:
+    // the argument and the leading Taylor coefficient as scalar mults,
+    // Horner's and the squarings' relinearizations (each ModDown fused
+    // with its rescale), the sine's conjugation and difference, and the
+    // output constant. The Taylor constants' additions are left out.
+    const BootstrapPlan::EvalMod &em = plan.evalMod;
+    u64 halves = em.conjugations;
+    u64 evalTop = l;
+    for (u64 h = 0; h < halves; ++h) {
+        l = evalTop;
+        auto scalar = [&] {
+            t.emit(OpKind::MM, 2 * l * n, n, tag);
+            rescale(t, at(l), tag);
+            --l;
+        };
+        for (u64 i = 1; i < em.plainMults / halves; ++i) scalar();
+        for (u64 i = 0; i < em.relinearizations / halves; ++i) {
+            mul_ext(t, at(l), tag);
+            mod_down(t, n, l - 1, top.K + 1, tag);
+            --l;
+        }
+        rotate_ext(t, at(l), tag);
+        mod_down(t, n, l, top.K, tag);
+        t.emit(OpKind::MA, 2 * l * n, n, tag);
+        scalar();
     }
 
-    // SlotToCoeff.
-    u64 stcRadix = static_cast<u64>(std::llround(
-        std::pow(static_cast<double>(ns), 1.0 / bs.stcStages)));
-    if (stcRadix < 2) stcRadix = 2;
-    for (u64 st = 0; st < bs.stcStages; ++st) emit_linear_stage(stcRadix);
-
-    t.emit(OpKind::HBM_WR, 2 * s.limbs * s.n, s.n, tag);
+    // SlotToCoeff: the recombination lo + X^{N/2}*hi, then its stages.
+    t.emit(OpKind::MM, 2 * l * n, n, tag);
+    t.emit(OpKind::MA, 2 * l * n, n, tag);
+    for (const auto &st : plan.slotToCoeff) stage(st);
+    t.emit(OpKind::HBM_WR, 2 * (plan.slotToCoeff.back().limbs - 1) * n,
+           n, tag);
 }
 
 } // namespace poseidon::isa

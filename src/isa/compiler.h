@@ -5,15 +5,15 @@
  * @file
  * Lowering of CKKS basic operations to Poseidon operator traces.
  *
- * Each emitter mirrors the software evaluator's control flow (see
- * ckks/evaluator.cpp) and the paper's operator decomposition (Table I):
- * the same MA/MM/NTT/Automorphism/SBT steps, with explicit HBM reads
- * for operands and keyswitching keys — the traffic that dominates FHE
- * accelerator time.
- *
- * Keyswitching is modeled with `digits` RNS digits (the default, one
- * digit per prime, matches the software library; benchmarks may lower
- * dnum to model grouped digits).
+ * Each emitter prices what the software evaluator (ckks/evaluator.cpp)
+ * runs, in the paper's operators (Table I) plus explicit HBM traffic
+ * for operands and keyswitching keys, which dominates accelerator
+ * time. Every keyswitching operation composes the evaluator's three
+ * primitives: ModUp (`limbs` INTTs, `digits * ext - limbs` NTTs), the
+ * key product over QP (one reduction per output coefficient plus one
+ * fold every 16 terms) and ModDown by P or by P*q_l (INTTs on the
+ * divided-out tail, NTTs on the remaining limbs). OpShape::dnum sets
+ * the digits like CkksParams::dnum: 0 is one per prime.
  */
 
 #include "isa/trace.h"
@@ -32,9 +32,8 @@ struct OpShape
     u64 ext_limbs() const { return limbs + K; }
 };
 
-// Every emitter appends to `t`; `tag` attributes the work (nested
-// keyswitches inside Rotation/CMult keep the parent's tag so Fig. 8
-// style breakdowns charge time to the basic operation the user called).
+// Every emitter appends to `t`; `tag` attributes the work, so Fig. 8
+// style breakdowns charge it to the basic operation the user called.
 
 void emit_hadd(Trace &t, const OpShape &s, BasicOp tag = BasicOp::HAdd);
 void emit_pmult(Trace &t, const OpShape &s, BasicOp tag = BasicOp::PMult);
@@ -44,9 +43,9 @@ void emit_rescale(Trace &t, const OpShape &s,
 void emit_ntt_op(Trace &t, const OpShape &s,
                  BasicOp tag = BasicOp::NttOnly);
 
-/// Keyswitch of one polynomial already on chip (ModUp + inner products
-/// + ModDown). `standalone` adds operand/result HBM traffic.
-void emit_keyswitch(Trace &t, const OpShape &s, bool standalone = true,
+/// Keyswitch of one polynomial: ModUp, key product, ModDown by P, with
+/// operand and result HBM traffic.
+void emit_keyswitch(Trace &t, const OpShape &s,
                     BasicOp tag = BasicOp::Keyswitch);
 
 /// ModUp / ModDown as standalone paper rows.
@@ -57,20 +56,13 @@ void emit_moddown(Trace &t, const OpShape &s,
 void emit_rotation(Trace &t, const OpShape &s,
                    BasicOp tag = BasicOp::Rotation);
 
-/// Shape of a full packed bootstrapping invocation.
-struct BootstrapShape
-{
-    OpShape base;          ///< shape at the top of the chain
-    u64 slots = 0;         ///< packed slots (0 => N/2)
-    u64 ctsStages = 3;     ///< factored CoeffToSlot stages
-    u64 stcStages = 3;     ///< factored SlotToCoeff stages
-    u64 evalModCMults = 14;///< ct-ct mults in EvalMod (Taylor + angle)
-    u64 evalModPMults = 4; ///< constant mults in EvalMod
-
-    u64 eff_slots() const { return slots == 0 ? base.n / 2 : slots; }
-};
-
-void emit_bootstrap(Trace &t, const BootstrapShape &bs,
+/**
+ * One packed bootstrap of `slots` slots on a chain of top.limbs primes:
+ * the stages of plan_bootstrap() (ckks/bootstrap_plan.h) at that shape,
+ * priced as Bootstrapper runs them. Throws when the chain is shorter
+ * than the plan's levels() + 2.
+ */
+void emit_bootstrap(Trace &t, const OpShape &top, u64 slots,
                     BasicOp tag = BasicOp::Bootstrapping);
 
 } // namespace poseidon::isa

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <utility>
 
+#include "ckks/bootstrap_plan.h"
 #include "common/check.h"
 
 namespace poseidon::workloads {
 
 using isa::BasicOp;
-using isa::BootstrapShape;
 using isa::OpShape;
 using isa::Trace;
 
@@ -46,18 +46,12 @@ emit_matvec(Trace &t, BasicOpCounts &ops, const OpShape &s, u64 dim,
     ops.add(BasicOp::Rescale);
 }
 
-/// Packed bootstrap with standard knobs; charged to Bootstrapping.
+/// Packed bootstrap of `slots` slots from the top of `top`'s chain;
+/// charged to Bootstrapping.
 void
-emit_boot(Trace &t, BasicOpCounts &ops, const OpShape &top, u64 slots,
-          u64 ctsStages = 3, u64 cmults = 14)
+emit_boot(Trace &t, BasicOpCounts &ops, const OpShape &top, u64 slots)
 {
-    BootstrapShape bs;
-    bs.base = top;
-    bs.slots = slots;
-    bs.ctsStages = ctsStages;
-    bs.stcStages = ctsStages;
-    bs.evalModCMults = cmults;
-    isa::emit_bootstrap(t, bs);
+    isa::emit_bootstrap(t, top, slots);
     ops.add(BasicOp::Bootstrapping);
 }
 
@@ -134,6 +128,15 @@ make_lstm(const isa::OpShape &top)
     // keyswitch basis stays small.
     s.limbs = 10;
     s.K = 3;
+    // Thin bootstrap: only 128 slots are packed, so EvalMod dominates,
+    // and it regenerates only the per-step chain: it runs over that
+    // many limbs plus the levels a bootstrap consumes.
+    constexpr u64 kLstmSlots = 128;
+    OpShape bootShape = top;
+    bootShape.K = 5;
+    bootShape.limbs =
+        s.limbs +
+        plan_bootstrap(kLstmSlots, top.limbs, bootShape.K, top.n).levels();
 
     for (int step = 0; step < 50; ++step) {
         emit_matvec(w.trace, w.ops, s, 128, BasicOp::Rotation);
@@ -147,15 +150,7 @@ make_lstm(const isa::OpShape &top)
             isa::emit_rescale(w.trace, s, BasicOp::Rescale);
             w.ops.add(BasicOp::Rescale);
         }
-        // Thin bootstrap: only 128 slots are packed, so CoeffToSlot
-        // collapses to two tiny stages and EvalMod dominates. The
-        // refresh also only needs to regenerate the short per-step
-        // chain, so it runs over a truncated modulus chain.
-        OpShape bootShape = top;
-        bootShape.limbs = 20;
-        bootShape.K = 5;
-        emit_boot(w.trace, w.ops, bootShape, /*slots=*/128,
-                  /*ctsStages=*/2, /*cmults=*/10);
+        emit_boot(w.trace, w.ops, bootShape, kLstmSlots);
     }
     w.bootstrapCount = 50;
     return w;

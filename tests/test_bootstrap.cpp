@@ -100,8 +100,8 @@ max_err(const std::vector<cdouble> &a, const std::vector<cdouble> &b)
 TEST(Bootstrap, LevelsBudget)
 {
     BootFixture &f = BootFixture::instance();
-    EXPECT_EQ(f.boot.levels_consumed(), 21u);
-    EXPECT_GE(f.ctx->params().L, f.boot.levels_consumed() + 2);
+    EXPECT_EQ(f.boot.plan().levels(), 21u);
+    EXPECT_GE(f.ctx->params().L, f.boot.plan().levels() + 2);
 }
 
 TEST(Bootstrap, ModRaisePreservesMessage)
@@ -182,7 +182,7 @@ TEST(Bootstrap, OpCountsMatchPlan)
 {
     if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
     BootFixture &f = BootFixture::instance();
-    BootstrapPlan plan = f.boot.plan();
+    const BootstrapPlan &plan = f.boot.plan();
     std::size_t L = f.ctx->params().L;
 
     // CoeffToSlot: 5 + 4 butterfly layers of the 512-point inverse FFT
@@ -198,8 +198,8 @@ TEST(Bootstrap, OpCountsMatchPlan)
     EXPECT_EQ(t.diagonals, 32u);
     EXPECT_EQ(a.limbs, L);
     EXPECT_EQ(b.limbs, L - 1);
-    EXPECT_EQ(s.limbs, L - f.boot.levels_consumed() + 2);
-    EXPECT_EQ(t.limbs, L - f.boot.levels_consumed() + 1);
+    EXPECT_EQ(s.limbs, L - f.boot.plan().levels() + 2);
+    EXPECT_EQ(t.limbs, L - f.boot.plan().levels() + 1);
     // Double hoisting: one ModDown per giant step and one for the
     // stage's sum, with every diagonal over the limbs + K primes of
     // the extended basis.
@@ -220,10 +220,12 @@ TEST(Bootstrap, OpCountsMatchPlan)
     // and three scalar mults over 1 + 7 + 8 + 1 levels. Each of those
     // keyswitches pays its own ModDown. The recombination before
     // SlotToCoeff is a monomial product, not a plaintext mult.
-    EXPECT_EQ(plan.evalMod.keyswitches, 2u * (6 + 8 + 1));
+    EXPECT_EQ(plan.evalMod.relinearizations, 2u * (6 + 8));
+    EXPECT_EQ(plan.evalMod.conjugations, 2u);
+    EXPECT_EQ(plan.evalMod.keyswitches(), 2u * (6 + 8 + 1));
     EXPECT_EQ(plan.evalMod.plainMults, 2u * 3);
     EXPECT_EQ(plan.evalMod.levels, 17u);
-    EXPECT_EQ(plan.levels(), f.boot.levels_consumed());
+    EXPECT_EQ(plan.levels(), 2u + 17 + 2);
     EXPECT_EQ(plan.keyswitches(), 12u + 1 + 30);
     EXPECT_EQ(plan.mod_downs(), 16u + 1 + 30);
     EXPECT_EQ(plan.plain_mults(), 126u + 6);
@@ -241,6 +243,34 @@ TEST(Bootstrap, OpCountsMatchPlan)
               plan.mod_downs());
     EXPECT_EQ(reg.counter_value("ckks.ops.mul_plain") - pm0,
               plan.plain_mults());
+}
+
+TEST(Bootstrap, PlanDependsOnlyOnTheShape)
+{
+    // The plan a Bootstrapper encodes is plan_bootstrap() of its shape,
+    // classic and hybrid: 43 keyswitches, 47 ModDowns, 132 plain mults
+    // and 21 levels at 512 slots and L = 24.
+    for (BootFixture *f : {&BootFixture::instance(), &BootFixture::hybrid()}) {
+        const CkksParams &p = f->ctx->params();
+        BootstrapPlan plan =
+            plan_bootstrap(f->ctx->slots(), p.L, p.K, f->ctx->degree());
+        EXPECT_EQ(plan, f->boot.plan()) << "K=" << p.K;
+        EXPECT_EQ(plan.keyswitches(), 43u);
+        EXPECT_EQ(plan.mod_downs(), 47u);
+        EXPECT_EQ(plan.plain_mults(), 132u);
+        EXPECT_EQ(plan.levels(), 21u);
+    }
+    // At N = 2^16 the plan needs no encoding: 2^15 slots split 8 + 7
+    // and 7 + 8 butterfly layers.
+    BootstrapPlan big = plan_bootstrap(1 << 15, 57, 11, 1 << 16);
+    ASSERT_EQ(big.coeffToSlot.size(), 2u);
+    EXPECT_EQ(big.coeffToSlot[0].diagonals, 256u);
+    EXPECT_EQ(big.coeffToSlot[1].diagonals, 255u);
+    EXPECT_EQ(big.slotToCoeff[0].diagonals, 255u);
+    EXPECT_EQ(big.slotToCoeff[1].diagonals, 256u);
+    EXPECT_EQ(big.coeffToSlot[0].babySteps + big.coeffToSlot[0].giantSteps,
+              15u + 15u);
+    EXPECT_EQ(big.levels(), 21u);
 }
 
 void
@@ -265,7 +295,7 @@ check_slot_to_coeff(BootFixture &f)
     }
 
     std::size_t limbs =
-        f.ctx->params().L - f.boot.levels_consumed() + 2;
+        f.ctx->params().L - f.boot.plan().levels() + 2;
     Ciphertext clo = f.encryptor.encrypt(f.encoder.encode(lo, limbs));
     Ciphertext chi = f.encryptor.encrypt(f.encoder.encode(hi, limbs));
     Ciphertext out = f.boot.slot_to_coeff(clo, chi, f.eval);
@@ -311,6 +341,27 @@ TEST(BootstrapHybrid, FullRefreshRecoversMessage)
     check_full_refresh(BootFixture::hybrid());
 }
 
+TEST(Bootstrap, EvalModSineCurvatureBound)
+{
+    // EvalMod approximates t mod q0 by q0/(2 pi) sin(2 pi t/q0), whose
+    // cubic term leaves an error of q0/Delta * (2 pi)^2 x^3 / 6 on a
+    // coefficient x*q0. The all-0.9 message is one coefficient of
+    // 0.9*Delta: x = 0.9*Delta/q0, a term of 4.68e-3 at q0/Delta = 2^5.
+    // The bound allows a quarter more plus the random-message error.
+    BootFixture &f = BootFixture::instance();
+    std::vector<cdouble> z(f.ctx->slots(), cdouble(0.9, 0.0));
+    Ciphertext ct = f.encryptor.encrypt(f.encoder.encode(z, 1));
+    Ciphertext fresh = f.boot.bootstrap(ct, f.eval);
+    auto back = f.encoder.decode(f.decryptor.decrypt(fresh));
+
+    double q0 = static_cast<double>(f.ctx->ring()->prime(0));
+    double delta = f.ctx->params().scale();
+    double x = 0.9 * delta / q0;
+    double cubic = std::pow(2.0 * M_PI, 2) * x * x * x / 6.0 * q0 / delta;
+    EXPECT_NEAR(cubic, 4.68e-3, 0.01e-3);
+    EXPECT_LT(max_err(z, back), 1.25 * cubic + 5e-5);
+}
+
 TEST(Bootstrap, RefreshedCiphertextSupportsFurtherMultiplication)
 {
     BootFixture &f = BootFixture::instance();
@@ -330,7 +381,7 @@ TEST(Bootstrap, RefreshedCiphertextSupportsFurtherMultiplication)
 TEST(Bootstrap, RejectsShortChain)
 {
     CkksParams p = boot_params();
-    p.L = 8; // far below levels_consumed() + 2
+    p.L = 8; // far below plan().levels() + 2
     auto ctx = make_ckks_context(p);
     CkksEncoder enc(ctx);
     KeyGenerator kg(ctx);

@@ -314,7 +314,6 @@ TEST(Ckks, ExtendedCiphertextRejectedByQBasisOps)
     GaloisKeys gk = f.keygen.make_galois_keys({1});
     Ciphertext c = f.encryptor.encrypt(
         f.encoder.encode(test_vector(f.ctx->slots(), 62), 3));
-    u64 g = galois_element_for_step(f.ctx->degree(), 1);
     for (const Ciphertext &ext :
          {f.eval.mul(c, c, relin), f.eval.rotate_ext(c, 1, gk)}) {
         ASSERT_EQ(ext.num_limbs(), 3 + f.ctx->params().K);
@@ -325,7 +324,6 @@ TEST(Ckks, ExtendedCiphertextRejectedByQBasisOps)
         EXPECT_THROW(f.eval.rotate(ext, 1, gk), ShapeMismatch);
         EXPECT_THROW(f.eval.rotate(ext, 0, gk), ShapeMismatch);
         EXPECT_THROW(f.eval.conjugate(ext, gk), ShapeMismatch);
-        EXPECT_THROW(f.eval.apply_galois(ext, g, gk.get(g)), ShapeMismatch);
         EXPECT_THROW(f.eval.rotate_ext(ext, 1, gk), ShapeMismatch);
         EXPECT_THROW(f.eval.rotate_hoisted_ext(ext, {0, 1}, gk),
                      ShapeMismatch);
@@ -686,6 +684,21 @@ rotate_hoisted(const CkksEvaluator &eval, const Ciphertext &a,
     return out;
 }
 
+/// tau_g, a keyswitch of tau_g(c1) with its own ModDown, and the sum
+/// with tau_g(c0): the rotation path that never enters QP.
+Ciphertext
+galois_oracle(const CkksEvaluator &eval, const Ciphertext &a, u64 g,
+              const KSwitchKey &key)
+{
+    Ciphertext out;
+    out.c0 = automorphism(a.c0, g);
+    auto [u0, u1] = eval.keyswitch_core(automorphism(a.c1, g), key);
+    out.c0.add_inplace(u0);
+    out.c1 = std::move(u1);
+    out.scale = a.scale;
+    return out;
+}
+
 TEST(Ckks, HoistedRotationsMatchIndividualRotations)
 {
     // Hoisted rotations share one digit decomposition. They are not
@@ -747,7 +760,9 @@ TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
     // exact mod every q_i, so ModDown(P*tau(c0) + acc) =
     // tau(c0) + ModDown(acc): a one-term group with a plaintext of 1,
     // brought down, has the oracle's bytes, and rotate_ext's ModDown
-    // has rotate()'s.
+    // has rotate()'s. rotate() and conjugate() are ModDowns of their
+    // QP rotation, so they also match the oracle that keyswitches
+    // tau(c1) on its own and adds tau(c0) after the ModDown.
     // Classic and hybrid keyswitching, at 1 and 4 threads.
     CkksParams hybrid = small_params();
     hybrid.L = 6;
@@ -757,9 +772,11 @@ TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
         Fixture f(p);
         std::size_t limbs = p.L - 1;
         std::vector<long> steps = {0, 1, 5, -3};
-        GaloisKeys gk = f.keygen.make_galois_keys({1, 5, -3});
+        GaloisKeys gk = f.keygen.make_galois_keys({1, 5, -3},
+                                                  /*includeConjugate=*/true);
         Ciphertext c = f.encryptor.encrypt(
             f.encoder.encode(test_vector(f.ctx->slots(), 52), limbs));
+        std::size_t n = f.ctx->degree();
         Plaintext one = f.encoder.encode_extended(
             std::vector<cdouble>(f.ctx->slots(), 1.0), limbs, 1.0);
         ASSERT_EQ(one.num_limbs(), limbs + p.K);
@@ -791,7 +808,17 @@ TEST(Ckks, ExtendedBasisRotationsMatchRotateHoisted)
                     f.eval.mod_down(f.eval.rotate_ext(c, steps[i], gk));
                 EXPECT_TRUE(same_bytes(down.c0, single.c0));
                 EXPECT_TRUE(same_bytes(down.c1, single.c1));
+                u64 g = galois_element_for_step(n, steps[i]);
+                Ciphertext oracle = galois_oracle(f.eval, c, g, gk.get(g));
+                EXPECT_TRUE(same_bytes(single.c0, oracle.c0));
+                EXPECT_TRUE(same_bytes(single.c1, oracle.c1));
             }
+            u64 conj = galois_element_conjugate(n);
+            Ciphertext cc = f.eval.conjugate(c, gk);
+            Ciphertext oracle = galois_oracle(f.eval, c, conj, gk.get(conj));
+            EXPECT_TRUE(same_bytes(cc.c0, oracle.c0));
+            EXPECT_TRUE(same_bytes(cc.c1, oracle.c1));
+            EXPECT_EQ(cc.scale, oracle.scale);
         }
         parallel::set_num_threads(0); // restore the environment default
 

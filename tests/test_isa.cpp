@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ckks/bootstrap_plan.h"
 #include "common/status.h"
 #include "isa/compiler.h"
+#include "telemetry/metrics.h"
 
 namespace poseidon::isa {
 namespace {
@@ -111,10 +113,9 @@ TEST(Compiler, TableIOperatorReuseMatrix)
 TEST(Compiler, BootstrappingUsesAllOperators)
 {
     Trace t;
-    BootstrapShape bs;
-    bs.base = small_shape();
-    bs.base.limbs = 20;
-    emit_bootstrap(t, bs);
+    OpShape top = small_shape();
+    top.limbs = 24;
+    emit_bootstrap(t, top, top.n / 2);
     for (OpKind k : {OpKind::MA, OpKind::MM, OpKind::NTT, OpKind::INTT,
                      OpKind::AUTO, OpKind::SBT}) {
         EXPECT_TRUE(t.uses(BasicOp::Bootstrapping, k))
@@ -182,15 +183,122 @@ TEST(Compiler, RotationIncludesAutomorphismAndKeyswitch)
 
 TEST(Compiler, BootstrapScalesWithSlots)
 {
-    BootstrapShape big, thin;
-    big.base = small_shape();
-    big.base.limbs = 24;
-    thin = big;
-    thin.slots = 16; // thin bootstrap
+    OpShape top = small_shape();
+    top.limbs = 24;
     Trace tb, tt;
-    emit_bootstrap(tb, big);
-    emit_bootstrap(tt, thin);
+    emit_bootstrap(tb, top, top.n / 2);
+    emit_bootstrap(tt, top, 16); // thin bootstrap
     EXPECT_GT(tb.totals().compute_elems(), tt.totals().compute_elems());
+}
+
+TEST(Compiler, BootstrapRejectsShortChain)
+{
+    // The plan spends 21 levels, so a bootstrap needs 23 limbs.
+    OpShape top = small_shape();
+    top.limbs = 22;
+    Trace t;
+    EXPECT_THROW(emit_bootstrap(t, top, top.n / 2), poseidon::Error);
+    top.limbs = 23;
+    EXPECT_NO_THROW(emit_bootstrap(t, top, top.n / 2));
+}
+
+TEST(Compiler, BootstrapFollowsThePlan)
+{
+    // At hostbench's bootstrap shape (logN=10, L=24), classic and
+    // hybrid: one ModUp per keyswitch plus one hoisted ModUp per
+    // transform stage, one key product per keyswitch plus one per
+    // hoisted baby step, and exactly the plan's ModDowns.
+    if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+    auto &reg = telemetry::MetricsRegistry::global();
+    for (u64 dnum : {u64(0), u64(3)}) {
+        OpShape top;
+        top.n = 1024;
+        top.limbs = 24;
+        top.dnum = dnum;
+        top.K = dnum == 0 ? 1 : 8;
+        BootstrapPlan plan =
+            plan_bootstrap(top.n / 2, top.limbs, top.K, top.n);
+        std::size_t stages = 0, babySteps = 0;
+        for (const auto *t : {&plan.coeffToSlot, &plan.slotToCoeff}) {
+            for (const auto &st : *t) {
+                ++stages;
+                babySteps += st.babySteps;
+            }
+        }
+        double up0 = reg.counter_value("isa.ops.mod_up");
+        double kp0 = reg.counter_value("isa.ops.key_product");
+        double md0 = reg.counter_value("isa.ops.mod_down");
+        Trace t;
+        emit_bootstrap(t, top, top.n / 2);
+        SCOPED_TRACE(testing::Message() << "dnum " << dnum);
+        EXPECT_EQ(plan.keyswitches(), 43u);
+        EXPECT_EQ(plan.mod_downs(), 47u);
+        EXPECT_EQ(reg.counter_value("isa.ops.key_product") - kp0,
+                  plan.keyswitches() + babySteps);
+        EXPECT_EQ(reg.counter_value("isa.ops.mod_up") - up0,
+                  plan.keyswitches() + stages);
+        EXPECT_EQ(reg.counter_value("isa.ops.mod_down") - md0,
+                  plan.mod_downs());
+    }
+}
+
+/// Limb transforms (NTT + INTT) in `t`.
+u64
+transforms(const Trace &t, u64 n)
+{
+    OpCounts c = t.totals();
+    return (c[OpKind::NTT] + c[OpKind::INTT]) / n;
+}
+
+TEST(Compiler, KeyswitchTransformsMatchTheEvaluator)
+{
+    // The evaluator's counts at N=2^13: ModUp runs `limbs` INTTs and
+    // digits*ext - limbs NTTs, ModDown by P 2K INTTs and 2*limbs NTTs.
+    OpShape s;
+    s.n = u64(1) << 13;
+    s.limbs = 12;
+    s.dnum = 3;
+    s.K = 4;
+    Trace hybrid;
+    emit_keyswitch(hybrid, s);
+    EXPECT_EQ(transforms(hybrid, s.n), 80u);
+
+    OpShape classic = s;
+    classic.dnum = 0;
+    classic.K = 1;
+    Trace c;
+    emit_keyswitch(c, classic);
+    EXPECT_EQ(transforms(c, s.n), 182u);
+
+    // A rotation at 11 limbs of the hybrid chain: three digits of at
+    // most four primes.
+    s.limbs = 11;
+    Trace r;
+    emit_rotation(r, s);
+    EXPECT_EQ(transforms(r, s.n), 75u);
+}
+
+TEST(Compiler, ClusterRequestTraceStaysShort)
+{
+    // hostbench's cluster request (CMult + rotation at logN=13 and 8,
+    // 12 or 16 limbs) is replayed by every simulated job attempt; its
+    // instruction count bounds the simulator's per-job cost. It must
+    // stay within the 39 (hybrid) and 37 (classic) instructions it had
+    // before the keyswitching emitters shared their primitives.
+    for (u64 dnum : {u64(3), u64(0)}) {
+        for (u64 limbs : {8, 12, 16}) {
+            OpShape s;
+            s.n = u64(1) << 13;
+            s.limbs = limbs;
+            s.dnum = dnum;
+            s.K = dnum == 0 ? 1 : (limbs + dnum - 1) / dnum;
+            Trace t;
+            emit_cmult(t, s);
+            emit_rotation(t, s);
+            EXPECT_LE(t.size(), dnum == 0 ? 37u : 39u)
+                << "dnum " << dnum << ", " << limbs << " limbs";
+        }
+    }
 }
 
 } // namespace

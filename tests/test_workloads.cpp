@@ -173,7 +173,7 @@ TEST(Published, RatesAndResources)
     EXPECT_EQ(fpga.size(), 2u);
 }
 
-TEST(CpuBaseline, MeasureAndScale)
+TEST(CpuBaseline, MeasuresEveryOp)
 {
     CkksParams p;
     p.logN = 10;
@@ -185,15 +185,6 @@ TEST(CpuBaseline, MeasureAndScale)
     EXPECT_GT(t.hadd, 0);
     EXPECT_GT(t.cmult, t.hadd);     // CMult costs far more than HAdd
     EXPECT_GT(t.keyswitch, t.ntt);  // keyswitch contains many NTTs
-
-    isa::OpShape from;
-    from.n = p.degree();
-    from.limbs = p.L;
-    from.K = p.K;
-    isa::OpShape to = workloads::paper_shape();
-    auto big = baselines::CpuBaseline::scale_to(t, from, to);
-    EXPECT_GT(big.cmult, t.cmult * 100); // much bigger shape
-    EXPECT_GT(big.hadd, t.hadd);
 }
 
 } // namespace
