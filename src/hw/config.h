@@ -28,9 +28,6 @@ struct HwConfig
     /// NTT-fusion radix exponent k (the paper picks 3).
     unsigned nttRadixLog2 = 3;
 
-    /// HBM channels (2 stacks x 16).
-    std::size_t hbmChannels = 32;
-
     /// Peak HBM bandwidth in GB/s.
     double hbmPeakGBps = 460.0;
 
@@ -66,14 +63,6 @@ struct HwConfig
 
     /// HFAuto sub-vector length C.
     std::size_t hfautoSubvec = 512;
-
-    /**
-     * Fraction of the shorter of (compute, memory) time that the
-     * pipeline hides behind the longer one:
-     * T = max(C, M) + (1 - overlap) * min(C, M). 1.0 is a perfect
-     * dataflow machine, 0.0 strictly serial.
-     */
-    double overlap = 0.92;
 
     /**
      * HBM fault model (see hw/faults.h). The default BER of 0 keeps

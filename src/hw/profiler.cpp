@@ -150,7 +150,7 @@ profile(const SimTimeline &tl, const SimResult &r, const HwConfig &cfg,
     rep.scratchpadCapacityBytes = cfg.scratchpadMB * 1024.0 * 1024.0;
 
     std::map<BasicOp, ExposureBuckets> byTag;
-    const double ov = cfg.overlap;
+    const double ov = PoseidonSim::kOverlap;
 
     for (const SegmentTiming &seg : tl.segments) {
         const double c = seg.computeCycles;
@@ -289,8 +289,8 @@ ProfileReport::verdict() const
                << "% of its HBM time — the fault model, not the "
                   "dataflow, is the bottleneck";
         } else {
-            os << "raise overlap or HBM bandwidth; lanes are idle "
-                  "waiting on transfers";
+            os << "raise HBM bandwidth; lanes are idle waiting on "
+                  "transfers";
         }
         break;
       case Bound::Compute:
@@ -308,8 +308,8 @@ ProfileReport::verdict() const
         }
         break;
       case Bound::Balanced:
-        os << "compute and memory are balanced — only raising overlap "
-              "or both roofs together helps";
+        os << "compute and memory are balanced — only raising both "
+              "roofs together helps";
         break;
     }
     return os.str();
@@ -427,7 +427,7 @@ ProfileReport::to_json() const
     hw.set("hbm_peak_gbps", Json(cfg.hbmPeakGBps));
     hw.set("hbm_efficiency", Json(cfg.hbmEfficiency));
     hw.set("scratchpad_mb", Json(cfg.scratchpadMB));
-    hw.set("overlap", Json(cfg.overlap));
+    hw.set("overlap", Json(PoseidonSim::kOverlap));
     root.set("hw", hw);
 
     root.set("total", buckets_json(total, cfg));

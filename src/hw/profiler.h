@@ -8,7 +8,7 @@
  * The simulator answers "how long": SimResult totals. This pass
  * answers "why": every modeled cycle of every segment is attributed to
  * exactly one of three exposure buckets derived from the segment law
- * T = max(C, M) + (1 - ov) * min(C, M):
+ * T = max(C, M) + (1 - ov) * min(C, M), ov = PoseidonSim::kOverlap:
  *
  *   overlapped       = ov * min(C, M)    both engines busy, hidden
  *   compute-exposed  = C - overlapped    only the compute side runs
@@ -148,7 +148,7 @@ struct ProfileReport
 
     /// One-line diagnosis of the dominant bottleneck, e.g.
     /// "Bootstrapping is 72% memory-exposed (34% of it scratchpad
-    /// respill): raise overlap or scratchpad capacity".
+    /// respill): grow scratchpadMB".
     std::string verdict() const;
 
     /// ASCII attribution table + roofline table + verdict.

@@ -31,8 +31,6 @@ PoseidonSim::PoseidonSim(HwConfig cfg)
     POSEIDON_REQUIRE(cfg_.lanes >= 1, "PoseidonSim: lanes must be >= 1");
     POSEIDON_REQUIRE(cfg_.nttRadixLog2 >= 1 && cfg_.nttRadixLog2 <= 6,
                      "PoseidonSim: k out of range [1,6]");
-    POSEIDON_REQUIRE(cfg_.overlap >= 0.0 && cfg_.overlap <= 1.0,
-                     "PoseidonSim: overlap out of [0,1]");
 }
 
 double
@@ -162,7 +160,7 @@ PoseidonSim::run(const Trace &trace, SimTimeline *timeline) const
             ++i;
         }
         // Double-buffered pipeline: the longer of compute and memory
-        // sets the pace; a (1 - overlap) fraction of the shorter one
+        // sets the pace; a (1 - kOverlap) fraction of the shorter one
         // fails to hide (dependency stalls, phase boundaries).
         // Scratchpad pressure: if the resident limb-tiles don't fit,
         // they respill through HBM, inflating memory time.
@@ -176,9 +174,8 @@ PoseidonSim::run(const Trace &trace, SimTimeline *timeline) const
         double segRawMem = segMem;
         segMem = segMem * spill + segRetry;
 
-        double ov = cfg_.overlap;
         double segCycles = std::max(segCompute, segMem) +
-                           (1.0 - ov) * std::min(segCompute, segMem);
+                           (1.0 - kOverlap) * std::min(segCompute, segMem);
         if (timeline) {
             for (std::size_t j = 0; j < seg.instrs.size(); ++j) {
                 seg.instrs[j].memCycles =

@@ -17,7 +17,7 @@
  *  - HBM transfers run at peak * efficiency bytes per cycle.
  *
  * Per maximal same-tag segment (one basic operation), compute and
- * memory overlap partially: T = ov*max(C,M) + (1-ov)*(C+M).
+ * memory overlap partially: T = max(C, M) + (1 - kOverlap) * min(C, M).
  */
 
 #include <array>
@@ -110,6 +110,14 @@ struct SimTimeline
 class PoseidonSim
 {
   public:
+    /**
+     * Fraction of the shorter of (compute, memory) time that the
+     * pipeline hides behind the longer one:
+     * T = max(C, M) + (1 - kOverlap) * min(C, M). 1.0 is a perfect
+     * dataflow machine, 0.0 strictly serial.
+     */
+    static constexpr double kOverlap = 0.92;
+
     explicit PoseidonSim(HwConfig cfg = HwConfig::poseidon_u280());
 
     const HwConfig& config() const { return cfg_; }

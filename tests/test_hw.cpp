@@ -5,7 +5,6 @@
 #include "common/status.h"
 #include "hw/energy.h"
 #include "hw/resource.h"
-#include "hw/pipeline.h"
 #include "hw/sim.h"
 #include "isa/compiler.h"
 
@@ -252,72 +251,11 @@ TEST(Sim, ScratchpadSpillInflatesMemoryTime)
     EXPECT_LT(req, paper.scratchpadMB * 1024 * 1024);
 }
 
-
-TEST(Pipeline, AgreesWithAnalyticModelWithinFactor)
-{
-    Trace t;
-    OpShape s = paperish_shape();
-    isa::emit_cmult(t, s);
-    isa::emit_rotation(t, s);
-    isa::emit_hadd(t, s);
-    PoseidonSim analytic;
-    PipelineSim pipeline;
-    double ta = analytic.run(t).seconds;
-    double tp = pipeline.run(t).seconds;
-    EXPECT_GT(tp / ta, 0.4);
-    EXPECT_LT(tp / ta, 2.5);
-}
-
-TEST(Pipeline, OccupancyBoundsAndBusyAccounting)
-{
-    Trace t;
-    isa::emit_keyswitch(t, paperish_shape());
-    PipelineSim pipeline;
-    auto r = pipeline.run(t);
-    EXPECT_GT(r.cycles, 0.0);
-    double total = 0;
-    for (int u = 0; u < static_cast<int>(Unit::kCount); ++u) {
-        double occ = r.occupancy(static_cast<Unit>(u));
-        EXPECT_GE(occ, 0.0);
-        EXPECT_LE(occ, 1.0 + 1e-9) << to_string(static_cast<Unit>(u));
-        total += r.busy[u];
-    }
-    // Work must exceed the makespan (overlap) but not unit-count times.
-    EXPECT_GT(total, r.cycles * 0.99);
-    EXPECT_LT(total, r.cycles * static_cast<int>(Unit::kCount));
-    // The keyswitch is NTT/MM heavy.
-    EXPECT_GT(r.occupancy(Unit::NTT) + r.occupancy(Unit::MM), 0.5);
-}
-
-TEST(Pipeline, WiderWindowNeverSlower)
-{
-    Trace t;
-    isa::emit_cmult(t, paperish_shape());
-    double prev = 1e300;
-    for (std::size_t w : {1, 2, 8, 64}) {
-        PipelineSim sim(HwConfig{}, w);
-        double sec = sim.run(t).seconds;
-        EXPECT_LE(sec, prev * 1.0000001) << "window " << w;
-        prev = sec;
-    }
-}
-
-TEST(Pipeline, EmptyTrace)
-{
-    PipelineSim sim;
-    auto r = sim.run(Trace{});
-    EXPECT_EQ(r.cycles, 0.0);
-    EXPECT_EQ(r.seconds, 0.0);
-}
-
 TEST(Sim, RejectsBadConfig)
 {
     HwConfig cfg;
     cfg.nttRadixLog2 = 9;
     EXPECT_THROW(PoseidonSim{cfg}, poseidon::Error);
-    HwConfig cfg2;
-    cfg2.overlap = 1.5;
-    EXPECT_THROW(PoseidonSim{cfg2}, poseidon::Error);
 }
 
 } // namespace

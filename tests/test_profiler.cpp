@@ -133,7 +133,7 @@ TEST(Profiler, SplitsOneMixedSegmentPerTheOverlapLaw)
 
     double c = tl.segments[0].computeCycles;
     double m = tl.segments[0].memCycles;
-    double ov = cfg.overlap;
+    double ov = PoseidonSim::kOverlap;
     EXPECT_EQ(b.overlapped, ov * std::min(c, m));
     EXPECT_EQ(b.computeExposed, c - ov * std::min(c, m));
     EXPECT_EQ(b.memExposed, m - ov * std::min(c, m));
@@ -288,6 +288,32 @@ TEST(Profiler, TextReportNamesTopTagInVerdict)
               std::string::npos);
     EXPECT_NE(rep.verdict().find(isa::to_string(rep.tags[0].tag)),
               std::string::npos);
+}
+
+TEST(Profiler, VerdictsAdviseOnlySettableRoofs)
+{
+    // The segment law's overlap is a model constant, so no verdict may
+    // advise raising it.
+    PoseidonSim sim;
+    const u64 words = u64(1) << 20;
+    const double m =
+        sim.memory_cycles({OpKind::HBM_RD, words, 0, BasicOp::Other});
+    auto verdict_with_mm = [&](double cycles) {
+        isa::Trace t;
+        t.emit(OpKind::MM, static_cast<u64>(cycles) * sim.config().lanes,
+               0, BasicOp::Other);
+        t.emit(OpKind::HBM_RD, words, 0, BasicOp::Other);
+        SimTimeline tl;
+        SimResult r = sim.run(t, &tl);
+        return profile(tl, r, sim.config()).verdict();
+    };
+    std::string memory = verdict_with_mm(1.0);
+    std::string balanced = verdict_with_mm(m);
+    EXPECT_NE(memory.find("raise HBM bandwidth"), std::string::npos)
+        << memory;
+    EXPECT_NE(balanced.find("balanced"), std::string::npos) << balanced;
+    for (const std::string &v : {memory, balanced})
+        EXPECT_EQ(v.find("overlap"), std::string::npos) << v;
 }
 
 TEST(Profiler, ExportedGaugesMatchReport)
