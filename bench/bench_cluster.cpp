@@ -18,17 +18,24 @@
 //   * host cost per job stays flat: the host wall time per job of a
 //     16,384-job locality cell is at most 3x that of a 1,024-job cell
 //     (8 hosts, 16 closed-loop clients, 64 vs 1024 requests each)
+//   * heap allocations per job of the 1,024-job cell, counted at one
+//     host thread (where the count is deterministic), stay at or
+//     below kMaxAllocsPerJob
 //
 // Flags: --smoke (small sweep for CI), --hosts=<n> (single-cell
 // exploration), --placement=<locality|round-robin|random|least-loaded>,
 // --autoscale (gauge-driven host scaling in every cell).
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -42,6 +49,41 @@
 using namespace poseidon;
 
 namespace {
+
+/// Every `new` this binary makes, counted by the replacement below.
+std::atomic<std::uint64_t> gAllocs{0};
+
+} // namespace
+
+// Counting global allocation functions (this binary only). The array
+// and nothrow forms forward here; aligned forms are not counted.
+void*
+operator new(std::size_t n)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n)) return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
+/// Gate on scaling.allocs_per_job: 59.88 measured (GCC 12 libstdc++)
+/// once the per-job path lost its metric name lookups, per-tag maps
+/// and repeated trace walks, rounded up to a multiple of 5, so the
+/// count cannot creep back up silently.
+constexpr double kMaxAllocsPerJob = 60.0;
 
 /// One client request: a keyswitch-bearing op mix at a medium shape.
 isa::Trace
@@ -201,22 +243,44 @@ run_cell(const CellSpec &spec)
     return out;
 }
 
-/// Host wall microseconds per job of one run of a locality cell (8
-/// hosts, 16 clients) with its lifecycle journals on, as a router is
-/// configured by default.
-double
-host_us_per_job(u64 perClient)
+/// The locality cell the host-cost gates run (8 hosts, 16 clients)
+/// with its lifecycle journals on, as a router is configured by
+/// default.
+CellSpec
+scaling_cell(u64 perClient)
 {
     CellSpec spec;
     spec.hosts = 8;
     spec.clients = 16;
     spec.perClient = perClient;
     spec.journals = true;
+    return spec;
+}
+
+/// Host wall microseconds per job of one run of scaling_cell.
+double
+host_us_per_job(u64 perClient)
+{
     auto t0 = std::chrono::steady_clock::now();
-    CellResult res = run_cell(spec);
+    CellResult res = run_cell(scaling_cell(perClient));
     std::chrono::duration<double, std::micro> dt =
         std::chrono::steady_clock::now() - t0;
     return dt.count() / static_cast<double>(res.stats.submitted);
+}
+
+/// Heap allocations per job of the 1,024-job scaling_cell on one host
+/// thread: pricing then runs inline, so the count does not depend on
+/// scheduling.
+double
+allocs_per_job()
+{
+    parallel::set_num_threads(1);
+    std::uint64_t before = gAllocs.load(std::memory_order_relaxed);
+    CellResult res = run_cell(scaling_cell(64));
+    std::uint64_t after = gAllocs.load(std::memory_order_relaxed);
+    parallel::set_num_threads(0);
+    return static_cast<double>(after - before) /
+           static_cast<double>(res.stats.submitted);
 }
 
 std::string
@@ -423,13 +487,18 @@ main(int argc, char **argv)
         usLarge = std::min(usLarge, host_us_per_job(1024));
     }
     const double scaling = usLarge / usSmall;
+    const double allocs = allocs_per_job();
     h.metric("scaling.host_us_per_job.jobs1024", usSmall);
     h.metric("scaling.host_us_per_job.jobs16384", usLarge);
     h.metric("scaling.ratio", scaling);
+    h.metric("scaling.allocs_per_job", allocs);
     std::printf("\nHost wall time per job (locality, 8 hosts, 16 "
                 "clients): %.1f us at 1,024 jobs, %.1f us at 16,384 "
                 "jobs, ratio %.2f\n",
                 usSmall, usLarge, scaling);
+    std::printf("Heap allocations per job (1,024 jobs, one host "
+                "thread): %.2f (gate %.0f)\n",
+                allocs, kMaxAllocsPerJob);
 
     int rc = 0;
     if (scaling > 3.0) {
@@ -437,6 +506,13 @@ main(int argc, char **argv)
                      "FAIL: host cost per job grew %.2fx from 1,024 to "
                      "16,384 jobs (gate 3x)\n",
                      scaling);
+        rc = 1;
+    }
+    if (allocs > kMaxAllocsPerJob) {
+        std::fprintf(stderr,
+                     "FAIL: %.2f heap allocations per job, above the "
+                     "gate of %.0f\n",
+                     allocs, kMaxAllocsPerJob);
         rc = 1;
     }
     if (!conserved) {

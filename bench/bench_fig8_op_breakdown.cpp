@@ -35,8 +35,7 @@ main(int argc, char **argv)
         std::vector<std::string> row = {
             w.name, AsciiTable::num(r.seconds * 1e3, 1)};
         for (BasicOp b : cols) {
-            auto it = r.tagSeconds.find(b);
-            double sec = it == r.tagSeconds.end() ? 0.0 : it->second;
+            double sec = r.tagSeconds[b];
             h.metric(w.name + "." + isa::to_string(b) + "_pct",
                      100.0 * sec / r.seconds);
             row.push_back(AsciiTable::num(100.0 * sec / r.seconds, 1));

@@ -254,12 +254,11 @@ PriceMemo::insert(const isa::Trace &trace, u64 fingerprint, double cost)
 double
 ClusterRouter::est_cost_cycles(const serve::JobSpec &spec)
 {
-    if (const double *hit = estimates_.find(spec.trace, spec.fingerprint)) {
-        return *hit;
-    }
+    const u64 fp = spec.trace.fingerprint();
+    if (const double *hit = estimates_.find(spec.trace, fp)) return *hit;
     double cost =
         estimator_.run(spec.trace).cycles + cfg_.host.dispatchCycles;
-    estimates_.insert(spec.trace, spec.fingerprint, cost);
+    estimates_.insert(spec.trace, fp, cost);
     return cost;
 }
 
@@ -401,6 +400,7 @@ ClusterRouter::pick_host(const Tracked &t, double arrival,
     localityHit = false;
     needTransfer = false;
     std::vector<std::size_t> elig;
+    elig.reserve(hosts_.size());
     for (std::size_t h = 0; h < hosts_.size(); ++h) {
         const Host &x = hosts_[h];
         if (x.active && !x.draining && arrival < x.deathCycle)

@@ -256,10 +256,9 @@ struct ClusterTicket
  * is a pure function of (card config, trace), and an ISA trace
  * depends only on its operations and shapes, never on ciphertext
  * data, so the router prices each distinct program once. Entries are
- * keyed by the fingerprint serve::prepare_job() stores in
- * JobSpec::fingerprint, and a hit is confirmed by comparing the
- * traces instruction by instruction: a fingerprint collision costs a
- * fresh run, never a wrong estimate.
+ * keyed by isa::Trace::fingerprint(), and a hit is confirmed by
+ * comparing the traces instruction by instruction: a fingerprint
+ * collision costs a fresh run, never a wrong estimate.
  */
 class PriceMemo
 {

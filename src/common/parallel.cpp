@@ -7,8 +7,8 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metric_sink.h"
@@ -155,11 +155,8 @@ class Pool
         while (workers_.size() + 1 < nthreads_) {
             workers_.emplace_back([this] { worker_loop(); });
         }
-        const MetricSink &sink = metric_sink();
-        if (sink.gauge) {
-            sink.gauge("parallel.threads",
-                       static_cast<double>(nthreads_));
-        }
+        emit_metric(MetricKind::Gauge, "parallel.threads",
+                    static_cast<double>(nthreads_));
     }
 
     void
@@ -244,18 +241,39 @@ std::atomic<std::uint64_t> gRegions{0};
 std::atomic<std::uint64_t> gTasks{0};
 std::atomic<std::uint64_t> gSerialRegions{0};
 
+/// This thread's handles to the region metrics. Region names are
+/// literals at their call sites, so a region's histogram handle is
+/// found by the name's address: no name is built or compared per
+/// region.
+struct RegionHandles
+{
+    MetricHandle regions;
+    MetricHandle tasks;
+    std::vector<std::pair<const char *, MetricHandle>> histograms;
+
+    MetricHandle&
+    histogram(const char *region)
+    {
+        for (auto &[name, h] : histograms) {
+            if (name == region) return h;
+        }
+        return histograms.emplace_back(region, MetricHandle{}).second;
+    }
+};
+
+thread_local RegionHandles tlRegionHandles;
+
 void
 emit_region(const char *region, std::size_t chunks, double usec)
 {
     const MetricSink &sink = metric_sink();
-    if (sink.count) {
-        sink.count("parallel.regions", 1.0);
-        sink.count("parallel.tasks", static_cast<double>(chunks));
-    }
-    if (sink.observe && region) {
-        std::string name = std::string("parallel.region_us.") + region;
-        sink.observe(name.c_str(), usec);
-    }
+    if (!sink.emit) return;
+    RegionHandles &h = tlRegionHandles;
+    sink.emit(MetricKind::Counter, h.regions, "parallel.regions", "", 1.0);
+    sink.emit(MetricKind::Counter, h.tasks, "parallel.tasks", "",
+              static_cast<double>(chunks));
+    sink.emit(MetricKind::Histogram, h.histogram(region),
+              "parallel.region_us.", region, usec);
 }
 
 } // namespace
@@ -290,7 +308,7 @@ parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     Pool &pool = Pool::instance();
     std::size_t nthreads = tlInRegion ? 1 : pool.threads();
     std::size_t maxChunks = count / grain; // chunks of >= grain indices
-    bool wantTiming = metric_sink().observe != nullptr && region;
+    bool wantTiming = metric_sink().emit != nullptr && region;
     auto t0 = wantTiming ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point();
 

@@ -69,7 +69,9 @@ bool in_parallel_region();
  * from inside another parallel region.
  *
  * @param grain   minimum indices per chunk (0 is treated as 1)
- * @param region  optional static name for per-region telemetry
+ * @param region  optional name for per-region telemetry; a string
+ *                literal, since its address keys the per-thread
+ *                metric handle
  */
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)> &fn,

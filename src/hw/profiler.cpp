@@ -222,9 +222,8 @@ profile(const SimTimeline &tl, const SimResult &r, const HwConfig &cfg,
                        << rep.total.cycles
                        << " != SimResult.cycles " << r.cycles);
     for (const auto &kv : byTag) {
-        auto it = r.tagSeconds.find(kv.first);
-        POSEIDON_CHECK(it != r.tagSeconds.end() &&
-                           kv.second.seconds == it->second,
+        POSEIDON_CHECK(r.tagSeconds.contains(kv.first) &&
+                           kv.second.seconds == r.tagSeconds[kv.first],
                        "profiler: tag " << isa::to_string(kv.first)
                                         << " seconds drifted from "
                                            "SimResult.tagSeconds");

@@ -196,8 +196,8 @@ PoseidonSim::run(const Trace &trace, SimTimeline *timeline) const
         r.computeCycles += segCompute;
         r.memCycles += segMem;
         double segSeconds = segCycles / (cfg_.clockGHz * 1e9);
-        r.tagSeconds[tag] += segSeconds;
-        r.tagBytes[tag] += segBytes;
+        r.tagSeconds.add(tag, segSeconds);
+        r.tagBytes.add(tag, segBytes);
     }
     r.seconds = r.cycles / (cfg_.clockGHz * 1e9);
 
@@ -219,13 +219,8 @@ double
 SimResult::tag_bandwidth_utilization(const HwConfig &cfg,
                                      isa::BasicOp tag) const
 {
-    auto ts = tagSeconds.find(tag);
-    auto tb = tagBytes.find(tag);
-    if (ts == tagSeconds.end() || tb == tagBytes.end() ||
-        ts->second <= 0.0) {
-        return 0.0;
-    }
-    return tb->second / (ts->second * cfg.hbmPeakGBps * 1e9);
+    if (!tagSeconds.contains(tag) || tagSeconds[tag] <= 0.0) return 0.0;
+    return tagBytes[tag] / (tagSeconds[tag] * cfg.hbmPeakGBps * 1e9);
 }
 
 } // namespace poseidon::hw

@@ -21,13 +21,89 @@
  */
 
 #include <array>
-#include <map>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hw/config.h"
 #include "isa/trace.h"
 
 namespace poseidon::hw {
+
+/**
+ * One double per basic-operation tag, indexed by isa::BasicOp, plus
+ * which tags a run touched. Iteration visits the touched tags in enum
+ * order, as (tag, value) pairs; copying allocates nothing.
+ */
+class TagValues
+{
+  public:
+    static constexpr std::size_t kTags =
+        static_cast<std::size_t>(isa::BasicOp::Other) + 1;
+
+    /// True iff the run charged anything to `b`.
+    bool contains(isa::BasicOp b) const
+    {
+        return (touched_ >> index(b)) & 1u;
+    }
+
+    /// The value of `b`; 0.0 when the run never touched it.
+    double operator[](isa::BasicOp b) const { return v_[index(b)]; }
+
+    void add(isa::BasicOp b, double d)
+    {
+        v_[index(b)] += d;
+        touched_ |= 1u << index(b);
+    }
+
+    /// Number of touched tags.
+    std::size_t size() const
+    {
+        return static_cast<std::size_t>(std::popcount(touched_));
+    }
+
+    class Iterator
+    {
+      public:
+        Iterator(const TagValues *t, std::size_t i) : t_(t), i_(i)
+        {
+            skip();
+        }
+        std::pair<isa::BasicOp, double> operator*() const
+        {
+            return {static_cast<isa::BasicOp>(i_), t_->v_[i_]};
+        }
+        Iterator& operator++()
+        {
+            ++i_;
+            skip();
+            return *this;
+        }
+        bool operator==(const Iterator &o) const { return i_ == o.i_; }
+
+      private:
+        void skip()
+        {
+            while (i_ < kTags && !((t_->touched_ >> i_) & 1u)) ++i_;
+        }
+        const TagValues *t_;
+        std::size_t i_;
+    };
+
+    Iterator begin() const { return {this, 0}; }
+    Iterator end() const { return {this, kTags}; }
+
+  private:
+    static std::size_t index(isa::BasicOp b)
+    {
+        return static_cast<std::size_t>(b);
+    }
+
+    std::array<double, kTags> v_ = {};
+    std::uint32_t touched_ = 0;
+};
 
 /// Timing/traffic outcome of running one trace.
 struct SimResult
@@ -48,10 +124,10 @@ struct SimResult
     FaultStats faults;
 
     /// Wall time charged to each basic-operation tag (Fig. 8 style).
-    std::map<isa::BasicOp, double> tagSeconds;
+    TagValues tagSeconds;
 
     /// HBM bytes attributed to each tag.
-    std::map<isa::BasicOp, double> tagBytes;
+    TagValues tagBytes;
 
     double kind_cycles(isa::OpKind k) const
     {
@@ -65,6 +141,10 @@ struct SimResult
     double tag_bandwidth_utilization(const HwConfig &cfg,
                                      isa::BasicOp tag) const;
 };
+
+// Results are copied into every job result and through its promises.
+static_assert(std::is_trivially_copyable_v<SimResult>,
+              "copying a SimResult must not allocate");
 
 /// Modeled timing of one instruction inside a segment.
 struct InstrTiming

@@ -1,5 +1,6 @@
 #include "hw/sim_telemetry.h"
 
+#include <array>
 #include <string>
 
 namespace poseidon::hw {
@@ -8,37 +9,67 @@ using telemetry::Json;
 using telemetry::TraceEvent;
 using telemetry::Tracer;
 
+namespace {
+
+/// The instruments record_sim_metrics updates, resolved in the order
+/// it updates them (telemetry::resolved caches one set per thread).
+struct SimInstruments
+{
+    telemetry::Counter *runs, *cycles, *computeCycles, *memCycles;
+    std::array<telemetry::Counter *, 8> kindCycles;
+    telemetry::Counter *bytesRead, *bytesWritten;
+    telemetry::Gauge *bandwidth;
+    telemetry::Counter *wordsTransferred, *bitFlips, *corrected,
+        *detected, *silent, *retryCycles;
+
+    explicit SimInstruments(telemetry::MetricsRegistry &reg)
+        : runs(&reg.counter("sim.runs")),
+          cycles(&reg.counter("sim.cycles")),
+          computeCycles(&reg.counter("sim.compute_cycles")),
+          memCycles(&reg.counter("sim.mem_cycles"))
+    {
+        for (int k = 0; k < 8; ++k) {
+            kindCycles[static_cast<std::size_t>(k)] =
+                &reg.counter(std::string("sim.kind_cycles.") +
+                             isa::to_string(static_cast<isa::OpKind>(k)));
+        }
+        bytesRead = &reg.counter("sim.hbm.bytes_read");
+        bytesWritten = &reg.counter("sim.hbm.bytes_written");
+        bandwidth = &reg.gauge("sim.bandwidth_utilization");
+        wordsTransferred = &reg.counter("sim.faults.words_transferred");
+        bitFlips = &reg.counter("sim.faults.bit_flips");
+        corrected = &reg.counter("sim.faults.corrected");
+        detected = &reg.counter("sim.faults.detected");
+        silent = &reg.counter("sim.faults.silent");
+        retryCycles = &reg.counter("sim.faults.retry_cycles");
+    }
+};
+
+} // namespace
+
 void
 record_sim_metrics(telemetry::MetricsRegistry &reg, const SimResult &r,
                    const HwConfig &cfg)
 {
-    reg.counter("sim.runs").increment();
-    reg.counter("sim.cycles").add(r.cycles);
-    reg.counter("sim.compute_cycles").add(r.computeCycles);
-    reg.counter("sim.mem_cycles").add(r.memCycles);
-    for (int k = 0; k < 8; ++k) {
-        reg.counter(std::string("sim.kind_cycles.") +
-                    isa::to_string(static_cast<isa::OpKind>(k)))
-            .add(r.kindCycles[static_cast<std::size_t>(k)]);
+    const SimInstruments &m = telemetry::resolved<SimInstruments>(reg);
+    m.runs->increment();
+    m.cycles->add(r.cycles);
+    m.computeCycles->add(r.computeCycles);
+    m.memCycles->add(r.memCycles);
+    for (std::size_t k = 0; k < m.kindCycles.size(); ++k) {
+        m.kindCycles[k]->add(r.kindCycles[k]);
     }
-    reg.counter("sim.hbm.bytes_read")
-        .add(static_cast<double>(r.bytesRead));
-    reg.counter("sim.hbm.bytes_written")
-        .add(static_cast<double>(r.bytesWritten));
-    reg.gauge("sim.bandwidth_utilization")
-        .set(r.bandwidth_utilization(cfg));
+    m.bytesRead->add(static_cast<double>(r.bytesRead));
+    m.bytesWritten->add(static_cast<double>(r.bytesWritten));
+    m.bandwidth->set(r.bandwidth_utilization(cfg));
 
-    reg.counter("sim.faults.words_transferred")
-        .add(static_cast<double>(r.faults.wordsTransferred));
-    reg.counter("sim.faults.bit_flips")
-        .add(static_cast<double>(r.faults.bitFlips));
-    reg.counter("sim.faults.corrected")
-        .add(static_cast<double>(r.faults.corrected));
-    reg.counter("sim.faults.detected")
-        .add(static_cast<double>(r.faults.detected));
-    reg.counter("sim.faults.silent")
-        .add(static_cast<double>(r.faults.silent));
-    reg.counter("sim.faults.retry_cycles").add(r.faults.retryCycles);
+    m.wordsTransferred->add(
+        static_cast<double>(r.faults.wordsTransferred));
+    m.bitFlips->add(static_cast<double>(r.faults.bitFlips));
+    m.corrected->add(static_cast<double>(r.faults.corrected));
+    m.detected->add(static_cast<double>(r.faults.detected));
+    m.silent->add(static_cast<double>(r.faults.silent));
+    m.retryCycles->add(r.faults.retryCycles);
 }
 
 namespace {

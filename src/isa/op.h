@@ -46,7 +46,7 @@ enum class BasicOp : std::uint8_t {
     Conjugate,
     NttOnly,      ///< standalone NTT benchmark op
     Bootstrapping,
-    Other,
+    Other, ///< stays last: hw::TagValues sizes its arrays by it
 };
 
 /// One operator instruction.

@@ -1,5 +1,7 @@
 #include "isa/trace.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/modmath.h"
 
@@ -62,27 +64,67 @@ OpCounts::compute_elems() const
     return total - hbm_words();
 }
 
+namespace {
+
+/// What Trace::validate rejects: no elements, or an NTT/INTT/AUTO
+/// whose degree is not a power of two >= 2.
+bool
+malformed(const Instr &in)
+{
+    if (in.elems < 1) return true;
+    bool perPoly = in.kind == OpKind::NTT || in.kind == OpKind::INTT ||
+                   in.kind == OpKind::AUTO;
+    return perPoly && !(in.degree >= 2 && is_pow2(in.degree));
+}
+
+} // namespace
+
+void
+Trace::fold(const Instr &in)
+{
+    for (u64 v : {static_cast<u64>(in.kind), in.elems, in.degree,
+                  static_cast<u64>(in.tag)}) {
+        fingerprint_ = fingerprint_step(fingerprint_, v);
+    }
+    maxDegree_ = std::max(maxDegree_, in.degree);
+    if (firstMalformed_ == kNone && malformed(in)) {
+        firstMalformed_ = instrs_.size();
+    }
+}
+
 void
 Trace::emit(OpKind kind, u64 elems, u64 degree, BasicOp tag)
 {
     if (elems == 0) return;
-    instrs_.push_back(Instr{kind, elems, degree, tag});
+    Instr in{kind, elems, degree, tag};
+    fold(in);
+    instrs_.push_back(in);
 }
 
 void
 Trace::append(const Trace &o)
 {
-    instrs_.insert(instrs_.end(), o.instrs_.begin(), o.instrs_.end());
+    // By index and by value: `o` may be this trace.
+    const std::size_t n = o.instrs_.size();
+    for (std::size_t j = 0; j < n; ++j) {
+        Instr in = o.instrs_[j];
+        fold(in);
+        instrs_.push_back(in);
+    }
 }
 
 void
 Trace::repeat(u64 times)
 {
     POSEIDON_REQUIRE(times >= 1, "Trace::repeat: times must be >= 1");
-    std::vector<Instr> base = instrs_;
-    instrs_.reserve(base.size() * times);
+    const std::size_t n = instrs_.size();
+    instrs_.reserve(n * times);
     for (u64 i = 1; i < times; ++i) {
-        instrs_.insert(instrs_.end(), base.begin(), base.end());
+        for (std::size_t j = 0; j < n; ++j) {
+            Instr in = instrs_[j];
+            fold(in);
+            instrs_.push_back(in);
+        }
     }
 }
 
@@ -105,21 +147,19 @@ Trace::totals_by_tag() const
 void
 Trace::validate() const
 {
-    for (std::size_t i = 0; i < instrs_.size(); ++i) {
-        const Instr &in = instrs_[i];
-        POSEIDON_REQUIRE(in.elems >= 1,
-                         "Trace::validate: instr " << i << " ("
-                         << to_string(in.kind)
-                         << ") has zero elements");
-        if (in.kind == OpKind::NTT || in.kind == OpKind::INTT ||
-            in.kind == OpKind::AUTO) {
-            POSEIDON_REQUIRE(in.degree >= 2 && is_pow2(in.degree),
-                             "Trace::validate: instr " << i << " ("
-                             << to_string(in.kind) << ") degree "
-                             << in.degree
-                             << " is not a power of two >= 2");
-        }
-    }
+    if (firstMalformed_ == kNone) return;
+    // A malformed instruction fails exactly one of the two checks.
+    const std::size_t i = firstMalformed_;
+    const Instr &in = instrs_[i];
+    POSEIDON_REQUIRE(in.elems >= 1,
+                     "Trace::validate: instr " << i << " ("
+                     << to_string(in.kind)
+                     << ") has zero elements");
+    POSEIDON_REQUIRE(in.degree >= 2 && is_pow2(in.degree),
+                     "Trace::validate: instr " << i << " ("
+                     << to_string(in.kind) << ") degree "
+                     << in.degree
+                     << " is not a power of two >= 2");
 }
 
 bool

@@ -37,7 +37,23 @@ struct OpCounts
     u64 compute_elems() const;
 };
 
-/// A sequence of operator instructions.
+/// Trace::fingerprint() is FNV-1a: it starts at kFingerprintBasis and
+/// folds the kind, elems, degree and tag of every instruction in turn
+/// with fingerprint_step.
+constexpr u64 kFingerprintBasis = 1469598103934665603ULL;
+
+constexpr u64
+fingerprint_step(u64 h, u64 v)
+{
+    return (h ^ v) * 1099511628211ULL;
+}
+
+/**
+ * A sequence of operator instructions. Its fingerprint, largest ring
+ * degree and first malformed instruction are folded in as emit(),
+ * append() and repeat() build it, so reading them (and validate())
+ * never walks the trace.
+ */
 class Trace
 {
   public:
@@ -52,6 +68,14 @@ class Trace
     const std::vector<Instr>& instrs() const { return instrs_; }
     bool empty() const { return instrs_.empty(); }
     std::size_t size() const { return instrs_.size(); }
+
+    /// FNV-1a over (kind, elems, degree, tag) of every instruction, in
+    /// order (kFingerprintBasis for an empty trace). Equal traces have
+    /// equal fingerprints; unequal ones may collide.
+    u64 fingerprint() const { return fingerprint_; }
+
+    /// Largest ring degree of any instruction (0 for an empty trace).
+    u64 max_degree() const { return maxDegree_; }
 
     /// Aggregate element counts over the whole trace.
     OpCounts totals() const;
@@ -72,7 +96,16 @@ class Trace
     void validate() const;
 
   private:
+    /// Fold `in`, about to be stored at index instrs_.size(), into the
+    /// running fingerprint, degree and first-malformed index.
+    void fold(const Instr &in);
+
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
     std::vector<Instr> instrs_;
+    u64 fingerprint_ = kFingerprintBasis;
+    u64 maxDegree_ = 0;
+    std::size_t firstMalformed_ = kNone;
 };
 
 } // namespace poseidon::isa

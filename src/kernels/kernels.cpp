@@ -294,17 +294,15 @@ detect_level()
         }
     }
     SimdLevel chosen = clamp_supported(lvl);
-    const MetricSink &sink = metric_sink();
-    if (sink.gauge) {
-        sink.gauge("kernels.dispatch.level",
-                   static_cast<double>(chosen));
-        sink.gauge("kernels.dispatch.avx2_supported",
-                   level_supported(SimdLevel::Avx2) ? 1.0 : 0.0);
-        sink.gauge("kernels.dispatch.avx512_supported",
-                   level_supported(SimdLevel::Avx512) ? 1.0 : 0.0);
-        sink.gauge("kernels.dispatch.avx512ifma_supported",
-                   ifma_supported() ? 1.0 : 0.0);
-    }
+    emit_metric(MetricKind::Gauge, "kernels.dispatch.level",
+                static_cast<double>(chosen));
+    emit_metric(MetricKind::Gauge, "kernels.dispatch.avx2_supported",
+                level_supported(SimdLevel::Avx2) ? 1.0 : 0.0);
+    emit_metric(MetricKind::Gauge, "kernels.dispatch.avx512_supported",
+                level_supported(SimdLevel::Avx512) ? 1.0 : 0.0);
+    emit_metric(MetricKind::Gauge,
+                "kernels.dispatch.avx512ifma_supported",
+                ifma_supported() ? 1.0 : 0.0);
     return chosen;
 }
 

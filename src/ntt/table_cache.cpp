@@ -29,11 +29,9 @@ cache()
 void
 emit_event(const char *name, std::size_t live)
 {
-    const MetricSink &sink = metric_sink();
-    if (sink.count) sink.count(name, 1.0);
-    if (sink.gauge) {
-        sink.gauge("ntt.table_cache.size", static_cast<double>(live));
-    }
+    emit_metric(MetricKind::Counter, name, 1.0);
+    emit_metric(MetricKind::Gauge, "ntt.table_cache.size",
+                static_cast<double>(live));
 }
 
 } // namespace

@@ -94,20 +94,9 @@ prepare_job(JobSpec &spec)
                      << spec.arrivalCycle
                      << " (it could never be dispatched in time)");
     spec.trace.validate(); // reject malformed programs at the boundary
-    // One walk yields the batch key's ring degree and the fingerprint
-    // keying the router's cost-estimate memo (FNV-1a over every
-    // field).
-    u64 deg = 0;
-    u64 fp = kFingerprintBasis;
-    for (const isa::Instr &in : spec.trace.instrs()) {
-        deg = std::max(deg, in.degree);
-        for (u64 v : {static_cast<u64>(in.kind), in.elems, in.degree,
-                      static_cast<u64>(in.tag)}) {
-            fp = fingerprint_step(fp, v);
-        }
+    if (spec.batchKey.empty()) {
+        spec.batchKey = "deg:" + std::to_string(spec.trace.max_degree());
     }
-    spec.fingerprint = fp;
-    if (spec.batchKey.empty()) spec.batchKey = "deg:" + std::to_string(deg);
 }
 
 double

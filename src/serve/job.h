@@ -152,33 +152,18 @@ struct JobSpec
     /// Empty derives "deg:<max ring degree>" from the trace.
     std::string batchKey;
 
-    /// Fingerprint of `trace`, computed by prepare_job() (any value
-    /// given at submit is overwritten); keys the cluster router's
-    /// cost-estimate memo, which confirms every hit exactly.
-    u64 fingerprint = 0;
-
     /// Invoked on the drain()ing thread when the job finishes (any
     /// terminal state). May submit follow-up jobs (closed-loop
     /// clients); must not call ServingEngine::drain.
     std::function<void(const JobResult &)> callback;
 };
 
-/// JobSpec::fingerprint is FNV-1a: it starts at kFingerprintBasis and
-/// folds the kind, elems, degree and tag of every instruction in turn
-/// with fingerprint_step.
-constexpr u64 kFingerprintBasis = 1469598103934665603ULL;
-
-constexpr u64
-fingerprint_step(u64 h, u64 v)
-{
-    return (h ^ v) * 1099511628211ULL;
-}
-
 /**
  * The submit boundary of the engine and of the cluster router: a
- * named workload becomes its trace (and default name), an empty
- * batchKey is derived from the trace, and the trace's fingerprint is
- * stored. A job that could never run throws InvalidArgument: an
+ * named workload becomes its trace (and default name), and an empty
+ * batchKey is derived from the trace's largest ring degree. Both read
+ * what the trace folded as it was built, so neither walks it. A job
+ * that could never run throws InvalidArgument: an
  * unknown workload, an empty trace or tenant, maxAttempts == 0, a
  * negative, non-finite or shrinking backoff, a negative or non-finite
  * arrival, a deadline before the arrival, or a malformed trace

@@ -154,6 +154,22 @@ exact_quantile(std::vector<double> sample, double q)
     return sample[rank - 1];
 }
 
+namespace {
+
+/// Registry generations come from one process-wide sequence (starting
+/// at 1), so no two registries, and no registry before and after a
+/// reset, ever share one.
+std::uint64_t
+next_generation()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
+
+MetricsRegistry::MetricsRegistry() : generation_(next_generation()) {}
+
 MetricsRegistry&
 MetricsRegistry::global()
 {
@@ -165,23 +181,44 @@ MetricsRegistry::global()
 namespace {
 
 /// Bridge the common-layer MetricSink (see common/metric_sink.h) into
-/// the registry so the parallel engine and NTT table cache show up in
-/// the normal metrics export. Installed once at library load; the
-/// captureless lambdas decay to the plain function pointers the sink
-/// expects and resolve the registry lazily at emit time.
+/// the global registry so the parallel engine and NTT table cache show
+/// up in the normal metrics export. Installed once at library load.
+void
+emit_to_registry(MetricKind kind, MetricHandle &h, const char *prefix,
+                 const char *name, double v)
+{
+    if (!enabled()) return;
+    MetricsRegistry &reg = MetricsRegistry::global();
+    std::uint64_t g = reg.generation();
+    if (h.generation != g) {
+        std::string full = std::string(prefix) + name;
+        switch (kind) {
+          case MetricKind::Counter: h.instrument = &reg.counter(full); break;
+          case MetricKind::Gauge: h.instrument = &reg.gauge(full); break;
+          case MetricKind::Histogram:
+            h.instrument = &reg.histogram(full);
+            break;
+        }
+        h.generation = g;
+    }
+    switch (kind) {
+      case MetricKind::Counter:
+        static_cast<Counter *>(h.instrument)->add(v);
+        break;
+      case MetricKind::Gauge:
+        static_cast<Gauge *>(h.instrument)->set(v);
+        break;
+      case MetricKind::Histogram:
+        static_cast<Histogram *>(h.instrument)->observe(v);
+        break;
+    }
+}
+
 bool
 install_registry_sink()
 {
     MetricSink sink;
-    sink.count = [](const char *name, double v) {
-        if (enabled()) MetricsRegistry::global().counter(name).add(v);
-    };
-    sink.gauge = [](const char *name, double v) {
-        if (enabled()) MetricsRegistry::global().gauge(name).set(v);
-    };
-    sink.observe = [](const char *name, double v) {
-        if (enabled()) MetricsRegistry::global().histogram(name).observe(v);
-    };
+    sink.emit = emit_to_registry;
     install_metric_sink(sink);
     return true;
 }
@@ -251,6 +288,7 @@ MetricsRegistry::reset()
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
+    generation_.store(next_generation(), std::memory_order_release);
 }
 
 namespace {

@@ -7,13 +7,17 @@
  * exportable as a Prometheus-style text page or a JSON object.
  *
  * Instruments register lazily by name (dotted, e.g.
- * "sim.kind_cycles.MM") and live for the registry's lifetime, so call
- * sites may cache the returned reference. All mutation paths are
- * thread-safe: counters/gauges are single atomics, histogram buckets
- * are per-bucket atomics. Counter values are doubles because the
- * dominant sources (modeled cycles) are doubles; accumulation order
- * is the call order, so a single recording reproduces its source
- * value bit-exactly.
+ * "sim.kind_cycles.MM"). A returned reference stays valid until the
+ * registry's next reset(), which frees every instrument; a call site
+ * that keeps one across calls must therefore revalidate it against
+ * generation() (see resolved() below, which does exactly that). Name
+ * lookups take the registry mutex and scan the names, so they are for
+ * cold paths; per-job paths update through resolved() handles. All
+ * mutation paths are thread-safe: counters/gauges are single atomics,
+ * histogram buckets are per-bucket atomics. Counter values are doubles
+ * because the dominant sources (modeled cycles) are doubles;
+ * accumulation order is the call order, so a single recording
+ * reproduces its source value bit-exactly.
  *
  * Runtime switch: `telemetry::set_enabled(false)` makes every
  * instrumentation helper below a no-op; nothing is ever exported
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,6 +137,8 @@ double exact_quantile(std::vector<double> sample, double q);
 class MetricsRegistry
 {
   public:
+    MetricsRegistry();
+
     static MetricsRegistry& global();
 
     Counter& counter(const std::string &name);
@@ -146,8 +153,18 @@ class MetricsRegistry
     double counter_value(const std::string &name) const;
 
     /// Drop every metric (tests; long-lived servers between scrapes
-    /// should not call this).
+    /// should not call this). Frees the instruments, so it must not
+    /// race with anything updating them.
     void reset();
+
+    /// Names this registry's current set of instruments: unique among
+    /// all registries of the process and changed by every reset(), so
+    /// an instrument reference resolved under generation g is valid
+    /// exactly while generation() == g.
+    std::uint64_t generation() const
+    {
+        return generation_.load(std::memory_order_acquire);
+    }
 
     /// Prometheus text exposition (names sanitized, "poseidon_"-
     /// prefixed; histograms expand to _bucket/_sum/_count series).
@@ -163,7 +180,37 @@ class MetricsRegistry
     std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
     std::vector<std::pair<std::string, std::unique_ptr<Histogram>>>
         histograms_;
+    std::atomic<std::uint64_t> generation_;
 };
+
+/**
+ * Handles for per-job paths: a `Set` is a struct of instrument
+ * pointers whose constructor, given a MetricsRegistry&, resolves each
+ * by name (in declaration order, so first use creates them in the
+ * order a by-name call sequence would). resolved<Set>(reg) returns this
+ * thread's Set for `reg`, resolving it again only when handed another
+ * registry or after reg.reset(); otherwise it costs one atomic load and
+ * builds no string.
+ */
+template <typename Set>
+const Set&
+resolved(MetricsRegistry &reg)
+{
+    struct Cache
+    {
+        const MetricsRegistry *reg = nullptr;
+        std::uint64_t generation = 0;
+        std::optional<Set> set;
+    };
+    thread_local Cache c;
+    std::uint64_t g = reg.generation();
+    if (c.reg != &reg || c.generation != g) { // generations start at 1
+        c.set.emplace(reg);
+        c.reg = &reg;
+        c.generation = g;
+    }
+    return *c.set;
+}
 
 /// Increment `name` in the global registry when telemetry is enabled.
 inline void

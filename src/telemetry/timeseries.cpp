@@ -18,6 +18,21 @@ const JsonlSchema kDocument{Tsdb::kSchemaName,
                             "TSDB",
                             {"series", "annotations"}};
 
+/**
+ * Rings fill lazily: until a ring first wraps, its samples sit in
+ * order at [0, size) (head stays 0), so a push appends. Growth doubles
+ * but stops at `capacity`, so a ring never holds more than that.
+ */
+template <typename T>
+void
+grow_ring(std::vector<T> &ring, std::size_t capacity)
+{
+    if (ring.size() == ring.capacity()) {
+        ring.reserve(std::min(capacity, std::max<std::size_t>(
+                                            8, 2 * ring.size())));
+    }
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- Series
@@ -29,7 +44,6 @@ Series::Series(std::string name, std::size_t capacity)
                      "Series \"" << name_
                      << "\": capacity must be >= 2 (rates need two "
                         "samples)");
-    ring_.resize(capacity_);
 }
 
 void
@@ -48,7 +62,8 @@ Series::push(double cycle, double value)
         ++evicted_;
         return;
     }
-    ring_[ring_index(size_)] = Sample{cycle, value};
+    grow_ring(ring_, capacity_);
+    ring_.push_back(Sample{cycle, value});
     ++size_;
 }
 
@@ -144,7 +159,6 @@ HistogramSeries::HistogramSeries(std::string name,
 {
     POSEIDON_REQUIRE(capacity_ >= 1, "HistogramSeries \"" << name_
                      << "\": zero capacity");
-    ring_.resize(capacity_);
 }
 
 void
@@ -189,7 +203,8 @@ HistogramSeries::push_interval(HistogramInterval iv)
         ++evicted_;
         return;
     }
-    ring_[ring_index(size_)] = std::move(iv);
+    grow_ring(ring_, capacity_);
+    ring_.push_back(std::move(iv));
     ++size_;
 }
 

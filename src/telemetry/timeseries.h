@@ -23,9 +23,10 @@
  * only deterministic for registries whose instruments are themselves
  * simulated-clock state (host wall-time histograms are not).
  *
- * **Storage.** Each series is a fixed-capacity ring buffer; pushing
- * past capacity evicts the oldest sample and counts it, so memory is
- * bounded no matter how long the engine runs. Value series hold
+ * **Storage.** Each series is a ring buffer that grows as samples
+ * arrive, up to a fixed capacity; pushing past capacity evicts the
+ * oldest sample and counts it, so memory is bounded no matter how long
+ * the engine runs, and a series that is never filled stays small. Value series hold
  * (cycle, value) pairs; histogram series hold per-interval bucket
  * deltas of a cumulative source histogram, so a window of intervals
  * can be folded back into one telemetry::Histogram (via

@@ -516,14 +516,14 @@ mm_trace(u64 elems, u64 degree)
 }
 
 /// The degree that makes mm_trace(eB, ·) collide with mm_trace(eA, 0)
-/// under prepare_job's fingerprint: after (kind, elems) the two
+/// under isa::Trace::fingerprint: after (kind, elems) the two
 /// states differ by exactly this value, which the degree cancels.
 u64
 colliding_degree(u64 eA, u64 eB)
 {
-    u64 h = serve::fingerprint_step(serve::kFingerprintBasis,
-                                    static_cast<u64>(isa::OpKind::MM));
-    return serve::fingerprint_step(h, eA) ^ serve::fingerprint_step(h, eB);
+    u64 h = isa::fingerprint_step(isa::kFingerprintBasis,
+                                  static_cast<u64>(isa::OpKind::MM));
+    return isa::fingerprint_step(h, eA) ^ isa::fingerprint_step(h, eB);
 }
 
 TEST(Cluster, PriceMemoConfirmsEveryHit)
@@ -574,7 +574,7 @@ TEST(Cluster, PlacementEstimatesMatchFaultFreeSimulator)
     pb.trace = programs[4];
     serve::prepare_job(pa);
     serve::prepare_job(pb);
-    ASSERT_EQ(pa.fingerprint, pb.fingerprint);
+    ASSERT_EQ(pa.trace.fingerprint(), pb.trace.fingerprint());
     ClusterConfig cfg = small_cluster(4);
     cfg.placement = Placement::Locality;
     cfg.host.card.faults.ber = 1e-9; // the estimator stays fault-free

@@ -137,12 +137,12 @@ TEST(Sim, TagAttribution)
     isa::emit_hadd(t, s);
     isa::emit_rotation(t, s);
     SimResult r = sim.run(t);
-    ASSERT_TRUE(r.tagSeconds.count(BasicOp::HAdd));
-    ASSERT_TRUE(r.tagSeconds.count(BasicOp::Rotation));
+    ASSERT_TRUE(r.tagSeconds.contains(BasicOp::HAdd));
+    ASSERT_TRUE(r.tagSeconds.contains(BasicOp::Rotation));
     EXPECT_GT(r.tagSeconds[BasicOp::Rotation],
               r.tagSeconds[BasicOp::HAdd]);
     double sum = 0;
-    for (auto &[tag, sec] : r.tagSeconds) sum += sec;
+    for (auto [tag, sec] : r.tagSeconds) sum += sec;
     EXPECT_NEAR(sum, r.seconds, 1e-12);
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "ckks/bootstrap_plan.h"
 #include "common/status.h"
 #include "isa/compiler.h"
@@ -47,6 +50,77 @@ TEST(Trace, RepeatAndAppend)
     t.append(u);
     EXPECT_EQ(t.totals()[OpKind::MM], 7u);
     EXPECT_THROW(t.repeat(0), poseidon::Error);
+}
+
+/// FNV-1a and largest degree of `t`, walked from scratch.
+std::pair<u64, u64>
+walk(const Trace &t)
+{
+    u64 fp = kFingerprintBasis;
+    u64 deg = 0;
+    for (const Instr &in : t.instrs()) {
+        for (u64 v : {static_cast<u64>(in.kind), in.elems, in.degree,
+                      static_cast<u64>(in.tag)}) {
+            fp = fingerprint_step(fp, v);
+        }
+        deg = std::max(deg, in.degree);
+    }
+    return {fp, deg};
+}
+
+TEST(Isa, TraceFingerprintIsIncremental)
+{
+    Trace t;
+    EXPECT_EQ(t.fingerprint(), kFingerprintBasis);
+    EXPECT_EQ(t.max_degree(), 0u);
+    EXPECT_NO_THROW(t.validate());
+
+    t.emit(OpKind::MA, 10, 0, BasicOp::HAdd);
+    t.emit(OpKind::NTT, 4096, 4096, BasicOp::Rotation);
+    EXPECT_EQ(walk(t), std::make_pair(t.fingerprint(), t.max_degree()));
+    t.repeat(2);
+    EXPECT_EQ(walk(t), std::make_pair(t.fingerprint(), t.max_degree()));
+    EXPECT_NO_THROW(t.validate());
+
+    // Instruction 5 is the first malformed one (an NTT of degree 100);
+    // instruction 6 is malformed too.
+    Trace u;
+    u.emit(OpKind::MM, 5, 8192, BasicOp::PMult);
+    u.emit(OpKind::NTT, 4096, 100, BasicOp::NttOnly);
+    u.emit(OpKind::AUTO, 4096, 3, BasicOp::Rotation);
+    t.append(u);
+    t.append(t); // self-append doubles the trace
+    EXPECT_EQ(t.size(), 14u);
+    EXPECT_EQ(walk(t), std::make_pair(t.fingerprint(), t.max_degree()));
+    EXPECT_EQ(t.max_degree(), 8192u);
+
+    // Equal instruction sequences built different ways agree.
+    Trace v;
+    for (const Instr &in : t.instrs()) {
+        v.emit(in.kind, in.elems, in.degree, in.tag);
+    }
+    EXPECT_EQ(v.fingerprint(), t.fingerprint());
+
+    try {
+        t.validate();
+        ADD_FAILURE() << "malformed trace validated";
+    } catch (const poseidon::InvalidArgument &e) {
+        EXPECT_EQ(e.message(),
+                  "Trace::validate: instr 5 (NTT) degree 100 is not a "
+                  "power of two >= 2 [in.degree >= 2 && "
+                  "is_pow2(in.degree)]");
+    }
+    Trace w;
+    w.emit(OpKind::INTT, 8, 0, BasicOp::Other);
+    try {
+        w.validate();
+        ADD_FAILURE() << "malformed trace validated";
+    } catch (const poseidon::InvalidArgument &e) {
+        EXPECT_EQ(e.message(),
+                  "Trace::validate: instr 0 (INTT) degree 0 is not a "
+                  "power of two >= 2 [in.degree >= 2 && "
+                  "is_pow2(in.degree)]");
+    }
 }
 
 TEST(Trace, TotalsByTag)

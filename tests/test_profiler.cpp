@@ -48,14 +48,14 @@ TEST(Profiler, ConservesCyclesBitExactlyOnEveryPaperWorkload)
         ASSERT_EQ(rep.tags.size(), r.tagSeconds.size()) << wl.name;
         double clockHz = sim.config().clockGHz * 1e9;
         for (const TagProfile &tp : rep.tags) {
-            auto it = r.tagSeconds.find(tp.tag);
-            ASSERT_NE(it, r.tagSeconds.end()) << isa::to_string(tp.tag);
-            EXPECT_EQ(tp.b.seconds, it->second)
+            ASSERT_TRUE(r.tagSeconds.contains(tp.tag))
+                << isa::to_string(tp.tag);
+            EXPECT_EQ(tp.b.seconds, r.tagSeconds[tp.tag])
                 << wl.name << "/" << isa::to_string(tp.tag);
             // Per-tag cycles equal tagSeconds * clock up to the
             // division round-trip (the seconds check above is the
             // bit-exact one).
-            EXPECT_NEAR(tp.b.cycles, it->second * clockHz,
+            EXPECT_NEAR(tp.b.cycles, r.tagSeconds[tp.tag] * clockHz,
                         1e-9 * tp.b.cycles + 1e-9)
                 << wl.name << "/" << isa::to_string(tp.tag);
         }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "hw/profiler.h"
 #include "hw/sim.h"
@@ -425,6 +426,87 @@ TEST(SimTelemetry, RegistryCountersEqualSimResultExactly)
     EXPECT_EQ(reg.counter_value("sim.hbm.bytes_written"),
               static_cast<double>(r.bytesWritten));
     EXPECT_EQ(reg.counter_value("sim.runs"), 1.0);
+    reg.reset();
+}
+
+/// How many times `name` appears among the dump's entries of `kind`.
+std::size_t
+listed(const MetricsRegistry &reg, const char *kind,
+       const std::string &name)
+{
+    std::size_t n = 0;
+    const Json dump = reg.to_json();
+    for (const auto &kv : dump.at(kind).items()) {
+        if (kv.first == name) ++n;
+    }
+    return n;
+}
+
+TEST(Telemetry, HandlesSurviveReset)
+{
+    // record_sim_metrics and parallel_for's region metrics update
+    // cached instrument handles; reset() frees the instruments, so the
+    // handles must notice and resolve afresh, and a handle cache must
+    // tell registries apart.
+    if (!enabled()) GTEST_SKIP() << "telemetry compiled out";
+    MetricsRegistry &reg = MetricsRegistry::global();
+    hw::PoseidonSim sim;
+    const isa::Trace tr = sample_trace();
+    const std::size_t kRuns = 8;
+    auto run_all = [&](std::vector<hw::SimResult> &out) {
+        out.assign(kRuns, hw::SimResult{});
+        parallel::parallel_for(
+            0, kRuns, 1,
+            [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) out[i] = sim.run(tr);
+            },
+            "test.handles");
+    };
+
+    std::vector<hw::SimResult> rs;
+    reg.reset();
+    run_all(rs);
+    run_all(rs);
+    EXPECT_EQ(reg.counter_value("sim.runs"), 2.0 * kRuns);
+    reg.reset();
+    EXPECT_EQ(reg.counter_value("sim.runs"), 0.0);
+    run_all(rs);
+
+    // Only the runs after the reset count, each name once.
+    EXPECT_EQ(reg.counter_value("sim.runs"), static_cast<double>(kRuns));
+    double cycles = 0.0;
+    for (const hw::SimResult &r : rs) cycles += r.cycles;
+    EXPECT_DOUBLE_EQ(reg.counter_value("sim.cycles"), cycles);
+    EXPECT_EQ(reg.counter_value("parallel.regions"), 1.0);
+    for (const char *name : {"sim.runs", "sim.cycles", "sim.kind_cycles.NTT",
+                             "sim.faults.retry_cycles", "parallel.regions"}) {
+        EXPECT_EQ(listed(reg, "counters", name), 1u) << name;
+    }
+    EXPECT_EQ(listed(reg, "gauges", "sim.bandwidth_utilization"), 1u);
+    EXPECT_EQ(listed(reg, "histograms", "parallel.region_us.test.handles"),
+              1u);
+    Json j = reg.to_json();
+    EXPECT_EQ(j.at("histograms")
+                  .at("parallel.region_us.test.handles")
+                  .at("count")
+                  .as_number(),
+              1.0);
+
+    // A second registry gets its own instruments; switching back
+    // leaves the global ones where they were.
+    MetricsRegistry local;
+    hw::record_sim_metrics(local, rs[0], sim.config());
+    hw::record_sim_metrics(local, rs[1], sim.config());
+    EXPECT_EQ(local.counter_value("sim.runs"), 2.0);
+    EXPECT_EQ(local.counter_value("sim.cycles"), rs[0].cycles + rs[1].cycles);
+    EXPECT_EQ(reg.counter_value("sim.runs"), static_cast<double>(kRuns));
+    hw::record_sim_metrics(reg, rs[0], sim.config());
+    EXPECT_EQ(reg.counter_value("sim.runs"), kRuns + 1.0);
+    EXPECT_EQ(local.counter_value("sim.runs"), 2.0);
+    local.reset();
+    hw::record_sim_metrics(local, rs[0], sim.config());
+    EXPECT_EQ(local.counter_value("sim.runs"), 1.0);
+    EXPECT_EQ(listed(local, "counters", "sim.runs"), 1u);
     reg.reset();
 }
 

@@ -119,7 +119,7 @@ TEST(Workloads, KeyswitchAndCMultDominateBenchmarkTime)
     auto lr = workloads::make_lr(workloads::paper_shape());
     auto r = sim.run(lr.trace);
     double ksHeavy = 0, rest = 0;
-    for (auto &[tag, sec] : r.tagSeconds) {
+    for (auto [tag, sec] : r.tagSeconds) {
         if (tag == BasicOp::Rotation || tag == BasicOp::CMult ||
             tag == BasicOp::Bootstrapping || tag == BasicOp::Keyswitch) {
             ksHeavy += sec;
