@@ -54,15 +54,6 @@ round_coeff(double v)
     return static_cast<i64>(std::llround(v));
 }
 
-/// v mod q in [0, q), as RnsPoly::assign_signed reduces it.
-u64
-signed_residue(i64 v, u64 q)
-{
-    if (v >= 0) return static_cast<u64>(v) % q;
-    u64 r = (static_cast<u64>(-(v + 1)) + 1) % q;
-    return r == 0 ? 0 : q - r;
-}
-
 /// a*b by the textbook formula. std::complex's operator* computes the
 /// same two expressions but then tests both parts for NaN and may call
 /// the C99 Annex G fallback, which blocks vectorization; the twiddles

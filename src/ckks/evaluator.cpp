@@ -210,21 +210,8 @@ CkksEvaluator::mul_scalar(const Ciphertext &a, double value,
                           double scale) const
 {
     if (scale <= 0.0) scale = ctx_->params().scale();
-    i64 scaled = static_cast<i64>(std::llround(value * scale));
-    Ciphertext out = a;
-    std::vector<u64> s(a.num_limbs());
-    for (std::size_t k = 0; k < a.num_limbs(); ++k) {
-        u64 q = a.c0.prime(k);
-        if (scaled >= 0) {
-            s[k] = static_cast<u64>(scaled) % q;
-        } else {
-            u64 m = static_cast<u64>(-(scaled + 1)) + 1;
-            u64 r = m % q;
-            s[k] = r == 0 ? 0 : q - r;
-        }
-    }
-    out.c0.mul_scalar_inplace(s);
-    out.c1.mul_scalar_inplace(s);
+    Ciphertext out =
+        mul_integer(a, static_cast<i64>(std::llround(value * scale)));
     out.scale = a.scale * scale;
     return out;
 }
@@ -235,14 +222,7 @@ CkksEvaluator::mul_integer(const Ciphertext &a, i64 value) const
     Ciphertext out = a;
     std::vector<u64> s(a.num_limbs());
     for (std::size_t k = 0; k < a.num_limbs(); ++k) {
-        u64 q = a.c0.prime(k);
-        if (value >= 0) {
-            s[k] = static_cast<u64>(value) % q;
-        } else {
-            u64 m = static_cast<u64>(-(value + 1)) + 1;
-            u64 r = m % q;
-            s[k] = r == 0 ? 0 : q - r;
-        }
+        s[k] = signed_residue(value, a.c0.prime(k));
     }
     out.c0.mul_scalar_inplace(s);
     out.c1.mul_scalar_inplace(s);
@@ -324,26 +304,25 @@ CkksEvaluator::decompose_digits_eval(
         };
         out[j].assign(extIdx.size(), std::vector<u64>(n));
 
+        // A multi-prime digit's conversion operands are computed once;
+        // digit_conv's destination is extIdx without the digit's own
+        // primes, in order, so row m is its destination row m (before
+        // the digit) or m - len (after it).
+        const RnsConv *conv = nullptr;
+        RnsConv::Operands ops;
         if (len > 1) {
-            // digit_conv's destination is extIdx without the digit's
-            // own primes, in order: convert straight into those rows.
+            conv = &ctx_->digit_conv(limbs, j);
             std::vector<const u64*> src(len);
             for (std::size_t k = 0; k < len; ++k) {
                 src[k] = dCoeff.limb(start + k);
             }
-            std::vector<u64*> dst;
-            dst.reserve(extIdx.size() - len);
-            for (std::size_t m = 0; m < extIdx.size(); ++m) {
-                if (!own(m)) dst.push_back(out[j][m].data());
-            }
-            ctx_->digit_conv(limbs, j).convert(src, dst, n,
-                                               /*correct=*/true);
+            ops = conv->operands(src, n);
         }
 
         // The digit's own residues are d's evaluation-domain limbs
         // already; every other row is reduced (one-prime digits) or
-        // converted above, then forward-transformed. Rows are
-        // independent, so the m loop parallelizes cleanly.
+        // converted, then forward-transformed while it is in cache.
+        // Rows are independent, so the m loop parallelizes cleanly.
         const u64 *digit = dCoeff.limb(start);
         parallel::parallel_for(0, extIdx.size(), 1,
             [&](std::size_t m0, std::size_t m1) {
@@ -355,7 +334,10 @@ CkksEvaluator::decompose_digits_eval(
                         continue;
                     }
                     std::size_t pidx = extIdx[m];
-                    if (len == 1) {
+                    if (conv) {
+                        conv->row(ops, m < start ? m : m - len,
+                                  buf.data());
+                    } else {
                         kernels::reduce_mod_n(buf.data(), digit, n,
                                               ring->prime(pidx));
                     }
@@ -432,48 +414,49 @@ std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                              std::size_t limbs) const
 {
-    // ModDown in the evaluation domain: only the divided-out tail
-    // limbs go to the coefficient domain (base conversion needs them
-    // there), and only their `limbs` converted images come back.
-    // finish() is linear mod q_i, so subtracting and scaling the
-    // eval-domain q-limbs gives the same bytes as the
-    // coefficient-domain apply().
-    telemetry::count("ckks.ops.mod_down");
+    // ModDown in the evaluation domain, in place: only the divided-out
+    // tail limbs go to the coefficient domain (base conversion needs
+    // them there). Then each kept limb is one pass while it is in
+    // cache: its converted row, that row's forward NTT, and the
+    // subtract-and-scale, which is linear mod q_i and so gives the
+    // same bytes as the coefficient-domain ModDown::apply().
     POSEIDON_REQUIRE_T(ShapeMismatch, acc1.compatible(acc0),
                        "mod_down: ciphertext components disagree");
+    if (ctx_->is_extended(acc0)) telemetry::count("ckks.ops.mod_down");
     const auto &ring = ctx_->ring();
     std::size_t n = ctx_->degree();
-    std::size_t tail = acc0.num_limbs() - limbs;
-    const ModDown &md = tail == ctx_->params().K
-                            ? ctx_->mod_down(limbs)
-                            : ctx_->rescale_mod_down(limbs + 1);
+    const std::vector<std::size_t> &idx = acc0.prime_indices();
+    std::vector<std::size_t> tail(idx.begin() + limbs, idx.end());
+    const ModDown &md = ctx_->mod_down(limbs, tail);
 
     auto run_moddown = [&](RnsPoly &acc) {
-        parallel::parallel_for(0, tail, 1,
-            [&](std::size_t j0, std::size_t j1) {
-                for (std::size_t jp = j0; jp < j1; ++jp) {
-                    std::size_t m = limbs + jp;
+        parallel::parallel_for(limbs, acc.num_limbs(), 1,
+            [&](std::size_t m0, std::size_t m1) {
+                for (std::size_t m = m0; m < m1; ++m) {
                     ring->table(acc.prime_index(m)).inverse(acc.limb(m));
                 }
             }, "ckks.moddown_intt");
-        RnsPoly out = RnsPoly::ct(ring, limbs, Domain::Coeff);
-        std::vector<const u64*> xq(limbs), xp(tail), c(limbs);
-        std::vector<u64*> o(limbs);
-        for (std::size_t iq = 0; iq < limbs; ++iq) {
-            xq[iq] = acc.limb(iq);
-            o[iq] = out.limb(iq);
-            c[iq] = o[iq];
+        std::vector<const u64*> xp;
+        for (std::size_t m = limbs; m < acc.num_limbs(); ++m) {
+            xp.push_back(acc.limb(m));
         }
-        for (std::size_t jp = 0; jp < tail; ++jp) {
-            xp[jp] = acc.limb(limbs + jp);
-        }
-        md.conv().convert(xp, o, n, /*correct=*/true);
-        out.to_eval();
-        md.finish(xq, c, o, n);
-        return out;
+        RnsConv::Operands ops = md.conv().operands(xp, n);
+        parallel::parallel_for(0, limbs, 1,
+            [&](std::size_t i0, std::size_t i1) {
+                std::vector<u64> row(n);
+                for (std::size_t i = i0; i < i1; ++i) {
+                    md.conv().row(ops, i, row.data());
+                    ring->table(acc.prime_index(i)).forward(row.data());
+                    md.finish_row(i, acc.limb(i), acc.limb(i), row.data(),
+                                  n);
+                }
+            }, "ckks.moddown");
+        while (acc.num_limbs() > limbs) acc.drop_last_limb();
     };
 
-    return {run_moddown(acc0), run_moddown(acc1)};
+    run_moddown(acc0);
+    run_moddown(acc1);
+    return {std::move(acc0), std::move(acc1)};
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -491,63 +474,19 @@ CkksEvaluator::keyswitch_core(const RnsPoly &d, const KSwitchKey &key) const
 }
 
 void
-CkksEvaluator::rescale_poly(RnsPoly &p) const
-{
-    const auto &ring = ctx_->ring();
-    std::size_t n = ctx_->degree();
-    std::size_t last = p.num_limbs() - 1;
-    u64 ql = p.prime(last);
-    u64 qlHalf = ql >> 1;
-
-    // Bring the dropped limb to coefficient domain (it arrives in Eval).
-    std::vector<u64> cl(p.limb(last), p.limb(last) + n);
-    ring->table(p.prime_index(last)).inverse(cl.data());
-    kernels::add_scalar_mod_n(cl.data(), cl.data(), n, qlHalf, ql);
-
-    // Each remaining limb folds the dropped limb in independently; the
-    // NTT scratch is chunk-local and cl is read-only shared.
-    parallel::parallel_for(0, last, 1,
-        [&](std::size_t j0, std::size_t j1) {
-            std::vector<u64> buf(n);
-            for (std::size_t j = j0; j < j1; ++j) {
-                u64 qj = p.prime(j);
-                u64 halfModQj = qlHalf % qj;
-                kernels::reduce_mod_n(buf.data(), cl.data(), n, qj);
-                kernels::sub_scalar_mod_n(buf.data(), buf.data(), n,
-                                          halfModQj, qj);
-                ring->table(p.prime_index(j)).forward(buf.data());
-                u64 qlInv = inv_mod(ql % qj, qj);
-                u64 qlInvShoup =
-                    static_cast<u64>((u128(qlInv) << 64) / qj);
-                u64 *limb = p.limb(j);
-                kernels::sub_mod_n(limb, limb, buf.data(), n, qj);
-                kernels::scalar_mul_shoup_n(limb, limb, n, qlInv,
-                                            qlInvShoup, qj);
-            }
-        }, "ckks.rescale");
-    p.drop_last_limb();
-}
-
-void
 CkksEvaluator::rescale_inplace(Ciphertext &a) const
 {
     POSEIDON_SPAN("Evaluator::rescale");
     telemetry::count("ckks.ops.rescale");
     telemetry::ScopedLatency lat("ckks.rescale_us");
-    bool extended = ctx_->is_extended(a.c0);
     std::size_t limbs = a.num_limbs();
-    if (extended) limbs -= ctx_->params().K;
+    if (ctx_->is_extended(a.c0)) limbs -= ctx_->params().K;
     POSEIDON_REQUIRE_T(NoiseBudgetExhausted, limbs >= 2,
                        "rescale: no modulus level left to drop");
     u64 ql = a.c0.prime(limbs - 1);
-    if (extended) {
-        // Fused: one ModDown divides by q_l * P.
-        std::tie(a.c0, a.c1) =
-            mod_down_pair(std::move(a.c0), std::move(a.c1), limbs - 1);
-    } else {
-        rescale_poly(a.c0);
-        rescale_poly(a.c1);
-    }
+    // One ModDown divides by q_l, or by q_l * P over QP.
+    std::tie(a.c0, a.c1) =
+        mod_down_pair(std::move(a.c0), std::move(a.c1), limbs - 1);
     a.scale /= static_cast<double>(ql);
 }
 

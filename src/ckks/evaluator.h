@@ -80,11 +80,13 @@ class CkksEvaluator
 
     // ---- Rescale ----
     /**
-     * Divide by the last q-prime q_l. An extended ciphertext (a mul
-     * result, or any QP sum) is divided by P*q_l in one ModDown, which
-     * also counts as one ckks.ops.mod_down: the same bytes as mod_down
-     * then rescale, except where the two roundings straddle a
-     * half-integer (probability about 1/q_l per coefficient).
+     * Divide by the last q-prime q_l: one ModDown whose divided-out
+     * primes are {q_l}, the same routine as the keyswitch's ModDown by
+     * P. An extended ciphertext (a mul result, or any QP sum) is
+     * divided by q_l*P in that one ModDown, which also counts as one
+     * ckks.ops.mod_down: the same bytes as mod_down then rescale,
+     * except where the two roundings straddle a half-integer
+     * (probability about 1/q_l per coefficient).
      */
     void rescale_inplace(Ciphertext &a) const;
     Ciphertext rescale(const Ciphertext &a) const;
@@ -167,7 +169,6 @@ class CkksEvaluator
     /// ShapeMismatch naming `op` when `p` spans an extended basis.
     void require_q_basis(const RnsPoly &p, const char *op) const;
     void check_same_shape(const Ciphertext &a, const Ciphertext &b) const;
-    void rescale_poly(RnsPoly &p) const;
 
     /// digits[j][m]: digit j of a polynomial in extended prime m.
     using Digits = std::vector<std::vector<std::vector<u64>>>;
@@ -196,11 +197,12 @@ class CkksEvaluator
                 const std::vector<u32> &perm, const RnsPoly *c0,
                 const RnsPoly *c1) const;
 
-    /// ModDown both eval-domain accumulators onto ciphertext primes
-    /// 0..limbs-1, dividing out the primes after them: P (the K
-    /// special primes), or q_limbs * P for a fused rescale. Only those
-    /// tail limbs are inverse-transformed. Counted as one
-    /// ckks.ops.mod_down.
+    /// ModDown both eval-domain polynomials in place onto ciphertext
+    /// primes 0..limbs-1, dividing out the primes after them: q_limbs
+    /// (rescale), P (the K special primes) or q_limbs * P (fused
+    /// rescale). Only those tail limbs are inverse-transformed; each
+    /// kept limb is one convert, NTT and subtract-and-scale pass.
+    /// Counted as one ckks.ops.mod_down when P is divided out.
     std::pair<RnsPoly, RnsPoly>
     mod_down_pair(RnsPoly &&acc0, RnsPoly &&acc1,
                   std::size_t limbs) const;

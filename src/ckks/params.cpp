@@ -53,8 +53,6 @@ CkksContext::CkksContext(const CkksParams &params)
     for (u64 p : specials) primes.push_back(p);
 
     ring_ = std::make_shared<RingContext>(n, primes, params_.K);
-    modDown_.resize(params_.L);
-    rescaleDown_.resize(params_.L);
 
     // P mod q_i for the keyswitch key generation.
     pModQ_.resize(params_.L);
@@ -65,31 +63,30 @@ CkksContext::CkksContext(const CkksParams &params)
 }
 
 const ModDown&
-CkksContext::mod_down(std::size_t limbs) const
+CkksContext::mod_down(std::size_t limbs,
+                      const std::vector<std::size_t> &tail) const
 {
-    POSEIDON_REQUIRE(limbs >= 1 && limbs <= params_.L,
+    POSEIDON_REQUIRE(limbs >= 1 && limbs <= params_.L && !tail.empty(),
                      "CkksContext::mod_down: bad limb count");
-    auto &slot = modDown_[limbs - 1];
+    auto &slot = modDown_[{limbs, tail}];
     if (!slot) {
+        std::vector<u64> divided;
+        for (std::size_t idx : tail) {
+            POSEIDON_REQUIRE(idx >= limbs && idx < ring_->num_primes(),
+                             "CkksContext::mod_down: bad tail prime "
+                             << idx);
+            divided.push_back(ring_->prime(idx));
+        }
         slot = std::make_unique<ModDown>(ring_->ct_basis(limbs),
-                                         ring_->special_basis());
+                                         RnsBasis(std::move(divided)));
     }
     return *slot;
 }
 
 const ModDown&
-CkksContext::rescale_mod_down(std::size_t limbs) const
+CkksContext::mod_down(std::size_t limbs) const
 {
-    POSEIDON_REQUIRE(limbs >= 2 && limbs <= params_.L,
-                     "CkksContext::rescale_mod_down: bad limb count");
-    auto &slot = rescaleDown_[limbs - 1];
-    if (!slot) {
-        RnsBasis tail({ring_->prime(limbs - 1)});
-        slot = std::make_unique<ModDown>(
-            ring_->ct_basis(limbs - 1),
-            tail.concat(ring_->special_basis()));
-    }
-    return *slot;
+    return mod_down(limbs, extended_indices(0)); // the special primes
 }
 
 std::vector<std::size_t>

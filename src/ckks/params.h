@@ -7,7 +7,9 @@
  *
  * The context owns the ring tables (all modulus-chain primes plus the
  * special keyswitching primes), the default encoding scale, and cached
- * ModDown converters per level. Every scheme object (encoder, keygen,
+ * base converters: one ModDown per level and set of divided-out primes
+ * (rescale, keyswitch and fused rescale alike), one RnsConv per
+ * keyswitch digit. Every scheme object (encoder, keygen,
  * encryptor, evaluator, bootstrapper) references one shared context.
  */
 
@@ -77,15 +79,18 @@ class CkksContext
     /// Level of a fresh ciphertext (L - 1).
     std::size_t top_level() const { return params_.L - 1; }
 
-    /// ModDown converter for `limbs` ciphertext primes (cached).
-    const ModDown& mod_down(std::size_t limbs) const;
-
     /**
-     * Fused-rescale ModDown for a `limbs`-prime level (limbs >= 2):
-     * divides by q_{limbs-1} * P, from the tail {q_{limbs-1}} + the K
-     * special primes onto ciphertext primes 0..limbs-2 (cached).
+     * ModDown converter dividing the ring primes `tail` (prime
+     * indices) out of a polynomial over ciphertext primes 0..limbs-1
+     * followed by `tail`: the last ciphertext prime (rescale), the K
+     * special primes (keyswitch) or both (fused rescale). Cached per
+     * (limbs, tail).
      */
-    const ModDown& rescale_mod_down(std::size_t limbs) const;
+    const ModDown& mod_down(std::size_t limbs,
+                            const std::vector<std::size_t> &tail) const;
+
+    /// mod_down(limbs, the K special primes): division by P.
+    const ModDown& mod_down(std::size_t limbs) const;
 
     /// Primes per keyswitch digit (1 when dnum == 0).
     std::size_t alpha() const { return alpha_; }
@@ -124,10 +129,9 @@ class CkksContext
     CkksParams params_;
     RingContextPtr ring_;
     std::size_t alpha_ = 1;
-    /// modDown_[l] built for l+1 limbs on first use.
-    mutable std::vector<std::unique_ptr<ModDown>> modDown_;
-    /// rescaleDown_[l] built for l+1 limbs on first use.
-    mutable std::vector<std::unique_ptr<ModDown>> rescaleDown_;
+    /// modDown_ keyed by (limbs, tail), built on first use.
+    mutable std::map<std::pair<std::size_t, std::vector<std::size_t>>,
+                     std::unique_ptr<ModDown>> modDown_;
     /// digitConv_ keyed by limbs and group, built on first use.
     mutable std::map<std::size_t, std::unique_ptr<RnsConv>> digitConv_;
     std::vector<u64> pModQ_;

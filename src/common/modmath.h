@@ -227,6 +227,15 @@ u64 find_primitive_root(u64 q);
 /// Find a primitive n-th root of unity mod prime q (requires n | q-1).
 u64 find_nth_root(u64 n, u64 q);
 
+/// v mod q in [0, q) for any signed v.
+inline u64
+signed_residue(i64 v, u64 q)
+{
+    if (v >= 0) return static_cast<u64>(v) % q;
+    u64 r = (u64(0) - static_cast<u64>(v)) % q; // |v|, even for INT64_MIN
+    return r == 0 ? 0 : q - r;
+}
+
 /// Centered representative of x mod q in (-q/2, q/2].
 inline i64
 centered(u64 x, u64 q)

@@ -100,8 +100,11 @@ mod_down(Trace &t, u64 n, u64 limbs, u64 tail, BasicOp tag)
     t.emit(OpKind::NTT, 2 * limbs * n, n, tag);
 }
 
-/// Rescale of a q-basis ciphertext: INTT of the dropped limb, then per
-/// remaining limb a reduction, NTT, subtraction and q_l^{-1} multiply.
+/// Rescale of a q-basis ciphertext, which the library runs as the
+/// ModDown by q_l: INTT of the dropped limb, then per remaining limb
+/// the dropped limb's single-prime conversion (priced as one
+/// reduction), its NTT, the subtraction and the q_l^{-1} multiply. The
+/// transforms are those of mod_down() with a tail of one prime.
 void
 rescale(Trace &t, const OpShape &s, BasicOp tag)
 {

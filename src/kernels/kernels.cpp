@@ -95,13 +95,6 @@ scalar_add_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c,
 }
 
 void
-scalar_sub_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c,
-                        u64 q)
-{
-    for (std::size_t t = 0; t < n; ++t) out[t] = sub_mod(a[t], c, q);
-}
-
-void
 scalar_scalar_mul_shoup_n(u64 *out, const u64 *a, std::size_t n, u64 w,
                           u64 ws, u64 q)
 {
@@ -189,7 +182,6 @@ scalar_table()
         k.sub_mod_n = scalar_sub_mod_n;
         k.neg_mod_n = scalar_neg_mod_n;
         k.add_scalar_mod_n = scalar_add_scalar_mod_n;
-        k.sub_scalar_mod_n = scalar_sub_scalar_mod_n;
         k.scalar_mul_shoup_n = scalar_scalar_mul_shoup_n;
         k.mul_mod_n = scalar_mul_mod_n;
         k.dot_mod_n = scalar_dot_mod_n;

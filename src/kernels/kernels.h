@@ -113,9 +113,6 @@ struct KernelTable
     /// out[t] = (a[t] + c) mod q for a constant c < q.
     void (*add_scalar_mod_n)(u64 *out, const u64 *a, std::size_t n,
                              u64 c, u64 q) = nullptr;
-    /// out[t] = (a[t] - c) mod q for a constant c < q.
-    void (*sub_scalar_mod_n)(u64 *out, const u64 *a, std::size_t n,
-                             u64 c, u64 q) = nullptr;
     /// out[t] = a[t] * w mod q, Shoup precomputed ws; any a, w < q.
     void (*scalar_mul_shoup_n)(u64 *out, const u64 *a, std::size_t n,
                                u64 w, u64 ws, u64 q) = nullptr;
@@ -180,12 +177,6 @@ inline void
 add_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c, u64 q)
 {
     ops().add_scalar_mod_n(out, a, n, c, q);
-}
-
-inline void
-sub_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c, u64 q)
-{
-    ops().sub_scalar_mod_n(out, a, n, c, q);
 }
 
 inline void

@@ -290,24 +290,6 @@ avx2_add_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c,
 }
 
 void
-avx2_sub_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c,
-                      u64 q)
-{
-    __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    __m256i cv = _mm256_set1_epi64x(static_cast<long long>(c));
-    std::size_t t = 0;
-    for (; t + 4 <= n; t += 4) {
-        __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + t));
-        __m256i d = _mm256_add_epi64(
-            _mm256_sub_epi64(av, cv),
-            _mm256_and_si256(ltu(av, cv), qv));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + t), d);
-    }
-    for (; t < n; ++t) out[t] = sub_mod(a[t], c, q);
-}
-
-void
 avx2_scalar_mul_shoup_n(u64 *out, const u64 *a, std::size_t n, u64 w,
                         u64 ws, u64 q)
 {
@@ -658,7 +640,6 @@ avx2_table()
         k.sub_mod_n = avx2_sub_mod_n;
         k.neg_mod_n = avx2_neg_mod_n;
         k.add_scalar_mod_n = avx2_add_scalar_mod_n;
-        k.sub_scalar_mod_n = avx2_sub_scalar_mod_n;
         k.scalar_mul_shoup_n = avx2_scalar_mul_shoup_n;
         k.mul_mod_n = avx2_mul_mod_n;
         k.dot_mod_n = avx2_dot_mod_n;

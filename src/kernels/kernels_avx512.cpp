@@ -259,23 +259,6 @@ avx512_add_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c,
 }
 
 void
-avx512_sub_scalar_mod_n(u64 *out, const u64 *a, std::size_t n, u64 c,
-                        u64 q)
-{
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i cv = _mm512_set1_epi64(static_cast<long long>(c));
-    std::size_t t = 0;
-    for (; t + 8 <= n; t += 8) {
-        __m512i av = _mm512_loadu_si512(a + t);
-        __mmask8 lt = _mm512_cmplt_epu64_mask(av, cv);
-        __m512i d = _mm512_sub_epi64(av, cv);
-        d = _mm512_mask_add_epi64(d, lt, d, qv);
-        _mm512_storeu_si512(out + t, d);
-    }
-    for (; t < n; ++t) out[t] = sub_mod(a[t], c, q);
-}
-
-void
 avx512_scalar_mul_shoup_n(u64 *out, const u64 *a, std::size_t n, u64 w,
                           u64 ws, u64 q)
 {
@@ -858,7 +841,6 @@ avx512_table()
         k.sub_mod_n = avx512_sub_mod_n;
         k.neg_mod_n = avx512_neg_mod_n;
         k.add_scalar_mod_n = avx512_add_scalar_mod_n;
-        k.sub_scalar_mod_n = avx512_sub_scalar_mod_n;
         k.scalar_mul_shoup_n = avx512_scalar_mul_shoup_n;
         k.mul_mod_n = avx512_mul_mod_n;
         k.dot_mod_n = avx512_dot_mod_n;

@@ -206,14 +206,7 @@ RnsPoly::assign_signed(const std::vector<i64> &coeffs)
             for (std::size_t k = k0; k < k1; ++k) {
                 u64 q = prime(k);
                 for (std::size_t t = 0; t < coeffs.size(); ++t) {
-                    i64 v = coeffs[t];
-                    if (v >= 0) {
-                        data_[k][t] = static_cast<u64>(v) % q;
-                    } else {
-                        u64 m = static_cast<u64>(-(v + 1)) + 1;
-                        u64 r = m % q;
-                        data_[k][t] = r == 0 ? 0 : q - r;
-                    }
+                    data_[k][t] = signed_residue(coeffs[t], q);
                 }
             }
         }, "poly.elementwise");

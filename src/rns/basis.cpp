@@ -59,14 +59,7 @@ void
 RnsBasis::decompose(i64 v, u64 *out) const
 {
     for (std::size_t i = 0; i < moduli_.size(); ++i) {
-        u64 q = moduli_[i];
-        if (v >= 0) {
-            out[i] = static_cast<u64>(v) % q;
-        } else {
-            u64 m = static_cast<u64>(-(v + 1)) + 1; // |v| without overflow
-            u64 r = m % q;
-            out[i] = r == 0 ? 0 : q - r;
-        }
+        out[i] = signed_residue(v, moduli_[i]);
     }
 }
 

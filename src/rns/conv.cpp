@@ -1,7 +1,6 @@
 #include "rns/conv.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -17,6 +16,15 @@ shoup_const(u64 w, u64 q)
     return static_cast<u64>((u128(w) << 64) / q);
 }
 
+/// std::llround(x) for 0 <= x < 2^62 without the libm call: rounds
+/// half away from zero, and x - trunc(x) is exact.
+u64
+round_nonnegative(double x)
+{
+    i64 r = static_cast<i64>(x);
+    return static_cast<u64>(r) + (x - static_cast<double>(r) >= 0.5);
+}
+
 } // namespace
 
 RnsConv::RnsConv(const RnsBasis &src, const RnsBasis &dst)
@@ -24,6 +32,7 @@ RnsConv::RnsConv(const RnsBasis &src, const RnsBasis &dst)
 {
     std::size_t ls = src_.size(), ld = dst_.size();
     weights_.assign(ld, std::vector<u64>(ls + 1));
+    none_.assign(ls + 1, nullptr);
     qhatInvShoup_.resize(ls);
     qInvDouble_.resize(ls);
     for (std::size_t j = 0; j < ld; ++j) {
@@ -41,63 +50,81 @@ RnsConv::RnsConv(const RnsBasis &src, const RnsBasis &dst)
     }
 }
 
-void
-RnsConv::convert(const std::vector<const u64*> &src,
-                 const std::vector<u64*> &dst, std::size_t n,
-                 bool correct) const
+RnsConv::Operands
+RnsConv::operands(const std::vector<const u64*> &src, std::size_t n) const
 {
-    std::size_t ls = src_.size(), ld = dst_.size();
-    POSEIDON_REQUIRE(src.size() == ls && dst.size() == ld,
-                     "RnsConv::convert: limb count mismatch");
+    std::size_t ls = src_.size();
+    POSEIDON_REQUIRE(src.size() == ls,
+                     "RnsConv::operands: limb count mismatch");
+    Operands ops;
+    ops.n = n;
+    ops.words.resize((ls + 1) * n);
+    ops.rows.resize(ls + 1);
+    for (std::size_t i = 0; i <= ls; ++i) {
+        ops.rows[i] = ops.words.data() + i * n;
+    }
+    u64 *e = ops.words.data() + ls * n;
 
-    // Coefficient columns are independent; split the coefficient range
-    // across threads and run the batched kernels over each chunk's
-    // rows. Every chunk writes a disjoint slice of each dst limb and
-    // the kernels are chunk-invariant (same bytes under any split), so
-    // results are bit-identical at any thread count. The float
-    // overflow estimate accumulates in ascending-i order per column,
-    // matching the historical scalar loop's rounding exactly.
-    //
-    // Each dst limb is one fused dot product: term i is y_i times
-    // [Q/q_i] mod p_j, and with the correction one more term is e
-    // times -Q mod p_j. The y_i are canonical mod q_i, not mod p_j, so
-    // the operand bound is the largest q_i; e <= ls is below it too
-    // (ls distinct moduli > 1 include one > ls).
-    std::vector<const u64*> none(ls + 1, nullptr);
+    // Coefficient columns are independent: every chunk writes its own
+    // slice of each row, and the kernels are chunk-invariant, so the
+    // bytes are the same at any thread count. The float overflow
+    // estimate accumulates in ascending-i order per column.
     parallel::parallel_for(0, n, 256,
         [&](std::size_t t0, std::size_t t1) {
-            std::size_t c = t1 - t0;
-            std::vector<std::vector<u64>> y(ls, std::vector<u64>(c));
-            std::vector<double> est(c, 0.0);
-            std::vector<u64> e(c, 0);
-            std::vector<const u64*> terms(ls + 1);
             for (std::size_t i = 0; i < ls; ++i) {
                 // y_i = x_i * [(Q/q_i)^{-1}] mod q_i, batched.
-                kernels::scalar_mul_shoup_n(y[i].data(), src[i] + t0,
-                                            c, src_.qhat_inv(i),
+                kernels::scalar_mul_shoup_n(ops.words.data() + i * n + t0,
+                                            src[i] + t0, t1 - t0,
+                                            src_.qhat_inv(i),
                                             qhatInvShoup_[i],
                                             src_.modulus(i));
-                const u64 *yi = y[i].data();
-                double qi = qInvDouble_[i];
-                for (std::size_t t = 0; t < c; ++t) {
-                    est[t] += static_cast<double>(yi[t]) * qi;
-                }
-                terms[i] = yi;
             }
-            if (correct) {
+            constexpr std::size_t kTile = 64;
+            double est[kTile];
+            for (std::size_t s = t0; s < t1; s += kTile) {
+                std::size_t len = std::min(kTile, t1 - s);
+                std::fill(est, est + len, 0.0);
+                for (std::size_t i = 0; i < ls; ++i) {
+                    const u64 *yi = ops.rows[i] + s;
+                    double qi = qInvDouble_[i];
+                    for (std::size_t t = 0; t < len; ++t) {
+                        est[t] += static_cast<double>(yi[t]) * qi;
+                    }
+                }
                 // Number of whole-Q overflows in sum_i y_i * Qhat_i.
-                for (std::size_t t = 0; t < c; ++t) {
-                    e[t] = static_cast<u64>(std::llround(est[t]));
+                for (std::size_t t = 0; t < len; ++t) {
+                    e[s + t] = round_nonnegative(est[t]);
                 }
-                terms[ls] = e.data();
-            }
-            for (std::size_t j = 0; j < ld; ++j) {
-                kernels::dot_mod_n(dst[j] + t0, terms.data(),
-                                   none.data(), weights_[j].data(),
-                                   correct ? ls + 1 : ls, c,
-                                   maxSrcModulus_, dst_.modulus(j));
             }
         }, "rns.conv");
+    return ops;
+}
+
+void
+RnsConv::row(const Operands &ops, std::size_t j, u64 *dst) const
+{
+    // Term i < ls is y_i times [Q/q_i] mod p_j, term ls is e times
+    // -Q mod p_j. The y_i are canonical mod q_i, not mod p_j, so the
+    // operand bound is the largest q_i; e <= ls is below it too (ls
+    // distinct moduli > 1 include one > ls).
+    POSEIDON_REQUIRE(j < dst_.size() && ops.rows.size() == none_.size(),
+                     "RnsConv::row: bad row or operands");
+    kernels::dot_mod_n(dst, ops.rows.data(), none_.data(),
+                       weights_[j].data(), none_.size(), ops.n,
+                       maxSrcModulus_, dst_.modulus(j));
+}
+
+void
+RnsConv::convert(const std::vector<const u64*> &src,
+                 const std::vector<u64*> &dst, std::size_t n) const
+{
+    POSEIDON_REQUIRE(dst.size() == dst_.size(),
+                     "RnsConv::convert: limb count mismatch");
+    Operands ops = operands(src, n);
+    parallel::parallel_for(0, dst.size(), 1,
+        [&](std::size_t j0, std::size_t j1) {
+            for (std::size_t j = j0; j < j1; ++j) row(ops, j, dst[j]);
+        }, "rns.conv_rows");
 }
 
 ModDown::ModDown(const RnsBasis &qBasis, const RnsBasis &pBasis)
@@ -121,37 +148,23 @@ ModDown::apply(const std::vector<const u64*> &xq,
     std::size_t l = conv_.dst().size();
     POSEIDON_REQUIRE(xq.size() == l && out.size() == l,
                      "ModDown::apply: limb count mismatch");
-
-    // conv_{p->q}(x_p) into scratch buffers.
-    std::vector<std::vector<u64>> scratch(l, std::vector<u64>(n));
-    std::vector<u64*> scratchPtr(l);
-    std::vector<const u64*> c(l);
-    for (std::size_t i = 0; i < l; ++i) {
-        scratchPtr[i] = scratch[i].data();
-        c[i] = scratchPtr[i];
-    }
-    conv_.convert(xp, scratchPtr, n, /*correct=*/true);
-    finish(xq, c, out, n);
-}
-
-void
-ModDown::finish(const std::vector<const u64*> &xq,
-                const std::vector<const u64*> &c,
-                const std::vector<u64*> &out, std::size_t n) const
-{
-    const RnsBasis &qb = conv_.dst();
-    std::size_t l = qb.size();
-    POSEIDON_REQUIRE(xq.size() == l && c.size() == l && out.size() == l,
-                     "ModDown::finish: limb count mismatch");
+    RnsConv::Operands ops = conv_.operands(xp, n);
     parallel::parallel_for(0, l, 1,
         [&](std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i) {
-                u64 q = qb.modulus(i);
-                kernels::sub_mod_n(out[i], xq[i], c[i], n, q);
-                kernels::scalar_mul_shoup_n(out[i], out[i], n, pInv_[i],
-                                            pInvShoup_[i], q);
+                conv_.row(ops, i, out[i]);
+                finish_row(i, out[i], xq[i], out[i], n);
             }
         }, "rns.moddown");
+}
+
+void
+ModDown::finish_row(std::size_t i, u64 *out, const u64 *xq, const u64 *c,
+                    std::size_t n) const
+{
+    u64 q = conv_.dst().modulus(i);
+    kernels::sub_mod_n(out, xq, c, n, q);
+    kernels::scalar_mul_shoup_n(out, out, n, pInv_[i], pInvShoup_[i], q);
 }
 
 } // namespace poseidon

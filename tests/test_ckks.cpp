@@ -303,6 +303,87 @@ TEST(Ckks, FusedRescaleMatchesModDownThenRescale)
     }
 }
 
+/// The q-basis rescale as a half-shift: c = [x_l + (q_l-1)/2]_{q_l}
+/// - (q_l-1)/2 is x_l's centered residue, and each kept limb becomes
+/// (x_j - c) * q_l^{-1} mod q_j. An independent integer oracle for the
+/// ModDown by q_l that rescale_inplace runs.
+void
+half_shift_rescale(const CkksContext &ctx, RnsPoly &p)
+{
+    const auto &ring = ctx.ring();
+    std::size_t n = ctx.degree();
+    std::size_t last = p.num_limbs() - 1;
+    u64 ql = p.prime(last);
+    u64 half = ql >> 1;
+    std::vector<u64> cl(p.limb(last), p.limb(last) + n);
+    ring->table(p.prime_index(last)).inverse(cl.data());
+    for (u64 &c : cl) c = add_mod(c, half, ql);
+    std::vector<u64> buf(n);
+    for (std::size_t j = 0; j < last; ++j) {
+        u64 qj = p.prime(j);
+        for (std::size_t t = 0; t < n; ++t) {
+            buf[t] = sub_mod(cl[t] % qj, half % qj, qj);
+        }
+        ring->table(p.prime_index(j)).forward(buf.data());
+        u64 qlInv = inv_mod(ql % qj, qj);
+        u64 *limb = p.limb(j);
+        for (std::size_t t = 0; t < n; ++t) {
+            limb[t] = mul_mod(sub_mod(limb[t], buf[t], qj), qlInv, qj);
+        }
+    }
+    p.drop_last_limb();
+}
+
+TEST(Ckks, RescaleMatchesHalfShiftOracle)
+{
+    // rescale_inplace of a q-basis ciphertext is a ModDown by q_l; its
+    // conversion rounds a double estimate where the oracle shifts by
+    // half an integer. Plant the rounding boundary (q_l-1)/2 and
+    // (q_l+1)/2, plus 0 and q_l-1, in the dropped limb and compare
+    // bytes at every level, digit-per-prime and dnum = 3, at 1 and 4
+    // threads. A q-basis rescale is not counted as a mod_down.
+    CkksParams hybrid = small_params();
+    hybrid.L = 6;
+    hybrid.dnum = 3;
+    hybrid.K = 2;
+    auto &reg = telemetry::MetricsRegistry::global();
+    for (const CkksParams &p : {small_params(), hybrid}) {
+        Fixture f(p);
+        const auto &ring = f.ctx->ring();
+        for (std::size_t threads : {1, 4}) {
+            parallel::set_num_threads(threads);
+            Ciphertext ct = f.encryptor.encrypt(
+                f.encoder.encode(test_vector(f.ctx->slots(), 62), p.L));
+            while (ct.num_limbs() >= 2) {
+                std::size_t last = ct.num_limbs() - 1;
+                u64 ql = ct.c0.prime(last);
+                for (RnsPoly *poly : {&ct.c0, &ct.c1}) {
+                    u64 *limb = poly->limb(last);
+                    const NttTable &ntt = ring->table(poly->prime_index(last));
+                    ntt.inverse(limb);
+                    limb[0] = (ql - 1) / 2;
+                    limb[1] = (ql + 1) / 2;
+                    limb[2] = 0;
+                    limb[3] = ql - 1;
+                    ntt.forward(limb);
+                }
+                Ciphertext want = ct;
+                half_shift_rescale(*f.ctx, want.c0);
+                half_shift_rescale(*f.ctx, want.c1);
+                double md0 = reg.counter_value("ckks.ops.mod_down");
+                f.eval.rescale_inplace(ct);
+                EXPECT_EQ(reg.counter_value("ckks.ops.mod_down"), md0);
+                SCOPED_TRACE(testing::Message() << "K=" << p.K
+                             << " threads " << threads << " limbs "
+                             << ct.num_limbs());
+                EXPECT_TRUE(same_bytes(ct.c0, want.c0));
+                EXPECT_TRUE(same_bytes(ct.c1, want.c1));
+            }
+        }
+        parallel::set_num_threads(0); // restore the environment default
+    }
+}
+
 TEST(Ckks, ExtendedCiphertextRejectedByQBasisOps)
 {
     // An extended ciphertext (a mul result before its rescale, or a

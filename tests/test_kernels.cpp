@@ -102,7 +102,6 @@ TEST(KernelsDispatch, EveryTableIsFullyPopulated)
         EXPECT_NE(nullptr, t.sub_mod_n);
         EXPECT_NE(nullptr, t.neg_mod_n);
         EXPECT_NE(nullptr, t.add_scalar_mod_n);
-        EXPECT_NE(nullptr, t.sub_scalar_mod_n);
         EXPECT_NE(nullptr, t.scalar_mul_shoup_n);
         EXPECT_NE(nullptr, t.mul_mod_n);
         EXPECT_NE(nullptr, t.dot_mod_n);
@@ -162,10 +161,6 @@ TEST(KernelsDifferential, UnaryAndScalarOpsMatchScalar)
                 ref.add_scalar_mod_n(want.data(), a.data(), n, c, q);
                 t.add_scalar_mod_n(got.data(), a.data(), n, c, q);
                 EXPECT_EQ(want, got) << "adds " << q << " n=" << n;
-
-                ref.sub_scalar_mod_n(want.data(), a.data(), n, c, q);
-                t.sub_scalar_mod_n(got.data(), a.data(), n, c, q);
-                EXPECT_EQ(want, got) << "subs " << q << " n=" << n;
 
                 // scalar_mul_shoup accepts unreduced inputs. On an IFMA
                 // host, q < 2^50 takes the 52-bit product for vectors of

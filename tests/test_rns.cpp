@@ -78,85 +78,62 @@ TEST(RnsBasis, PrefixAndConcat)
 
 TEST(RnsConv, ConvertsExactValuesBelowQ)
 {
-    // For x < Q the fast base conversion with correction must return
-    // x mod p_j exactly.
-    RnsBasis src = make_basis(1024, 30, 3);
-    RnsBasis dst = make_basis(1024, 31, 2, src.moduli());
-    RnsConv conv(src, dst);
+    // For |x| < Q/2 the fast base conversion with its overflow
+    // correction must return x mod p_j exactly: for a three-prime
+    // source basis, and for the single-prime basis every rescale
+    // converts from, including x = +-(q-1)/2 where the correction's
+    // rounding is closest to a half.
+    RnsBasis wide = make_basis(1024, 30, 3);
+    RnsBasis single = make_basis(1024, 30, 1);
+    for (const RnsBasis *src : {&wide, &single}) {
+        RnsBasis dst = make_basis(1024, 31, 2, src->moduli());
+        RnsConv conv(*src, dst);
 
-    Prng prng(13);
-    const std::size_t n = 64;
-    std::vector<std::vector<u64>> srcData(src.size(),
-                                          std::vector<u64>(n));
-    std::vector<std::vector<u64>> dstData(dst.size(),
-                                          std::vector<u64>(n));
-    std::vector<i64> values(n);
-    for (std::size_t t = 0; t < n; ++t) {
-        // values fit easily below Q ~ 2^90; use ~60-bit magnitudes.
-        i64 v = static_cast<i64>(prng.next() >> 4);
-        if (t % 2) v = -v;
-        values[t] = v;
-        std::vector<u64> res(src.size());
-        src.decompose(v, res.data());
-        for (std::size_t i = 0; i < src.size(); ++i) {
-            srcData[i][t] = res[i];
+        Prng prng(13);
+        const std::size_t n = 64;
+        std::vector<std::vector<u64>> srcData(src->size(),
+                                              std::vector<u64>(n));
+        std::vector<std::vector<u64>> dstData(dst.size(),
+                                              std::vector<u64>(n));
+        std::vector<i64> values(n);
+        u64 q0 = src->modulus(0);
+        for (std::size_t t = 0; t < n; ++t) {
+            // values fit easily below Q ~ 2^90; use ~60-bit
+            // magnitudes. Below q0/2 for the single prime.
+            i64 v = static_cast<i64>(prng.next() >> 4);
+            if (src->size() == 1) {
+                v = t < 2 ? static_cast<i64>(q0 / 2)
+                          : static_cast<i64>(static_cast<u64>(v) %
+                                             (q0 / 2));
+            }
+            if (t % 2) v = -v;
+            values[t] = v;
+            std::vector<u64> res(src->size());
+            src->decompose(v, res.data());
+            for (std::size_t i = 0; i < src->size(); ++i) {
+                srcData[i][t] = res[i];
+            }
         }
-    }
 
-    std::vector<const u64*> in(src.size());
-    std::vector<u64*> out(dst.size());
-    for (std::size_t i = 0; i < src.size(); ++i) in[i] = srcData[i].data();
-    for (std::size_t j = 0; j < dst.size(); ++j) out[j] = dstData[j].data();
-    conv.convert(in, out, n, /*correct=*/true);
-
-    for (std::size_t t = 0; t < n; ++t) {
-        std::vector<u64> expect(dst.size());
-        dst.decompose(values[t], expect.data());
+        std::vector<const u64*> in(src->size());
+        std::vector<u64*> out(dst.size());
+        for (std::size_t i = 0; i < src->size(); ++i) {
+            in[i] = srcData[i].data();
+        }
         for (std::size_t j = 0; j < dst.size(); ++j) {
-            EXPECT_EQ(dstData[j][t], expect[j])
-                << "t=" << t << " j=" << j << " v=" << values[t];
+            out[j] = dstData[j].data();
         }
-    }
-}
+        conv.convert(in, out, n);
 
-TEST(RnsConv, UncorrectedConversionOffByMultipleOfQ)
-{
-    // Without the float correction the result may differ by e*Q for a
-    // small nonnegative e — the classic approximate-base-conversion
-    // property. Verify the residual is indeed a multiple of Q mod p.
-    RnsBasis src = make_basis(1024, 30, 4);
-    RnsBasis dst = make_basis(1024, 31, 1, src.moduli());
-    RnsConv conv(src, dst);
-
-    const std::size_t n = 32;
-    Prng prng(17);
-    std::vector<std::vector<u64>> srcData(src.size(), std::vector<u64>(n));
-    for (auto &limb : srcData) {
-        for (auto &v : limb) v = prng.uniform(src.modulus(0));
-    }
-    std::vector<u64> out0(n), out1(n);
-    std::vector<const u64*> in(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) in[i] = srcData[i].data();
-    {
-        std::vector<u64*> out{out0.data()};
-        conv.convert(in, out, n, /*correct=*/false);
-    }
-    {
-        std::vector<u64*> out{out1.data()};
-        conv.convert(in, out, n, /*correct=*/true);
-    }
-    u64 p = dst.modulus(0);
-    u64 qModP = src.big_product().mod_u64(p);
-    for (std::size_t t = 0; t < n; ++t) {
-        u64 diff = sub_mod(out0[t], out1[t], p);
-        // diff must be e * Q mod p for small e
-        bool found = false;
-        u64 acc = 0;
-        for (u64 e = 0; e <= src.size(); ++e) {
-            if (acc == diff) { found = true; break; }
-            acc = add_mod(acc, qModP, p);
+        for (std::size_t t = 0; t < n; ++t) {
+            std::vector<u64> expect(dst.size());
+            dst.decompose(values[t], expect.data());
+            for (std::size_t j = 0; j < dst.size(); ++j) {
+                EXPECT_EQ(dstData[j][t], expect[j])
+                    << "ls=" << src->size() << " t=" << t << " j=" << j
+                    << " v=" << values[t];
+            }
         }
-        EXPECT_TRUE(found) << "t=" << t;
     }
 }
 
@@ -207,9 +184,9 @@ TEST(ModDown, DividesByPAndRounds)
 
 TEST(ModDown, FinishInEvalDomainMatchesApply)
 {
-    // The keyswitch runs ModDown's subtract-and-scale on
+    // The evaluator runs ModDown's subtract-and-scale on
     // evaluation-domain q-limbs: NTT(apply(x)) must equal
-    // finish(NTT(x_q), NTT(conv(x_p))) bit for bit.
+    // finish_row(NTT(x_q), NTT(conv(x_p))) bit for bit.
     const std::size_t n = 64;
     Prng prng(29);
     for (std::size_t K : {1u, 3u}) {
@@ -250,13 +227,13 @@ TEST(ModDown, FinishInEvalDomainMatchesApply)
             for (std::size_t j = 0; j < K; ++j) xpp[j] = xp[j].data();
 
             md.apply(xqp, xpp, wantp, n);
-            md.conv().convert(xpp, cw, n, /*correct=*/true);
+            md.conv().convert(xpp, cw, n);
             for (std::size_t i = 0; i < limbs; ++i) {
                 ntt[i].forward(want[i].data());
                 ntt[i].forward(xqE[i].data());
                 ntt[i].forward(c[i].data());
+                md.finish_row(i, gotp[i], xqEp[i], cp[i], n);
             }
-            md.finish(xqEp, cp, gotp, n);
             EXPECT_EQ(want, got) << "K=" << K << " limbs=" << limbs;
         }
     }
