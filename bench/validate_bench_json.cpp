@@ -1,9 +1,9 @@
 // Schema validator for BENCH_<name>.json files (bench_harness.h).
-// Accepts schema_version 1 (the original) and 2 (adds the git_sha /
-// threads / hw_config stamps the bench_compare regression gate keys
-// on). CI runs this against every JSON a bench emits; any drift —
-// missing key, wrong type, non-finite or out-of-range value — exits
-// nonzero with a message naming the offending field.
+// Accepts schema_version 2 only, whose git_sha / threads / hw_config
+// stamps the bench_compare regression gate keys on. CI runs this
+// against every JSON a bench emits; any drift — missing key, wrong
+// type, non-finite or out-of-range value — exits nonzero with a
+// message naming the offending field.
 //
 // Usage: validate_bench_json FILE.json [FILE.json ...]
 
@@ -44,50 +44,35 @@ validate(const std::string &path)
 
     for (const char *key : {"schema_version", "name", "git", "config",
                             "metrics", "cycles", "seconds",
-                            "bandwidth_util"}) {
+                            "bandwidth_util", "git_sha", "threads",
+                            "hw_config"}) {
         if (!root.contains(key)) {
             return fail(path, std::string("missing key \"") + key +
                                   "\"");
         }
     }
     if (!root.at("schema_version").is_number() ||
-        (root.at("schema_version").as_number() != 1.0 &&
-         root.at("schema_version").as_number() != 2.0)) {
-        return fail(path, "schema_version must be 1 or 2");
+        root.at("schema_version").as_number() != 2.0) {
+        return fail(path, "schema_version must be 2");
     }
-    if (root.at("schema_version").as_number() == 2.0) {
-        for (const char *key : {"git_sha", "threads", "hw_config"}) {
-            if (!root.contains(key)) {
-                return fail(path, std::string("schema v2: missing "
-                                              "key \"") +
-                                      key + "\"");
-            }
-        }
-        if (!root.at("git_sha").is_string() ||
-            root.at("git_sha").as_string().empty()) {
-            return fail(path,
-                        "git_sha must be a non-empty string");
-        }
-        const Json &th = root.at("threads");
-        if (!th.is_number() || !std::isfinite(th.as_number()) ||
-            th.as_number() < 1.0 ||
-            th.as_number() !=
-                static_cast<double>(
-                    static_cast<long long>(th.as_number()))) {
-            return fail(path, "threads must be an integer >= 1");
-        }
-        if (!root.at("hw_config").is_string() ||
-            root.at("hw_config").as_string().empty()) {
-            return fail(path,
-                        "hw_config must be a non-empty string");
-        }
+    if (!root.at("git_sha").is_string() ||
+        root.at("git_sha").as_string().empty()) {
+        return fail(path, "git_sha must be a non-empty string");
+    }
+    const Json &th = root.at("threads");
+    if (!th.is_number() || !std::isfinite(th.as_number()) ||
+        th.as_number() < 1.0 ||
+        th.as_number() !=
+            static_cast<double>(static_cast<long long>(th.as_number()))) {
+        return fail(path, "threads must be an integer >= 1");
+    }
+    if (!root.at("hw_config").is_string() ||
+        root.at("hw_config").as_string().empty()) {
+        return fail(path, "hw_config must be a non-empty string");
     }
     if (root.contains("tsdb")) {
-        // Optional schema-v2 stamp tying the document to a TSDB
-        // dump written alongside it (bench_harness::tsdb_stamp).
-        if (root.at("schema_version").as_number() != 2.0) {
-            return fail(path, "tsdb stamp requires schema v2");
-        }
+        // Optional stamp tying the document to a TSDB dump written
+        // alongside it (bench_harness::tsdb_stamp).
         const Json &ts = root.at("tsdb");
         if (!ts.is_object()) {
             return fail(path, "tsdb must be an object");

@@ -30,31 +30,42 @@ make_stage(unsigned logn, unsigned begin, unsigned end, bool inverse,
     long kLo = b == logn ? -(span / 2) : -(span - 1);
     long kHi = b == logn ? (span - 1) / 2 : span - 1;
 
-    // Baby-step/giant-step split k = 2^sh*g + j, with 2^sh the smallest
-    // power of two whose square covers the diagonals, so every baby
-    // step j*stride, j < 2^sh, occurs. Ascending k walks the groups in
-    // order and each group's baby steps in order.
-    unsigned sh = 0;
-    while ((1L << (2 * sh)) < kHi - kLo + 1) ++sh;
-    BootstrapPlan::Stage st;
+    BootstrapPlan::Stage st = bsgs_stage(kLo, kHi, stride, limbs, K, N);
     st.layerBegin = begin;
     st.layerEnd = end;
-    for (long j = 0; j < (1L << sh); ++j) st.babies.push_back(j * stride);
+    return st;
+}
+
+} // namespace
+
+BootstrapPlan::Stage
+bsgs_stage(long kLo, long kHi, long stride, std::size_t limbs,
+           std::size_t K, std::size_t N, long n1)
+{
+    POSEIDON_REQUIRE(kLo <= kHi && n1 >= 0, "bsgs_stage: diagonals "
+                     << kLo << ".." << kHi << " in groups of " << n1);
+    // Ascending k walks the groups in order and each group's baby
+    // steps in order.
+    if (n1 == 0) {
+        for (n1 = 1; n1 * n1 < kHi - kLo + 1; n1 *= 2) {}
+    }
+    auto group = [n1](long k) { // floor(k / n1)
+        return k >= 0 ? k / n1 : -((n1 - 1 - k) / n1);
+    };
+    BootstrapPlan::Stage st;
+    for (long j = 0; j < n1; ++j) st.babies.push_back(j * stride);
     for (long k = kLo; k <= kHi; ++k) {
-        long g = k >> sh; // floor(k / 2^sh)
-        st.offsets.push_back(
-            {(g << sh) * stride, static_cast<std::size_t>(k - (g << sh))});
+        long g = group(k) * n1;
+        st.offsets.push_back({g * stride, static_cast<std::size_t>(k - g)});
     }
     st.diagonals = st.offsets.size();
     st.babySteps = st.babies.size() - 1;
-    st.giantSteps = static_cast<std::size_t>((kHi >> sh) - (kLo >> sh));
+    st.giantSteps = static_cast<std::size_t>(group(kHi) - group(kLo));
     st.modDowns = st.giantSteps + 1;
     st.limbs = limbs;
     st.bytes = st.diagonals * (limbs + K) * N * sizeof(std::uint64_t);
     return st;
 }
-
-} // namespace
 
 BootstrapPlan
 plan_bootstrap(std::size_t slots, std::size_t L, std::size_t K,

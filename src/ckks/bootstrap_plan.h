@@ -7,7 +7,8 @@
  *
  * The single description of a bootstrap for both clocks: Bootstrapper
  * encodes exactly its diagonals and isa::emit_bootstrap prices exactly
- * its stages, at N = 2^16 too, where the diagonals would take GBs.
+ * its stages, at N = 2^16 too, where the diagonals would take GBs. The
+ * workloads' matrix products are stages of the same BSGS split.
  */
 
 #include <cstddef>
@@ -117,6 +118,18 @@ struct BootstrapPlan
         return sum;
     }
 };
+
+/**
+ * The baby-step/giant-step split of the diagonals at slot offsets
+ * k*stride, kLo <= k <= kHi, at `limbs` q-primes: k = n1*g + j is
+ * baby step j*stride of giant step n1*g*stride. `n1` = 0 picks the
+ * smallest power of two whose square covers the range, so every baby
+ * step occurs; an `n1` past kHi, with kLo = 0, puts every diagonal in
+ * one giant group (a hoisted multi-rotation). The layer fields stay 0.
+ */
+BootstrapPlan::Stage bsgs_stage(long kLo, long kHi, long stride,
+                                std::size_t limbs, std::size_t K,
+                                std::size_t N, long n1 = 0);
 
 /**
  * The bootstrap of `slots` packed slots (a power of two, at most N/2)

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "ckks/bootstrap_plan.h"
 #include "common/check.h"
 #include "telemetry/metrics.h"
 
@@ -86,9 +85,10 @@ key_product(Trace &t, const OpShape &s, u64 pTerms, BasicOp tag)
            tag);
 }
 
-/// ModDown of a QP pair onto `limbs` q-primes, dividing out the `tail`
-/// primes after them (P, or q_l*P for a fused rescale): the tail's INTT
-/// and base conversion, NTTs of the images, then (x - conv) * tail^-1.
+/// ModDown of a pair onto `limbs` q-primes, dividing out the `tail`
+/// primes after them (P, q_l for a rescale, or q_l*P for a fused
+/// rescale): the tail's INTT and base conversion, NTTs of the images,
+/// then (x - conv) * tail^-1.
 void
 mod_down(Trace &t, u64 n, u64 limbs, u64 tail, BasicOp tag)
 {
@@ -98,23 +98,6 @@ mod_down(Trace &t, u64 n, u64 limbs, u64 tail, BasicOp tag)
     t.emit(OpKind::MA, 2 * limbs * n, n, tag);
     t.emit(OpKind::SBT, 2 * limbs * n, n, tag);
     t.emit(OpKind::NTT, 2 * limbs * n, n, tag);
-}
-
-/// Rescale of a q-basis ciphertext, which the library runs as the
-/// ModDown by q_l: INTT of the dropped limb, then per remaining limb
-/// the dropped limb's single-prime conversion (priced as one
-/// reduction), its NTT, the subtraction and the q_l^{-1} multiply. The
-/// transforms are those of mod_down() with a tail of one prime.
-void
-rescale(Trace &t, const OpShape &s, BasicOp tag)
-{
-    POSEIDON_REQUIRE(s.limbs >= 2, "emit_rescale: nothing to drop");
-    u64 rem = s.limbs - 1;
-    t.emit(OpKind::INTT, 2 * s.n, s.n, tag);
-    t.emit(OpKind::SBT, 2 * rem * s.n, s.n, tag);
-    t.emit(OpKind::NTT, 2 * rem * s.n, s.n, tag);
-    t.emit(OpKind::MA, 4 * rem * s.n, s.n, tag);
-    t.emit(OpKind::MM, 2 * rem * s.n, s.n, tag);
 }
 
 /// tau_g of a ciphertext keyswitched into QP: the automorphism of both
@@ -137,6 +120,55 @@ mul_ext(Trace &t, const OpShape &s, BasicOp tag)
     t.emit(OpKind::SBT, 3 * s.limbs * s.n, s.n, tag);
     mod_up(t, s, tag);
     key_product(t, s, 2, tag);
+}
+
+/// CMult as `mul` + `rescale_inplace` run it: the relinearized tensor
+/// product, then one fused ModDown by q_l*P onto limbs - 1 primes.
+void
+mul_rescale(Trace &t, const OpShape &s, BasicOp tag)
+{
+    mul_ext(t, s, tag);
+    mod_down(t, s.n, s.limbs - 1, s.K + 1, tag);
+}
+
+/// One double-hoisted BSGS stage at s.limbs, as
+/// Bootstrapper::linear_transform runs it.
+void
+linear_transform(Trace &t, const OpShape &s,
+                 const BootstrapPlan::Stage &st, BasicOp tag)
+{
+    u64 n = s.n;
+    u64 ext = s.ext_limbs();
+    // Baby steps: one ModUp of c1; per step, the digits (and c0)
+    // permuted and one key product over QP, written out for the
+    // diagonal products; the zero step lifts the input to P*ct.
+    mod_up(t, s, tag);
+    t.emit(OpKind::MM, 2 * s.limbs * n, n, tag);
+    for (std::size_t b = 0; b < st.babySteps; ++b) {
+        t.emit(OpKind::AUTO, (s.digits() * ext + s.limbs) * n, n, tag);
+        key_product(t, s, 1, tag);
+        t.emit(OpKind::HBM_WR, 2 * ext * n, n, tag);
+    }
+    // Per giant group: its diagonal products over QP, diagonals and
+    // baby steps streamed in, then for a nonzero giant step one
+    // ModDown and a rotation back into QP. The groups sum in QP and
+    // one fused ModDown + rescale ends the stage.
+    for (std::size_t i = 0, j; i < st.offsets.size(); i = j) {
+        long giant = st.offsets[i].giant;
+        for (j = i; j < st.offsets.size() && st.offsets[j].giant == giant;
+             ++j) {}
+        u64 terms = j - i;
+        t.emit(OpKind::HBM_RD, 3 * terms * ext * n, n, tag);
+        t.emit(OpKind::MM, 2 * terms * ext * n, n, tag);
+        t.emit(OpKind::MA, 2 * (terms - 1) * ext * n, n, tag);
+        t.emit(OpKind::SBT, dot_reductions(2 * ext * n, terms), n, tag);
+        if (giant != 0) {
+            mod_down(t, n, s.limbs, s.K, tag);
+            rotate_ext(t, s, tag);
+        }
+        if (i > 0) t.emit(OpKind::MA, 2 * ext * n, n, tag);
+    }
+    mod_down(t, n, s.limbs - 1, s.K + 1, tag);
 }
 
 } // namespace
@@ -186,8 +218,32 @@ void
 emit_rescale(Trace &t, const OpShape &s, BasicOp tag)
 {
     EmitMeter meter(t, tag);
+    POSEIDON_REQUIRE(s.limbs >= 2, "emit_rescale: nothing to drop");
     t.emit(OpKind::HBM_RD, ct_words(s), s.n, tag);
-    rescale(t, s, tag);
+    mod_down(t, s.n, s.limbs - 1, 1, tag);
+    t.emit(OpKind::HBM_WR, 2 * (s.limbs - 1) * s.n, s.n, tag);
+}
+
+void
+emit_cmult_rescale(Trace &t, const OpShape &s, BasicOp tag)
+{
+    EmitMeter meter(t, tag);
+    POSEIDON_REQUIRE(s.limbs >= 2, "emit_cmult_rescale: nothing to drop");
+    t.emit(OpKind::HBM_RD, 2 * ct_words(s), s.n, tag);
+    mul_rescale(t, s, tag);
+    t.emit(OpKind::HBM_WR, 2 * (s.limbs - 1) * s.n, s.n, tag);
+}
+
+void
+emit_linear_transform(Trace &t, const OpShape &s,
+                      const BootstrapPlan::Stage &st, BasicOp tag)
+{
+    EmitMeter meter(t, tag);
+    POSEIDON_REQUIRE(st.limbs == s.limbs && s.limbs >= 2,
+                     "emit_linear_transform: a stage at " << st.limbs
+                     << " limbs on a ciphertext at " << s.limbs);
+    t.emit(OpKind::HBM_RD, ct_words(s), s.n, tag);
+    linear_transform(t, s, st, tag);
     t.emit(OpKind::HBM_WR, 2 * (s.limbs - 1) * s.n, s.n, tag);
 }
 
@@ -255,46 +311,11 @@ emit_bootstrap(Trace &t, const OpShape &top, u64 slots, BasicOp tag)
     t.emit(OpKind::SBT, 2 * top.limbs * n, n, tag);
     t.emit(OpKind::NTT, 2 * top.limbs * n, n, tag);
 
-    // One double-hoisted stage (Bootstrapper::linear_transform).
-    auto stage = [&](const BootstrapPlan::Stage &st) {
-        OpShape s = at(st.limbs);
-        u64 ext = s.ext_limbs();
-        // Baby steps: one ModUp of c1; per step, the digits (and c0)
-        // permuted and one key product over QP, written out for the
-        // diagonal products; the zero step lifts the input to P*ct.
-        mod_up(t, s, tag);
-        t.emit(OpKind::MM, 2 * s.limbs * n, n, tag);
-        for (std::size_t b = 0; b < st.babySteps; ++b) {
-            t.emit(OpKind::AUTO, (s.digits() * ext + s.limbs) * n, n, tag);
-            key_product(t, s, 1, tag);
-            t.emit(OpKind::HBM_WR, 2 * ext * n, n, tag);
-        }
-        // Per giant group: its diagonal products over QP, diagonals and
-        // baby steps streamed in, then for a nonzero giant step one
-        // ModDown and a rotation back into QP. The groups sum in QP and
-        // one fused ModDown + rescale ends the stage.
-        for (std::size_t i = 0, j; i < st.offsets.size(); i = j) {
-            long giant = st.offsets[i].giant;
-            for (j = i; j < st.offsets.size() &&
-                        st.offsets[j].giant == giant; ++j) {}
-            u64 terms = j - i;
-            t.emit(OpKind::HBM_RD, 3 * terms * ext * n, n, tag);
-            t.emit(OpKind::MM, 2 * terms * ext * n, n, tag);
-            t.emit(OpKind::MA, 2 * (terms - 1) * ext * n, n, tag);
-            t.emit(OpKind::SBT, dot_reductions(2 * ext * n, terms), n,
-                   tag);
-            if (giant != 0) {
-                mod_down(t, n, s.limbs, s.K, tag);
-                rotate_ext(t, s, tag);
-            }
-            if (i > 0) t.emit(OpKind::MA, 2 * ext * n, n, tag);
-        }
-        mod_down(t, n, s.limbs - 1, s.K + 1, tag);
-    };
-
     // CoeffToSlot, then the real/imaginary split: one conjugation, a
     // sum, a difference and the monomial -X^{N/2}.
-    for (const auto &st : plan.coeffToSlot) stage(st);
+    for (const auto &st : plan.coeffToSlot) {
+        linear_transform(t, at(st.limbs), st, tag);
+    }
     u64 l = plan.coeffToSlot.back().limbs - 1;
     rotate_ext(t, at(l), tag);
     mod_down(t, n, l, top.K, tag);
@@ -313,13 +334,12 @@ emit_bootstrap(Trace &t, const OpShape &top, u64 slots, BasicOp tag)
         l = evalTop;
         auto scalar = [&] {
             t.emit(OpKind::MM, 2 * l * n, n, tag);
-            rescale(t, at(l), tag);
+            mod_down(t, n, l - 1, 1, tag);
             --l;
         };
         for (u64 i = 1; i < em.plainMults / halves; ++i) scalar();
         for (u64 i = 0; i < em.relinearizations / halves; ++i) {
-            mul_ext(t, at(l), tag);
-            mod_down(t, n, l - 1, top.K + 1, tag);
+            mul_rescale(t, at(l), tag);
             --l;
         }
         rotate_ext(t, at(l), tag);
@@ -331,7 +351,9 @@ emit_bootstrap(Trace &t, const OpShape &top, u64 slots, BasicOp tag)
     // SlotToCoeff: the recombination lo + X^{N/2}*hi, then its stages.
     t.emit(OpKind::MM, 2 * l * n, n, tag);
     t.emit(OpKind::MA, 2 * l * n, n, tag);
-    for (const auto &st : plan.slotToCoeff) stage(st);
+    for (const auto &st : plan.slotToCoeff) {
+        linear_transform(t, at(st.limbs), st, tag);
+    }
     t.emit(OpKind::HBM_WR, 2 * (plan.slotToCoeff.back().limbs - 1) * n,
            n, tag);
 }

@@ -12,10 +12,12 @@
  * primitives: ModUp (`limbs` INTTs, `digits * ext - limbs` NTTs), the
  * key product over QP (one reduction per output coefficient plus one
  * fold every 16 terms) and ModDown by P or by P*q_l (INTTs on the
- * divided-out tail, NTTs on the remaining limbs). OpShape::dnum sets
- * the digits like CkksParams::dnum: 0 is one per prime.
+ * divided-out tail, NTTs on the remaining limbs); a rescale is the
+ * ModDown by q_l. OpShape::dnum sets the digits like CkksParams::dnum:
+ * 0 is one per prime.
  */
 
+#include "ckks/bootstrap_plan.h"
 #include "isa/trace.h"
 
 namespace poseidon::isa {
@@ -40,6 +42,10 @@ void emit_pmult(Trace &t, const OpShape &s, BasicOp tag = BasicOp::PMult);
 void emit_cmult(Trace &t, const OpShape &s, BasicOp tag = BasicOp::CMult);
 void emit_rescale(Trace &t, const OpShape &s,
                   BasicOp tag = BasicOp::Rescale);
+/// CMult followed by a rescale, as the library runs the pair: the
+/// relinearization's ModDown by P fused with the division by q_l.
+void emit_cmult_rescale(Trace &t, const OpShape &s,
+                        BasicOp tag = BasicOp::CMult);
 void emit_ntt_op(Trace &t, const OpShape &s,
                  BasicOp tag = BasicOp::NttOnly);
 
@@ -55,6 +61,18 @@ void emit_moddown(Trace &t, const OpShape &s,
 
 void emit_rotation(Trace &t, const OpShape &s,
                    BasicOp tag = BasicOp::Rotation);
+
+/**
+ * One BSGS transform stage (ckks/bootstrap_plan.h) on a ciphertext at
+ * s.limbs == st.limbs, double-hoisted as Bootstrapper::linear_transform
+ * runs it: one ModUp shared by the baby steps, the diagonal products
+ * over QP, one ModDown and rotation per giant step, and one fused
+ * ModDown + rescale. The bootstrap's stages are priced by the same
+ * code.
+ */
+void emit_linear_transform(Trace &t, const OpShape &s,
+                           const BootstrapPlan::Stage &st,
+                           BasicOp tag = BasicOp::Rotation);
 
 /**
  * One packed bootstrap of `slots` slots on a chain of top.limbs primes:

@@ -82,10 +82,15 @@ diff_bench(const Json &baseline, const Json &current,
                                "\"";
         return r;
     }
-    // Schema-v2 stamps: refuse to diff across machine shapes. A v1
-    // document has no stamp and is compared as-is.
+    // The stamps: refuse to diff across machine shapes, or against a
+    // document that does not say which shape it priced.
     for (const char *key : {"hw_config", "threads"}) {
-        if (!baseline.contains(key) || !current.contains(key)) continue;
+        if (!baseline.contains(key) || !current.contains(key)) {
+            r.comparable = false;
+            r.incomparableReason =
+                std::string("unstamped document refused: no ") + key;
+            return r;
+        }
         std::string b = baseline.at(key).is_string()
                             ? baseline.at(key).as_string()
                             : baseline.at(key).dump();

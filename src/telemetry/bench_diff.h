@@ -16,9 +16,9 @@
  * they become part of the baseline when it is next refreshed.
  *
  * Cross-config diffs are meaningless (different lanes, threads or
- * machine shapes legitimately price differently), so when both
- * documents carry the schema-v2 "hw_config"/"threads" stamps and they
- * disagree — or the bench names differ — the result is marked
+ * machine shapes legitimately price differently), so when either
+ * document lacks the "hw_config"/"threads" stamps, when the stamps
+ * disagree, or when the bench names differ, the result is marked
  * incomparable, which the gate treats as failure.
  *
  * The modeled-cycle sources are deterministic; the default tolerance

@@ -2,60 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <utility>
 
 #include "ckks/bootstrap_plan.h"
 #include "common/check.h"
 
 namespace poseidon::workloads {
 
-using isa::BasicOp;
 using isa::OpShape;
-using isa::Trace;
-
-namespace {
-
-/// Matrix-vector product of dimension `dim` via the diagonal method
-/// with BSGS: ~2*sqrt(dim) rotations + dim PMult + dim-1 HAdd + one
-/// rescale. Charged to the caller's tag.
-void
-emit_matvec(Trace &t, BasicOpCounts &ops, const OpShape &s, u64 dim,
-            BasicOp tag)
-{
-    u64 n1 = static_cast<u64>(
-        std::ceil(std::sqrt(static_cast<double>(dim))));
-    u64 nb = (dim + n1 - 1) / n1;
-    for (u64 g = 1; g < n1; ++g) {
-        isa::emit_rotation(t, s, tag);
-        ops.add(BasicOp::Rotation);
-    }
-    for (u64 d = 0; d < dim; ++d) {
-        isa::emit_pmult(t, s, tag);
-        ops.add(BasicOp::PMult);
-    }
-    for (u64 a = 0; a + 1 < dim; ++a) {
-        isa::emit_hadd(t, s, tag);
-        ops.add(BasicOp::HAdd);
-    }
-    for (u64 b = 1; b < nb; ++b) {
-        isa::emit_rotation(t, s, tag);
-        ops.add(BasicOp::Rotation);
-    }
-    isa::emit_rescale(t, s, tag);
-    ops.add(BasicOp::Rescale);
-}
-
-/// Packed bootstrap of `slots` slots from the top of `top`'s chain;
-/// charged to Bootstrapping.
-void
-emit_boot(Trace &t, BasicOpCounts &ops, const OpShape &top, u64 slots)
-{
-    isa::emit_bootstrap(t, top, slots);
-    ops.add(BasicOp::Bootstrapping);
-}
-
-} // namespace
 
 isa::OpShape
 paper_shape()
@@ -85,30 +38,13 @@ make_lr(const isa::OpShape &top)
     for (int iter = 0; iter < 10; ++iter) {
         // Gradient step: inner products over the feature dimension
         // (log-rotations), sigmoid approximation (2 CMult), update.
-        for (int r = 0; r < 12; ++r) {
-            isa::emit_rotation(w.trace, s, BasicOp::Rotation);
-            w.ops.add(BasicOp::Rotation);
-        }
-        for (int c = 0; c < 2; ++c) {
-            isa::emit_cmult(w.trace, s, BasicOp::CMult);
-            w.ops.add(BasicOp::CMult);
-        }
-        for (int p = 0; p < 4; ++p) {
-            isa::emit_pmult(w.trace, s, BasicOp::PMult);
-            w.ops.add(BasicOp::PMult);
-        }
-        for (int a = 0; a < 6; ++a) {
-            isa::emit_hadd(w.trace, s, BasicOp::HAdd);
-            w.ops.add(BasicOp::HAdd);
-        }
-        for (int rs = 0; rs < 2; ++rs) {
-            isa::emit_rescale(w.trace, s, BasicOp::Rescale);
-            w.ops.add(BasicOp::Rescale);
-        }
+        for (int r = 0; r < 12; ++r) isa::emit_rotation(w.trace, s);
+        for (int c = 0; c < 2; ++c) isa::emit_cmult_rescale(w.trace, s);
+        for (int p = 0; p < 4; ++p) isa::emit_pmult(w.trace, s);
+        for (int a = 0; a < 6; ++a) isa::emit_hadd(w.trace, s);
     }
     // Two bootstraps across the 10 iterations.
-    emit_boot(w.trace, w.ops, top, /*slots=*/top.n / 2);
-    emit_boot(w.trace, w.ops, top, /*slots=*/top.n / 2);
+    for (int b = 0; b < 2; ++b) isa::emit_bootstrap(w.trace, top, top.n / 2);
     w.bootstrapCount = 2;
     w.reportDivisor = 10; // the paper reports the per-iteration average
     return w;
@@ -138,19 +74,16 @@ make_lstm(const isa::OpShape &top)
         s.limbs +
         plan_bootstrap(kLstmSlots, top.limbs, bootShape.K, top.n).levels();
 
+    // W0*y and W1*x: every diagonal of a dense 128x128 matrix, split
+    // as the bootstrap's transforms are.
+    BootstrapPlan::Stage dense = bsgs_stage(0, 127, 1, s.limbs, s.K, s.n);
     for (int step = 0; step < 50; ++step) {
-        emit_matvec(w.trace, w.ops, s, 128, BasicOp::Rotation);
-        emit_matvec(w.trace, w.ops, s, 128, BasicOp::Rotation);
-        isa::emit_hadd(w.trace, s, BasicOp::HAdd);
-        w.ops.add(BasicOp::HAdd);
+        isa::emit_linear_transform(w.trace, s, dense);
+        isa::emit_linear_transform(w.trace, s, dense);
+        isa::emit_hadd(w.trace, s);
         // Cubic activation: two CMult + rescales.
-        for (int c = 0; c < 2; ++c) {
-            isa::emit_cmult(w.trace, s, BasicOp::CMult);
-            w.ops.add(BasicOp::CMult);
-            isa::emit_rescale(w.trace, s, BasicOp::Rescale);
-            w.ops.add(BasicOp::Rescale);
-        }
-        emit_boot(w.trace, w.ops, bootShape, kLstmSlots);
+        for (int c = 0; c < 2; ++c) isa::emit_cmult_rescale(w.trace, s);
+        isa::emit_bootstrap(w.trace, bootShape, kLstmSlots);
     }
     w.bootstrapCount = 50;
     return w;
@@ -168,27 +101,22 @@ make_resnet20(const isa::OpShape &top)
     OpShape s = top;
     s.limbs = 24;
 
+    // Convolution lowered to shifted multiply-accumulate: a 3x3 kernel
+    // over packed channels is nine tap diagonals in one giant group,
+    // hoisted under one ModUp as examples/encrypted_image_filter.cpp
+    // runs them (a tap's slot offset does not change its price); then
+    // a dense 64x64 channel mixing.
+    BootstrapPlan::Stage taps =
+        bsgs_stage(0, 8, 1, s.limbs, s.K, s.n, /*n1=*/9);
+    BootstrapPlan::Stage mix = bsgs_stage(0, 63, 1, s.limbs, s.K, s.n);
     for (int layer = 0; layer < 20; ++layer) {
-        // Convolution lowered to shifted multiply-accumulate: a 3x3
-        // kernel over packed channels — 9 rotations with per-tap
-        // plaintext weights, accumulated, plus channel mixing.
-        for (int tap = 0; tap < 9; ++tap) {
-            isa::emit_rotation(w.trace, s, BasicOp::Rotation);
-            w.ops.add(BasicOp::Rotation);
-            isa::emit_pmult(w.trace, s, BasicOp::PMult);
-            w.ops.add(BasicOp::PMult);
-            isa::emit_hadd(w.trace, s, BasicOp::HAdd);
-            w.ops.add(BasicOp::HAdd);
-        }
-        emit_matvec(w.trace, w.ops, s, 64, BasicOp::Rotation);
+        isa::emit_linear_transform(w.trace, s, taps);
+        isa::emit_linear_transform(w.trace, s, mix);
         // Square activation.
-        isa::emit_cmult(w.trace, s, BasicOp::CMult);
-        w.ops.add(BasicOp::CMult);
-        isa::emit_rescale(w.trace, s, BasicOp::Rescale);
-        w.ops.add(BasicOp::Rescale);
+        isa::emit_cmult_rescale(w.trace, s);
         // Bootstrap every other layer.
         if (layer % 2 == 1) {
-            emit_boot(w.trace, w.ops, top, /*slots=*/u64(1) << 14);
+            isa::emit_bootstrap(w.trace, top, /*slots=*/u64(1) << 14);
         }
     }
     w.bootstrapCount = 10;
@@ -205,7 +133,7 @@ make_packed_bootstrapping(const isa::OpShape &top)
         "ciphertext (L=3) to L=57";
     OpShape s = top;
     s.limbs = 57;
-    emit_boot(w.trace, w.ops, s, /*slots=*/top.n / 2);
+    isa::emit_bootstrap(w.trace, s, /*slots=*/top.n / 2);
     w.bootstrapCount = 1;
     return w;
 }
@@ -259,24 +187,26 @@ edit_distance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
-/// Accepted spellings, canonicalized, mapped to the canonical display
-/// name — the search space for near-miss suggestions.
-const std::vector<std::pair<std::string, std::string>>&
-accepted_spellings()
+/// Accepted spellings, canonicalized, with the display name and the
+/// generator of the workload each one names.
+struct Spelling
 {
-    static const std::vector<std::pair<std::string, std::string>> kMap =
-        {
-            {"lr", "LR"},
-            {"helr", "LR"},
-            {"lstm", "LSTM"},
-            {"resnet20", "ResNet-20"},
-            {"resnet", "ResNet-20"},
-            {"packedbootstrapping", "Packed Bootstrapping"},
-            {"bootstrapping", "Packed Bootstrapping"},
-            {"bootstrap", "Packed Bootstrapping"},
-        };
-    return kMap;
-}
+    const char *key;
+    const char *name;
+    Workload (*make)(const OpShape &);
+};
+
+constexpr Spelling kSpellings[] = {
+    {"lr", "LR", make_lr},
+    {"helr", "LR", make_lr},
+    {"lstm", "LSTM", make_lstm},
+    {"resnet20", "ResNet-20", make_resnet20},
+    {"resnet", "ResNet-20", make_resnet20},
+    {"packedbootstrapping", "Packed Bootstrapping",
+     make_packed_bootstrapping},
+    {"bootstrapping", "Packed Bootstrapping", make_packed_bootstrapping},
+    {"bootstrap", "Packed Bootstrapping", make_packed_bootstrapping},
+};
 
 /// Closest known workload for a misspelled `key` (canonical form), or
 /// empty when nothing is plausibly close. The threshold scales with
@@ -286,13 +216,14 @@ suggest_workload(const std::string &key)
 {
     std::string best;
     std::size_t bestDist = std::string::npos;
-    for (const auto &[spelling, display] : accepted_spellings()) {
+    for (const Spelling &sp : kSpellings) {
+        std::string spelling = sp.key;
         std::size_t d = edit_distance(key, spelling);
         std::size_t budget = std::max<std::size_t>(
             1, std::min(key.size(), spelling.size()) / 3);
         if (d <= budget && d < bestDist) {
             bestDist = d;
-            best = display;
+            best = sp.name;
         }
     }
     return best;
@@ -304,13 +235,8 @@ Workload
 find_workload(const std::string &name)
 {
     std::string key = canonical(name);
-    OpShape s = paper_shape();
-    if (key == "lr" || key == "helr") return make_lr(s);
-    if (key == "lstm") return make_lstm(s);
-    if (key == "resnet20" || key == "resnet") return make_resnet20(s);
-    if (key == "packedbootstrapping" || key == "bootstrapping" ||
-        key == "bootstrap") {
-        return make_packed_bootstrapping(s);
+    for (const Spelling &sp : kSpellings) {
+        if (key == sp.key) return sp.make(paper_shape());
     }
     std::string known;
     for (const std::string &n : workload_names()) {

@@ -5,15 +5,16 @@
  * @file
  * The paper's four evaluation benchmarks (Table V) as operator traces.
  *
- * Each generator builds the exact operation mix the workload structure
- * implies — matrix-vector products via the diagonal method with BSGS
- * rotations, polynomial activations via CMult chains, bootstrapping
- * via the packed pipeline — at the paper's full-scale parameters
- * (N = 2^16). The functional counterparts at small N live in the
- * examples/ directory; the traces here feed the hardware model.
+ * Each generator builds the operation mix the workload structure
+ * implies, priced as the library runs it: matrix-vector products and
+ * convolutions as hoisted BSGS transform stages
+ * (isa::emit_linear_transform, the bootstrap's own), polynomial
+ * activations as fused CMult + rescales, and packed bootstraps, at the
+ * paper's full-scale parameters (N = 2^16). The functional counterparts
+ * at small N live in the examples/ directory; the traces here feed the
+ * hardware model.
  */
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -21,27 +22,12 @@
 
 namespace poseidon::workloads {
 
-/// Counts of basic operations a workload performs (for CPU estimates).
-struct BasicOpCounts
-{
-    std::map<isa::BasicOp, u64> counts;
-
-    u64 of(isa::BasicOp b) const
-    {
-        auto it = counts.find(b);
-        return it == counts.end() ? 0 : it->second;
-    }
-
-    void add(isa::BasicOp b, u64 n = 1) { counts[b] += n; }
-};
-
 /// One benchmark: its trace plus bookkeeping.
 struct Workload
 {
     std::string name;
     std::string description;
     isa::Trace trace;
-    BasicOpCounts ops;
     u64 bootstrapCount = 0;
     /// Divide total time by this to get the paper's reported metric
     /// (e.g. LR reports the average per training iteration).
@@ -77,7 +63,8 @@ std::vector<std::string> workload_names();
 /// `did you mean "LSTM"?`).
 Workload find_workload(const std::string &name);
 
-/// The paper-scale shape (N = 2^16, 44 limbs, 1 special prime).
+/// The paper-scale shape: N = 2^16, 44 limbs, dnum = 4 digits and
+/// K = 11 special primes.
 isa::OpShape paper_shape();
 
 } // namespace poseidon::workloads

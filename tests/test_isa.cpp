@@ -244,6 +244,70 @@ TEST(Compiler, RescaleRequiresTwoLimbs)
     EXPECT_THROW(emit_rescale(t, s), poseidon::Error);
 }
 
+TEST(Compiler, RescaleIsOneModDown)
+{
+    // The library rescales by the ModDown by q_l: a ModDown of the pair
+    // by one prime onto limbs - 1 primes, traffic included.
+    OpShape s = small_shape();
+    s.dnum = 3;
+    s.K = 4;
+    OpShape tail = s;
+    tail.limbs = s.limbs - 1;
+    tail.K = 1;
+    Trace rescale, modDown;
+    emit_rescale(rescale, s);
+    emit_moddown(modDown, tail);
+    OpCounts r = rescale.totals();
+    OpCounts m = modDown.totals();
+    for (OpKind k : {OpKind::INTT, OpKind::NTT, OpKind::MM, OpKind::SBT,
+                     OpKind::MA, OpKind::HBM_RD, OpKind::HBM_WR}) {
+        EXPECT_EQ(r[k], m[k]) << to_string(k);
+    }
+    EXPECT_EQ(r[OpKind::INTT], 2 * s.n);
+    EXPECT_EQ(r[OpKind::NTT], 2 * (s.limbs - 1) * s.n);
+}
+
+TEST(Compiler, LinearTransformFollowsItsStage)
+{
+    // One ModUp shared by the baby steps and one per giant-step
+    // keyswitch, one key product per baby and giant step, and the
+    // stage's ModDowns, for a dense 128-diagonal product and for a 3x3
+    // kernel's nine taps in one hoisted group.
+    if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+    auto &reg = telemetry::MetricsRegistry::global();
+    OpShape s = small_shape();
+    s.dnum = 4;
+    s.K = 2;
+    BootstrapPlan::Stage dense = bsgs_stage(0, 127, 1, s.limbs, s.K, s.n);
+    BootstrapPlan::Stage taps = bsgs_stage(0, 8, 1, s.limbs, s.K, s.n, 9);
+    EXPECT_EQ(dense.diagonals, 128u);
+    EXPECT_EQ(dense.babySteps, 15u);
+    EXPECT_EQ(dense.giantSteps, 7u);
+    EXPECT_EQ(taps.diagonals, 9u);
+    EXPECT_EQ(taps.babySteps, 8u);
+    EXPECT_EQ(taps.giantSteps, 0u);
+    EXPECT_EQ(taps.modDowns, 1u);
+    for (const BootstrapPlan::Stage *st : {&dense, &taps}) {
+        double up0 = reg.counter_value("isa.ops.mod_up");
+        double kp0 = reg.counter_value("isa.ops.key_product");
+        double md0 = reg.counter_value("isa.ops.mod_down");
+        Trace t;
+        emit_linear_transform(t, s, *st);
+        SCOPED_TRACE(testing::Message() << st->diagonals << " diagonals");
+        EXPECT_EQ(reg.counter_value("isa.ops.mod_up") - up0,
+                  1 + st->giantSteps);
+        EXPECT_EQ(reg.counter_value("isa.ops.key_product") - kp0,
+                  st->babySteps + st->giantSteps);
+        EXPECT_EQ(reg.counter_value("isa.ops.mod_down") - md0,
+                  st->modDowns);
+    }
+    // A stage runs at its own level.
+    Trace t;
+    OpShape other = s;
+    other.limbs = s.limbs - 1;
+    EXPECT_THROW(emit_linear_transform(t, other, dense), poseidon::Error);
+}
+
 TEST(Compiler, RotationIncludesAutomorphismAndKeyswitch)
 {
     OpShape s = small_shape();
@@ -281,7 +345,8 @@ TEST(Compiler, BootstrapFollowsThePlan)
     // At hostbench's bootstrap shape (logN=10, L=24), classic and
     // hybrid: one ModUp per keyswitch plus one hoisted ModUp per
     // transform stage, one key product per keyswitch plus one per
-    // hoisted baby step, and exactly the plan's ModDowns.
+    // hoisted baby step, and exactly the plan's ModDowns plus one
+    // rescale (a ModDown by q_l) per EvalMod scalar mult.
     if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
     auto &reg = telemetry::MetricsRegistry::global();
     for (u64 dnum : {u64(0), u64(3)}) {
@@ -311,8 +376,10 @@ TEST(Compiler, BootstrapFollowsThePlan)
                   plan.keyswitches() + babySteps);
         EXPECT_EQ(reg.counter_value("isa.ops.mod_up") - up0,
                   plan.keyswitches() + stages);
+        EXPECT_EQ(plan.evalMod.plainMults, 6u);
         EXPECT_EQ(reg.counter_value("isa.ops.mod_down") - md0,
-                  plan.mod_downs());
+                  plan.mod_downs() + plan.evalMod.plainMults);
+        EXPECT_EQ(plan.mod_downs() + plan.evalMod.plainMults, 53u);
     }
 }
 

@@ -363,26 +363,6 @@ TEST(Profiler, EmptyTimelineYieldsEmptyReport)
     EXPECT_NE(rep.verdict().find("empty"), std::string::npos);
 }
 
-// ------------------------------------------------ workload registry
-
-TEST(Workloads, FindWorkloadAcceptsForgivingSpellings)
-{
-    EXPECT_EQ(workloads::find_workload("lr").name, "LR");
-    EXPECT_EQ(workloads::find_workload("LSTM").name, "LSTM");
-    EXPECT_EQ(workloads::find_workload("resnet-20").name, "ResNet-20");
-    EXPECT_EQ(workloads::find_workload("ResNet20").name, "ResNet-20");
-    EXPECT_EQ(workloads::find_workload("packed bootstrapping").name,
-              "Packed Bootstrapping");
-    EXPECT_EQ(workloads::find_workload("bootstrapping").name,
-              "Packed Bootstrapping");
-    EXPECT_THROW(workloads::find_workload("quicksort"),
-                 poseidon::InvalidArgument);
-    // Every canonical name resolves to itself.
-    for (const std::string &n : workloads::workload_names()) {
-        EXPECT_EQ(workloads::find_workload(n).name, n);
-    }
-}
-
 } // namespace
 } // namespace poseidon::hw
 
@@ -509,17 +489,26 @@ TEST(BenchDiff, RefusesNameMismatch)
     EXPECT_NE(r.incomparableReason.find("name"), std::string::npos);
 }
 
-TEST(BenchDiff, SchemaV1DocumentsCompareWithoutStamps)
+TEST(BenchDiff, UnstampedDocumentsAreRefused)
 {
-    Json base = Json::object();
-    base.set("schema_version", Json(1));
-    base.set("name", Json("t"));
-    base.set("metrics", Json::object());
-    base.set("cycles", Json(100.0));
-    Json cur = Json::parse(base.dump());
-    EXPECT_FALSE(diff_bench(base, cur).regressed());
-    cur.set("cycles", Json(130.0));
-    EXPECT_TRUE(diff_bench(base, cur).regressed());
+    // A document without the hw_config/threads stamps is refused on
+    // either side, even with identical numbers.
+    Json stamped = bench_doc(100.0);
+    Json bare = Json::object();
+    for (const char *key : {"schema_version", "name", "git", "git_sha",
+                            "config", "metrics", "cycles", "seconds",
+                            "bandwidth_util"}) {
+        bare.set(key, stamped.at(key));
+    }
+    for (const auto &[base, cur] : {std::pair(&stamped, &bare),
+                                    std::pair(&bare, &stamped),
+                                    std::pair(&bare, &bare)}) {
+        BenchDiffResult r = diff_bench(*base, *cur);
+        EXPECT_FALSE(r.comparable);
+        EXPECT_TRUE(r.regressed());
+        EXPECT_NE(r.incomparableReason.find("unstamped"),
+                  std::string::npos);
+    }
 }
 
 TEST(BenchDiff, ZeroBaselineComparesAbsolutely)

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/status.h"
 #include "baselines/cpu.h"
 #include "baselines/published.h"
@@ -42,15 +44,25 @@ TEST(Workloads, WorkloadNamesMatchPaperBenchmarks)
 
 TEST(Workloads, FindWorkloadAcceptsForgivingSpellings)
 {
-    EXPECT_EQ(workloads::find_workload("lr").name, "LR");
-    EXPECT_EQ(workloads::find_workload("HELR").name, "LR");
-    EXPECT_EQ(workloads::find_workload("lstm").name, "LSTM");
-    EXPECT_EQ(workloads::find_workload("ResNet-20").name, "ResNet-20");
-    EXPECT_EQ(workloads::find_workload("resnet").name, "ResNet-20");
-    EXPECT_EQ(workloads::find_workload("packed_bootstrapping").name,
-              "Packed Bootstrapping");
-    EXPECT_EQ(workloads::find_workload("Bootstrap").name,
-              "Packed Bootstrapping");
+    const std::pair<const char*, const char*> cases[] = {
+        {"lr", "LR"},
+        {"HELR", "LR"},
+        {"lstm", "LSTM"},
+        {"LSTM", "LSTM"},
+        {"ResNet-20", "ResNet-20"},
+        {"resnet-20", "ResNet-20"},
+        {"ResNet20", "ResNet-20"},
+        {"resnet", "ResNet-20"},
+        {"packed_bootstrapping", "Packed Bootstrapping"},
+        {"packed bootstrapping", "Packed Bootstrapping"},
+        {"bootstrapping", "Packed Bootstrapping"},
+        {"Bootstrap", "Packed Bootstrapping"},
+    };
+    for (const auto &[spelling, name] : cases) {
+        EXPECT_EQ(workloads::find_workload(spelling).name, name) << spelling;
+    }
+    EXPECT_THROW(workloads::find_workload("quicksort"),
+                 poseidon::InvalidArgument);
     // Every canonical name round-trips through find_workload.
     for (const auto &name : workloads::workload_names()) {
         EXPECT_EQ(workloads::find_workload(name).name, name);
@@ -93,22 +105,46 @@ TEST(Workloads, FindWorkloadSuggestsNearMisses)
               std::string::npos);
 }
 
+/// Instructions of `t` tagged `tag`.
+std::size_t
+tagged(const isa::Trace &t, BasicOp tag)
+{
+    std::size_t n = 0;
+    for (const isa::Instr &in : t.instrs()) n += in.tag == tag;
+    return n;
+}
+
 TEST(Workloads, LrShape)
 {
-    auto lr = workloads::make_lr(workloads::paper_shape());
+    isa::OpShape top = workloads::paper_shape();
+    auto lr = workloads::make_lr(top);
     EXPECT_EQ(lr.bootstrapCount, 2u);
     EXPECT_EQ(lr.reportDivisor, 10u);
-    EXPECT_EQ(lr.ops.of(BasicOp::Rotation), 120u); // 12 x 10 iters
-    EXPECT_EQ(lr.ops.of(BasicOp::CMult), 20u);
-    EXPECT_EQ(lr.ops.of(BasicOp::Bootstrapping), 2u);
+    // 12 rotations and 2 fused CMult + rescales per iteration, 10
+    // iterations at 38 limbs, and 2 bootstraps from the top.
+    isa::OpShape s = top;
+    s.limbs = 38;
+    isa::Trace rot, mul, boot;
+    isa::emit_rotation(rot, s);
+    isa::emit_cmult_rescale(mul, s);
+    isa::emit_bootstrap(boot, top, top.n / 2);
+    EXPECT_EQ(tagged(lr.trace, BasicOp::Rotation), 120 * rot.size());
+    EXPECT_EQ(tagged(lr.trace, BasicOp::CMult), 20 * mul.size());
+    EXPECT_EQ(tagged(lr.trace, BasicOp::Bootstrapping), 2 * boot.size());
+    EXPECT_EQ(tagged(lr.trace, BasicOp::Rescale), 0u);
 }
 
 TEST(Workloads, LstmIsRotationHeavy)
 {
     auto lstm = workloads::make_lstm(workloads::paper_shape());
     EXPECT_EQ(lstm.bootstrapCount, 50u);
-    EXPECT_GT(lstm.ops.of(BasicOp::Rotation), 1000u);
-    EXPECT_GT(lstm.ops.of(BasicOp::PMult), 10000u);
+    // Two dense 128x128 products per step, each 15 hoisted baby steps
+    // and 7 giant-step rotations, one automorphism each.
+    std::size_t autos = 0;
+    for (const isa::Instr &in : lstm.trace.instrs()) {
+        autos += in.tag == BasicOp::Rotation && in.kind == OpKind::AUTO;
+    }
+    EXPECT_EQ(autos, 50u * 2 * (15 + 7));
 }
 
 TEST(Workloads, KeyswitchAndCMultDominateBenchmarkTime)
