@@ -28,13 +28,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -257,17 +255,6 @@ scaling_cell(u64 perClient)
     return spec;
 }
 
-/// Host wall microseconds per job of one run of scaling_cell.
-double
-host_us_per_job(u64 perClient)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    CellResult res = run_cell(scaling_cell(perClient));
-    std::chrono::duration<double, std::micro> dt =
-        std::chrono::steady_clock::now() - t0;
-    return dt.count() / static_cast<double>(res.stats.submitted);
-}
-
 /// Heap allocations per job of the 1,024-job scaling_cell on one host
 /// thread: pricing then runs inline, so the count does not depend on
 /// scheduling.
@@ -475,17 +462,22 @@ main(int argc, char **argv)
     write_artifact(h, "TSDB_cluster.jsonl", serial.tsdbJsonl);
 
     // Host-cost scaling: per-job wall time must not grow with the
-    // number of jobs the cell has already served.
-    // The cells are timed interleaved, best of several runs each, so
-    // noise from other processes on the machine hits both alike.
-    double usSmall = std::numeric_limits<double>::infinity();
-    double usLarge = usSmall;
-    for (int r = 0; r < 3; ++r) {
-        for (int k = 0; k < 3; ++k) {
-            usSmall = std::min(usSmall, host_us_per_job(64));
-        }
-        usLarge = std::min(usLarge, host_us_per_job(1024));
-    }
+    // number of jobs the cell has already served. The two cells are
+    // interleaved probes of one window, so noise from other processes
+    // on the machine hits both alike.
+    u64 jobsSmall = 0, jobsLarge = 0;
+    auto best = bench::best_in_window(
+        {{"jobs1024",
+          [&] { jobsSmall = run_cell(scaling_cell(64)).stats.submitted; }},
+         {"jobs16384",
+          [&] {
+              jobsLarge = run_cell(scaling_cell(1024)).stats.submitted;
+          }}},
+        /*seconds=*/0.3, /*minReps=*/2);
+    const double usSmall =
+        1e6 * best[0].seconds / static_cast<double>(jobsSmall);
+    const double usLarge =
+        1e6 * best[1].seconds / static_cast<double>(jobsLarge);
     const double scaling = usLarge / usSmall;
     const double allocs = allocs_per_job();
     h.metric("scaling.host_us_per_job.jobs1024", usSmall);

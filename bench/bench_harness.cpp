@@ -1,5 +1,10 @@
 #include "bench/bench_harness.h"
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,7 +33,75 @@ run_git(const char *cmd)
     return out;
 }
 
+using Clock = std::chrono::steady_clock;
+
+double
+seconds_since(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+long
+minor_faults()
+{
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+}
+
+/// Runs one rep of `p` and returns its whole wall time, setup
+/// included. A timed rep (`r` non-null) counts into `r` and replaces
+/// its fastest rep if `fn` beat it.
+double
+run_rep(const Probe &p, ProbeResult *r)
+{
+    auto start = Clock::now();
+    if (p.setup) p.setup();
+    long faults = minor_faults();
+    auto t0 = Clock::now();
+    p.fn();
+    double s = seconds_since(t0);
+    faults = minor_faults() - faults;
+    if (r && (r->reps++ == 0 || s < r->seconds)) {
+        r->seconds = s;
+        r->minorFaults = faults;
+    }
+    return seconds_since(start);
+}
+
 } // namespace
+
+std::vector<ProbeResult>
+best_in_window(const std::vector<Probe> &probes, double seconds,
+               std::size_t minReps)
+{
+    std::vector<ProbeResult> out(probes.size());
+    if (probes.empty()) return out;
+    minReps = std::max<std::size_t>(minReps, 1);
+    // Each probe's fastest whole rep so far, warm-up included: what a
+    // round gives it to match the slowest probe.
+    std::vector<double> rep(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        rep[i] = run_rep(probes[i], nullptr);
+    }
+    auto shortOfReps = [&] {
+        return std::any_of(out.begin(), out.end(), [&](const auto &r) {
+            return r.reps < minReps;
+        });
+    };
+    auto t0 = Clock::now();
+    while (shortOfReps() || seconds_since(t0) < seconds) {
+        double slowest = *std::max_element(rep.begin(), rep.end());
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            auto n = std::max<long long>(
+                1, std::llround(slowest / std::max(rep[i], 1e-9)));
+            for (long long k = 0; k < n; ++k) {
+                rep[i] = std::min(rep[i], run_rep(probes[i], &out[i]));
+            }
+        }
+    }
+    return out;
+}
 
 std::string
 git_describe()

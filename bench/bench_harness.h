@@ -28,13 +28,19 @@
  * The git_sha / threads / hw_config stamps exist for the regression
  * gate: tools/bench_compare refuses to diff documents whose
  * hw_config or threads disagree, and git_sha ties a baseline to the
- * commit that produced it. Version 1 (no stamps) is still accepted by
- * validate_bench_json.
+ * commit that produced it. validate_bench_json accepts version 2
+ * only.
+ *
+ * Host wall time is measured in one place, best_in_window(): rounds
+ * of interleaved probes over a time window, reporting each probe's
+ * fastest rep.
  *
  * The JSON lands in $POSEIDON_BENCH_DIR (default: the working
  * directory); `--no-json` suppresses it entirely.
  */
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,6 +110,40 @@ class Harness
     double totalBytes_ = 0.0;
     double peakGBps_ = 0.0;
 };
+
+/// One host operation timed by best_in_window().
+struct Probe
+{
+    std::string name;
+    /// The timed work of one rep.
+    std::function<void()> fn;
+    /// Optional untimed work run before every rep (e.g. restoring an
+    /// operand that `fn` transforms in place).
+    std::function<void()> setup = {};
+};
+
+/// A probe's fastest rep.
+struct ProbeResult
+{
+    double seconds = 0.0; ///< wall time of the fastest timed rep
+    std::size_t reps = 0; ///< timed reps run
+    long minorFaults = 0; ///< ru_minflt delta of the fastest rep
+};
+
+/**
+ * Times `probes` the way hostbench times its request families: one
+ * untimed warm-up rep of every probe, then rounds until `seconds` of
+ * wall time have passed and every probe has `minReps` (at least one)
+ * timed reps. In a round each probe, in order, runs for about the
+ * wall time of the slowest probe's fastest rep so far, and at least
+ * once, so a slow stretch of a shared host hits every probe alike.
+ * Other tenants only ever slow a rep, so each probe's fastest rep is
+ * the figure that repeats from run to run. Results are in `probes`
+ * order.
+ */
+std::vector<ProbeResult> best_in_window(const std::vector<Probe> &probes,
+                                        double seconds,
+                                        std::size_t minReps);
 
 } // namespace poseidon::bench
 

@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <functional>
 
 #include "bench/bench_harness.h"
@@ -372,8 +370,9 @@ class HarnessReporter : public benchmark::ConsoleReporter
 // ---- Dispatch report + speedup gate. ----
 //
 // Google-benchmark timings are great comparison rows but too noisy to
-// gate on directly, so the gate re-times each kernel itself:
-// min-of-trials wall time per level, ratio scalar/active. The ratios
+// gate on directly, so the gate re-times each kernel itself: the
+// scalar and the active level as interleaved probes of
+// bench::best_in_window, ratio of their fastest calls. The ratios
 // land in BENCH_micro_kernels.json as `kernels.speedup.*` (the only
 // metrics in the committed baseline — pruned so the absolute
 // ns_per_iter rows never gate) and, when an AVX level is dispatched,
@@ -381,30 +380,16 @@ class HarnessReporter : public benchmark::ConsoleReporter
 // elementwise mulmod and >= 1.3x forward NTT at N = 2^14. The dot
 // product ratios are reported only.
 
+/// Fastest scalar call over fastest active call, both timed in one
+/// window so that frequency scaling or a noisy co-tenant mid-run
+/// biases neither side.
 double
-time_once(int iters, const std::function<void()> &fn)
-{
-    using clock = std::chrono::steady_clock;
-    auto t0 = clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    std::chrono::duration<double> dt = clock::now() - t0;
-    return dt.count();
-}
-
-/// Best-of-trials for both variants with the trials *interleaved*, so
-/// frequency scaling or a noisy co-tenant mid-run biases neither side.
-double
-speedup_vs(int trials, int iters, const std::function<void()> &base,
+speedup_vs(const std::function<void()> &base,
            const std::function<void()> &opt)
 {
-    base();
-    opt(); // warm caches and the dispatch tables
-    double bestBase = 1e300, bestOpt = 1e300;
-    for (int t = 0; t < trials; ++t) {
-        bestBase = std::min(bestBase, time_once(iters, base));
-        bestOpt = std::min(bestOpt, time_once(iters, opt));
-    }
-    return bestBase / bestOpt;
+    auto r = bench::best_in_window({{"scalar", base}, {"active", opt}},
+                                   /*seconds=*/0.25, /*minReps=*/15);
+    return r[0].seconds / r[1].seconds;
 }
 
 bool
@@ -435,15 +420,12 @@ report_dispatch_and_gate(bench::Harness &h)
 
     const kernels::KernelTable &sc = kernels::table(SimdLevel::Scalar);
     const kernels::KernelTable &ac = kernels::table(active);
-    const int trials = 15, iters = 40;
 
     double mulSpeedup = speedup_vs(
-        trials, iters,
         [&] { sc.mul_mod_n(out.data(), a.data(), b.data(), n, q); },
         [&] { ac.mul_mod_n(out.data(), a.data(), b.data(), n, q); });
     work = a;
     double nttSpeedup = speedup_vs(
-        trials, iters,
         [&] {
             sc.ntt_forward(work.data(), n, table.log_degree(),
                            table.psi_br().data(),
@@ -457,12 +439,10 @@ report_dispatch_and_gate(bench::Harness &h)
     // Report-only: not in the committed baseline, so never gated.
     DotBench vec(8, n, q, /*scalarWeights=*/false);
     DotBench scl(8, n, q, /*scalarWeights=*/true);
-    double dotVecSpeedup = speedup_vs(
-        trials, iters / 4, [&] { vec.run(sc, q); },
-        [&] { vec.run(ac, q); });
-    double dotScalarSpeedup = speedup_vs(
-        trials, iters / 4, [&] { scl.run(sc, q); },
-        [&] { scl.run(ac, q); });
+    double dotVecSpeedup = speedup_vs([&] { vec.run(sc, q); },
+                                      [&] { vec.run(ac, q); });
+    double dotScalarSpeedup = speedup_vs([&] { scl.run(sc, q); },
+                                         [&] { scl.run(ac, q); });
     h.metric("kernels.speedup.mulmod_16384", mulSpeedup);
     h.metric("kernels.speedup.ntt_fwd_16384", nttSpeedup);
     h.metric("kernels.speedup.dot_vec8_16384", dotVecSpeedup);

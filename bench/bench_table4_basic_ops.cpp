@@ -2,19 +2,25 @@
 // (ops/second) on CPU vs GPU (over100x) vs HEAX vs Poseidon, plus the
 // Poseidon-over-CPU speedup.
 //
-// CPU: this library measured single-threaded at the paper shape
-// (N=2^16, 44 limbs, one special prime, one keyswitch digit per prime),
-// the fastest of two runs per op; a run takes about 35 s and 5.4 GB of
-// memory, most of it the two switching keys. GPU/HEAX: the published
+// CPU: this library at the paper shape (N=2^16, 44 limbs, one special
+// prime, one keyswitch digit per prime), the seven ops timed as
+// interleaved probes by bench::best_in_window: each op's fastest rep
+// in a 45 s window, at least three reps each, printed with the minor
+// page faults of that rep. A run takes about 60 s on a 4-core VM and
+// 5.5 GB of memory, most of it the two switching keys. GPU/HEAX: the published
 // numbers the paper compares against. Poseidon: the cycle model at the
 // same shape.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_harness.h"
 
-#include "baselines/cpu.h"
 #include "baselines/published.h"
+#include "ckks/encoder.h"
+#include "ckks/encryptor.h"
+#include "ckks/evaluator.h"
+#include "common/parallel.h"
 #include "common/table.h"
 #include "hw/sim.h"
 #include "workloads/workloads.h"
@@ -25,6 +31,9 @@ using isa::OpShape;
 using isa::Trace;
 
 namespace {
+
+constexpr double kWindowSeconds = 45.0;
+constexpr std::size_t kMinReps = 3;
 
 std::string
 rate(double opsPerSec)
@@ -45,16 +54,12 @@ int
 main(int argc, char **argv)
 {
     bench::Harness h("table4_basic_ops", argc, argv);
-    // --- CPU baseline: measured at the paper shape. ---
     CkksParams mp;
     mp.logN = 16;
     mp.L = 44;
     mp.scaleBits = 35;
     mp.firstPrimeBits = 45;
     mp.specialPrimeBits = 45;
-    std::printf("Measuring CPU baseline at N=2^%u, L=%zu ...\n", mp.logN,
-                mp.L);
-    auto cpu = baselines::CpuBaseline::measure(mp, /*reps=*/2);
 
     OpShape paper;
     paper.n = mp.degree();
@@ -71,12 +76,6 @@ main(int argc, char **argv)
         emit(t, paper, tag);
         return 1.0 / sim.run(t).seconds;
     };
-    double pHadd = simulate(isa::emit_hadd, BasicOp::HAdd);
-    double pPmult = simulate(isa::emit_pmult, BasicOp::PMult);
-    double pCmult = simulate(isa::emit_cmult, BasicOp::CMult);
-    double pNtt = simulate(isa::emit_ntt_op, BasicOp::NttOnly);
-    double pRot = simulate(isa::emit_rotation, BasicOp::Rotation);
-    double pResc = simulate(isa::emit_rescale, BasicOp::Rescale);
     Trace tks;
     isa::emit_keyswitch(tks, paper);
     double pKs = 1.0 / sim.run(tks).seconds;
@@ -84,39 +83,82 @@ main(int argc, char **argv)
     auto gpu = baselines::gpu_over100x_rates();
     auto heax = baselines::heax_rates();
 
-    AsciiTable table(
-        "Table IV: basic operation throughput (operations per second), "
-        "N=2^16, 44 limbs");
-    table.header({"Operation", "CPU (this lib, 1 thread)",
-                  "over100x (GPU, published)", "HEAX (FPGA, published)",
-                  "Poseidon (model)", "speedup vs CPU"});
+    // --- CPU baseline: this library at the paper shape. ---
+    std::printf("Measuring CPU baseline at N=2^%u, L=%zu on %zu host "
+                "threads ...\n",
+                mp.logN, mp.L, parallel::num_threads());
+    auto ctx = make_ckks_context(mp);
+    CkksEncoder encoder(ctx);
+    KeyGenerator keygen(ctx);
+    CkksEncryptor encryptor(ctx, keygen.make_public_key());
+    CkksEvaluator eval(ctx);
+    KSwitchKey relin = keygen.make_relin_key();
+    GaloisKeys gk = keygen.make_galois_keys({1});
+    Plaintext pt = encoder.encode(
+        std::vector<cdouble>(ctx->slots(), cdouble(0.5, 0.25)), mp.L);
+    Ciphertext ct = encryptor.encrypt(pt);
+    Ciphertext ct2 = encryptor.encrypt(pt);
+    RnsPoly p = ct.c0;
+    Ciphertext c = ct;
 
     struct Row
     {
-        const char *name;
-        double cpu, gpu, heax, poseidon;
+        bench::Probe cpu;
+        double gpu, heax, poseidon;
+        double opsPerRep = 1;
     };
-    Row rows[] = {
-        {"HAdd", 1.0 / cpu.hadd, gpu.hadd, heax.hadd, pHadd},
-        {"PMult", 1.0 / cpu.pmult, gpu.pmult, heax.pmult, pPmult},
-        {"CMult", 1.0 / cpu.cmult, gpu.cmult, heax.cmult, pCmult},
-        {"NTT", 1.0 / cpu.ntt, gpu.ntt, heax.ntt, pNtt},
-        {"Keyswitch", 1.0 / cpu.keyswitch, gpu.keyswitch, heax.keyswitch,
-         pKs},
-        {"Rotation", 1.0 / cpu.rotation, gpu.rotation, heax.rotation,
-         pRot},
-        {"Rescale", 1.0 / cpu.rescale, gpu.rescale, heax.rescale, pResc},
+    const Row rows[] = {
+        {{"HAdd", [&] { (void)eval.add(ct, ct2); }},
+         gpu.hadd, heax.hadd, simulate(isa::emit_hadd, BasicOp::HAdd)},
+        {{"PMult", [&] { (void)eval.mul_plain(ct, pt); }},
+         gpu.pmult, heax.pmult, simulate(isa::emit_pmult, BasicOp::PMult)},
+        // mul leaves its product over QP; the ModDown completes the
+        // relinearization.
+        {{"CMult", [&] { (void)eval.mod_down(eval.mul(ct, ct2, relin)); }},
+         gpu.cmult, heax.cmult, simulate(isa::emit_cmult, BasicOp::CMult)},
+        // INTT + NTT of a fresh copy: two transforms per rep.
+        {{"NTT", [&] { p.to_coeff(); p.to_eval(); }, [&] { p = ct.c0; }},
+         gpu.ntt, heax.ntt, simulate(isa::emit_ntt_op, BasicOp::NttOnly),
+         2},
+        {{"Keyswitch", [&] { (void)eval.keyswitch_core(ct.c1, relin); }},
+         gpu.keyswitch, heax.keyswitch, pKs},
+        {{"Rotation", [&] { (void)eval.rotate(ct, 1, gk); }},
+         gpu.rotation, heax.rotation,
+         simulate(isa::emit_rotation, BasicOp::Rotation)},
+        {{"Rescale", [&] { eval.rescale_inplace(c); }, [&] { c = ct; }},
+         gpu.rescale, heax.rescale,
+         simulate(isa::emit_rescale, BasicOp::Rescale)},
     };
-    for (const auto &r : rows) {
-        h.metric(std::string(r.name) + ".poseidon_ops_per_sec",
-                 r.poseidon);
-        h.metric(std::string(r.name) + ".speedup_vs_cpu",
-                 r.poseidon / r.cpu);
-        table.row({r.name, rate(r.cpu), rate(r.gpu), rate(r.heax),
-                   rate(r.poseidon),
-                   AsciiTable::speedup(r.poseidon / r.cpu, 0)});
+    std::vector<bench::Probe> probes;
+    for (const Row &r : rows) probes.push_back(r.cpu);
+    auto cpu = bench::best_in_window(probes, kWindowSeconds, kMinReps);
+
+    AsciiTable table(
+        "Table IV: basic operation throughput (operations per second), "
+        "N=2^16, 44 limbs");
+    table.header({"Operation", "CPU (this lib)", "CPU minor faults",
+                  "over100x (GPU, published)", "HEAX (FPGA, published)",
+                  "Poseidon (model)", "speedup vs CPU"});
+    std::size_t minReps = cpu[0].reps, maxReps = cpu[0].reps;
+    for (std::size_t i = 0; i < cpu.size(); ++i) {
+        const Row &r = rows[i];
+        double cpuRate = r.opsPerRep / cpu[i].seconds;
+        minReps = std::min(minReps, cpu[i].reps);
+        maxReps = std::max(maxReps, cpu[i].reps);
+        const std::string &op = r.cpu.name;
+        h.metric(op + ".cpu_ops_per_sec", cpuRate);
+        h.metric(op + ".cpu_minor_faults",
+                 static_cast<double>(cpu[i].minorFaults));
+        h.metric(op + ".poseidon_ops_per_sec", r.poseidon);
+        h.metric(op + ".speedup_vs_cpu", r.poseidon / cpuRate);
+        table.row({op, rate(cpuRate), std::to_string(cpu[i].minorFaults),
+                   rate(r.gpu), rate(r.heax), rate(r.poseidon),
+                   AsciiTable::speedup(r.poseidon / cpuRate, 0)});
     }
     table.print();
+    std::printf("\nCPU: each op's fastest of %zu to %zu reps in a %.0f s "
+                "window; minor faults are that rep's.\n",
+                minReps, maxReps, kWindowSeconds);
 
     std::printf(
         "\nPaper's reported speedups over its Xeon baseline: PMult 349x, "

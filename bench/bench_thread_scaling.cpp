@@ -6,8 +6,6 @@
 // broke bit-identical determinism would fail the bench, not just
 // slow it down.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -31,15 +29,8 @@ constexpr std::size_t kLogN = 14;
 constexpr std::size_t kN = std::size_t(1) << kLogN;
 constexpr std::size_t kLimbs = 12;
 constexpr std::size_t kSpecial = 2;
-constexpr int kIters = 20;
-
-double
-now_ms()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
+constexpr double kWindowSeconds = 0.04;
+constexpr std::size_t kMinReps = 20;
 
 u64
 checksum(const RnsPoly &p)
@@ -76,39 +67,25 @@ Run
 run_at(std::size_t threads, const RnsPoly &input, const RnsConv &conv)
 {
     parallel::set_num_threads(threads);
-    Run r;
 
-    // Forward-NTT a full limb batch per iteration.
-    {
-        double best = 1e300;
-        for (int it = 0; it < kIters; ++it) {
-            RnsPoly p = input;
-            double t0 = now_ms();
-            p.to_eval();
-            best = std::min(best, now_ms() - t0);
-            r.nttSum = checksum(p);
-        }
-        r.nttMs = best;
-    }
-
+    // Forward-NTT a full limb batch per rep.
+    RnsPoly p = input;
     // ModUp: extend the ciphertext limbs onto the special primes.
-    {
-        std::vector<const u64 *> src(kLimbs);
-        for (std::size_t k = 0; k < kLimbs; ++k) src[k] = input.limb(k);
-        std::vector<std::vector<u64>> out(kSpecial,
-                                          std::vector<u64>(kN));
-        std::vector<u64 *> dst(kSpecial);
-        for (std::size_t j = 0; j < kSpecial; ++j) dst[j] = out[j].data();
+    std::vector<const u64 *> src(kLimbs);
+    for (std::size_t k = 0; k < kLimbs; ++k) src[k] = input.limb(k);
+    std::vector<std::vector<u64>> out(kSpecial, std::vector<u64>(kN));
+    std::vector<u64 *> dst(kSpecial);
+    for (std::size_t j = 0; j < kSpecial; ++j) dst[j] = out[j].data();
 
-        double best = 1e300;
-        for (int it = 0; it < kIters; ++it) {
-            double t0 = now_ms();
-            conv.convert(src, dst, kN);
-            best = std::min(best, now_ms() - t0);
-            r.modupSum = checksum_limbs(out);
-        }
-        r.modupMs = best;
-    }
+    auto best = bench::best_in_window(
+        {{"ntt", [&] { p.to_eval(); }, [&] { p = input; }},
+         {"modup", [&] { conv.convert(src, dst, kN); }}},
+        kWindowSeconds, kMinReps);
+    Run r;
+    r.nttMs = 1e3 * best[0].seconds;
+    r.modupMs = 1e3 * best[1].seconds;
+    r.nttSum = checksum(p);
+    r.modupSum = checksum_limbs(out);
     return r;
 }
 
@@ -138,8 +115,7 @@ main(int argc, char **argv)
     h.config("limbs", telemetry::Json(static_cast<double>(kLimbs)));
     h.config("special_primes",
              telemetry::Json(static_cast<double>(kSpecial)));
-    h.config("iters_per_point",
-             telemetry::Json(static_cast<double>(kIters)));
+    h.config("window_s_per_point", telemetry::Json(kWindowSeconds));
     h.config("hardware_threads",
              telemetry::Json(static_cast<double>(
                  std::thread::hardware_concurrency())));
@@ -148,8 +124,9 @@ main(int argc, char **argv)
     Run base;
     bool checksumsOk = true;
 
-    std::printf("Host thread scaling (N=2^%zu, %zu limbs, best of %d)\n",
-                kLogN, kLimbs, kIters);
+    std::printf("Host thread scaling (N=2^%zu, %zu limbs, best in a "
+                "%.0f ms window)\n",
+                kLogN, kLimbs, 1e3 * kWindowSeconds);
     std::printf("%8s %14s %10s %14s %10s\n", "threads", "NTT ms",
                 "speedup", "ModUp ms", "speedup");
     for (std::size_t threads : sweep) {

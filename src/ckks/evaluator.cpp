@@ -127,20 +127,6 @@ CkksEvaluator::add_plain(const Ciphertext &a, const Plaintext &p) const
 }
 
 Ciphertext
-CkksEvaluator::sub_plain(const Ciphertext &a, const Plaintext &p) const
-{
-    POSEIDON_REQUIRE_T(ShapeMismatch, a.num_limbs() == p.num_limbs(),
-                       "sub_plain: level mismatch (" << a.num_limbs()
-                       << " vs " << p.num_limbs() << " limbs)");
-    POSEIDON_REQUIRE_T(ShapeMismatch, scales_close(a.scale, p.scale),
-                       "sub_plain: scale mismatch (" << a.scale
-                       << " vs " << p.scale << ")");
-    Ciphertext out = a;
-    out.c0.sub_inplace(p.poly);
-    return out;
-}
-
-Ciphertext
 CkksEvaluator::mul_plain(const Ciphertext &a, const Plaintext &p) const
 {
     telemetry::count("ckks.ops.mul_plain");

@@ -35,7 +35,6 @@ class CkksEvaluator
     void sub_inplace(Ciphertext &a, const Ciphertext &b) const;
     Ciphertext negate(const Ciphertext &a) const;
     Ciphertext add_plain(const Ciphertext &a, const Plaintext &p) const;
-    Ciphertext sub_plain(const Ciphertext &a, const Plaintext &p) const;
 
     // ---- PMult ----
     /// Ciphertext-plaintext multiply; scales multiply (rescale after).

@@ -41,22 +41,6 @@ RnsPoly::ct(RingContextPtr ctx, std::size_t limbs, Domain d)
     return RnsPoly(std::move(ctx), std::move(idx), d);
 }
 
-std::vector<u64*>
-RnsPoly::limb_ptrs()
-{
-    std::vector<u64*> p(data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) p[i] = data_[i].data();
-    return p;
-}
-
-std::vector<const u64*>
-RnsPoly::limb_ptrs() const
-{
-    std::vector<const u64*> p(data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) p[i] = data_[i].data();
-    return p;
-}
-
 bool
 RnsPoly::compatible(const RnsPoly &o) const
 {
@@ -186,12 +170,6 @@ RnsPoly::append_limb(std::size_t primeIdx)
                      "RnsPoly::append_limb: bad prime index");
     primeIdx_.push_back(primeIdx);
     data_.emplace_back(ctx_->degree(), 0);
-}
-
-void
-RnsPoly::set_zero()
-{
-    for (auto &l : data_) std::fill(l.begin(), l.end(), 0);
 }
 
 void

@@ -49,9 +49,6 @@ class RnsPoly
     u64* limb(std::size_t k) { return data_[k].data(); }
     const u64* limb(std::size_t k) const { return data_[k].data(); }
 
-    std::vector<u64*> limb_ptrs();
-    std::vector<const u64*> limb_ptrs() const;
-
     RingContextPtr context() const { return ctx_; }
 
     /// true iff same context, same primes, same domain.
@@ -86,9 +83,6 @@ class RnsPoly
 
     /// Append a zero limb for context prime index `primeIdx`.
     void append_limb(std::size_t primeIdx);
-
-    /// Set all limbs to zero.
-    void set_zero();
 
     /**
      * Load signed coefficients (Coeff domain required): limb k receives

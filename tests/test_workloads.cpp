@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/status.h"
-#include "baselines/cpu.h"
 #include "baselines/published.h"
 #include "hw/sim.h"
 #include "workloads/workloads.h"
@@ -207,20 +206,6 @@ TEST(Published, RatesAndResources)
     EXPECT_GT(heax.pmult, 0);
     auto fpga = baselines::prior_fpga_resources();
     EXPECT_EQ(fpga.size(), 2u);
-}
-
-TEST(CpuBaseline, MeasuresEveryOp)
-{
-    CkksParams p;
-    p.logN = 10;
-    p.L = 3;
-    p.scaleBits = 30;
-    p.firstPrimeBits = 40;
-    p.specialPrimeBits = 40;
-    auto t = baselines::CpuBaseline::measure(p, /*reps=*/1);
-    EXPECT_GT(t.hadd, 0);
-    EXPECT_GT(t.cmult, t.hadd);     // CMult costs far more than HAdd
-    EXPECT_GT(t.keyswitch, t.ntt);  // keyswitch contains many NTTs
 }
 
 } // namespace
