@@ -340,13 +340,6 @@ ClusterRouter::active_hosts() const
     return n;
 }
 
-const serve::ServingEngine*
-ClusterRouter::host_engine(std::size_t host) const
-{
-    if (host >= hosts_.size()) return nullptr;
-    return hosts_[host].engine.get();
-}
-
 void
 ClusterRouter::charge_key_transfer(std::size_t h,
                                    const std::string &tenant,
@@ -578,6 +571,17 @@ ClusterRouter::resolve(Tracked t, serve::JobResult r)
 }
 
 void
+ClusterRouter::fail(Tracked t, double cycle, const char *why)
+{
+    serve::JobResult r;
+    r.state = serve::JobState::Failed;
+    r.errorCode = ErrorCode::kFaultDetected;
+    r.error = why;
+    r.finishCycle = cycle;
+    resolve(std::move(t), std::move(r));
+}
+
+void
 ClusterRouter::place(Tracked t)
 {
     const double arrival = t.spec.arrivalCycle;
@@ -588,12 +592,7 @@ ClusterRouter::place(Tracked t)
     const double estCost = est_cost_cycles(t.spec);
     std::size_t h = pick_host(t, arrival, estCost, hit, transfer);
     if (h == ClusterEvent::kNoHost) {
-        serve::JobResult r;
-        r.state = serve::JobState::Failed;
-        r.errorCode = ErrorCode::kFaultDetected;
-        r.error = "no live host accepts placements";
-        r.finishCycle = arrival;
-        resolve(std::move(t), std::move(r));
+        fail(std::move(t), arrival, "no live host accepts placements");
         return;
     }
 
@@ -726,13 +725,13 @@ ClusterRouter::drain()
                 resolve(std::move(t), std::move(pr.second));
                 continue;
             }
+            const double rearrival =
+                std::max(t.spec.arrivalCycle, hh.deathCycle) +
+                kRerouteDelayCycles;
             if (t.reroutes < kRerouteBudget) {
                 ++t.reroutes;
                 ++rerouted_;
                 ++hh.rerouted;
-                double rearrival =
-                    std::max(t.spec.arrivalCycle, hh.deathCycle) +
-                    kRerouteDelayCycles;
                 t.spec.arrivalCycle = rearrival;
                 ClusterEvent ev;
                 ev.kind = ClusterEventKind::Rerouted;
@@ -747,14 +746,8 @@ ClusterRouter::drain()
                 std::lock_guard<std::mutex> lk(mu_);
                 pending_.push_back(std::move(t));
             } else {
-                serve::JobResult r;
-                r.state = serve::JobState::Failed;
-                r.errorCode = ErrorCode::kFaultDetected;
-                r.error = "host died; reroute budget exhausted";
-                r.finishCycle =
-                    std::max(t.spec.arrivalCycle, hh.deathCycle) +
-                    kRerouteDelayCycles;
-                resolve(std::move(t), std::move(r));
+                fail(std::move(t), rearrival,
+                     "host died; reroute budget exhausted");
             }
         }
         sample_round(clock);

@@ -343,9 +343,6 @@ class ClusterRouter
      */
     telemetry::Tsdb cluster_tsdb() const;
 
-    /// A host's engine, or nullptr when that host never spawned.
-    const serve::ServingEngine* host_engine(std::size_t host) const;
-
   private:
     /// One admitted-but-unresolved cluster job.
     struct Tracked
@@ -392,6 +389,9 @@ class ClusterRouter
                           bool &needTransfer);
     void place(Tracked t);
     void resolve(Tracked t, serve::JobResult r);
+    /// Resolve `t` as Failed (kFaultDetected) at `cycle` without an
+    /// engine verdict: no host could take it, or none could finish it.
+    void fail(Tracked t, double cycle, const char *why);
     void charge_key_transfer(std::size_t h, const std::string &tenant,
                              ClusterJobId job, double cycle);
     void sample_round(double clusterClock);

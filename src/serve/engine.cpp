@@ -45,6 +45,73 @@ make_probe_trace()
     return t;
 }
 
+/// Modeled cycles -> microseconds on the simulated-cycle process.
+double
+cycles_to_us(double cycles, double clockGHz)
+{
+    return cycles / (clockGHz * 1e9) * 1e6;
+}
+
+/// Where a terminal verdict lands: its journal kind and counter.
+struct Terminal
+{
+    JournalEventKind kind;
+    const char *counter;
+};
+
+Terminal
+terminal_of(JobState s)
+{
+    switch (s) {
+      case JobState::Completed:
+        return {JournalEventKind::Completed, "serve.jobs.completed"};
+      case JobState::Failed:
+        return {JournalEventKind::Failed, "serve.jobs.failed"};
+      case JobState::Expired:
+        return {JournalEventKind::Expired, "serve.jobs.expired"};
+      default:
+        return {JournalEventKind::Shed, "serve.jobs.shed"};
+    }
+}
+
+/// Which way an event moves its lane's trace window.
+enum class Edge { None, Opens, Closes };
+
+/**
+ * The window state machine of both trace exporters. Walks the events
+ * recorded since the track's cursor; `edge_of(e)` names the lane an
+ * event touches and its Edge. A window opens when its lane has none
+ * open and closes when one is; each close is handed to
+ * `emit(lane, opener, closer, closeCycle)`. On teardown every window
+ * still open is emitted clipped at `horizon`, with a null closer.
+ */
+template <class Event, class Track, class EdgeOf, class Emit>
+void
+walk_windows(const std::vector<Event> &events, Track &track,
+             bool teardown, double horizon, EdgeOf edge_of, Emit emit)
+{
+    for (; track.walked < events.size(); ++track.walked) {
+        const Event &e = events[track.walked];
+        auto [lane, edge] = edge_of(e);
+        std::size_t &open = track.opener[lane];
+        if (edge == Edge::Opens && open == Track::kNoWindow) {
+            open = track.walked;
+        } else if (edge == Edge::Closes && open != Track::kNoWindow) {
+            emit(lane, events[open], &e, e.cycle);
+            open = Track::kNoWindow;
+        }
+    }
+    if (!teardown) return; // open windows wait for their close
+    for (std::size_t lane = 0; lane < track.opener.size(); ++lane) {
+        std::size_t &open = track.opener[lane];
+        if (open == Track::kNoWindow) continue;
+        const Event &opener = events[open];
+        emit(lane, opener, static_cast<const Event *>(nullptr),
+             std::max(horizon, opener.cycle));
+        open = Track::kNoWindow;
+    }
+}
+
 } // namespace
 
 const char*
@@ -242,8 +309,9 @@ ServingEngine::ServingEngine(ServeConfig cfg)
     journal_.set_meta(shards_.card(0).config().clockGHz,
                       shards_.size());
     sched_.set_journal(cfg_.journal ? &journal_ : nullptr);
-    healthWindows_.resize(shards_.size());
-    alertWindows_.resize(alerts_.rules().size());
+    healthTrack_.opener.assign(shards_.size(), WindowTrack::kNoWindow);
+    alertTrack_.opener.assign(alerts_.rules().size(),
+                              WindowTrack::kNoWindow);
 }
 
 ServingEngine::~ServingEngine()
@@ -258,26 +326,26 @@ JobTicket
 ServingEngine::submit(JobSpec spec)
 {
     prepare_job(spec);
-    Pending p;
-    p.qj.spec = std::move(spec);
+    QueuedJob qj;
+    qj.spec = std::move(spec);
     JobTicket ticket;
-    ticket.result = p.promise.get_future().share();
+    ticket.result = qj.promise.get_future().share();
 
     std::lock_guard<std::mutex> lk(mu_);
-    p.qj.id = nextId_++;
-    ticket.id = p.qj.id;
-    ledger_.submit(p.qj.spec.tenant);
+    qj.id = nextId_++;
+    ticket.id = qj.id;
+    ledger_.submit(qj.spec.tenant);
     if (journal_.enabled()) {
         JournalEvent ev;
         ev.kind = JournalEventKind::Submitted;
-        ev.job = p.qj.id;
-        ev.cycle = p.qj.spec.arrivalCycle;
-        ev.tenant = p.qj.spec.tenant;
-        ev.name = p.qj.spec.name;
-        ev.priority = p.qj.spec.priority;
+        ev.job = qj.id;
+        ev.cycle = qj.spec.arrivalCycle;
+        ev.tenant = qj.spec.tenant;
+        ev.name = qj.spec.name;
+        ev.priority = qj.spec.priority;
         journal_.append(std::move(ev));
     }
-    submissions_.push_back(std::move(p));
+    submissions_.push_back(std::move(qj));
     if (cfg_.exportTelemetry) telemetry::count("serve.jobs.submitted");
     return ticket;
 }
@@ -290,36 +358,40 @@ ServingEngine::queue_depth() const
 }
 
 void
-ServingEngine::finish_job(QueuedJob &&qj, JobResult r)
+ServingEngine::finish_job(QueuedJob &&qj, Verdict v)
 {
-    std::promise<JobResult> promise;
+    JobResult r;
+    r.id = qj.id;
+    r.state = v.state;
+    r.errorCode = v.errorCode;
+    r.tenant = std::move(qj.spec.tenant);
+    r.name = std::move(qj.spec.name);
+    r.card = v.card;
+    r.attempts = qj.attempt;
+    r.arrivalCycle = qj.spec.arrivalCycle;
+    r.startCycle = v.startCycle;
+    r.finishCycle = v.finishCycle;
+    r.sim = v.sim;
+    r.error = std::move(v.error);
+    std::promise<JobResult> promise = std::move(qj.promise);
+    std::function<void(const JobResult &)> cb =
+        std::move(qj.spec.callback);
+
+    const bool completed = r.state == JobState::Completed;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        auto it = promises_.find(qj.id);
-        POSEIDON_CHECK(it != promises_.end(),
-                       "job " << qj.id << " finished twice");
-        promise = std::move(it->second);
-        promises_.erase(it);
-
         ledger_.finish(r);
         // Simulated-cycle histogram feeding the TSDB's windowed
         // quantiles (drain thread only — deterministic).
-        if (r.state == JobState::Completed &&
-            cfg_.tsdbCadenceCycles > 0.0) {
+        if (completed && cfg_.tsdbCadenceCycles > 0.0) {
             latencyHist_.observe(r.latency_cycles());
         }
     }
+    const Terminal t = terminal_of(r.state);
     if (journal_.enabled()) {
         JournalEvent ev;
-        switch (r.state) {
-          case JobState::Completed:
-            ev.kind = JournalEventKind::Completed;
-            ev.value = r.latency_cycles();
-            break;
-          case JobState::Failed: ev.kind = JournalEventKind::Failed; break;
-          case JobState::Expired: ev.kind = JournalEventKind::Expired; break;
-          default: ev.kind = JournalEventKind::Shed; break;
-        }
+        ev.kind = t.kind;
+        if (completed) ev.value = r.latency_cycles();
         ev.job = r.id;
         ev.cycle = r.finishCycle;
         ev.tenant = r.tenant;
@@ -330,53 +402,32 @@ ServingEngine::finish_job(QueuedJob &&qj, JobResult r)
         journal_.append(std::move(ev));
     }
     if (cfg_.exportTelemetry && telemetry::enabled()) {
-        double clock = shards_.card(0).config().clockGHz;
-        switch (r.state) {
-          case JobState::Completed: {
-            telemetry::count("serve.jobs.completed");
-            double us = r.latency_cycles() / (clock * 1e9) * 1e6;
+        telemetry::count(t.counter);
+        if (completed) {
+            double clock = shards_.card(0).config().clockGHz;
             telemetry::MetricsRegistry::global()
                 .histogram("serve.tenant_latency_us." + r.tenant)
-                .observe(us);
-            break;
-          }
-          case JobState::Failed:
-            telemetry::count("serve.jobs.failed");
-            break;
-          case JobState::Expired:
-            telemetry::count("serve.jobs.expired");
-            break;
-          case JobState::Shed:
-            telemetry::count("serve.jobs.shed");
-            break;
-          default:
-            break;
+                .observe(cycles_to_us(r.latency_cycles(), clock));
         }
     }
     // Fulfill outside the lock: the callback may re-enter submit().
-    std::function<void(const JobResult &)> cb =
-        std::move(qj.spec.callback);
     promise.set_value(r);
     if (cb) cb(r);
 }
 
 void
-ServingEngine::shed_job(QueuedJob &&qj, double cycle, const char *why)
+ServingEngine::shed(std::vector<QueuedJob> jobs, const char *why)
 {
-    JobResult r;
-    r.id = qj.id;
-    r.state = JobState::Shed;
-    r.errorCode = ErrorCode::kOverloaded;
-    r.tenant = qj.spec.tenant;
-    r.name = qj.spec.name;
-    r.attempts = qj.attempt;
-    r.arrivalCycle = qj.spec.arrivalCycle;
-    r.finishCycle = std::max(cycle, qj.spec.arrivalCycle);
-    std::ostringstream msg;
-    msg << "Overloaded: " << why << " (shed at cycle "
-        << r.finishCycle << ")";
-    r.error = msg.str();
-    finish_job(std::move(qj), std::move(r));
+    for (QueuedJob &qj : jobs) {
+        double at = std::max(clock_, qj.spec.arrivalCycle);
+        std::ostringstream msg;
+        msg << "Overloaded: " << why << " (shed at cycle " << at << ")";
+        finish_job(std::move(qj),
+                   {.state = JobState::Shed,
+                    .errorCode = ErrorCode::kOverloaded,
+                    .finishCycle = at,
+                    .error = msg.str()});
+    }
 }
 
 void
@@ -435,58 +486,40 @@ ServingEngine::export_health_trace(bool teardown)
     const std::vector<HealthEvent> &events = health_.events();
     if (!tracer.active() || events.empty()) return;
     double clock = shards_.card(0).config().clockGHz;
-    // Modeled cycles -> microseconds on the simulated-cycle process.
-    auto us = [clock](double cycles) {
-        return cycles / (clock * 1e9) * 1e6;
-    };
     auto tid = [](std::size_t c) { return 400 + static_cast<int>(c); };
     for (std::size_t c = 0; c < shards_.size(); ++c) {
         tracer.set_thread_name(telemetry::Tracer::kSimPid, tid(c),
                                "card" + std::to_string(c) + " health");
     }
-    auto emit = [&](std::size_t c, const char *name, double closeCycle,
-                    bool closed) {
-        TraceWindow &w = healthWindows_[c];
-        telemetry::TraceEvent ev;
-        ev.name = name;
-        ev.pid = telemetry::Tracer::kSimPid;
-        ev.tid = tid(c);
-        ev.tsUs = us(w.openCycle);
-        ev.durUs = us(closeCycle - w.openCycle);
-        ev.args.emplace_back("reason", telemetry::Json(w.reason));
-        ev.args.emplace_back("open_cycle", telemetry::Json(w.openCycle));
-        if (closed) {
-            ev.args.emplace_back("close_cycle",
-                                 telemetry::Json(closeCycle));
-        }
-        tracer.complete_event(std::move(ev));
-        w.openCycle = -1.0;
-    };
-    // Only the health events recorded since the previous export.
-    for (; healthTraced_ < events.size(); ++healthTraced_) {
-        const HealthEvent &e = events[healthTraced_];
-        TraceWindow &w = healthWindows_[e.card];
-        bool opens = e.kind == HealthEvent::Kind::Quarantined;
-        bool closes = e.kind == HealthEvent::Kind::Readmitted ||
-                      e.kind == HealthEvent::Kind::Died;
-        if (opens && w.openCycle < 0.0) {
-            w.openCycle = e.cycle;
-            w.reason = e.reason;
-        } else if (closes && w.openCycle >= 0.0) {
-            emit(e.card,
-                 e.kind == HealthEvent::Kind::Died ? "dead"
-                                                   : "quarantine",
-                 e.cycle, true);
-        }
-    }
-    if (!teardown) return; // open windows wait for their close
-    for (std::size_t c = 0; c < healthWindows_.size(); ++c) {
-        double openAt = healthWindows_[c].openCycle;
-        if (openAt < 0.0) continue;
-        // Still quarantined after the last drain.
-        emit(c, "quarantine",
-             std::max(ledger_.totals().horizonCycles, openAt), false);
-    }
+    using Kind = HealthEvent::Kind;
+    walk_windows(
+        events, healthTrack_, teardown, ledger_.totals().horizonCycles,
+        [](const HealthEvent &e) {
+            Edge edge = e.kind == Kind::Quarantined ? Edge::Opens
+                        : e.kind == Kind::Readmitted ||
+                                e.kind == Kind::Died
+                            ? Edge::Closes
+                            : Edge::None;
+            return std::pair(e.card, edge);
+        },
+        [&](std::size_t c, const HealthEvent &open,
+            const HealthEvent *close, double closeCycle) {
+            // A window still open at teardown is still quarantined.
+            bool dead = close && close->kind == Kind::Died;
+            telemetry::TraceEvent ev;
+            ev.name = dead ? "dead" : "quarantine";
+            ev.pid = telemetry::Tracer::kSimPid;
+            ev.tid = tid(c);
+            ev.tsUs = cycles_to_us(open.cycle, clock);
+            ev.durUs = cycles_to_us(closeCycle - open.cycle, clock);
+            ev.args.emplace_back("reason", telemetry::Json(open.reason));
+            ev.args.emplace_back("open_cycle", telemetry::Json(open.cycle));
+            if (close) {
+                ev.args.emplace_back("close_cycle",
+                                     telemetry::Json(closeCycle));
+            }
+            tracer.complete_event(std::move(ev));
+        });
 }
 
 void
@@ -495,9 +528,7 @@ ServingEngine::export_job_flows(const BreakdownReport &br)
     telemetry::Tracer &tracer = telemetry::Tracer::global();
     if (!tracer.active()) return;
     double clock = shards_.card(0).config().clockGHz;
-    auto us = [clock](double cycles) {
-        return cycles / (clock * 1e9) * 1e6;
-    };
+    auto us = [clock](double cycles) { return cycles_to_us(cycles, clock); };
     // Stable per-tenant queue tracks, numbered in first-seen order
     // (name order within one drain) for the engine's lifetime.
     for (const auto &[tenant, acc] : br.tenants) {
@@ -619,9 +650,6 @@ ServingEngine::export_alert_trace(bool teardown)
     telemetry::Tracer &tracer = telemetry::Tracer::global();
     if (!tracer.active() || alerts_.empty()) return;
     double clock = shards_.card(0).config().clockGHz;
-    auto us = [clock](double cycles) {
-        return cycles / (clock * 1e9) * 1e6;
-    };
     const std::vector<telemetry::AlertRule> &rules =
         alerts_.rules().rules;
     auto tid = [](std::size_t r) { return 450 + static_cast<int>(r); };
@@ -629,39 +657,31 @@ ServingEngine::export_alert_trace(bool teardown)
         tracer.set_thread_name(telemetry::Tracer::kSimPid, tid(r),
                                "alert " + rules[r].metric);
     }
-    auto close = [&](std::size_t r, double endCycle) {
-        TraceWindow &w = alertWindows_[r];
-        telemetry::TraceEvent ev;
-        ev.name = std::string("firing => ") +
-                  telemetry::to_string(rules[r].severity);
-        ev.pid = telemetry::Tracer::kSimPid;
-        ev.tid = tid(r);
-        ev.tsUs = us(w.openCycle);
-        ev.durUs = us(endCycle - w.openCycle);
-        ev.args.emplace_back("rule", telemetry::Json(rules[r].str()));
-        ev.args.emplace_back("fired_cycle", telemetry::Json(w.openCycle));
-        ev.args.emplace_back("end_cycle", telemetry::Json(endCycle));
-        tracer.complete_event(std::move(ev));
-        w.openCycle = -1.0;
-    };
-    // Only the transitions recorded since the previous export.
-    for (; alertsTraced_ < alertLog_.size(); ++alertsTraced_) {
-        const telemetry::AlertTransition &t = alertLog_[alertsTraced_];
-        TraceWindow &w = alertWindows_[t.rule];
-        if (t.to == telemetry::AlertState::Firing) {
-            w.openCycle = t.cycle;
-        } else if (t.from == telemetry::AlertState::Firing &&
-                   w.openCycle >= 0.0) {
-            close(t.rule, t.cycle);
-        }
-    }
-    if (!teardown) return; // firing windows wait for their resolve
-    // Still firing after the last drain.
-    for (std::size_t r = 0; r < alertWindows_.size(); ++r) {
-        double firedAt = alertWindows_[r].openCycle;
-        if (firedAt < 0.0) continue;
-        close(r, std::max(ledger_.totals().horizonCycles, firedAt));
-    }
+    using telemetry::AlertState;
+    using telemetry::AlertTransition;
+    walk_windows(
+        alertLog_, alertTrack_, teardown, ledger_.totals().horizonCycles,
+        [](const AlertTransition &t) {
+            Edge edge = t.to == AlertState::Firing     ? Edge::Opens
+                        : t.from == AlertState::Firing ? Edge::Closes
+                                                       : Edge::None;
+            return std::pair(t.rule, edge);
+        },
+        [&](std::size_t r, const AlertTransition &fired,
+            const AlertTransition *, double endCycle) {
+            telemetry::TraceEvent ev;
+            ev.name = std::string("firing => ") +
+                      telemetry::to_string(rules[r].severity);
+            ev.pid = telemetry::Tracer::kSimPid;
+            ev.tid = tid(r);
+            ev.tsUs = cycles_to_us(fired.cycle, clock);
+            ev.durUs = cycles_to_us(endCycle - fired.cycle, clock);
+            ev.args.emplace_back("rule", telemetry::Json(rules[r].str()));
+            ev.args.emplace_back("fired_cycle",
+                                 telemetry::Json(fired.cycle));
+            ev.args.emplace_back("end_cycle", telemetry::Json(endCycle));
+            tracer.complete_event(std::move(ev));
+        });
 }
 
 void
@@ -683,16 +703,15 @@ ServingEngine::drain()
         // initial burst, or follow-ups from completion callbacks).
         {
             std::lock_guard<std::mutex> lk(mu_);
-            for (Pending &p : submissions_) {
-                promises_.emplace(p.qj.id, std::move(p.promise));
+            for (QueuedJob &qj : submissions_) {
                 if (journal_.enabled()) {
                     JournalEvent ev;
                     ev.kind = JournalEventKind::Admitted;
-                    ev.job = p.qj.id;
-                    ev.cycle = p.qj.spec.arrivalCycle;
+                    ev.job = qj.id;
+                    ev.cycle = qj.spec.arrivalCycle;
                     journal_.append(std::move(ev));
                 }
-                sched_.enqueue(std::move(p.qj));
+                sched_.enqueue(std::move(qj));
             }
             submissions_.clear();
             maxQueueDepth_ = std::max(
@@ -704,12 +723,8 @@ ServingEngine::drain()
         // Overloaded results rather than silent queue timeouts.
         if (cfg_.maxQueueDepth > 0 &&
             sched_.depth() > cfg_.maxQueueDepth) {
-            std::vector<QueuedJob> dropped =
-                sched_.shed_to_depth(cfg_.maxQueueDepth);
-            for (QueuedJob &qj : dropped) {
-                shed_job(std::move(qj), clock_,
-                         "queue depth exceeded the admission limit");
-            }
+            shed(sched_.shed_to_depth(cfg_.maxQueueDepth),
+                 "queue depth exceeded the admission limit");
             continue; // callbacks may have resubmitted
         }
 
@@ -718,11 +733,8 @@ ServingEngine::drain()
         // ---- All cards dead: nothing will ever serve this queue.
         // Shed it as Overloaded instead of deadlocking.
         if (health_.all_dead()) {
-            std::vector<QueuedJob> stranded = sched_.drain_all();
-            for (QueuedJob &qj : stranded) {
-                shed_job(std::move(qj), clock_,
-                         "every card is quarantined beyond recovery");
-            }
+            shed(sched_.drain_all(),
+                 "every card is quarantined beyond recovery");
             continue;
         }
 
@@ -817,21 +829,15 @@ ServingEngine::drain()
         // Dispatch-time deadline misses terminate before any
         // completion of this round (they happen at T).
         for (ExpiredJob &e : expired) {
-            JobResult r;
-            r.id = e.job.id;
-            r.state = JobState::Expired;
-            r.errorCode = ErrorCode::kOverloaded;
-            r.tenant = e.job.spec.tenant;
-            r.name = e.job.spec.name;
-            r.attempts = e.job.attempt;
-            r.arrivalCycle = e.job.spec.arrivalCycle;
-            r.finishCycle = e.expiredAtCycle;
             std::ostringstream msg;
             msg << "deadline " << e.job.spec.deadlineCycle
                 << " passed before dispatch at cycle "
                 << e.expiredAtCycle;
-            r.error = msg.str();
-            finish_job(std::move(e.job), std::move(r));
+            finish_job(std::move(e.job),
+                       {.state = JobState::Expired,
+                        .errorCode = ErrorCode::kOverloaded,
+                        .finishCycle = e.expiredAtCycle,
+                        .error = msg.str()});
         }
 
         if (round.empty()) {
@@ -907,7 +913,7 @@ ServingEngine::drain()
                     ledger_.attain(qj.spec.tenant, sim.cycles);
                 }
 
-                u64 attemptsUsed = qj.attempt + 1;
+                const u64 attemptsUsed = ++qj.attempt;
                 bool silent = sim.faults.silent > 0;
                 bool overBudget = sim.faults.retryCycles >
                                   qj.spec.retry.retryCycleBudget;
@@ -931,6 +937,9 @@ ServingEngine::drain()
 
                 if (failedAttempt) {
                     ++cs.failedAttempts;
+                    const char *cause = silent
+                                            ? "silent corruption past ECC"
+                                            : "ECC retry budget exceeded";
                     const RetryPolicy &rp = qj.spec.retry;
                     if (attemptsUsed < rp.maxAttempts) {
                         // Exponential backoff on the simulated clock;
@@ -946,7 +955,6 @@ ServingEngine::drain()
                             cfg_.dispatchCycles + sim.cycles;
                         if (nextArrival + estCost <=
                             qj.spec.deadlineCycle) {
-                            qj.attempt = attemptsUsed;
                             if (!qj.has_faulted_on(a.card)) {
                                 qj.faultedCards.push_back(a.card);
                             }
@@ -959,10 +967,7 @@ ServingEngine::drain()
                                 fr.cycle = cum;
                                 fr.card = a.card;
                                 fr.attempt = attemptsUsed;
-                                fr.detail =
-                                    silent
-                                        ? "silent corruption past ECC"
-                                        : "ECC retry budget exceeded";
+                                fr.detail = cause;
                                 journal_.append(std::move(fr));
                                 JournalEvent bo;
                                 bo.kind = JournalEventKind::
@@ -985,21 +990,8 @@ ServingEngine::drain()
                             continue;
                         }
                     }
-                    JobResult r;
-                    r.id = qj.id;
-                    r.state = JobState::Failed;
-                    r.errorCode = ErrorCode::kFaultDetected;
-                    r.tenant = qj.spec.tenant;
-                    r.name = qj.spec.name;
-                    r.card = a.card;
-                    r.attempts = attemptsUsed;
-                    r.arrivalCycle = qj.spec.arrivalCycle;
-                    r.startCycle = start;
-                    r.finishCycle = cum;
                     std::ostringstream msg;
-                    msg << (silent ? "silent corruption past ECC"
-                                   : "ECC retry budget exceeded")
-                        << " on card " << a.card << " (attempt "
+                    msg << cause << " on card " << a.card << " (attempt "
                         << attemptsUsed << "/"
                         << qj.spec.retry.maxAttempts << ")";
                     if (attemptsUsed < qj.spec.retry.maxAttempts) {
@@ -1007,23 +999,21 @@ ServingEngine::drain()
                                "cost cannot meet deadline "
                             << qj.spec.deadlineCycle;
                     }
-                    r.error = msg.str();
-                    finish_job(std::move(qj), std::move(r));
+                    finish_job(std::move(qj),
+                               {.state = JobState::Failed,
+                                .errorCode = ErrorCode::kFaultDetected,
+                                .card = a.card,
+                                .startCycle = start,
+                                .finishCycle = cum,
+                                .error = msg.str()});
                     continue;
                 }
-
-                JobResult r;
-                r.id = qj.id;
-                r.state = JobState::Completed;
-                r.tenant = qj.spec.tenant;
-                r.name = qj.spec.name;
-                r.card = a.card;
-                r.attempts = attemptsUsed;
-                r.arrivalCycle = qj.spec.arrivalCycle;
-                r.startCycle = start;
-                r.finishCycle = cum;
-                r.sim = std::move(sim);
-                finish_job(std::move(qj), std::move(r));
+                finish_job(std::move(qj),
+                           {.state = JobState::Completed,
+                            .card = a.card,
+                            .startCycle = start,
+                            .finishCycle = cum,
+                            .sim = sim});
             }
             cs.busyCycles += cum - a.startCycle;
             cs.freeAtCycle = cum;

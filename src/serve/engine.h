@@ -245,32 +245,43 @@ class ServingEngine
     ServeStats stats() const;
 
   private:
-    /// A submitted job awaiting ingestion by drain().
-    struct Pending
+    /// What a terminal verdict adds to its job's own record (id,
+    /// tenant, name, attempts and arrival come from the QueuedJob).
+    struct Verdict
     {
-        QueuedJob qj;
-        std::promise<JobResult> promise;
+        JobState state = JobState::Completed;
+        ErrorCode errorCode = ErrorCode::kOk;
+        std::size_t card = static_cast<std::size_t>(-1);
+        double startCycle = 0.0;
+        double finishCycle = 0.0;
+        std::string error{};
+        hw::SimResult sim{}; ///< the run, for a completion only
     };
 
-    /// Fulfill one terminal job: update aggregates under mu_, then
-    /// set the promise and fire the callback lock-free (callbacks may
-    /// re-enter submit()).
-    void finish_job(QueuedJob &&qj, JobResult r);
+    /// Build the job's JobResult from `qj` and `v`, update aggregates
+    /// under mu_, then fulfill the job's promise and fire its callback
+    /// lock-free (callbacks may re-enter submit()). Consumes the
+    /// promise, so a second finish of one job throws no_state.
+    void finish_job(QueuedJob &&qj, Verdict v);
     void refresh_gauges();
 
-    /// Shed one queued job as Overloaded at fleet time `cycle`.
-    void shed_job(QueuedJob &&qj, double cycle, const char *why);
+    /// Shed `jobs` as Overloaded at the fleet clock.
+    void shed(std::vector<QueuedJob> jobs, const char *why);
 
     /// Run one probe attempt on a HALF_OPEN/probe-eligible card at
     /// time `T` (occupies the card; feeds the monitor).
     void dispatch_probe(std::size_t card, double T);
 
-    /// A quarantine or firing window opened on the simulated clock
-    /// and not yet exported (openCycle < 0: none open).
-    struct TraceWindow
+    /// One Chrome-trace track of windows on the simulated clock (a
+    /// quarantine per card, a firing per alert rule): the source
+    /// events already walked, and per lane the index of the event
+    /// that opened a window not yet exported (kNoWindow: none).
+    struct WindowTrack
     {
-        double openCycle = -1.0;
-        std::string reason;
+        static constexpr std::size_t kNoWindow =
+            static_cast<std::size_t>(-1);
+        std::size_t walked = 0;
+        std::vector<std::size_t> opener;
     };
 
     /// Export the quarantine windows closed since the previous call
@@ -302,14 +313,11 @@ class ServingEngine
     std::size_t decomposedEvents_ = 0;
     /// Phase totals of every decomposed job (serve.phase_share.*).
     PhaseTotals phaseTotals_;
-    /// Chrome-trace export cursors: tenant queue tracks, health
-    /// events and alert transitions already walked, and the windows
-    /// they left open (per card / per rule).
+    /// Chrome-trace export state: tenant queue tracks, and the
+    /// quarantine (per card) and firing (per rule) window tracks.
     std::map<std::string, int> queueTids_;
-    std::size_t healthTraced_ = 0;
-    std::vector<TraceWindow> healthWindows_;
-    std::size_t alertsTraced_ = 0;
-    std::vector<TraceWindow> alertWindows_;
+    WindowTrack healthTrack_;
+    WindowTrack alertTrack_;
     std::unique_ptr<ChaosInjector> chaos_;
     isa::Trace probeTrace_;
     std::vector<u64> probeSeq_;
@@ -330,10 +338,8 @@ class ServingEngine
     /// Guards submissions_/nextId_ and the aggregate counters below
     /// (stats() and queue_depth() read them from any thread).
     mutable std::mutex mu_;
-    std::vector<Pending> submissions_;
+    std::vector<QueuedJob> submissions_;
     JobId nextId_ = 1;
-
-    std::map<JobId, std::promise<JobResult>> promises_;
 
     /// Latest round time drain() reached (the fleet clock sheds are
     /// stamped with).

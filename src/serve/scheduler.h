@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,11 +50,14 @@
 
 namespace poseidon::serve {
 
-/// A job queued inside the scheduler (spec plus engine bookkeeping).
+/// The engine's one record of a job from submit() to its verdict:
+/// spec, bookkeeping and the client's promise. Move-only (the
+/// promise), so a job is never in two places at once.
 struct QueuedJob
 {
     JobId id = 0;
     JobSpec spec;
+    std::promise<JobResult> promise;
     u64 attempt = 0; ///< attempts already consumed (0 = fresh)
     /// Every card a previous attempt of this job faulted on. Failover
     /// excludes all of them while the fleet still has an untried live

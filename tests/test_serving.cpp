@@ -502,5 +502,90 @@ TEST(Serving, SingleCardFleetWaivesExclusionInsteadOfStalling)
     EXPECT_EQ(eng.stats().cards[0].jobs, 2u);
 }
 
+TEST(Serving, EveryVerdictReportsItsFields)
+{
+    // One card drives all four verdicts. At cycle 0 four jobs queue
+    // against a depth limit of 3, so the newest ("dropped") is shed.
+    // "done" runs first (tenant name order); "late" expires when the
+    // card frees; "doomed" arrives at 1e7, inside a CardDeath window,
+    // and has no retry left. The expected values were recorded from
+    // the engine before its verdicts shared one builder.
+    ServeConfig cfg;
+    cfg.maxBatch = 1;
+    cfg.maxQueueDepth = 3;
+    cfg.chaos = "CardDeath{card=0, cycle=1e7, duration=1e6}";
+    cfg.exportTelemetry = false;
+    ServingEngine eng(cfg);
+
+    std::vector<JobResult> called;
+    auto submit = [&](JobSpec s) {
+        s.callback = [&](const JobResult &r) { called.push_back(r); };
+        return eng.submit(std::move(s));
+    };
+    JobTicket done = submit(job("a", "done"));
+    JobSpec late = job("c", "late");
+    late.deadlineCycle = 10.0;
+    JobTicket lateT = submit(std::move(late));
+    JobSpec doomed = job("b", "doomed");
+    doomed.arrivalCycle = 1e7;
+    doomed.retry.maxAttempts = 1;
+    JobTicket doomedT = submit(std::move(doomed));
+    JobSpec dropped = job("d", "dropped");
+    dropped.arrivalCycle = 5.0;
+    JobTicket droppedT = submit(std::move(dropped));
+    eng.drain();
+
+    struct Want
+    {
+        serve::JobId id;
+        JobState state;
+        ErrorCode code;
+        const char *tenant, *name;
+        std::size_t card;
+        u64 attempts;
+        double arrival, start, finish;
+        const char *error;
+    };
+    const std::size_t kNoCard = static_cast<std::size_t>(-1);
+    const Want want[] = {
+        {4, JobState::Shed, ErrorCode::kOverloaded, "d", "dropped",
+         kNoCard, 0, 5.0, 0.0, 5.0,
+         "Overloaded: queue depth exceeded the admission limit (shed "
+         "at cycle 5)"},
+        {1, JobState::Completed, ErrorCode::kOk, "a", "done", 0, 1, 0.0,
+         20000.0, 21715.91240461402, ""},
+        {2, JobState::Expired, ErrorCode::kOverloaded, "c", "late",
+         kNoCard, 0, 0.0, 0.0, 21715.91240461402,
+         "deadline 10 passed before dispatch at cycle 21715.9"},
+        {3, JobState::Failed, ErrorCode::kFaultDetected, "b", "doomed",
+         0, 1, 1e7, 10020000.0, 10021715.912404614,
+         "silent corruption past ECC on card 0 (attempt 1/1)"},
+    };
+    const JobTicket *tickets[] = {&droppedT, &done, &lateT, &doomedT};
+    ASSERT_EQ(called.size(), 4u); // callbacks fire in verdict order
+    for (std::size_t i = 0; i < 4; ++i) {
+        const Want &w = want[i];
+        SCOPED_TRACE(w.name);
+        for (const JobResult &got : {tickets[i]->result.get(), called[i]}) {
+            EXPECT_EQ(got.id, w.id);
+            EXPECT_EQ(got.state, w.state);
+            EXPECT_EQ(got.errorCode, w.code);
+            EXPECT_EQ(got.tenant, w.tenant);
+            EXPECT_EQ(got.name, w.name);
+            EXPECT_EQ(got.card, w.card);
+            EXPECT_EQ(got.attempts, w.attempts);
+            EXPECT_DOUBLE_EQ(got.arrivalCycle, w.arrival);
+            EXPECT_DOUBLE_EQ(got.startCycle, w.start);
+            EXPECT_DOUBLE_EQ(got.finishCycle, w.finish);
+            EXPECT_EQ(got.error, w.error);
+            // Only a completion carries its run.
+            EXPECT_DOUBLE_EQ(got.sim.cycles,
+                             w.state == JobState::Completed
+                                 ? w.finish - w.start
+                                 : 0.0);
+        }
+    }
+}
+
 } // namespace
 } // namespace poseidon
