@@ -311,9 +311,8 @@ BM_RnsConv(benchmark::State &state)
     std::vector<u64> out(n);
     std::vector<const u64*> in(limbs);
     for (std::size_t i = 0; i < limbs; ++i) in[i] = data[i].data();
-    std::vector<u64*> op{out.data()};
     for (auto _ : state) {
-        conv.convert(in, op, n);
+        conv.row(conv.operands(in, n), 0, out.data());
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * n * limbs);

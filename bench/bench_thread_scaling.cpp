@@ -1,10 +1,11 @@
 // Host thread-scaling sweep for the parallel execution engine
-// (common/parallel.h): forward-NTT limb batches and ModUp base
-// extension — the two host kernels Poseidon's 512-lane datapath
-// accelerates — measured at 1/2/4/8 threads. Alongside wall-clock
-// speedups the sweep checksums every output so a scheduling bug that
-// broke bit-identical determinism would fail the bench, not just
-// slow it down.
+// (common/parallel.h): a forward-NTT limb batch and the library's
+// keyswitch (CkksEvaluator::keyswitch_core: ModUp, key products and
+// ModDown, with hostbench's dnum=3 hybrid decomposition) — the host
+// work Poseidon's 512-lane datapath accelerates — measured at
+// 1/2/4/8 threads. Alongside wall-clock speedups the sweep checksums
+// every output so a scheduling bug that broke bit-identical
+// determinism would fail the bench, not just slow it down.
 
 #include <cstdio>
 #include <string>
@@ -12,30 +13,26 @@
 #include <vector>
 
 #include "bench/bench_harness.h"
+#include "ckks/encoder.h"
+#include "ckks/encryptor.h"
+#include "ckks/evaluator.h"
 #include "common/parallel.h"
-#include "common/prng.h"
-#include "ntt/table_cache.h"
-#include "poly/ring.h"
-#include "poly/poly.h"
-#include "rns/basis.h"
-#include "rns/conv.h"
-#include "rns/primes.h"
 
 namespace {
 
 using namespace poseidon;
 
 constexpr std::size_t kLogN = 14;
-constexpr std::size_t kN = std::size_t(1) << kLogN;
 constexpr std::size_t kLimbs = 12;
-constexpr std::size_t kSpecial = 2;
+constexpr std::size_t kDnum = 3;
+constexpr std::size_t kSpecial = (kLimbs + kDnum - 1) / kDnum;
 constexpr double kWindowSeconds = 0.04;
 constexpr std::size_t kMinReps = 20;
 
+/// Fold every residue of `p` into `h` (FNV-1a style).
 u64
-checksum(const RnsPoly &p)
+checksum(const RnsPoly &p, u64 h = 0x9E3779B97F4A7C15ULL)
 {
-    u64 h = 0x9E3779B97F4A7C15ULL;
     for (std::size_t k = 0; k < p.num_limbs(); ++k) {
         const u64 *v = p.limb(k);
         for (std::size_t t = 0; t < p.degree(); ++t) {
@@ -45,47 +42,36 @@ checksum(const RnsPoly &p)
     return h;
 }
 
-u64
-checksum_limbs(const std::vector<std::vector<u64>> &limbs)
-{
-    u64 h = 0x9E3779B97F4A7C15ULL;
-    for (const auto &l : limbs) {
-        for (u64 v : l) h = (h ^ v) * 0x100000001B3ULL;
-    }
-    return h;
-}
-
 struct Run
 {
     double nttMs = 0;
-    double modupMs = 0;
+    double ksMs = 0;
     u64 nttSum = 0;
-    u64 modupSum = 0;
+    u64 ksSum = 0;
 };
 
 Run
-run_at(std::size_t threads, const RnsPoly &input, const RnsConv &conv)
+run_at(std::size_t threads, const CkksEvaluator &eval,
+       const RnsPoly &input, const KSwitchKey &key)
 {
     parallel::set_num_threads(threads);
 
-    // Forward-NTT a full limb batch per rep.
-    RnsPoly p = input;
-    // ModUp: extend the ciphertext limbs onto the special primes.
-    std::vector<const u64 *> src(kLimbs);
-    for (std::size_t k = 0; k < kLimbs; ++k) src[k] = input.limb(k);
-    std::vector<std::vector<u64>> out(kSpecial, std::vector<u64>(kN));
-    std::vector<u64 *> dst(kSpecial);
-    for (std::size_t j = 0; j < kSpecial; ++j) dst[j] = out[j].data();
+    // Forward-NTT a full limb batch per rep (input is Eval-domain;
+    // each rep starts from its coefficient form).
+    RnsPoly coeff = input;
+    coeff.to_coeff();
+    RnsPoly p = coeff;
+    std::pair<RnsPoly, RnsPoly> ks;
 
     auto best = bench::best_in_window(
-        {{"ntt", [&] { p.to_eval(); }, [&] { p = input; }},
-         {"modup", [&] { conv.convert(src, dst, kN); }}},
+        {{"ntt", [&] { p.to_eval(); }, [&] { p = coeff; }},
+         {"keyswitch", [&] { ks = eval.keyswitch_core(input, key); }}},
         kWindowSeconds, kMinReps);
     Run r;
     r.nttMs = 1e3 * best[0].seconds;
-    r.modupMs = 1e3 * best[1].seconds;
+    r.ksMs = 1e3 * best[1].seconds;
     r.nttSum = checksum(p);
-    r.modupSum = checksum_limbs(out);
+    r.ksSum = checksum(ks.second, checksum(ks.first));
     return r;
 }
 
@@ -97,22 +83,25 @@ main(int argc, char **argv)
     using poseidon::bench::Harness;
     Harness h("thread_scaling", argc, argv);
 
-    std::vector<u64> primes =
-        generate_ntt_primes(kN, 45, kLimbs + kSpecial);
-    auto ring = std::make_shared<const RingContext>(kN, primes, kSpecial);
-
-    RnsPoly input = RnsPoly::ct(ring, kLimbs, Domain::Coeff);
-    {
-        Sampler sampler(7);
-        std::vector<i64> coeffs(kN);
-        auto g = sampler.gaussian(kN, 1000.0);
-        for (std::size_t t = 0; t < kN; ++t) coeffs[t] = g[t];
-        input.assign_signed(coeffs);
-    }
-    RnsConv conv(ring->ct_basis(kLimbs), ring->special_basis());
+    CkksParams params;
+    params.logN = kLogN;
+    params.L = kLimbs;
+    params.dnum = kDnum;
+    params.K = kSpecial;
+    auto ctx = make_ckks_context(params);
+    KeyGenerator keygen(ctx);
+    CkksEncryptor encryptor(ctx, keygen.make_public_key());
+    CkksEvaluator eval(ctx);
+    KSwitchKey relin = keygen.make_relin_key();
+    CkksEncoder encoder(ctx);
+    Plaintext pt = encoder.encode(
+        std::vector<cdouble>(ctx->slots(), cdouble(0.5, 0.25)), kLimbs);
+    // A fresh ciphertext's c1: Eval-domain over all kLimbs primes.
+    RnsPoly input = encryptor.encrypt(pt).c1;
 
     h.config("logN", telemetry::Json(static_cast<double>(kLogN)));
     h.config("limbs", telemetry::Json(static_cast<double>(kLimbs)));
+    h.config("dnum", telemetry::Json(static_cast<double>(kDnum)));
     h.config("special_primes",
              telemetry::Json(static_cast<double>(kSpecial)));
     h.config("window_s_per_point", telemetry::Json(kWindowSeconds));
@@ -128,25 +117,25 @@ main(int argc, char **argv)
                 "%.0f ms window)\n",
                 kLogN, kLimbs, 1e3 * kWindowSeconds);
     std::printf("%8s %14s %10s %14s %10s\n", "threads", "NTT ms",
-                "speedup", "ModUp ms", "speedup");
+                "speedup", "Keyswitch ms", "speedup");
     for (std::size_t threads : sweep) {
-        Run r = run_at(threads, input, conv);
+        Run r = run_at(threads, eval, input, relin);
         if (threads == 1) {
             base = r;
         } else {
             checksumsOk = checksumsOk && r.nttSum == base.nttSum &&
-                          r.modupSum == base.modupSum;
+                          r.ksSum == base.ksSum;
         }
         double suNtt = base.nttMs / r.nttMs;
-        double suMod = base.modupMs / r.modupMs;
+        double suKs = base.ksMs / r.ksMs;
         std::printf("%8zu %14.3f %9.2fx %14.3f %9.2fx\n", threads,
-                    r.nttMs, suNtt, r.modupMs, suMod);
+                    r.nttMs, suNtt, r.ksMs, suKs);
 
         std::string t = std::to_string(threads);
         h.metric("ntt_ms.t" + t, r.nttMs);
-        h.metric("modup_ms.t" + t, r.modupMs);
+        h.metric("keyswitch_ms.t" + t, r.ksMs);
         h.metric("ntt_speedup.t" + t, suNtt);
-        h.metric("modup_speedup.t" + t, suMod);
+        h.metric("keyswitch_speedup.t" + t, suKs);
     }
     parallel::set_num_threads(0);
 

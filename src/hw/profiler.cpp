@@ -158,7 +158,7 @@ profile(const SimTimeline &tl, const SimResult &r, const HwConfig &cfg,
         // The simulator's own segment law on the same doubles: the
         // recomputed duration is bit-identical to seg.cycles, so
         // accumulating it conserves cycles exactly.
-        double attributed = std::max(c, m) + (1.0 - ov) * std::min(c, m);
+        double attributed = PoseidonSim::segment_cycles(c, m);
         POSEIDON_CHECK(attributed == seg.cycles,
                        "profiler: segment law drifted from the "
                        "simulator ("
@@ -207,11 +207,9 @@ profile(const SimTimeline &tl, const SimResult &r, const HwConfig &cfg,
                 }
             }
         }
-        double footprint = cfg.scratchpadTiles *
-                           static_cast<double>(seg.maxDegree) *
-                           cfg.wordBytes;
         rep.scratchpadHighWaterBytes =
-            std::max(rep.scratchpadHighWaterBytes, footprint);
+            std::max(rep.scratchpadHighWaterBytes,
+                     PoseidonSim::scratchpad_bytes(cfg, seg.maxDegree));
     }
 
     // Conservation against the aggregate result. The totals accumulate
@@ -239,15 +237,6 @@ profile(const SimTimeline &tl, const SimResult &r, const HwConfig &cfg,
 }
 
 // --------------------------------------------------- ProfileReport
-
-const TagProfile*
-ProfileReport::find_tag(isa::BasicOp tag) const
-{
-    for (const TagProfile &t : tags) {
-        if (t.tag == tag) return &t;
-    }
-    return nullptr;
-}
 
 namespace {
 

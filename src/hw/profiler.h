@@ -144,8 +144,6 @@ struct ProfileReport
 
     RooflineModel roofline;
 
-    const TagProfile* find_tag(isa::BasicOp tag) const;
-
     /// One-line diagnosis of the dominant bottleneck, e.g.
     /// "Bootstrapping is 72% memory-exposed (34% of it scratchpad
     /// respill): grow scratchpadMB".

@@ -164,9 +164,7 @@ PoseidonSim::run(const Trace &trace, SimTimeline *timeline) const
         // fails to hide (dependency stalls, phase boundaries).
         // Scratchpad pressure: if the resident limb-tiles don't fit,
         // they respill through HBM, inflating memory time.
-        double requiredBytes = cfg_.scratchpadTiles *
-                               static_cast<double>(segDegree) *
-                               cfg_.wordBytes;
+        double requiredBytes = scratchpad_bytes(cfg_, segDegree);
         double capacity = cfg_.scratchpadMB * 1024.0 * 1024.0;
         double spill = std::max(1.0, requiredBytes / capacity);
         // ECC replay traffic is re-streamed as-is; it does not grow
@@ -174,8 +172,7 @@ PoseidonSim::run(const Trace &trace, SimTimeline *timeline) const
         double segRawMem = segMem;
         segMem = segMem * spill + segRetry;
 
-        double segCycles = std::max(segCompute, segMem) +
-                           (1.0 - kOverlap) * std::min(segCompute, segMem);
+        double segCycles = segment_cycles(segCompute, segMem);
         if (timeline) {
             for (std::size_t j = 0; j < seg.instrs.size(); ++j) {
                 seg.instrs[j].memCycles =

@@ -20,6 +20,7 @@
  * memory overlap partially: T = max(C, M) + (1 - kOverlap) * min(C, M).
  */
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -197,6 +198,24 @@ class PoseidonSim
      * dataflow machine, 0.0 strictly serial.
      */
     static constexpr double kOverlap = 0.92;
+
+    /// The segment law: cycles of a segment with `compute` compute and
+    /// `mem` memory cycles, max(C, M) + (1 - kOverlap) * min(C, M).
+    static double
+    segment_cycles(double compute, double mem)
+    {
+        return std::max(compute, mem) +
+               (1.0 - kOverlap) * std::min(compute, mem);
+    }
+
+    /// Scratchpad bytes a segment whose largest ring degree is
+    /// `degree` keeps resident (HwConfig::scratchpadTiles limb-tiles).
+    static double
+    scratchpad_bytes(const HwConfig &cfg, u64 degree)
+    {
+        return cfg.scratchpadTiles * static_cast<double>(degree) *
+               cfg.wordBytes;
+    }
 
     explicit PoseidonSim(HwConfig cfg = HwConfig::poseidon_u280());
 

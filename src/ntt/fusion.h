@@ -60,8 +60,6 @@ class NttFused
     const FusedNttStats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }
 
-    unsigned radix_log2() const { return k_; }
-
   private:
     const NttTable &table_;
     unsigned k_;

@@ -49,9 +49,6 @@ class RnsBasis
     /// Q = product of all primes.
     const BigUInt& big_product() const { return product_; }
 
-    /// floor(Q/2), used for centered lifting.
-    const BigUInt& half_product() const { return half_; }
-
     /// Basis restricted to the first `count` primes.
     RnsBasis prefix(std::size_t count) const;
 

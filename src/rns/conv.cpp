@@ -114,19 +114,6 @@ RnsConv::row(const Operands &ops, std::size_t j, u64 *dst) const
                        maxSrcModulus_, dst_.modulus(j));
 }
 
-void
-RnsConv::convert(const std::vector<const u64*> &src,
-                 const std::vector<u64*> &dst, std::size_t n) const
-{
-    POSEIDON_REQUIRE(dst.size() == dst_.size(),
-                     "RnsConv::convert: limb count mismatch");
-    Operands ops = operands(src, n);
-    parallel::parallel_for(0, dst.size(), 1,
-        [&](std::size_t j0, std::size_t j1) {
-            for (std::size_t j = j0; j < j1; ++j) row(ops, j, dst[j]);
-        }, "rns.conv_rows");
-}
-
 ModDown::ModDown(const RnsBasis &qBasis, const RnsBasis &pBasis)
     : conv_(pBasis, qBasis)
 {

@@ -37,7 +37,7 @@ namespace poseidon {
  * per coefficient; row() then emits one destination row as one fused
  * dot product over them. Callers that transform or finish each row
  * while it is in cache (ModDown, the keyswitch's ModUp) interleave
- * row() with that work; convert() emits every row.
+ * row() with that work.
  */
 class RnsConv
 {
@@ -68,11 +68,6 @@ class RnsConv
 
     /// Destination row j: the ops.n residues mod p_j into `dst`.
     void row(const Operands &ops, std::size_t j, u64 *dst) const;
-
-    /// operands(), then every row: dst[j] receives the residues mod
-    /// p_j.
-    void convert(const std::vector<const u64*> &src,
-                 const std::vector<u64*> &dst, std::size_t n) const;
 
   private:
     RnsBasis src_;

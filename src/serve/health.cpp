@@ -83,7 +83,6 @@ HealthMonitor::record_attempt(std::size_t card, double cycle,
 {
     POSEIDON_REQUIRE(card < cards_.size(),
                      "HealthMonitor: card " << card << " out of range");
-    if (!cfg_.enabled) return false;
     CardHealth &h = cards_[card];
     ++h.attempts;
     if (failed) ++h.failedAttempts;

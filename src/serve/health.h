@@ -57,9 +57,6 @@ const char* to_string(BreakerState s);
 /// Knobs of the per-card circuit breaker.
 struct HealthConfig
 {
-    /// Master switch; off restores the memoryless PR-5 fleet.
-    bool enabled = true;
-
     /// EWMA weight of the newest attempt (0 < alpha <= 1).
     double ewmaAlpha = 0.3;
 

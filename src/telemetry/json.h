@@ -48,7 +48,6 @@ class Json
 
     Type type() const { return type_; }
     bool is_null() const { return type_ == Type::Null; }
-    bool is_bool() const { return type_ == Type::Bool; }
     bool is_number() const { return type_ == Type::Number; }
     bool is_string() const { return type_ == Type::String; }
     bool is_array() const { return type_ == Type::Array; }

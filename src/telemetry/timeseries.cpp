@@ -323,26 +323,6 @@ Tsdb::record_histogram(const std::string &series, double cycle,
 }
 
 void
-Tsdb::sample_registry(const MetricsRegistry &reg, double cycle,
-                      const std::vector<std::string> &prefixes)
-{
-    auto matches = [&prefixes](const std::string &name) {
-        if (prefixes.empty()) return true;
-        for (const std::string &p : prefixes) {
-            if (name.compare(0, p.size(), p) == 0) return true;
-        }
-        return false;
-    };
-    Json snap = reg.to_json();
-    for (const char *section : {"counters", "gauges"}) {
-        for (const auto &kv : snap.at(section).items()) {
-            if (!matches(kv.first)) continue;
-            record(kv.first, cycle, kv.second.as_number());
-        }
-    }
-}
-
-void
 Tsdb::annotate(Annotation a)
 {
     POSEIDON_REQUIRE(std::isfinite(a.cycle),

@@ -18,10 +18,7 @@
  * choosing. Because every recorded value is a function of
  * simulated-clock state only, a dump of the same run is byte-identical
  * at every POSEIDON_THREADS — the same contract the lifecycle journal
- * honors (DESIGN.md §15). Samples from the *global* MetricsRegistry
- * can be folded in through sample_registry(), but that convenience is
- * only deterministic for registries whose instruments are themselves
- * simulated-clock state (host wall-time histograms are not).
+ * honors (DESIGN.md §15).
  *
  * **Storage.** Each series is a ring buffer that grows as samples
  * arrive, up to a fixed capacity; pushing past capacity evicts the
@@ -242,15 +239,6 @@ class Tsdb
     /// internally), creating the series on first use.
     void record_histogram(const std::string &series, double cycle,
                           const Histogram &cumulative);
-
-    /**
-     * Fold every counter and gauge of `reg` whose name starts with
-     * one of `prefixes` (all when empty) into value series at `cycle`.
-     * Deterministic only when the matched instruments are themselves
-     * deterministic — see the file comment.
-     */
-    void sample_registry(const MetricsRegistry &reg, double cycle,
-                         const std::vector<std::string> &prefixes = {});
 
     void annotate(Annotation a);
 

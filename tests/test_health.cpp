@@ -172,18 +172,6 @@ TEST(Health, FailedProbeRoundsKillTheCard)
     EXPECT_EQ(mon.events().back().kind, HealthEvent::Kind::Died);
 }
 
-TEST(Health, DisabledMonitorNeverTrips)
-{
-    HealthConfig cfg = fast_breaker();
-    cfg.enabled = false;
-    HealthMonitor mon(1, cfg);
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_FALSE(mon.record_attempt(0, 100.0 * (i + 1),
-                                        clean_stats(), 50.0, true));
-    }
-    EXPECT_TRUE(mon.admissible(0, 1e4));
-}
-
 TEST(Health, BreakerStateNames)
 {
     EXPECT_STREQ(serve::to_string(BreakerState::Closed), "Closed");

@@ -116,14 +116,13 @@ TEST(RnsConv, ConvertsExactValuesBelowQ)
         }
 
         std::vector<const u64*> in(src->size());
-        std::vector<u64*> out(dst.size());
         for (std::size_t i = 0; i < src->size(); ++i) {
             in[i] = srcData[i].data();
         }
+        RnsConv::Operands ops = conv.operands(in, n);
         for (std::size_t j = 0; j < dst.size(); ++j) {
-            out[j] = dstData[j].data();
+            conv.row(ops, j, dstData[j].data());
         }
-        conv.convert(in, out, n);
 
         for (std::size_t t = 0; t < n; ++t) {
             std::vector<u64> expect(dst.size());
@@ -216,19 +215,20 @@ TEST(ModDown, FinishInEvalDomainMatchesApply)
 
             std::vector<const u64*> xqp(limbs), xqEp(limbs), xpp(K),
                 cp(limbs);
-            std::vector<u64*> wantp(limbs), cw(limbs), gotp(limbs);
+            std::vector<u64*> wantp(limbs), gotp(limbs);
             for (std::size_t i = 0; i < limbs; ++i) {
                 xqp[i] = xq[i].data();
                 xqEp[i] = xqE[i].data();
-                cp[i] = cw[i] = c[i].data();
+                cp[i] = c[i].data();
                 wantp[i] = want[i].data();
                 gotp[i] = got[i].data();
             }
             for (std::size_t j = 0; j < K; ++j) xpp[j] = xp[j].data();
 
             md.apply(xqp, xpp, wantp, n);
-            md.conv().convert(xpp, cw, n);
+            RnsConv::Operands ops = md.conv().operands(xpp, n);
             for (std::size_t i = 0; i < limbs; ++i) {
+                md.conv().row(ops, i, c[i].data());
                 ntt[i].forward(want[i].data());
                 ntt[i].forward(xqE[i].data());
                 ntt[i].forward(c[i].data());
