@@ -509,7 +509,8 @@ TEST(Serving, EveryVerdictReportsItsFields)
     // "done" runs first (tenant name order); "late" expires when the
     // card frees; "doomed" arrives at 1e7, inside a CardDeath window,
     // and has no retry left. The expected values were recorded from
-    // the engine before its verdicts shared one builder.
+    // the engine before its four verdicts were merged into one
+    // function.
     ServeConfig cfg;
     cfg.maxBatch = 1;
     cfg.maxQueueDepth = 3;
